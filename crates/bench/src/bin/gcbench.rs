@@ -129,7 +129,7 @@ fn measure(mem: &ObjectMemory, helpers: usize, rounds: usize) -> HelperRun {
     let mut pauses = Vec::with_capacity(rounds);
     for _ in 0..rounds {
         let out = mem
-            .try_scavenge_parallel(helpers, scope_runner)
+            .try_scavenge_with(helpers, scope_runner)
             .expect("old space untouched by a tenure-free scavenge");
         mem.verify_heap().assert_clean();
         pauses.push(out.nanos);
@@ -219,7 +219,7 @@ fn smoke() {
         for _ in 0..8 {
             let guard = me.stop_world();
             let out = mem
-                .try_scavenge_parallel(2, |n, f| {
+                .try_scavenge_with(2, |n, f| {
                     guard.run_stopped(n, f);
                 })
                 .expect("old space untouched by a tenure-free scavenge");
@@ -525,9 +525,9 @@ fn fullgc_bench() {
     write_fullgc_json("BENCH_fullgc.json", live_words, cores, &runs, &incr);
     println!("wrote BENCH_fullgc.json");
 
-    let serial_mark = runs[0].best_mark_ns as f64;
+    let solo_mark = runs[0].best_mark_ns as f64;
     let par4_mark = runs[2].best_mark_ns as f64;
-    let ratio = par4_mark / serial_mark;
+    let ratio = par4_mark / solo_mark;
     let mut failed = false;
     if cores >= 4 {
         if ratio > 0.7 {
@@ -570,18 +570,18 @@ fn fullgc_bench() {
     }
     // The slice bound holds on any host: that is the point of incremental
     // marking, and it does not depend on parallelism.
-    if incr.max_slice_ns >= serial_mark as u64 {
+    if incr.max_slice_ns >= solo_mark as u64 {
         eprintln!(
             "FAIL: longest incremental mark slice ({}) is not below the monolithic \
              mark pause ({})",
             ns_human(incr.max_slice_ns as f64),
-            ns_human(serial_mark)
+            ns_human(solo_mark)
         );
         failed = true;
     } else {
         println!(
             "PASS: longest incremental mark slice is {:.2}x the monolithic mark pause",
-            incr.max_slice_ns as f64 / serial_mark
+            incr.max_slice_ns as f64 / solo_mark
         );
     }
     if failed {

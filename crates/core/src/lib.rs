@@ -26,7 +26,7 @@ use mst_interp::{
 pub use mst_interp::{ProcessorInfo, SupervisorPolicy};
 pub use mst_objmem::SnapshotTemplate;
 use mst_objmem::{AllocPolicy, MemoryConfig, ObjectMemory, Oop, RootHandle, So};
-use mst_vkernel::{spawn_lightweight, LightweightHandle, Processor, SyncMode};
+use mst_vkernel::{spawn_lightweight, LightweightHandle, Processor, RendezvousGuard, SyncMode};
 
 pub mod testing;
 
@@ -380,6 +380,12 @@ impl MsSystem {
     /// is not a rendezvous participant between runs, so without the guard
     /// it would race against worker-triggered scavenges.
     fn with_world<R>(&self, f: impl FnOnce(&Vm) -> R) -> R {
+        self.with_stopped_world(|vm, _| f(vm))
+    }
+
+    /// [`with_world`](Self::with_world), also handing `f` the guard so a
+    /// collection it runs can draft the parked interpreters as helpers.
+    fn with_stopped_world<R>(&self, f: impl FnOnce(&Vm, &RendezvousGuard<'_>) -> R) -> R {
         // stop_world() counts its caller as one of the registered
         // participants; a thread that is not registered must join first or
         // the rendezvous under-waits by one and a mutator keeps running.
@@ -387,9 +393,25 @@ impl MsSystem {
         // not left waiting on a dead participant.
         let me = self.vm.rendezvous.participant();
         let guard = me.stop_world();
-        let r = f(&self.vm);
+        let r = f(&self.vm, &guard);
         drop(guard);
         r
+    }
+
+    /// Scavenges the stopped world, drafting up to `gc_helpers` parked
+    /// interpreters.
+    fn scavenge_stopped(
+        vm: &Vm,
+        guard: &RendezvousGuard<'_>,
+    ) -> Result<mst_objmem::ScavengeOutcome, mst_objmem::OomError> {
+        let scavenged = vm
+            .mem
+            .try_scavenge_with(vm.mem.config().gc_helpers, |n, f| {
+                guard.run_stopped(n, f);
+            });
+        // Even a scavenge that gives up may have compacted old space first.
+        vm.bump_cache_epoch();
+        scavenged
     }
 
     /// Compiles a doit once for repeated execution (benchmark harnesses).
@@ -421,31 +443,33 @@ impl MsSystem {
     ///
     /// As [`run_prepared`](Self::run_prepared).
     pub fn run_prepared_rooted(&mut self, prepared: &Prepared) -> Result<RootHandle, EvalError> {
-        let errors_before = self.vm.error_log.lock().len();
-        let process = self.with_world(|vm| {
+        self.main.take_doit_error(); // nothing stale from an abandoned run
+        let process = self.with_stopped_world(|vm, guard| {
             let token = vm.mem.new_token();
             loop {
                 match spawn_method_process(vm, &token, prepared.method.get(), vm.mem.nil(), 5) {
                     Some(p) => {
+                        // Pin the doit to this interpreter before it is
+                        // ready, so measurements charge the right thread
+                        // and its failure is this interpreter's to report;
+                        // workers will not claim it.
+                        let root = vm.mem.new_root(p);
+                        vm.set_reserved(Some(root.clone()));
                         scheduler::add_ready(vm, p);
-                        break Ok(vm.mem.new_root(p));
+                        break Ok(root);
                     }
                     None => {
                         // Eden is full; collect while we hold the world. A
                         // collection that cannot complete (old space full)
                         // is reported instead of crashing the system.
-                        if let Err(e) = vm.mem.try_scavenge() {
+                        if let Err(e) = Self::scavenge_stopped(vm, guard) {
                             scheduler::signal_low_space(vm);
                             break Err(EvalError::Runtime(format!("outOfMemory: {e}")));
                         }
-                        vm.bump_cache_epoch();
                     }
                 }
             }
         })?;
-        // Pin the doit to this interpreter so measurements charge the
-        // right thread; workers will not claim it.
-        self.vm.set_reserved(Some(process.clone()));
         let doit_span = mst_telemetry::span("vm.doit", "vm");
         let outcome = self.main.run(Some(process.clone()));
         drop(doit_span);
@@ -462,14 +486,12 @@ impl MsSystem {
                     .fetch(process.get(), mst_objmem::layout::process::RESULT),
             )
         });
-        let errors = self.vm.error_log.lock();
-        if errors.len() > errors_before {
-            return Err(EvalError::Runtime(
-                errors.last().cloned().unwrap_or_default(),
-            ));
+        // Only the doit's own failure fails it: a forked Process that died
+        // meanwhile is in the error log, not in this result.
+        match self.main.take_doit_error() {
+            Some(e) => Err(EvalError::Runtime(e)),
+            None => Ok(result),
         }
-        drop(errors);
-        Ok(result)
     }
 
     /// Like [`evaluate`](Self::evaluate), but returns a GC-tracked root for
@@ -753,22 +775,18 @@ impl MsSystem {
         self.vm.low_space_latched()
     }
 
-    /// Stops the world and scavenges (for tests and harnesses). With
-    /// `gc_helpers > 1` configured, the stopped worker interpreters are
-    /// donated to the collection as parallel scavenge helpers.
+    /// Stops the world and scavenges (for tests and harnesses). The
+    /// stopped worker interpreters are donated to the collection as
+    /// scavenge helpers, up to the configured `gc_helpers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on genuine out-of-memory (old space cannot absorb the
+    /// survivors even after a full collection).
     pub fn collect_garbage(&self) {
-        let me = self.vm.rendezvous.participant();
-        let guard = me.stop_world();
-        let helpers = self.vm.mem.config().gc_helpers;
-        if helpers > 1 {
-            self.vm.mem.scavenge_parallel(helpers, |n, f| {
-                guard.run_stopped(n, f);
-            });
-        } else {
-            self.vm.mem.scavenge();
-        }
-        self.vm.bump_cache_epoch();
-        drop(guard);
+        self.with_stopped_world(|vm, guard| {
+            Self::scavenge_stopped(vm, guard).unwrap_or_else(|e| panic!("{e}"));
+        });
     }
 
     /// Stops the world and runs a full mark-compact collection (for tests
@@ -779,17 +797,17 @@ impl MsSystem {
     /// VM error log — the same containment surface the supervisor uses —
     /// instead of crashing the system.
     pub fn full_collect(&self) -> mst_objmem::FullGcOutcome {
-        let me = self.vm.rendezvous.participant();
-        let guard = me.stop_world();
-        // The calling thread marks too, so it counts alongside the online
-        // workers when sizing the helper pool.
-        let available = self.vm.processors_online() + 1;
-        let helpers = self.vm.mem.adaptive_full_gc_helpers(available);
-        let outcome = self.vm.mem.full_gc_with(helpers, |n, f| {
-            guard.run_stopped(n, f);
+        let outcome = self.with_stopped_world(|vm, guard| {
+            // The calling thread marks too, so it counts alongside the
+            // online workers when sizing the helper pool.
+            let available = vm.processors_online() + 1;
+            let helpers = vm.mem.adaptive_full_gc_helpers(available);
+            let outcome = vm.mem.full_gc_with(helpers, |n, f| {
+                guard.run_stopped(n, f);
+            });
+            vm.bump_cache_epoch();
+            outcome
         });
-        self.vm.bump_cache_epoch();
-        drop(guard);
         for d in self.vm.mem.take_fullgc_dangling() {
             self.vm.error_log.lock().push(format!("heap: {d}"));
         }
@@ -811,11 +829,7 @@ impl MsSystem {
     /// set, and the symbol table are cross-checked. The chaos soak harness
     /// calls this after each faulted run to prove the heap survived.
     pub fn audit_heap(&self) -> mst_objmem::HeapAudit {
-        let me = self.vm.rendezvous.participant();
-        let guard = me.stop_world();
-        let audit = self.vm.mem.verify_heap();
-        drop(guard);
-        audit
+        self.with_world(|vm| vm.mem.verify_heap())
     }
 
     /// Stops every interpreter and joins the worker threads.

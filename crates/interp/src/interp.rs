@@ -91,6 +91,10 @@ pub struct Interpreter {
     ///
     /// [`run`]: Interpreter::run
     watched: Option<RootHandle>,
+    /// The failure the watched doit raised, if any: the same message as its
+    /// `vm.error_log` entry, attributed to the Process rather than inferred
+    /// from the log growing while it ran.
+    doit_error: Option<String>,
     /// Rendezvous identity while inside [`run`] (None outside it).
     ///
     /// [`run`]: Interpreter::run
@@ -160,6 +164,7 @@ impl Interpreter {
             sels_epoch: u64::MAX,
             proc_root,
             watched: None,
+            doit_error: None,
             rdv_id: None,
             gc_streak: 0,
             panic_injectable: false,
@@ -292,7 +297,7 @@ impl Interpreter {
             // The send has already completed, so there is no bytecode to
             // restart: report, raise the low-space signal, and carry on —
             // the image decides how to shed load.
-            self.vm.error_log.lock().push(format!("outOfMemory: {e}"));
+            self.report_error(format!("outOfMemory: {e}"));
             sched::signal_low_space(&self.vm);
         }
         self.after_gc();
@@ -685,17 +690,14 @@ impl Interpreter {
         if self.mem().gc_epoch() == before {
             // Nobody beat us to it: collect.
             *self.vm.shared_free.lock() = FreeLists::default();
+            // Donate the stopped interpreters, up to `gc_helpers` slots: they
+            // run the scavenge closure from inside their parks (paper §5
+            // future work — "the stopped processors could help with the
+            // collection").
             let helpers = self.mem().config().gc_helpers;
-            let scavenged = if helpers > 1 {
-                // Donate the stopped interpreters: they run the scavenge
-                // closure from inside their parks (paper §5 future work —
-                // "the stopped processors could help with the collection").
-                self.mem().try_scavenge_parallel(helpers, |n, f| {
-                    guard.run_stopped(n, f);
-                })
-            } else {
-                self.mem().try_scavenge()
-            };
+            let scavenged = self.mem().try_scavenge_with(helpers, |n, f| {
+                guard.run_stopped(n, f);
+            });
             match scavenged {
                 Ok(_) => {
                     self.vm.bump_cache_epoch();
@@ -736,7 +738,7 @@ impl Interpreter {
     fn out_of_memory(&mut self) -> Step {
         self.gc_streak = 0;
         let free = self.mem().old_free();
-        self.vm.error_log.lock().push(format!(
+        self.report_error(format!(
             "outOfMemory: old space exhausted ({free} words free); process terminated"
         ));
         sched::signal_low_space(&self.vm);
@@ -880,6 +882,23 @@ impl Interpreter {
             .is_some_and(|w| w.get() == self.proc_root.get())
     }
 
+    /// Logs a failure of the currently loaded process. Every failure lands in
+    /// the VM error log; the watched doit's is also latched as *its* outcome,
+    /// so a forked Process that dies while the doit runs cannot fail it.
+    pub(crate) fn report_error(&mut self, msg: String) {
+        if self.watching_claimed() {
+            self.doit_error = Some(msg.clone());
+        }
+        self.vm.error_log.lock().push(msg);
+    }
+
+    /// Takes the failure the watched doit raised since the last call, if
+    /// any. Errors of other Processes (forked competitors, background work)
+    /// are in `vm.error_log` only.
+    pub fn take_doit_error(&mut self) -> Option<String> {
+        self.doit_error.take()
+    }
+
     /// Terminates the watched doit because its request deadline passed.
     /// Mirrors [`out_of_memory`](Self::out_of_memory): the report goes to
     /// the error log, the process retires through the ordinary
@@ -889,10 +908,9 @@ impl Interpreter {
         self.flush_registers();
         self.gc_streak = 0;
         self.vm.deadline_ns.store(0, Ordering::Relaxed);
-        self.vm
-            .error_log
-            .lock()
-            .push("deadlineExpired: request budget exhausted; process terminated".to_string());
+        self.report_error(
+            "deadlineExpired: request budget exhausted; process terminated".to_string(),
+        );
         let nil = self.mem().nil();
         self.last_value = nil;
         Step::Event(Event::Terminated)

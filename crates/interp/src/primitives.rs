@@ -459,7 +459,7 @@ impl Interpreter {
                 } else {
                     format!("{arg:?}")
                 };
-                self.vm().error_log.lock().push(msg);
+                self.report_error(msg);
                 self.set_last_value(arg);
                 self.prim_done(nargs, rcvr);
                 self.flush_for_switch();

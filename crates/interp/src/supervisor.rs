@@ -115,9 +115,7 @@ pub fn supervise(vm: Arc<Vm>, processor: usize, policy: SupervisorPolicy) {
         // that interval now so the timeline never leaks a dead state.
         tel::timeline::transition(tel::ProcState::Idle);
         // The fault is recorded in the roster (`last_fault`), not in
-        // `vm.error_log`: the error log drives `run_prepared`'s
-        // did-this-doit-fail check, and a supervisor entry there would
-        // turn an unrelated in-flight doit into a phantom runtime error.
+        // `vm.error_log`, which holds failures Processes raised themselves.
         match policy {
             SupervisorPolicy::Panic => {
                 tel::counter("supervisor.rethrown").incr();

@@ -149,7 +149,8 @@ pub struct Vm {
     /// check it at safepoints to decide whether to preempt themselves.
     pub preempt_hint: AtomicI64,
     pub(crate) counters: AtomicCounters,
-    /// Error messages reported by `error:` (process-terminating failures).
+    /// Error messages reported by `error:` (process-terminating failures),
+    /// whichever Process raised them.
     pub error_log: SpinMutex<Vec<String>>,
     /// Text written by the image's Transcript primitive.
     pub transcript: SpinMutex<String>,

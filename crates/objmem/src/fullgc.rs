@@ -15,30 +15,31 @@
 //! New-space objects are never moved by a full collection; unreachable ones
 //! are simply never scanned again (the next scavenge abandons them).
 //!
-//! The mark phase — the only pass that scales with the *live set* rather
-//! than with live-data-moved — comes in three interchangeable front-ends
-//! over one shared compactor:
+//! There is one marker ([`Marker`]): one root enumeration (special
+//! objects, root cells, interned symbols), one claim primitive (an atomic
+//! `fetch_or` of the mark bit on the header word), one `trace`, balanced
+//! across helper slots by the scavenger's [`WorkPool`]. Two drivers use it:
 //!
-//! * **Serial** ([`ObjectMemory::full_gc`]): the reference implementation.
-//! * **Parallel** ([`ObjectMemory::full_gc_with`]): stopped processors are
-//!   drafted as helpers (the same `run_stopped` contract as the parallel
-//!   scavenger); roots are partitioned with atomic chunk cursors, mark bits
-//!   are claimed with an atomic `fetch_or` on the header word, and the
-//!   transitive trace is balanced with per-helper work-stealing deques.
+//! * **Monolithic** ([`ObjectMemory::full_gc_with`]): the marker runs to
+//!   exhaustion on `helpers >= 1` slots drafted from the stopped world (the
+//!   scavenger's `run_stopped` contract). One helper is the same code with
+//!   nobody to steal from.
 //! * **Incremental** ([`ObjectMemory::full_gc_begin`] /
 //!   [`full_gc_mark_slice`](ObjectMemory::full_gc_mark_slice) /
-//!   [`full_gc_finish`](ObjectMemory::full_gc_finish)): marking proceeds in
-//!   bounded stop-the-world slices interleaved with mutator execution; a
-//!   snapshot-at-the-beginning write barrier in [`ObjectMemory::store`]
-//!   records both the overwritten and the newly written value, so the final
-//!   pause is bounded by live-data-moved, not old-space-scanned.
+//!   [`full_gc_finish_with`](ObjectMemory::full_gc_finish_with)): the same
+//!   marker restricted to old space and driven with a word budget in
+//!   bounded stop-the-world slices, its gray set parked on the
+//!   `ObjectMemory` while mutators run; a snapshot-at-the-beginning write
+//!   barrier in [`ObjectMemory::store`] records both the overwritten and
+//!   the newly written value, so the final pause is bounded by
+//!   live-data-moved, not old-space-scanned.
 //!
-//! The shared compaction back-end is parallel too: update, move, and clear
-//! run over the same helper slots as the mark (update shards the marked
-//! list, the new-space walk, and the reference tables — the relocation map
-//! is immutable after planning; move cuts the map into independent
-//! chunk-runs wherever a run's destinations clear every earlier source,
-//! falling back to the serial slide for layouts that yield a single run).
+//! The compaction back-end runs over the same helper slots as the mark
+//! (update shards the marked list, the new-space walk, and the reference
+//! tables — the relocation map is immutable after planning; move cuts the
+//! map into independent chunk-runs wherever a run's destinations clear
+//! every earlier source, a layout that yields a single run sliding on the
+//! leader alone).
 //! Per-helper reports are merged in deterministic order, and a corrupt
 //! special table aborts the compaction cleanly
 //! ([`CompactAbort`]) before any heap mutation instead of panicking
@@ -59,22 +60,14 @@ use crate::header::{Header, ObjFormat, PAD_WORD};
 use crate::heap::ObjectMemory;
 use crate::method::MethodHeader;
 use crate::oop::Oop;
-use crate::steal::StealDeque;
-
-/// The leader-drafts-helpers runner contract shared with the parallel
-/// scavenger: call the closure with distinct slots in `0..helpers`, slot 0
-/// included, and return once every invocation has finished.
-pub(crate) type HelperRunner<'a> = &'a dyn Fn(usize, &(dyn Fn(usize) + Sync));
+use crate::steal::{chaos_helper_panic, solo_runner, HelperRunner, WorkPool, Worker};
 
 /// Live old-space words per drafted mark helper: below one helper's worth,
 /// fan-out costs more than it saves, so [`adaptive_full_gc_helpers`]
-/// (ObjectMemory::adaptive_full_gc_helpers) marks serially.
+/// (ObjectMemory::adaptive_full_gc_helpers) asks for the leader alone.
 const FULL_GC_WORDS_PER_HELPER: usize = 128 << 10; // 1 MB
 
-/// Capacity of each mark helper's work-stealing deque (oop words). Overflow
-/// goes to a private vector, so this only bounds what thieves can see.
-const MARK_DEQUE_CAPACITY: usize = 1 << 13;
-/// Root oops claimed per cursor bump during the parallel root scan.
+/// Root oops claimed per cursor bump during the root scan.
 const MARK_ROOT_CHUNK: usize = 32;
 /// Marked objects claimed per cursor bump during the parallel update and
 /// clear phases (the relocation map is read-only, so the shards need no
@@ -248,17 +241,19 @@ impl std::fmt::Display for FullGcReport {
 pub struct FullGcOutcome {
     /// Old-space words reclaimed.
     pub reclaimed_words: usize,
-    /// Stop-the-world nanoseconds spent marking (summed over slices for the
-    /// incremental mode).
+    /// Stop-the-world nanoseconds spent marking (for the incremental mode:
+    /// summed over the slices and the finishing mark).
     pub mark_nanos: u64,
     /// Wall nanoseconds from begin to finish (equals the pause for the
     /// monolithic modes; spans mutator execution for the incremental one).
     pub total_nanos: u64,
     /// The longest single stop-the-world pause this collection imposed.
     pub max_pause_nanos: u64,
-    /// Mark slices taken (1 for monolithic marking).
+    /// Mark pauses taken: 1 for monolithic marking; the bounded slices plus
+    /// the finishing mark for the incremental mode.
     pub slices: u64,
-    /// Helper threads that actually entered the mark phase (1 = serial).
+    /// Helper threads that actually entered the mark of the final pause
+    /// (what its pause-log entry reports too).
     pub helpers: usize,
     /// Stop-the-world nanoseconds planning slid-down addresses.
     pub plan_nanos: u64,
@@ -268,19 +263,20 @@ pub struct FullGcOutcome {
     pub move_nanos: u64,
     /// Stop-the-world nanoseconds clearing mark bits.
     pub clear_nanos: u64,
-    /// Helper threads that actually entered the compaction phases
-    /// (1 = serial back-end).
+    /// Helper threads that actually entered the compaction phases.
     pub compact_helpers: usize,
     /// Dangling-reference diagnostics (see [`FullGcReport`]).
     pub report: FullGcReport,
 }
 
-/// State of an in-progress incremental mark, parked on the `ObjectMemory`
-/// between slices while mutators run against the write barrier.
+/// A collection's marking so far. For an incremental collection it is parked
+/// on the `ObjectMemory` between slices while mutators run against the write
+/// barrier; a monolithic one starts its only pause with an empty one.
 #[derive(Debug)]
 pub(crate) struct FullMarkState {
-    /// Marked-but-untraced objects (old space only).
-    gray: Vec<Oop>,
+    /// Marked-but-untraced objects (old space only), as raw oops: the
+    /// marker's leftover work between slices.
+    gray: Vec<u64>,
     /// Every object marked so far, for the plan/update/clear phases.
     marked: Vec<Oop>,
     /// Old objects allocated (black) during the window; re-traced at finish
@@ -292,6 +288,20 @@ pub(crate) struct FullMarkState {
     started: Instant,
 }
 
+impl FullMarkState {
+    fn new() -> FullMarkState {
+        FullMarkState {
+            gray: Vec::new(),
+            marked: Vec::new(),
+            alloc_black: Vec::new(),
+            slices: 0,
+            mark_nanos: 0,
+            max_slice_nanos: 0,
+            started: Instant::now(),
+        }
+    }
+}
+
 /// Per-phase wall times of one [`compact_marked`](ObjectMemory::compact_marked)
 /// run, feeding the pause-attribution log.
 #[derive(Default)]
@@ -300,7 +310,7 @@ struct CompactTiming {
     update_ns: u64,
     move_ns: u64,
     clear_ns: u64,
-    /// Workers that entered the busiest compaction phase (1 = serial).
+    /// Workers that entered the busiest compaction phase.
     helpers: usize,
     /// Chunk-runs the slide was partitioned into (1 = serial fallback).
     move_chunks: usize,
@@ -404,40 +414,34 @@ fn merge_report(mut recs: Vec<(u64, DanglingRef)>, count: usize) -> FullGcReport
 /// Drives `work` from every drafted helper slot (slot 0 — the leader —
 /// always runs; `run` may invoke any subset of the rest). Work distribution
 /// is the callee's business, through atomic cursors, so a chaos-killed
-/// helper just means the survivors drain its share; the check sits at slot
-/// entry, before any work is claimed, mirroring the mark and scavenge
-/// helpers.
-fn run_phase(helpers: usize, run: HelperRunner, work: &(dyn Fn() + Sync)) {
-    if helpers <= 1 {
-        work();
-        return;
-    }
+/// helper just means the survivors drain its share. Returns how many slots
+/// entered.
+fn run_phase(helpers: usize, run: HelperRunner, work: &(dyn Fn() + Sync)) -> usize {
+    let entered = AtomicUsize::new(0);
     run(helpers, &|slot| {
-        if slot != 0 && mst_vkernel::fault::gc_helper_panic() {
-            panic!("chaos: injected GC helper panic (gc_helper.panic) in compaction slot {slot}");
-        }
+        chaos_helper_panic(slot, "compaction");
+        entered.fetch_add(1, Ordering::SeqCst);
         work();
     });
+    entered.load(Ordering::SeqCst)
 }
 
 impl ObjectMemory {
-    /// Runs a full mark-compact collection with serial marking. Returns
-    /// reclaimed old-space words. **The world must be stopped by the
-    /// caller.**
+    /// [`full_gc_with`](Self::full_gc_with) and nobody helping. Returns
+    /// reclaimed old-space words.
     pub fn full_gc(&self) -> usize {
-        self.full_gc_with(1, |_n, f: &(dyn Fn(usize) + Sync)| f(0))
-            .reclaimed_words
+        self.full_gc_with(1, solo_runner).reclaimed_words
     }
 
-    /// Runs a full collection, marking with up to `helpers` threads drawn
-    /// from the stopped world. **The world must be stopped by the caller.**
+    /// Runs a full collection on up to `helpers` threads drawn from the
+    /// stopped world (marking and the compaction phases alike). **The world
+    /// must be stopped by the caller.**
     ///
-    /// `run`'s contract is the one the parallel scavenger uses (and
-    /// `RendezvousGuard::run_stopped` fulfils): invoke the closure with
+    /// `run`'s contract is the scavenger's (and
+    /// `RendezvousGuard::run_stopped` fulfils it): invoke the closure with
     /// distinct slot indices in `0..helpers` — any subset, but slot 0 must
     /// run — from at most one thread per slot, returning only once every
-    /// invocation has finished. With `helpers <= 1` marking is serial and
-    /// `run` is never consulted.
+    /// invocation has finished. It is invoked once per helper-driven phase.
     ///
     /// An incremental mark already in flight is completed instead (its
     /// snapshot must not be mixed with a fresh trace).
@@ -445,67 +449,102 @@ impl ObjectMemory {
     where
         R: Fn(usize, &(dyn Fn(usize) + Sync)),
     {
-        self.full_gc_impl(helpers, &run)
-    }
-
-    pub(crate) fn full_gc_impl(&self, helpers: usize, run: HelperRunner) -> FullGcOutcome {
+        let run: HelperRunner = &run;
+        let helpers = helpers.max(1);
         if self.incremental_mark_active() {
-            return self.full_gc_force_finish();
+            return self.full_gc_force_finish(helpers, run);
         }
         self.run_pre_fullgc_hooks();
+        self.collect(None, helpers, run)
+    }
+
+    /// One stop-the-world collection pause: complete the mark — all of it
+    /// for a monolithic collection (`window` is `None`), what the slices
+    /// left for an incremental one — then compact and account.
+    fn collect(
+        &self,
+        window: Option<FullMarkState>,
+        helpers: usize,
+        run: HelperRunner,
+    ) -> FullGcOutcome {
+        let incremental = window.is_some();
+        let mut st = window.unwrap_or_else(FullMarkState::new);
+        let (kind, mark_phase) = if incremental {
+            ("fullgc_finish", "finish_mark")
+        } else {
+            ("fullgc", "mark")
+        };
         let mut trace_span = mst_telemetry::span("gc.full", "gc");
         let pause_start_ns = mst_telemetry::now_ns();
         let start = Instant::now();
-
-        let mark_start = Instant::now();
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 1);
-        let (marked, entered, steals, per_helper_words) = if helpers <= 1 {
-            (self.serial_mark(), 1, 0, Vec::new())
+
+        let mut roots = self.mark_roots();
+        let job = if incremental {
+            // To claim: anything that became a root during the window, plus
+            // what the barrier logged since the last slice. To trace: the
+            // parked gray set; the objects allocated black, whose slots may
+            // have been initialized with `store_nocheck` (legal for fresh
+            // objects), which the write barrier never sees; and every
+            // formatted new-space object (live or dead) — a conservative
+            // scan, so each old object referenced from new space stays and
+            // each such slot gets rewritten in the update phase below.
+            roots.append(&mut self.satb.lock());
+            let mut gray = std::mem::take(&mut st.gray);
+            gray.extend(st.alloc_black.drain(..).map(Oop::raw));
+            self.each_new_object(|_, obj| gray.push(obj.raw()));
+            MarkJob::old_slice(roots, gray, usize::MAX)
         } else {
-            self.parallel_mark(helpers, run)
+            MarkJob::exhaustive(roots)
         };
-        let mark_nanos = mark_start.elapsed().as_nanos() as u64;
+        let mut m = self.mark(job, helpers, run);
+        self.mark_active.store(false, Ordering::Release);
+        merge_into(&mut st.marked, &mut m.marked);
+        let mark_ns = start.elapsed().as_nanos() as u64;
 
-        let (reclaimed, report, timing) = self.compact_marked(&marked, false, helpers, run);
-
+        // The incremental path rewrites *every* new-space slot (the same
+        // walk that marked them); the monolithic one only the live ones.
+        let (reclaimed, report, timing) =
+            self.compact_marked(&st.marked, incremental, helpers, run);
         if report.aborted.is_none() {
             self.bump_epoch();
-            // Until the next completed scavenge, dead new-space objects may
-            // hold dangling references to compacted-away old objects
-            // (abandoned by design); the heap verifier consults this flag.
-            // An aborted compaction moved nothing, so neither applies.
-            self.fullgc_since_scavenge.store(true, Ordering::Relaxed);
+            // So until the next completed scavenge after a monolithic
+            // collection, dead new-space objects may hold dangling
+            // references to compacted-away old objects (abandoned by
+            // design); the heap verifier consults this flag. An aborted
+            // compaction moved nothing, so neither applies.
+            self.fullgc_since_scavenge
+                .store(!incremental, Ordering::Relaxed);
         }
-        let nanos = start.elapsed().as_nanos() as u64;
+        let pause_ns = start.elapsed().as_nanos() as u64;
         self.stats.full_gcs.incr();
-        self.stats.full_gc_nanos.add(nanos);
+        self.stats.full_gc_nanos.add(st.mark_nanos + pause_ns);
         let instr = instruments();
-        instr.pause_ns.record(nanos);
-        if entered > 1 {
-            instr.parallel_collections.incr();
-            instr.parallel_steals.add(steals);
-            instr.parallel_helpers.record(entered as u64);
-            for &w in &per_helper_words {
-                instr.helper_marked_words.record(w);
-            }
+        instr.pause_ns.record(pause_ns);
+        instr.parallel_collections.incr();
+        instr.parallel_steals.add(m.steals);
+        instr.parallel_helpers.record(m.entered as u64);
+        for &w in &m.per_helper_words {
+            instr.helper_marked_words.record(w);
         }
-        let (min_w, max_w) = per_helper_words
+        let (min_w, max_w) = m
+            .per_helper_words
             .iter()
             .fold((u64::MAX, 0u64), |(lo, hi), &w| (lo.min(w), hi.max(w)));
         mst_telemetry::pauselog::record(mst_telemetry::GcPause {
-            kind: "fullgc",
+            kind,
             start_ns: pause_start_ns,
-            total_ns: nanos,
+            total_ns: pause_ns,
             phases: vec![
-                ("mark", mark_nanos),
+                (mark_phase, mark_ns),
                 ("plan", timing.plan_ns),
                 ("update", timing.update_ns),
                 ("move", timing.move_ns),
                 ("clear", timing.clear_ns),
             ],
-            helpers: entered,
-            per_helper_work: per_helper_words,
-            steals,
+            helpers: m.entered,
+            per_helper_work: m.per_helper_words,
+            steals: m.steals,
             imbalance_pct: min_w.saturating_mul(100).checked_div(max_w).unwrap_or(100) as u32,
         });
         self.publish_fullgc_report(&report);
@@ -513,11 +552,11 @@ impl ObjectMemory {
         drop(trace_span);
         FullGcOutcome {
             reclaimed_words: reclaimed,
-            mark_nanos,
-            total_nanos: nanos,
-            max_pause_nanos: nanos,
-            slices: 1,
-            helpers: entered,
+            mark_nanos: st.mark_nanos + mark_ns,
+            total_nanos: st.started.elapsed().as_nanos() as u64,
+            max_pause_nanos: st.max_slice_nanos.max(pause_ns),
+            slices: st.slices + 1,
+            helpers: m.entered,
             plan_nanos: timing.plan_ns,
             update_nanos: timing.update_ns,
             move_nanos: timing.move_ns,
@@ -530,7 +569,8 @@ impl ObjectMemory {
     /// Picks the mark-helper count for a full collection from the live-set
     /// estimate (used old space): one thread per [`FULL_GC_WORDS_PER_HELPER`],
     /// clamped to `available` — the processors the caller can actually
-    /// draft, e.g. `processors_online() + 1`. Small heaps mark serially.
+    /// draft, e.g. `processors_online() + 1`. Small heaps get the leader
+    /// alone.
     pub fn adaptive_full_gc_helpers(&self, available: usize) -> usize {
         (self.old_used() / FULL_GC_WORDS_PER_HELPER)
             .max(1)
@@ -538,96 +578,65 @@ impl ObjectMemory {
     }
 
     // ------------------------------------------------------------------
-    // Mark front-end 1: serial
+    // The marker's drivers
     // ------------------------------------------------------------------
 
-    fn serial_mark(&self) -> Vec<Oop> {
-        let mut stack: Vec<Oop> = Vec::with_capacity(4096);
-        let mut marked: Vec<Oop> = Vec::with_capacity(4096);
-        let mark = |mem: &ObjectMemory, oop: Oop, stack: &mut Vec<Oop>, marked: &mut Vec<Oop>| {
-            if !oop.is_object() {
-                return;
-            }
-            let h = mem.header(oop);
-            if !h.is_marked() {
-                mem.set_header(oop, h.with_marked(true));
-                stack.push(oop);
-                marked.push(oop);
-            }
-        };
+    /// The root enumeration for marking: every special object, live root
+    /// cell, and interned symbol, as raw oops. (Unlike the scavenger,
+    /// marking never rewrites roots, so a flat snapshot suffices.)
+    fn mark_roots(&self) -> Vec<u64> {
+        let mut roots: Vec<u64> = Vec::with_capacity(256 + self.symbol_count());
         self.specials().update_all(|o| {
-            mark(self, o, &mut stack, &mut marked);
+            roots.push(o.raw());
             o
         });
-        {
-            let roots = self.roots.lock();
-            for weak in roots.iter() {
-                if let Some(cell) = weak.upgrade() {
-                    mark(
-                        self,
-                        Oop::from_raw(cell.load(Ordering::Relaxed)),
-                        &mut stack,
-                        &mut marked,
-                    );
-                }
+        for weak in self.roots.lock().iter() {
+            if let Some(cell) = weak.upgrade() {
+                roots.push(cell.load(Ordering::Relaxed));
             }
         }
-        self.each_symbol(|sym| mark(self, sym, &mut stack, &mut marked));
-        while let Some(obj) = stack.pop() {
-            // The class word is a reference too — metaclasses in particular
-            // are reachable only through their instances' class pointers.
-            mark(self, self.class_of(obj), &mut stack, &mut marked);
-            for i in 0..self.pointer_slot_count(obj) {
-                mark(self, self.fetch(obj, i), &mut stack, &mut marked);
-            }
-        }
-        marked
+        self.each_symbol(|sym| roots.push(sym.raw()));
+        roots
     }
 
-    // ------------------------------------------------------------------
-    // Mark front-end 2: parallel (stopped processors as helpers)
-    // ------------------------------------------------------------------
-
-    fn parallel_mark(&self, helpers: usize, run: HelperRunner) -> (Vec<Oop>, usize, u64, Vec<u64>) {
-        // Snapshot every root oop up front; helpers partition the flat list
-        // with an atomic chunk cursor. (Unlike the scavenger, marking never
-        // rewrites roots, so raw values suffice.)
-        let mut roots_snap: Vec<u64> = Vec::with_capacity(256);
-        self.specials().update_all(|o| {
-            roots_snap.push(o.raw());
-            o
+    /// Runs the marker over `job` on up to `helpers` slots.
+    fn mark(&self, mut job: MarkJob, helpers: usize, run: HelperRunner) -> MarkOutcome {
+        let out = Mutex::new(MarkOutcome {
+            gray: std::mem::take(&mut job.gray),
+            ..MarkOutcome::default()
         });
-        {
-            let roots = self.roots.lock();
-            for weak in roots.iter() {
-                if let Some(cell) = weak.upgrade() {
-                    roots_snap.push(cell.load(Ordering::Relaxed));
-                }
-            }
-        }
-        self.each_symbol(|sym| roots_snap.push(sym.raw()));
-
-        let par = ParMarker {
+        let marker = Marker {
             mem: self,
-            roots: roots_snap,
+            job,
             root_cursor: AtomicUsize::new(0),
-            deques: (0..helpers)
-                .map(|_| StealDeque::new(MARK_DEQUE_CAPACITY))
-                .collect(),
-            entered: AtomicUsize::new(0),
-            busy: AtomicUsize::new(0),
-            rounds: AtomicUsize::new(0),
-            merge: Mutex::new(MarkMerge::default()),
+            pool: WorkPool::new(helpers),
+            out,
         };
-        run(helpers, &|slot| par.run_helper(slot));
-        let entered = par.entered.load(Ordering::SeqCst);
-        assert!(entered >= 1, "run() must invoke the mark closure (slot 0)");
-        let m = par.merge.into_inner().unwrap();
-        (m.marked, entered, m.steals, m.per_helper_words)
+        run(helpers, &|slot| marker.run_helper(slot));
+        let mut out = marker.out.into_inner().unwrap();
+        out.entered = marker.pool.entered();
+        assert!(
+            out.entered >= 1,
+            "run() must invoke the mark closure (slot 0)"
+        );
+        out
+    }
+
+    /// Claims `oop`'s mark bit — *the* claim primitive: a cheap test, then
+    /// one atomic `fetch_or` on the header word. The winner gets the
+    /// pre-claim header and owns the object; losers (and a stolen duplicate
+    /// re-claiming its own object) see the bit already set.
+    fn claim_mark(&self, oop: Oop) -> Option<Header> {
+        let w = self.word_atomic(oop.index());
+        if w.load(Ordering::Acquire) & Header::mark_bit() != 0 {
+            return None;
+        }
+        let prev = w.fetch_or(Header::mark_bit(), Ordering::AcqRel);
+        (prev & Header::mark_bit() == 0).then_some(Header(prev))
     }
 
     // ------------------------------------------------------------------
-    // Mark front-end 3: incremental slices with a SATB write barrier
+    // Incremental driver: budgeted slices under a SATB write barrier
     // ------------------------------------------------------------------
 
     /// Whether an incremental mark window is open (mutators are running
@@ -653,16 +662,12 @@ impl ObjectMemory {
             return false;
         }
         self.run_pre_fullgc_hooks();
-        let mut st = FullMarkState {
-            gray: Vec::with_capacity(4096),
-            marked: Vec::with_capacity(4096),
-            alloc_black: Vec::new(),
-            slices: 0,
-            mark_nanos: 0,
-            max_slice_nanos: 0,
-            started: Instant::now(),
-        };
-        self.mark_roots_incr(&mut st);
+        let mut st = FullMarkState::new();
+        // A zero budget: claim the roots, trace nothing yet.
+        let job = MarkJob::old_slice(self.mark_roots(), Vec::new(), 0);
+        let m = self.mark(job, 1, &solo_runner);
+        st.gray = m.gray;
+        st.marked = m.marked;
         self.satb.lock().clear();
         *self.full_mark.lock() = Some(st);
         self.mark_active.store(true, Ordering::Release);
@@ -670,33 +675,25 @@ impl ObjectMemory {
         true
     }
 
-    /// Traces up to `budget_words` object words from the gray set, draining
-    /// the write-barrier log as the gray set runs dry. **The world must be
-    /// stopped by the caller.** Returns `true` when marking is complete
-    /// (gray set and barrier log both empty) — call
-    /// [`full_gc_finish`](Self::full_gc_finish) then. A no-op returning
-    /// `true` when no window is open.
+    /// Traces up to `budget_words` object words from the gray set, first
+    /// claiming what the write barrier logged since the last slice. **The
+    /// world must be stopped by the caller.** Returns `true` when marking is
+    /// complete (gray set and barrier log both empty) — call
+    /// [`full_gc_finish_with`](Self::full_gc_finish_with) then. A no-op
+    /// returning `true` when no window is open.
     pub fn full_gc_mark_slice(&self, budget_words: usize) -> bool {
         let start = Instant::now();
         let mut guard = self.full_mark.lock();
         let Some(st) = guard.as_mut() else {
             return true;
         };
-        let mut traced = 0usize;
-        while traced < budget_words.max(1) {
-            if let Some(obj) = st.gray.pop() {
-                traced += self.trace_incr(st, obj);
-                continue;
-            }
-            // Gray set dry: pull what the write barrier recorded.
-            let drained = std::mem::take(&mut *self.satb.lock());
-            if drained.is_empty() {
-                break;
-            }
-            for raw in drained {
-                self.mark_incr(st, Oop::from_raw(raw));
-            }
-        }
+        let logged = std::mem::take(&mut *self.satb.lock());
+        let gray = std::mem::take(&mut st.gray);
+        // At least one word, so every slice makes progress.
+        let job = MarkJob::old_slice(logged, gray, budget_words.max(1));
+        let mut m = self.mark(job, 1, &solo_runner);
+        st.gray = m.gray;
+        st.marked.append(&mut m.marked);
         st.slices += 1;
         let ns = start.elapsed().as_nanos() as u64;
         st.mark_nanos += ns;
@@ -707,125 +704,42 @@ impl ObjectMemory {
         st.gray.is_empty() && self.satb.lock().is_empty()
     }
 
-    /// Closes the incremental window: re-scans the roots, re-traces black
-    /// allocations, conservatively marks every old object referenced from
-    /// new space, drains the remaining gray set, then compacts. **The world
-    /// must be stopped by the caller.** A no-op (default outcome) when no
-    /// window is open.
+    /// [`full_gc_finish_with`](Self::full_gc_finish_with) and nobody helping.
+    pub fn full_gc_finish(&self) -> FullGcOutcome {
+        self.full_gc_finish_with(1, solo_runner)
+    }
+
+    /// Closes the incremental window on up to `helpers` threads drawn from
+    /// the stopped world: re-scans the roots, re-traces black allocations,
+    /// conservatively marks every old object referenced from new space,
+    /// drains the remaining gray set, then compacts. **The world must be
+    /// stopped by the caller.** `run`'s contract is [`full_gc_with`]
+    /// (Self::full_gc_with)'s. A no-op (default outcome) when no window is
+    /// open.
     ///
     /// Unlike the monolithic collector, this path rewrites *every* new-space
     /// slot (the same walk that marked them), so it leaves no dangling
     /// references behind and `fullgc_since_scavenge` stays clear.
-    pub fn full_gc_finish(&self) -> FullGcOutcome {
-        self.full_gc_finish_with(1, |_n, f: &(dyn Fn(usize) + Sync)| f(0))
-    }
-
-    /// [`full_gc_finish`](Self::full_gc_finish) with the compaction phases
-    /// (update/move/clear) run on up to `helpers` threads drawn from the
-    /// stopped world. `run`'s contract is [`full_gc_with`]
-    /// (Self::full_gc_with)'s; it may be invoked once per parallel phase.
     pub fn full_gc_finish_with<R>(&self, helpers: usize, run: R) -> FullGcOutcome
     where
         R: Fn(usize, &(dyn Fn(usize) + Sync)),
     {
-        self.full_gc_finish_impl(helpers, &run)
-    }
-
-    fn full_gc_finish_impl(&self, helpers: usize, run: HelperRunner) -> FullGcOutcome {
-        let taken = self.full_mark.lock().take();
-        let Some(mut st) = taken else {
-            return FullGcOutcome::default();
-        };
-        let mut trace_span = mst_telemetry::span("gc.full", "gc");
-        let pause_start_ns = mst_telemetry::now_ns();
-        let finish_start = Instant::now();
-        mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 1);
-
-        // Anything that became a root during the window.
-        self.mark_roots_incr(&mut st);
-        // Objects allocated black: their slots may have been initialized
-        // with `store_nocheck` (legal for fresh objects), which the write
-        // barrier never sees — re-trace them from scratch.
-        let blacks = std::mem::take(&mut st.alloc_black);
-        st.gray.extend(blacks);
-        // Conservative new-space scan: every old object referenced from new
-        // space (live or dead) stays, and every such slot gets rewritten in
-        // the update phase below.
-        self.each_new_object(|mem, obj| {
-            mem.mark_incr_raw(&mut st, mem.class_of(obj));
-            for i in 0..mem.pointer_slot_count(obj) {
-                mem.mark_incr_raw(&mut st, mem.fetch(obj, i));
-            }
-        });
-        // Drain the rest of the trace and the barrier log.
-        loop {
-            while let Some(obj) = st.gray.pop() {
-                self.trace_incr(&mut st, obj);
-            }
-            let drained = std::mem::take(&mut *self.satb.lock());
-            if drained.is_empty() {
-                break;
-            }
-            for raw in drained {
-                self.mark_incr(&mut st, Oop::from_raw(raw));
-            }
-        }
-        self.mark_active.store(false, Ordering::Release);
-        let finish_mark_ns = finish_start.elapsed().as_nanos() as u64;
-
-        let (reclaimed, report, timing) = self.compact_marked(&st.marked, true, helpers, run);
-        if report.aborted.is_none() {
-            self.bump_epoch();
-        }
-
-        let finish_ns = finish_start.elapsed().as_nanos() as u64;
-        let stw_nanos = st.mark_nanos + finish_ns;
-        self.stats.full_gcs.incr();
-        self.stats.full_gc_nanos.add(stw_nanos);
-        instruments().pause_ns.record(finish_ns);
-        mst_telemetry::pauselog::record(mst_telemetry::GcPause {
-            kind: "fullgc_finish",
-            start_ns: pause_start_ns,
-            total_ns: finish_ns,
-            phases: vec![
-                ("finish_mark", finish_mark_ns),
-                ("plan", timing.plan_ns),
-                ("update", timing.update_ns),
-                ("move", timing.move_ns),
-                ("clear", timing.clear_ns),
-            ],
-            helpers: timing.helpers,
-            per_helper_work: Vec::new(),
-            steals: 0,
-            imbalance_pct: 100,
-        });
-        self.publish_fullgc_report(&report);
-        trace_span.set_arg("reclaimed_words", reclaimed as u64);
-        drop(trace_span);
-        FullGcOutcome {
-            reclaimed_words: reclaimed,
-            mark_nanos: st.mark_nanos,
-            total_nanos: st.started.elapsed().as_nanos() as u64,
-            max_pause_nanos: st.max_slice_nanos.max(finish_ns),
-            slices: st.slices,
-            helpers: 1,
-            plan_nanos: timing.plan_ns,
-            update_nanos: timing.update_ns,
-            move_nanos: timing.move_ns,
-            clear_nanos: timing.clear_ns,
-            compact_helpers: timing.helpers,
-            report,
+        let window = self.full_mark.lock().take();
+        match window {
+            Some(st) => self.collect(Some(st), helpers.max(1), &run),
+            None => FullGcOutcome::default(),
         }
     }
 
-    /// [`full_gc_finish`](Self::full_gc_finish), recorded as *forced*: a
-    /// scavenge or monolithic full GC needed the heap and could not wait for
-    /// the mutators to finish the mark at their own pace.
-    pub fn full_gc_force_finish(&self) -> FullGcOutcome {
+    /// [`full_gc_finish_with`](Self::full_gc_finish_with), recorded as
+    /// *forced*: a scavenge or monolithic full GC needed the heap and could
+    /// not wait for the mutators to finish the mark at their own pace. The
+    /// caller's helpers come along.
+    pub(crate) fn full_gc_force_finish(&self, helpers: usize, run: HelperRunner) -> FullGcOutcome {
         if self.incremental_mark_active() {
             instruments().forced_finish.incr();
         }
-        self.full_gc_finish()
+        self.full_gc_finish_with(helpers, run)
     }
 
     /// Write-barrier slow path: records `v` for the in-progress mark if it
@@ -846,63 +760,15 @@ impl ObjectMemory {
     pub(crate) fn mark_allocate_black(&self, obj: Oop) {
         let mut guard = self.full_mark.lock();
         if let Some(st) = guard.as_mut() {
-            let h = self.header(obj);
-            if !h.is_marked() {
-                self.set_header(obj, h.with_marked(true));
+            if self.claim_mark(obj).is_some() {
                 st.marked.push(obj);
                 st.alloc_black.push(obj);
             }
         }
     }
 
-    fn mark_roots_incr(&self, st: &mut FullMarkState) {
-        self.specials().update_all(|o| {
-            self.mark_incr_raw(st, o);
-            o
-        });
-        {
-            let roots = self.roots.lock();
-            for weak in roots.iter() {
-                if let Some(cell) = weak.upgrade() {
-                    self.mark_incr_raw(st, Oop::from_raw(cell.load(Ordering::Relaxed)));
-                }
-            }
-        }
-        self.each_symbol(|sym| self.mark_incr_raw(st, sym));
-    }
-
-    /// Marks `oop` if it is an unmarked *old* object (the incremental
-    /// collector reclaims only old space; new-space liveness is the
-    /// scavenger's business).
-    fn mark_incr(&self, st: &mut FullMarkState, oop: Oop) {
-        self.mark_incr_raw(st, oop);
-    }
-
-    fn mark_incr_raw(&self, st: &mut FullMarkState, oop: Oop) {
-        if !oop.is_object() || !self.spaces().is_old(oop.index()) {
-            return;
-        }
-        let h = self.header(oop);
-        if !h.is_marked() {
-            self.set_header(oop, h.with_marked(true));
-            st.gray.push(oop);
-            st.marked.push(oop);
-        }
-    }
-
-    /// Traces one gray object; returns the words visited (for slice
-    /// budgeting).
-    fn trace_incr(&self, st: &mut FullMarkState, obj: Oop) -> usize {
-        self.mark_incr_raw(st, self.class_of(obj));
-        let n = self.pointer_slot_count(obj);
-        for i in 0..n {
-            self.mark_incr_raw(st, self.fetch(obj, i));
-        }
-        n + 2
-    }
-
     // ------------------------------------------------------------------
-    // Shared back-end: plan, update, move, clear
+    // Compaction back-end: plan, update, move, clear
     // ------------------------------------------------------------------
 
     /// Phases 2–5 over a completed mark: plan slid-down addresses, update
@@ -938,7 +804,16 @@ impl ObjectMemory {
         // Sorted by construction (linear walk), enabling binary search.
         // Destinations are contiguous from `old_start` and never exceed
         // their sources — the two facts the chunked slide leans on.
+        //
+        // The same walk cuts the plan into the move phase's chunk-runs. A
+        // cut before an entry is legal iff its destination clears the
+        // previous entry's source extent: with contiguous destinations and
+        // `to <= from` everywhere, that single inequality proves no run's
+        // writes can touch another run's unread sources (in either
+        // direction).
         let mut map: Vec<MapEntry> = Vec::with_capacity(marked.len());
+        let mut chunks: Vec<(usize, usize)> = Vec::new();
+        let (mut run_start, mut run_words, mut prev_end) = (0usize, 0usize, 0usize);
         let mut dest = self.spaces().old_start;
         let mut scan = self.spaces().old_start;
         let old_next = self.old_next_value();
@@ -947,14 +822,24 @@ impl ObjectMemory {
             let h = self.header(obj);
             let total = 2 + h.body_words();
             if h.is_marked() {
+                if run_words >= MOVE_CHUNK_WORDS && dest >= prev_end {
+                    chunks.push((run_start, map.len()));
+                    run_start = map.len();
+                    run_words = 0;
+                }
                 map.push(MapEntry {
                     from: scan,
                     to: dest,
                     total,
                 });
                 dest += total;
+                run_words += total;
+                prev_end = scan + total;
             }
             scan += total;
+        }
+        if run_start < map.len() {
+            chunks.push((run_start, map.len()));
         }
         let mut rel = Relocator {
             mem: self,
@@ -1003,11 +888,9 @@ impl ObjectMemory {
             marked,
             new_objs,
             cursor: AtomicUsize::new(0),
-            entered: AtomicUsize::new(0),
             merge: Mutex::new(UpdateMerge::default()),
         };
-        run_phase(helpers, run, &|| upd.run_worker());
-        let upd_entered = upd.entered.load(Ordering::SeqCst).max(1);
+        let upd_entered = run_phase(helpers, run, &|| upd.run_worker());
         let m = upd.merge.into_inner().unwrap();
         let relocated_marks = m.relocated_marks;
         let mut report = merge_report(m.recs, m.count);
@@ -1016,17 +899,13 @@ impl ObjectMemory {
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 4);
 
         // --- Phase 4: move bodies ---------------------------------------
-        // Chunked leftward sliding: cut the plan into runs at indices where
-        // the run's first destination clears the previous entry's source
-        // extent. Destinations are contiguous and `to <= from` everywhere,
-        // so at such a cut a later run's writes all land at or above the
-        // cut destination — past every earlier source — while earlier runs'
-        // writes stay below it: runs are mutually independent and workers
-        // claim them in any order. Within a run, entries are processed in
-        // address order with forward word copies (the memmove-down
-        // argument). Pathological layouts that yield a single run fall back
-        // to the serial slide on the leader.
-        let chunks = plan_move_chunks(&rel.map, helpers);
+        // Chunked leftward sliding over the runs the plan walk cut: at a cut
+        // a later run's writes all land at or above the cut destination —
+        // past every earlier source — while earlier runs' writes stay below
+        // it, so runs are mutually independent and workers claim them in
+        // any order. Within a run, entries are processed in address order
+        // with forward word copies (the memmove-down argument). A layout
+        // that yields a single run slides on the leader alone.
         timing.move_chunks = chunks.len().max(1);
         instruments().move_chunks.record(chunks.len().max(1) as u64);
         let mov = MovePhase {
@@ -1034,11 +913,9 @@ impl ObjectMemory {
             map: &rel.map,
             chunks,
             cursor: AtomicUsize::new(0),
-            entered: AtomicUsize::new(0),
         };
         let move_helpers = if mov.chunks.len() >= 2 { helpers } else { 1 };
-        run_phase(move_helpers, run, &|| mov.run_worker());
-        let move_entered = mov.entered.load(Ordering::SeqCst).max(1);
+        let move_entered = run_phase(move_helpers, run, &|| mov.run_worker());
         self.set_old_next(dest);
         timing.move_ns = t_phase.elapsed().as_nanos() as u64;
         let t_phase = Instant::now();
@@ -1051,17 +928,13 @@ impl ObjectMemory {
             mem: self,
             marks: relocated_marks,
             cursor: AtomicUsize::new(0),
-            entered: AtomicUsize::new(0),
         };
-        run_phase(helpers, run, &|| clr.run_worker());
-        let clear_entered = clr.entered.load(Ordering::SeqCst).max(1);
+        let clear_entered = run_phase(helpers, run, &|| clr.run_worker());
         timing.clear_ns = t_phase.elapsed().as_nanos() as u64;
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 0);
 
         timing.helpers = upd_entered.max(move_entered).max(clear_entered);
-        if timing.helpers > 1 {
-            instruments().parallel_compactions.incr();
-        }
+        instruments().parallel_compactions.incr();
         report.aborted = None;
         let reclaimed = old_used_before - (dest - self.spaces().old_start);
         (reclaimed, report, timing)
@@ -1152,7 +1025,6 @@ struct UpdatePhase<'a> {
     marked: &'a [Oop],
     new_objs: Vec<Oop>,
     cursor: AtomicUsize,
-    entered: AtomicUsize,
     merge: Mutex<UpdateMerge>,
 }
 
@@ -1170,7 +1042,6 @@ struct UpdateMerge {
 
 impl UpdatePhase<'_> {
     fn run_worker(&self) {
-        self.entered.fetch_add(1, Ordering::SeqCst);
         let mem = self.rel.mem;
         let mut sink = ReportSink::default();
         let mut relocated: Vec<Oop> = Vec::new();
@@ -1251,49 +1122,18 @@ impl UpdatePhase<'_> {
     }
 }
 
-/// Cuts the relocation plan into independent runs for the chunked slide.
-/// A cut before entry `i` is legal iff `map[i].to >= map[i-1].from +
-/// map[i-1].total`: with contiguous destinations and `to <= from`
-/// everywhere, that single inequality proves no run's writes can touch
-/// another run's unread sources (in either direction). Returns a single
-/// run — the serial fallback — when parallelism cannot pay off.
-fn plan_move_chunks(map: &[MapEntry], helpers: usize) -> Vec<(usize, usize)> {
-    if map.is_empty() {
-        return Vec::new();
-    }
-    if helpers <= 1 || map.len() < 2 {
-        return vec![(0, map.len())];
-    }
-    let mut chunks = Vec::new();
-    let mut start = 0usize;
-    let mut words = 0usize;
-    for i in 0..map.len() {
-        if i > start && words >= MOVE_CHUNK_WORDS && map[i].to >= map[i - 1].from + map[i - 1].total
-        {
-            chunks.push((start, i));
-            start = i;
-            words = 0;
-        }
-        words += map[i].total;
-    }
-    chunks.push((start, map.len()));
-    chunks
-}
-
 /// Shared state for the (optionally parallel) move phase: workers claim
-/// whole chunk-runs — precut by [`plan_move_chunks`] to be mutually
-/// independent — and slide each run's entries in address order.
+/// whole chunk-runs — precut by the plan walk to be mutually independent —
+/// and slide each run's entries in address order.
 struct MovePhase<'a> {
     mem: &'a ObjectMemory,
     map: &'a [MapEntry],
     chunks: Vec<(usize, usize)>,
     cursor: AtomicUsize,
-    entered: AtomicUsize,
 }
 
 impl MovePhase<'_> {
     fn run_worker(&self) {
-        self.entered.fetch_add(1, Ordering::SeqCst);
         loop {
             let c = self.cursor.fetch_add(1, Ordering::SeqCst);
             if c >= self.chunks.len() {
@@ -1317,12 +1157,10 @@ struct ClearPhase<'a> {
     mem: &'a ObjectMemory,
     marks: Vec<Oop>,
     cursor: AtomicUsize,
-    entered: AtomicUsize,
 }
 
 impl ClearPhase<'_> {
     fn run_worker(&self) {
-        self.entered.fetch_add(1, Ordering::SeqCst);
         loop {
             let c = self.cursor.fetch_add(1, Ordering::SeqCst);
             let lo = c * UPDATE_CHUNK;
@@ -1338,166 +1176,147 @@ impl ClearPhase<'_> {
     }
 }
 
-/// Shared state for one parallel mark. Borrowed (`Sync`) by every helper;
-/// all mutation goes through atomics or the merge mutex. The termination
-/// protocol (busy/rounds) is the parallel scavenger's.
-struct ParMarker<'m> {
-    mem: &'m ObjectMemory,
-    /// Flat snapshot of every root oop (specials, root cells, symbols).
-    roots: Vec<u64>,
-    root_cursor: AtomicUsize,
-    /// One deque per slot; helpers push/take their own, steal the rest.
-    deques: Vec<StealDeque>,
-    /// Helpers that actually ran (any subset of the slots may).
-    entered: AtomicUsize,
-    /// Helpers currently holding or producing work (termination detection).
-    busy: AtomicUsize,
-    /// Bumped whenever a helper (re-)joins the busy set, *after* the busy
-    /// increment: an idle helper that saw `busy == 0` and empty deques can
-    /// detect a racing re-entry by re-reading this.
-    rounds: AtomicUsize,
-    merge: Mutex<MarkMerge>,
+/// Moves `src` onto the end of `dst` — the first helper to report donates
+/// its buffer outright instead of copying it.
+fn merge_into<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
+    if dst.is_empty() {
+        std::mem::swap(dst, src);
+    } else {
+        dst.append(src);
+    }
 }
 
+/// What one run of the marker is asked to do.
+struct MarkJob {
+    /// Ignore references into new space (the incremental collector reclaims
+    /// only old space; new-space liveness is the scavenger's business).
+    old_only: bool,
+    /// Oops to claim (and, if won, trace).
+    roots: Vec<u64>,
+    /// Already-marked objects still to be traced (the leader resumes them).
+    gray: Vec<u64>,
+    /// Object words each helper may trace before it stops and hands its
+    /// unfinished work back.
+    budget: usize,
+}
+
+impl MarkJob {
+    /// Both generations from `roots`, until nothing is gray.
+    fn exhaustive(roots: Vec<u64>) -> MarkJob {
+        MarkJob {
+            old_only: false,
+            roots,
+            gray: Vec::new(),
+            budget: usize::MAX,
+        }
+    }
+
+    /// Old space only, resuming from `gray`, for at most `budget` words.
+    fn old_slice(roots: Vec<u64>, gray: Vec<u64>, budget: usize) -> MarkJob {
+        MarkJob {
+            old_only: true,
+            roots,
+            gray,
+            budget,
+        }
+    }
+}
+
+/// What one run of the marker did; while it runs, where its helpers merge
+/// their results.
 #[derive(Default)]
-struct MarkMerge {
+struct MarkOutcome {
+    /// Objects this run claimed.
     marked: Vec<Oop>,
+    /// In: the job's gray set, taken by the leader. Out: every helper's
+    /// unfinished work (empty unless the budget ran out).
+    gray: Vec<u64>,
+    /// Helpers that actually entered.
+    entered: usize,
     steals: u64,
     per_helper_words: Vec<u64>,
 }
 
-/// One mark helper's private state.
-struct MarkCtx {
-    slot: usize,
-    overflow: Vec<u64>,
-    marked: Vec<Oop>,
-    marked_words: u64,
-    steals: u64,
+/// Shared state for one run of the marker. Borrowed (`Sync`) by every
+/// helper; all mutation goes through atomics or the `out` mutex.
+struct Marker<'m> {
+    mem: &'m ObjectMemory,
+    job: MarkJob,
+    root_cursor: AtomicUsize,
+    /// Marked objects whose slots still await tracing.
+    pool: WorkPool,
+    out: Mutex<MarkOutcome>,
 }
 
-impl ParMarker<'_> {
+/// One mark helper's private state.
+struct MarkCtx<'p> {
+    worker: Worker<'p>,
+    marked: Vec<Oop>,
+    marked_words: u64,
+}
+
+impl Marker<'_> {
     fn run_helper(&self, slot: usize) {
-        assert!(slot < self.deques.len(), "helper slot out of range");
-        // Chaos: same discipline as the scavenger — a non-leader mark
-        // helper dies before joining the busy set, so the termination
-        // probe never waits on it and the mark completes with fewer
-        // helpers.
-        if slot != 0 && mst_vkernel::fault::gc_helper_panic() {
-            panic!("chaos: injected GC helper panic (gc_helper.panic) in mark slot {slot}");
-        }
         let mut h = MarkCtx {
-            slot,
-            overflow: Vec::new(),
+            worker: self.pool.enter(slot, "mark"),
             marked: Vec::with_capacity(1024),
             marked_words: 0,
-            steals: 0,
         };
-        self.entered.fetch_add(1, Ordering::SeqCst);
-        self.enter();
+        // Slot 0 — the leader, guaranteed to run — resumes the gray set.
+        if slot == 0 {
+            h.worker
+                .seed(std::mem::take(&mut self.out.lock().unwrap().gray));
+        }
         // Roots, in exclusive chunks.
         loop {
             let i0 = self
                 .root_cursor
                 .fetch_add(MARK_ROOT_CHUNK, Ordering::SeqCst);
-            if i0 >= self.roots.len() {
+            if i0 >= self.job.roots.len() {
                 break;
             }
-            let end = (i0 + MARK_ROOT_CHUNK).min(self.roots.len());
-            for &raw in &self.roots[i0..end] {
+            let end = (i0 + MARK_ROOT_CHUNK).min(self.job.roots.len());
+            for &raw in &self.job.roots[i0..end] {
                 self.mark(&mut h, Oop::from_raw(raw));
             }
         }
-        // Transitive trace: drain own work, steal when dry, stop when every
-        // helper is dry at once.
-        'work: loop {
-            while let Some(raw) = self.next_work(&mut h) {
-                self.trace(&mut h, Oop::from_raw(raw));
-            }
-            // Locally dry: leave the busy set, then probe for global
-            // quiescence. The invariant making this sound: a helper only
-            // decrements `busy` with an empty deque and no work in hand, so
-            // when `busy == 0` all outstanding work is visible in deques.
-            // The `rounds` re-read catches a helper that re-entered (and may
-            // have already emptied a deque again) during the probe.
-            self.busy.fetch_sub(1, Ordering::SeqCst);
-            loop {
-                let r0 = self.rounds.load(Ordering::SeqCst);
-                if self.busy.load(Ordering::SeqCst) == 0
-                    && self.deques.iter().all(StealDeque::is_empty)
-                    && self.rounds.load(Ordering::SeqCst) == r0
-                {
-                    break 'work;
-                }
-                if self.deques.iter().any(|d| !d.is_empty()) {
-                    self.enter();
-                    continue 'work;
-                }
-                std::hint::spin_loop();
-            }
+        // Transitive trace, until every helper is dry or the budget is spent.
+        let mut traced = 0usize;
+        while traced < self.job.budget {
+            let Some(raw) = h.worker.next() else { break };
+            traced += self.trace(&mut h, Oop::from_raw(raw));
         }
-        let mut m = self.merge.lock().unwrap();
-        m.marked.append(&mut h.marked);
-        m.steals += h.steals;
+        let mut report = h.worker.finish();
+        let mut m = self.out.lock().unwrap();
+        merge_into(&mut m.marked, &mut h.marked);
+        merge_into(&mut m.gray, &mut report.leftover);
+        m.steals += report.steals;
         m.per_helper_words.push(h.marked_words);
     }
 
-    /// Joins the busy set. `busy` first, `rounds` second: the idle-probe
-    /// reads them in the opposite order, so any entry lands in at least one
-    /// of its two reads.
-    fn enter(&self) {
-        self.busy.fetch_add(1, Ordering::SeqCst);
-        self.rounds.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn next_work(&self, h: &mut MarkCtx) -> Option<u64> {
-        if let Some(v) = h.overflow.pop() {
-            return Some(v);
-        }
-        if let Some(v) = self.deques[h.slot].take() {
-            return Some(v);
-        }
-        let n = self.deques.len();
-        for k in 1..n {
-            if let Some(v) = self.deques[(h.slot + k) % n].steal() {
-                h.steals += 1;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn push_work(&self, h: &mut MarkCtx, oop: Oop) {
-        if !self.deques[h.slot].push(oop.raw()) {
-            h.overflow.push(oop.raw());
-        }
-    }
-
-    /// Claims the mark bit with one atomic `fetch_or` on the header word;
-    /// the winner owns the object (pushes it for tracing and onto its
-    /// private marked list), losers see the bit already set. A stolen
-    /// duplicate in a deque is benign: the second claim loses.
+    /// Marks `oop` if [`claim_mark`](ObjectMemory::claim_mark) wins it: the
+    /// winner pushes it for tracing and onto its private marked list.
     fn mark(&self, h: &mut MarkCtx, oop: Oop) {
-        if !oop.is_object() {
+        if !oop.is_object() || (self.job.old_only && !self.mem.spaces().is_old(oop.index())) {
             return;
         }
-        let prev = self
-            .mem
-            .word_atomic(oop.index())
-            .fetch_or(Header::mark_bit(), Ordering::AcqRel);
-        if prev & Header::mark_bit() == 0 {
+        if let Some(prev) = self.mem.claim_mark(oop) {
             h.marked.push(oop);
-            h.marked_words += Header(prev).body_words() as u64 + 2;
-            self.push_work(h, oop);
+            h.marked_words += prev.body_words() as u64 + 2;
+            h.worker.push(oop.raw());
         }
     }
 
-    /// Traces one marked object's class word and pointer slots.
+    /// Traces one object's class word and pointer slots; returns the words
+    /// visited (for budgeting). The class word is a reference too —
+    /// metaclasses in particular are reachable only through their
+    /// instances' class pointers.
     ///
     /// Reads go through raw `word` loads rather than `fetch`: another helper
     /// may concurrently `fetch_or` this object's *header* word (re-marking),
     /// so the header is re-read atomically; slot words are never written
     /// during the mark phase, so plain loads are race-free.
-    fn trace(&self, h: &mut MarkCtx, obj: Oop) {
+    fn trace(&self, h: &mut MarkCtx, obj: Oop) -> usize {
         let mem = self.mem;
         let hd = Header(mem.word_atomic(obj.index()).load(Ordering::Acquire));
         self.mark(h, Oop::from_raw(mem.word(obj.index() + 1)));
@@ -1511,6 +1330,7 @@ impl ParMarker<'_> {
         for i in 0..nslots {
             self.mark(h, Oop::from_raw(mem.word(obj.index() + 2 + i)));
         }
+        nslots + 2
     }
 }
 
@@ -1739,25 +1559,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_full_gc_matches_serial() {
-        let build = |m: &ObjectMemory| build_old_graph(m, 32, 12);
-        // Serial reference run.
-        let m1 = mem();
-        let r1 = build(&m1);
-        let serial = m1.full_gc_with(1, scope_runner);
-        let sig1 = graph_signature(&m1, r1.get(), 32, 12);
-        // Parallel run on an identically built memory.
-        let m2 = mem();
-        let r2 = build(&m2);
-        let parallel = m2.full_gc_with(4, scope_runner);
-        let sig2 = graph_signature(&m2, r2.get(), 32, 12);
-        assert_eq!(serial.reclaimed_words, parallel.reclaimed_words);
-        assert_eq!(sig1, sig2, "object graphs diverged");
-        assert_eq!(m1.old_used(), m2.old_used());
-        assert!(parallel.helpers >= 1);
-        assert!(serial.report.is_clean() && parallel.report.is_clean());
-        m1.verify_heap().assert_clean();
-        m2.verify_heap().assert_clean();
+    fn helpers_are_observationally_one_helper() {
+        let run = |helpers: usize| {
+            let m = mem();
+            let root = build_old_graph(&m, 32, 12);
+            let out = m.full_gc_with(helpers, scope_runner);
+            assert!(out.report.is_clean());
+            assert!((1..=helpers).contains(&out.helpers));
+            m.verify_heap().assert_clean();
+            let sig = graph_signature(&m, root.get(), 32, 12);
+            (sig, out.reclaimed_words, m.old_used())
+        };
+        let solo = run(1);
+        assert_eq!(run(2), solo, "2 helpers diverged from 1");
+        assert_eq!(run(4), solo, "4 helpers diverged from 1");
     }
 
     #[test]

@@ -166,11 +166,10 @@ impl Header {
     }
 
     /// Packs a forwarding pointer into a single header word: the `FORWARDED`
-    /// flag plus the new oop's raw bits in the low 33 bits. Unlike the
-    /// serial scavenger's two-word forwarding (flag in word 0, target in
-    /// word 1), this form installs atomically with one CAS, which the
-    /// parallel scavenger's copy race requires. Valid because object oops
-    /// are `index << 1` and every real heap index fits well below 2^32.
+    /// flag plus the new oop's raw bits in the low 33 bits. One word, so it
+    /// installs atomically with one CAS, which the scavenger's copy race
+    /// between helpers requires. Valid because object oops are `index << 1`
+    /// and every real heap index fits well below 2^32.
     #[inline]
     pub fn forwarding_word(target_raw: u64) -> u64 {
         debug_assert!(target_raw < FLAG_REMEMBERED, "oop too wide to pack");
@@ -178,9 +177,9 @@ impl Header {
     }
 
     /// The raw oop packed by [`forwarding_word`](Header::forwarding_word).
-    /// Only meaningful while [`is_forwarded`](Header::is_forwarded) and the
-    /// word was installed by the parallel scavenger. A result of zero means
-    /// the copy is still in flight (claimed, not yet published).
+    /// Only meaningful while [`is_forwarded`](Header::is_forwarded). A result
+    /// of zero means the copy is still in flight (claimed, not yet
+    /// published).
     #[inline]
     pub fn forwarding_target(self) -> u64 {
         self.0 & (FLAG_FORWARDED - 1)

@@ -94,8 +94,8 @@ pub struct MemoryConfig {
     pub alloc_policy: AllocPolicy,
     /// Scavenge-survival count after which an object is tenured.
     pub tenure_age: u8,
-    /// Threads (including the leader) a parallel scavenge may use; `1` is
-    /// the exact serial scavenger. Defaulted from `MST_GC_THREADS`.
+    /// Threads (including the leader) a scavenge may use; `1` is the same
+    /// scavenger with nobody helping. Defaulted from `MST_GC_THREADS`.
     pub gc_helpers: usize,
     /// Full-collection scheduling (monolithic vs incremental marking).
     /// Defaulted from `MST_FULLGC`.
@@ -117,8 +117,8 @@ impl Default for MemoryConfig {
     }
 }
 
-/// The `MST_GC_THREADS` setting, defaulting to 1 (serial scavenging) when
-/// unset or unparsable. Zero is clamped to 1.
+/// The `MST_GC_THREADS` setting, defaulting to 1 (the leader scavenges
+/// alone) when unset or unparsable. Zero is clamped to 1.
 pub fn gc_helpers_from_env() -> usize {
     std::env::var("MST_GC_THREADS")
         .ok()
@@ -489,6 +489,21 @@ impl ObjectMemory {
         debug_assert!(idx < self.spaces.surv_b_end, "heap index out of range");
         // SAFETY: as `word`.
         unsafe { *self.store.base().add(idx) = v }
+    }
+
+    /// Copies `n` words from `from` to the disjoint range at `to` (the
+    /// scavenger's body copy: from-space to to-space or old space).
+    #[inline]
+    pub(crate) fn copy_words(&self, from: usize, to: usize, n: usize) {
+        let end = self.spaces.surv_b_end;
+        assert!(from + n <= end && to + n <= end, "heap copy out of range");
+        assert!(from + n <= to || to + n <= from, "heap copy overlaps");
+        // SAFETY: both ranges lie inside the store and do not overlap
+        // (asserted above); synchronization per module docs.
+        unsafe {
+            let base = self.store.base();
+            std::ptr::copy_nonoverlapping(base.add(from), base.add(to), n);
+        }
     }
 
     /// Atomic view of a heap word, for the parallel scavenger's CAS-installed

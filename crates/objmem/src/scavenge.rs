@@ -7,12 +7,24 @@
 //! for the duration of the operation."*
 //!
 //! The caller is responsible for that suspension (see
-//! [`Rendezvous`](mst_vkernel::Rendezvous)); [`ObjectMemory::scavenge`]
-//! assumes the world is stopped. Live objects are copied from eden and the
-//! *past* survivor space to the *future* survivor space, with objects that
-//! have survived [`MemoryConfig::tenure_age`](crate::MemoryConfig) scavenges
+//! [`Rendezvous`](mst_vkernel::Rendezvous)); every entry point here assumes
+//! the world is stopped. Live objects are copied from eden and the *past*
+//! survivor space to the *future* survivor space, with objects that have
+//! survived [`MemoryConfig::tenure_age`](crate::MemoryConfig) scavenges
 //! promoted to old space. Roots are the special objects, registered root
 //! cells, and the entry table (old objects known to reference new space).
+//!
+//! There is one scavenger. The paper stops every processor and lets one of
+//! them collect; its §5 wish — "the stopped processors could help" — is the
+//! same collector handed more slots
+//! ([`try_scavenge_with`](ObjectMemory::try_scavenge_with)). Helpers
+//! partition the root cells and the entry table with atomic chunk cursors,
+//! claim from-space objects by CAS-installing a forwarding sentinel in the
+//! object header, copy into private to-space buffers carved from the shared
+//! survivor bump pointer, and balance the transitive copy through the
+//! [`WorkPool`]. With one slot — the default `gc_helpers = 1` — the leader
+//! runs exactly that code with nobody to contend or steal: every claim CAS
+//! succeeds first try and the work list is its private stack.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -22,7 +34,7 @@ use crate::header::{Header, ObjFormat, MAX_AGE, PAD_WORD};
 use crate::heap::ObjectMemory;
 use crate::method::MethodHeader;
 use crate::oop::Oop;
-use crate::steal::StealDeque;
+use crate::steal::{solo_runner, HelperRunner, WorkPool, Worker};
 
 /// Result of one scavenge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,21 +57,9 @@ fn scavenge_pause_hist() -> &'static mst_telemetry::Histogram {
     H.get_or_init(|| mst_telemetry::histogram("gc.scavenge_pause_ns"))
 }
 
-struct Scavenger<'m> {
-    mem: &'m ObjectMemory,
-    to_start: usize,
-    to_end: usize,
-    queue: Vec<Oop>,
-    outcome: ScavengeOutcome,
-    /// Phase attribution: specials + root cells + entry-table scan.
-    roots_ns: u64,
-}
-
 impl ObjectMemory {
-    /// Scavenges new space. **The world must be stopped by the caller.**
-    ///
-    /// Replicated caches and allocation buffers become invalid: the GC epoch
-    /// ([`gc_epoch`](Self::gc_epoch)) is bumped so their owners notice.
+    /// Scavenges new space on the calling thread. **The world must be
+    /// stopped by the caller.**
     ///
     /// # Panics
     ///
@@ -70,15 +70,43 @@ impl ObjectMemory {
         self.try_scavenge().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Scavenges new space, reporting old-space exhaustion as a recoverable
+    /// [`try_scavenge_with`](Self::try_scavenge_with) and nobody helping.
+    pub fn try_scavenge(&self) -> Result<ScavengeOutcome, crate::OomError> {
+        self.try_scavenge_with(1, solo_runner)
+    }
+
+    /// Scavenges new space with up to `helpers` threads drawn from the
+    /// stopped world, reporting old-space exhaustion as a recoverable
     /// [`OomError`](crate::OomError) instead of panicking. **The world must
     /// be stopped by the caller.**
     ///
-    /// On `Err` the heap is untouched (the check happens before any object
+    /// `run` is handed the helper count and a closure; its contract is the
+    /// one [`RendezvousGuard::run_stopped`](mst_vkernel::RendezvousGuard)
+    /// fulfils: invoke the closure with distinct slot indices in
+    /// `0..helpers` (any subset is fine, but slot 0 — the leader — must
+    /// run), from at most one thread per slot, and return only once every
+    /// invocation has finished. A plain `std::thread::scope` fan-out works
+    /// too. A full collection this scavenge has to run first (closing an
+    /// open incremental mark window, or making tenure room) borrows the
+    /// same runner.
+    ///
+    /// Replicated caches and allocation buffers become invalid: the GC epoch
+    /// ([`gc_epoch`](Self::gc_epoch)) is bumped so their owners notice.
+    ///
+    /// On `Err` new space is untouched (the check happens before any object
     /// moves): mutators may keep running against the still-consistent heap,
     /// and a later scavenge — after dead old objects are released — can
     /// succeed.
-    pub fn try_scavenge(&self) -> Result<ScavengeOutcome, crate::OomError> {
+    pub fn try_scavenge_with<R>(
+        &self,
+        helpers: usize,
+        run: R,
+    ) -> Result<ScavengeOutcome, crate::OomError>
+    where
+        R: Fn(usize, &(dyn Fn(usize) + Sync)),
+    {
+        let run: HelperRunner = &run;
+        let helpers = helpers.max(1);
         let mut trace_span = mst_telemetry::span("gc.scavenge", "gc");
         let pause_start_ns = mst_telemetry::now_ns();
         let start = Instant::now();
@@ -93,143 +121,10 @@ impl ObjectMemory {
         // now — its compaction may itself free the room this scavenge needs.
         let mut full_gc_ran = false;
         if self.incremental_mark_active() {
-            self.full_gc_force_finish();
+            self.full_gc_force_finish(self.adaptive_full_gc_helpers(helpers), run);
             full_gc_ran = true;
         }
-        full_gc_ran |= self.reserve_tenure_room(None)?;
-        let reserve_ns = start.elapsed().as_nanos() as u64;
-        let (to_start, to_end) = self.select_to_space();
-        self.survivor_next.store(to_start, Ordering::Relaxed);
-
-        let mut sc = Scavenger {
-            mem: self,
-            to_start,
-            to_end,
-            queue: Vec::with_capacity(1024),
-            outcome: ScavengeOutcome {
-                full_gc_ran,
-                ..ScavengeOutcome::default()
-            },
-            roots_ns: 0,
-        };
-        let b_run0 = start.elapsed().as_nanos() as u64;
-        sc.run();
-        let b_run1 = start.elapsed().as_nanos() as u64;
-        let words_survived = (self.survivor_next.load(Ordering::Relaxed) - to_start) as u64;
-        sc.outcome.words_survived = words_survived;
-        let roots_ns = sc.roots_ns;
-        let mut outcome = sc.outcome;
-
-        mst_telemetry::trace::counter_event("gc.phase", "gc", "scavenge_phase", 3);
-        // Flip: the future survivor space becomes the past one.
-        let past_was_a = self.past_is_a.load(Ordering::Relaxed);
-        self.past_is_a.store(!past_was_a, Ordering::Relaxed);
-        self.past_fill.store(
-            self.survivor_next.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.eden_reset();
-        self.bump_epoch();
-        // New space now holds only freshly copied survivors: any dangling
-        // references a full collection left in dead objects are gone.
-        self.fullgc_since_scavenge.store(false, Ordering::Relaxed);
-        mst_telemetry::trace::counter_event("gc.eden", "gc", "occupied_words", 0);
-        mst_telemetry::trace::counter_event("gc.phase", "gc", "scavenge_phase", 0);
-
-        outcome.nanos = start.elapsed().as_nanos() as u64;
-        // Sharded counters: recording the outcome never contends, even when
-        // several memories (tests, competing benchmarks) collect at once.
-        self.stats.scavenges.incr();
-        self.stats.words_survived.add(outcome.words_survived);
-        self.stats.words_tenured.add(outcome.words_tenured);
-        self.stats.scavenge_nanos.add(outcome.nanos);
-        scavenge_pause_hist().record(outcome.nanos);
-        // The boundary timestamps partition the pause exactly: setup is the
-        // to-space selection and scavenger construction, "copy" is all of
-        // `run()` that is not the roots scan (transitive drain plus entry
-        // merge), and "flip" absorbs everything from `run()`'s return to
-        // the final timestamp.
-        mst_telemetry::pauselog::record(mst_telemetry::GcPause {
-            kind: "scavenge",
-            start_ns: pause_start_ns,
-            total_ns: outcome.nanos,
-            phases: vec![
-                ("reserve", reserve_ns),
-                ("setup", b_run0.saturating_sub(reserve_ns)),
-                ("roots", roots_ns),
-                ("copy", (b_run1 - b_run0).saturating_sub(roots_ns)),
-                ("flip", outcome.nanos - b_run1),
-            ],
-            helpers: 1,
-            per_helper_work: vec![outcome.words_survived + outcome.words_tenured],
-            steals: 0,
-            imbalance_pct: 100,
-        });
-        trace_span.set_arg("words_survived", outcome.words_survived);
-        drop(trace_span);
-        Ok(outcome)
-    }
-
-    /// Scavenges new space with up to `helpers` threads. **The world must be
-    /// stopped by the caller.** Panicking variant of
-    /// [`try_scavenge_parallel`](Self::try_scavenge_parallel).
-    pub fn scavenge_parallel<R>(&self, helpers: usize, run: R) -> ScavengeOutcome
-    where
-        R: Fn(usize, &(dyn Fn(usize) + Sync)),
-    {
-        self.try_scavenge_parallel(helpers, run)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Scavenges new space with up to `helpers` threads drawn from the
-    /// stopped world. **The world must be stopped by the caller.**
-    ///
-    /// `run` is handed the helper count and a closure; its contract is the
-    /// one [`RendezvousGuard::run_stopped`](mst_vkernel::RendezvousGuard)
-    /// fulfils: invoke the closure with distinct slot indices in
-    /// `0..helpers` (any subset is fine, but slot 0 — the leader — must
-    /// run), from at most one thread per slot, and return only once every
-    /// invocation has finished. A plain `std::thread::scope` fan-out works
-    /// too.
-    ///
-    /// With `helpers <= 1` this is *exactly* [`try_scavenge`]
-    /// (Self::try_scavenge): the serial scavenger remains the reference
-    /// implementation and the parallel path is an opt-in over it. Helpers
-    /// partition the root cells and the entry table with atomic chunk
-    /// cursors, claim from-space objects by CAS-installing a forwarding
-    /// sentinel in the object header, copy into private to-space buffers
-    /// carved from the shared survivor bump pointer, and balance the
-    /// transitive copy phase with per-helper work-stealing deques.
-    pub fn try_scavenge_parallel<R>(
-        &self,
-        helpers: usize,
-        run: R,
-    ) -> Result<ScavengeOutcome, crate::OomError>
-    where
-        R: Fn(usize, &(dyn Fn(usize) + Sync)),
-    {
-        if helpers <= 1 {
-            return self.try_scavenge();
-        }
-        let mut trace_span = mst_telemetry::span("gc.scavenge", "gc");
-        let pause_start_ns = mst_telemetry::now_ns();
-        let start = Instant::now();
-        mst_telemetry::trace::counter_event(
-            "gc.eden",
-            "gc",
-            "occupied_words",
-            self.eden_used() as u64,
-        );
-        // As in `try_scavenge`: an open incremental mark window must be
-        // closed before new space is rearranged.
-        let mut full_gc_ran = false;
-        if self.incremental_mark_active() {
-            self.full_gc_force_finish();
-            full_gc_ran = true;
-        }
-        // A scavenge-triggered full GC borrows the same stopped helpers the
-        // scavenge itself was handed, sized down to its live-set estimate.
-        full_gc_ran |= self.reserve_tenure_room(Some((helpers, &run)))?;
+        full_gc_ran |= self.reserve_tenure_room(helpers, run)?;
         let reserve_ns = start.elapsed().as_nanos() as u64;
         let (to_start, to_end) = self.select_to_space();
         self.survivor_next.store(to_start, Ordering::Relaxed);
@@ -259,12 +154,7 @@ impl ObjectMemory {
             entries,
             root_cursor: AtomicUsize::new(0),
             entry_cursor: AtomicUsize::new(0),
-            deques: (0..helpers)
-                .map(|_| StealDeque::new(DEQUE_CAPACITY))
-                .collect(),
-            entered: AtomicUsize::new(0),
-            busy: AtomicUsize::new(0),
-            rounds: AtomicUsize::new(0),
+            pool: WorkPool::new(helpers),
             merge: Mutex::new(MergeState::default()),
         };
         mst_telemetry::trace::counter_event("gc.phase", "gc", "scavenge_phase", 1);
@@ -275,7 +165,7 @@ impl ObjectMemory {
         let b_run0 = start.elapsed().as_nanos() as u64;
         run(helpers, &|slot| par.run_helper(slot));
         let b_run1 = start.elapsed().as_nanos() as u64;
-        let ran = par.entered.load(Ordering::SeqCst);
+        let ran = par.pool.entered();
         assert!(ran >= 1, "run() must invoke the scavenge closure (slot 0)");
         let m = par.merge.into_inner().unwrap();
         // Merge retained entries back (tenured-object entries added during
@@ -304,18 +194,22 @@ impl ObjectMemory {
         );
         self.eden_reset();
         self.bump_epoch();
+        // New space now holds only freshly copied survivors: any dangling
+        // references a full collection left in dead objects are gone.
         self.fullgc_since_scavenge.store(false, Ordering::Relaxed);
         mst_telemetry::trace::counter_event("gc.eden", "gc", "occupied_words", 0);
         mst_telemetry::trace::counter_event("gc.phase", "gc", "scavenge_phase", 0);
 
         outcome.nanos = start.elapsed().as_nanos() as u64;
+        // Sharded counters: recording the outcome never contends, even when
+        // several memories (tests, competing benchmarks) collect at once.
         self.stats.scavenges.incr();
         self.stats.words_survived.add(outcome.words_survived);
         self.stats.words_tenured.add(outcome.words_tenured);
         self.stats.scavenge_nanos.add(outcome.nanos);
         scavenge_pause_hist().record(outcome.nanos);
 
-        let instr = par_instruments();
+        let instr = helper_instruments();
         instr.scavenges.incr();
         instr.steals.add(m.steals);
         instr.helpers.record(ran as u64);
@@ -326,11 +220,13 @@ impl ObjectMemory {
             min_copied = min_copied.min(w);
             max_copied = max_copied.max(w);
         }
-        if max_copied > 0 && m.per_helper_copied.len() > 1 {
-            instr.balance_pct.record(min_copied * 100 / max_copied);
-        }
+        let balance_pct = min_copied
+            .saturating_mul(100)
+            .checked_div(max_copied)
+            .unwrap_or(100);
+        instr.balance_pct.record(balance_pct);
 
-        // Pause attribution: the leader (slot 0) spans the whole parallel
+        // Pause attribution: the leader (slot 0) spans the whole helper
         // region, so its roots/copy/termination split attributes that
         // region; "drain" is the leftover the leader spent off-region
         // (helper scheduling skew). The remaining phases are gaps between
@@ -351,12 +247,9 @@ impl ObjectMemory {
                 ("finalize", outcome.nanos - b_flip),
             ],
             helpers: ran,
-            per_helper_work: m.per_helper_copied.clone(),
+            per_helper_work: m.per_helper_copied,
             steals: m.steals,
-            imbalance_pct: min_copied
-                .saturating_mul(100)
-                .checked_div(max_copied)
-                .unwrap_or(100) as u32,
+            imbalance_pct: balance_pct as u32,
         });
 
         trace_span.set_arg("words_survived", outcome.words_survived);
@@ -369,28 +262,21 @@ impl ObjectMemory {
     /// this collection will claim — running a full collection if bump
     /// allocation alone cannot cover it. Returns whether the full GC ran.
     ///
-    /// When the caller is a parallel scavenge, `par` carries its stopped
-    /// helpers so the emergency full GC can mark in parallel too (clamped by
-    /// [`adaptive_full_gc_helpers`](Self::adaptive_full_gc_helpers)). The
+    /// The emergency full GC borrows the scavenge's stopped helpers (clamped
+    /// by [`adaptive_full_gc_helpers`](Self::adaptive_full_gc_helpers)). The
     /// full collector runs its registered pre-GC hooks itself, so free
     /// context lists are severed on this path exactly as on a deliberate
     /// full collection.
     fn reserve_tenure_room(
         &self,
-        par: Option<(usize, crate::fullgc::HelperRunner)>,
+        available: usize,
+        run: HelperRunner,
     ) -> Result<bool, crate::OomError> {
         let reserve = self.eden_used() + self.past_survivor_used() + self.take_large_shortfall();
         if self.old_free() >= reserve {
             return Ok(false);
         }
-        match par {
-            None => {
-                self.full_gc();
-            }
-            Some((available, run)) => {
-                self.full_gc_impl(self.adaptive_full_gc_helpers(available), run);
-            }
-        }
+        self.full_gc_with(self.adaptive_full_gc_helpers(available), run);
         if self.old_free() < reserve {
             return Err(crate::OomError {
                 requested: reserve,
@@ -410,145 +296,17 @@ impl ObjectMemory {
     }
 }
 
-impl Scavenger<'_> {
-    fn run(&mut self) {
-        let mem = self.mem;
-        let t_roots = Instant::now();
-        mst_telemetry::trace::counter_event("gc.phase", "gc", "scavenge_phase", 1);
-        // Special objects.
-        mem.specials().update_all(|o| self.forward(o));
-        // Rust-side root cells (prune dropped handles as we go).
-        {
-            let mut roots = mem.roots.lock();
-            roots.retain(|weak| match weak.upgrade() {
-                Some(cell) => {
-                    let old = Oop::from_raw(cell.load(Ordering::Relaxed));
-                    let new = self.forward(old);
-                    cell.store(new.raw(), Ordering::Relaxed);
-                    true
-                }
-                None => false,
-            });
-        }
-        // The entry table: scan remembered old objects, dropping the ones
-        // that no longer reference new space.
-        let snapshot = std::mem::take(&mut *mem.entry_table.lock());
-        let mut retained = Vec::with_capacity(snapshot.len());
-        for obj in snapshot {
-            if self.scan_slots(obj) {
-                retained.push(obj);
-            } else {
-                let h = mem.header(obj);
-                mem.set_header(obj, h.with_remembered(false));
-            }
-        }
-        self.roots_ns = t_roots.elapsed().as_nanos() as u64;
-        mst_telemetry::trace::counter_event("gc.phase", "gc", "scavenge_phase", 2);
-        self.drain();
-        // Merge survivors back (tenured-object entries added during the
-        // drain are already in the live table; flags prevent duplicates).
-        mem.entry_table.lock().extend(retained);
-    }
-
-    fn drain(&mut self) {
-        while let Some(obj) = self.queue.pop() {
-            let is_old = self.mem.is_old(obj);
-            let has_new = self.scan_slots(obj);
-            if is_old && has_new {
-                self.mem.remember(obj);
-            }
-        }
-    }
-
-    /// Forwards every new-space pointer in `obj`'s slots; returns whether
-    /// any slot still points into new space afterwards.
-    fn scan_slots(&mut self, obj: Oop) -> bool {
-        let mem = self.mem;
-        let h = mem.header(obj);
-        let nslots = match h.format() {
-            ObjFormat::Pointers => h.body_words(),
-            ObjFormat::Method => MethodHeader::decode(mem.fetch(obj, 0)).pointer_slots(),
-            ObjFormat::Bytes => 0,
-        };
-        let mut has_new = false;
-        for i in 0..nslots {
-            let v = mem.fetch(obj, i);
-            if mem.is_new(v) {
-                let nv = self.forward(v);
-                mem.store_nocheck(obj, i, nv);
-                has_new |= mem.is_new(nv);
-            }
-        }
-        has_new
-    }
-
-    /// Copies a from-space object (or returns its forwarding pointer).
-    fn forward(&mut self, oop: Oop) -> Oop {
-        let mem = self.mem;
-        if !mem.is_new(oop) {
-            return oop;
-        }
-        let h = mem.header(oop);
-        if h.is_forwarded() {
-            return Oop::from_raw(mem.word(oop.index() + 1));
-        }
-        let total = 2 + h.body_words();
-        let age = (h.age() + 1).min(MAX_AGE);
-        let tenure = age >= mem.config().tenure_age;
-        let dest = if tenure {
-            None
-        } else {
-            let next = mem.survivor_next.load(Ordering::Relaxed);
-            if next + total <= self.to_end {
-                mem.survivor_next.store(next + total, Ordering::Relaxed);
-                Some(next)
-            } else {
-                None // survivor overflow: tenure instead
-            }
-        };
-        let dest = match dest {
-            Some(d) => d,
-            None => {
-                let obj = mem
-                    .allocate_old(Oop::ZERO, ObjFormat::Bytes, h.body_words(), 0)
-                    .expect("old space exhausted during tenure (checked up front)");
-                self.outcome.words_tenured += total as u64;
-                self.outcome.objects_tenured += 1;
-                obj.index()
-            }
-        };
-        // Copy header, class, and body; then stamp the age.
-        for i in 0..total {
-            mem.set_word(dest + i, mem.word(oop.index() + i));
-        }
-        let new_oop = Oop::from_index(dest);
-        mem.set_header(new_oop, mem.header(new_oop).with_age(age));
-        // Leave a forwarding pointer in the corpse.
-        mem.set_word(oop.index(), h.with_forwarded().0);
-        mem.set_word(oop.index() + 1, new_oop.raw());
-        self.queue.push(new_oop);
-        new_oop
-    }
-
-    #[allow(dead_code)]
-    fn to_space_used(&self) -> usize {
-        self.mem.survivor_next.load(Ordering::Relaxed) - self.to_start
-    }
-}
-
 /// Words each helper carves from the shared survivor bump pointer at a time.
 /// Large enough that CAS contention on `survivor_next` is rare, small enough
 /// that abandoned buffer tails (padded with [`PAD_WORD`]) waste little.
 const HELPER_BUF_WORDS: usize = 1024;
-/// Capacity of each helper's work-stealing deque (oop words). Overflow goes
-/// to a private vector, so this only bounds what thieves can see.
-const DEQUE_CAPACITY: usize = 1 << 13;
 /// Root cells / entry-table objects claimed per cursor bump.
 const ROOT_CHUNK: usize = 32;
 const ENTRY_CHUNK: usize = 32;
 
-/// Per-scavenge telemetry for the parallel path (`gc.parallel.*`).
-struct ParInstruments {
+/// Per-scavenge helper telemetry (`gc.parallel.*`; a solo scavenge records
+/// one helper, no steals, 100% balance).
+struct HelperInstruments {
     scavenges: &'static mst_telemetry::Counter,
     steals: &'static mst_telemetry::Counter,
     helpers: &'static mst_telemetry::Histogram,
@@ -556,9 +314,9 @@ struct ParInstruments {
     balance_pct: &'static mst_telemetry::Histogram,
 }
 
-fn par_instruments() -> &'static ParInstruments {
-    static I: OnceLock<ParInstruments> = OnceLock::new();
-    I.get_or_init(|| ParInstruments {
+fn helper_instruments() -> &'static HelperInstruments {
+    static I: OnceLock<HelperInstruments> = OnceLock::new();
+    I.get_or_init(|| HelperInstruments {
         scavenges: mst_telemetry::counter("gc.parallel.scavenges"),
         steals: mst_telemetry::counter("gc.parallel.steals"),
         helpers: mst_telemetry::histogram("gc.parallel.helpers"),
@@ -567,8 +325,8 @@ fn par_instruments() -> &'static ParInstruments {
     })
 }
 
-/// Shared state for one parallel scavenge. Borrowed (`Sync`) by every
-/// helper; all mutation goes through atomics or the merge mutex.
+/// Shared state for one scavenge. Borrowed (`Sync`) by every helper; all
+/// mutation goes through atomics or the merge mutex.
 struct ParScavenger<'m> {
     mem: &'m ObjectMemory,
     to_start: usize,
@@ -579,16 +337,8 @@ struct ParScavenger<'m> {
     entries: Vec<Oop>,
     root_cursor: AtomicUsize,
     entry_cursor: AtomicUsize,
-    /// One deque per slot; helpers push/take their own, steal the rest.
-    deques: Vec<StealDeque>,
-    /// Helpers that actually ran (any subset of the slots may).
-    entered: AtomicUsize,
-    /// Helpers currently holding or producing work (termination detection).
-    busy: AtomicUsize,
-    /// Bumped whenever a helper (re-)joins the busy set, *after* the busy
-    /// increment: an idle helper that saw `busy == 0` and empty deques can
-    /// detect a racing re-entry by re-reading this.
-    rounds: AtomicUsize,
+    /// Freshly copied objects whose slots still await scanning.
+    pool: WorkPool,
     merge: Mutex<MergeState>,
 }
 
@@ -601,52 +351,37 @@ struct MergeState {
     steals: u64,
     per_helper_copied: Vec<u64>,
     /// Slot 0's phase split (roots / transitive copy / termination probe):
-    /// the leader runs the whole parallel region, so its split attributes
+    /// the leader runs the whole helper region, so its split attributes
     /// the pause (helpers overlap it).
     leader_roots_ns: u64,
     leader_copy_ns: u64,
     leader_term_ns: u64,
 }
 
-/// One helper's private state: its to-space buffer, deque-overflow list,
-/// retained entry-table slice, and statistics.
-struct HelperCtx {
-    slot: usize,
+/// One helper's private state: its work-pool handle, its to-space buffer,
+/// its retained entry-table slice, and statistics.
+struct HelperCtx<'p> {
+    worker: Worker<'p>,
     buf_next: usize,
     buf_limit: usize,
-    overflow: Vec<u64>,
     retained: Vec<Oop>,
     copied_words: u64,
     tenured_words: u64,
     tenured_objects: u64,
-    steals: u64,
 }
 
 impl ParScavenger<'_> {
     fn run_helper(&self, slot: usize) {
-        assert!(slot < self.deques.len(), "helper slot out of range");
-        // Chaos: a non-leader helper slot may be told to die. Panicking
-        // *before* enter() keeps the termination protocol sound — the
-        // leader never waits on a busy count the dead helper would have
-        // owed — and the unwind is absorbed by the rendezvous' helper-slot
-        // catch, so the collection completes with fewer helpers.
-        if slot != 0 && mst_vkernel::fault::gc_helper_panic() {
-            panic!("chaos: injected GC helper panic (gc_helper.panic) in scavenge slot {slot}");
-        }
         let mem = self.mem;
         let mut h = HelperCtx {
-            slot,
+            worker: self.pool.enter(slot, "scavenge"),
             buf_next: 0,
             buf_limit: 0,
-            overflow: Vec::new(),
             retained: Vec::new(),
             copied_words: 0,
             tenured_words: 0,
             tenured_objects: 0,
-            steals: 0,
         };
-        self.entered.fetch_add(1, Ordering::SeqCst);
-        self.enter();
         let t_roots = Instant::now();
         // Slot 0 — the leader, guaranteed to run — owns the special objects.
         if slot == 0 {
@@ -684,44 +419,17 @@ impl ParScavenger<'_> {
         }
         let roots_ns = t_roots.elapsed().as_nanos() as u64;
         let t_copy = Instant::now();
-        let mut term_ns = 0u64;
-        // Transitive copy: drain own work, steal when dry, stop when every
-        // helper is dry at once.
-        'work: loop {
-            while let Some(raw) = self.next_work(&mut h) {
-                let obj = Oop::from_raw(raw);
-                let is_old = mem.is_old(obj);
-                let has_new = self.scan_slots(&mut h, obj);
-                if is_old && has_new {
-                    mem.remember(obj);
-                }
-            }
-            // Locally dry: leave the busy set, then probe for global
-            // quiescence. The invariant making this sound: a helper only
-            // decrements `busy` with an empty deque and no work in hand, so
-            // when `busy == 0` all outstanding work is visible in deques.
-            // The `rounds` re-read catches a helper that re-entered (and may
-            // have already emptied a deque again) during the probe.
-            self.busy.fetch_sub(1, Ordering::SeqCst);
-            let t_probe = Instant::now();
-            loop {
-                let r0 = self.rounds.load(Ordering::SeqCst);
-                if self.busy.load(Ordering::SeqCst) == 0
-                    && self.deques.iter().all(StealDeque::is_empty)
-                    && self.rounds.load(Ordering::SeqCst) == r0
-                {
-                    term_ns += t_probe.elapsed().as_nanos() as u64;
-                    break 'work;
-                }
-                if self.deques.iter().any(|d| !d.is_empty()) {
-                    term_ns += t_probe.elapsed().as_nanos() as u64;
-                    self.enter();
-                    continue 'work;
-                }
-                std::hint::spin_loop();
+        // Transitive copy: scan what was copied until every helper is dry.
+        while let Some(raw) = h.worker.next() {
+            let obj = Oop::from_raw(raw);
+            let is_old = mem.is_old(obj);
+            let has_new = self.scan_slots(&mut h, obj);
+            if is_old && has_new {
+                mem.remember(obj);
             }
         }
-        let copy_ns = (t_copy.elapsed().as_nanos() as u64).saturating_sub(term_ns);
+        let report = h.worker.finish();
+        let copy_ns = (t_copy.elapsed().as_nanos() as u64).saturating_sub(report.term_ns);
         // Plug the unused tail of the final buffer so to-space stays
         // linearly walkable.
         for w in h.buf_next..h.buf_limit {
@@ -732,48 +440,17 @@ impl ParScavenger<'_> {
         m.copied_words += h.copied_words;
         m.tenured_words += h.tenured_words;
         m.tenured_objects += h.tenured_objects;
-        m.steals += h.steals;
+        m.steals += report.steals;
         m.per_helper_copied.push(h.copied_words);
         if slot == 0 {
             m.leader_roots_ns = roots_ns;
             m.leader_copy_ns = copy_ns;
-            m.leader_term_ns = term_ns;
+            m.leader_term_ns = report.term_ns;
         }
-    }
-
-    /// Joins the busy set. `busy` first, `rounds` second: the idle-probe
-    /// reads them in the opposite order, so any entry lands in at least one
-    /// of its two reads.
-    fn enter(&self) {
-        self.busy.fetch_add(1, Ordering::SeqCst);
-        self.rounds.fetch_add(1, Ordering::SeqCst);
     }
 
     fn in_to_space(&self, idx: usize) -> bool {
         (self.to_start..self.to_end).contains(&idx)
-    }
-
-    fn next_work(&self, h: &mut HelperCtx) -> Option<u64> {
-        if let Some(v) = h.overflow.pop() {
-            return Some(v);
-        }
-        if let Some(v) = self.deques[h.slot].take() {
-            return Some(v);
-        }
-        let n = self.deques.len();
-        for k in 1..n {
-            if let Some(v) = self.deques[(h.slot + k) % n].steal() {
-                h.steals += 1;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn push_work(&self, h: &mut HelperCtx, oop: Oop) {
-        if !self.deques[h.slot].push(oop.raw()) {
-            h.overflow.push(oop.raw());
-        }
     }
 
     /// Forwards every new-space pointer in `obj`'s slots; returns whether
@@ -854,9 +531,7 @@ impl ParScavenger<'_> {
                 .index(),
         };
         mem.set_word(dest, hd.with_age(age).0);
-        for i in 1..total {
-            mem.set_word(dest + i, mem.word(oop.index() + i));
-        }
+        mem.copy_words(oop.index() + 1, dest + 1, total - 1);
         let new_oop = Oop::from_index(dest);
         if tenured {
             h.tenured_words += total as u64;
@@ -867,7 +542,7 @@ impl ParScavenger<'_> {
         // Publish the target; pairs with the acquire loads in
         // `await_target`, so spinners observe the finished copy.
         w0a.store(Header::forwarding_word(new_oop.raw()), Ordering::Release);
-        self.push_work(h, new_oop);
+        h.worker.push(new_oop.raw());
         new_oop
     }
 
@@ -1150,12 +825,11 @@ mod tests {
         });
     }
 
-    #[test]
-    fn parallel_scavenge_preserves_a_large_graph() {
-        let m = mem();
+    /// A wide forest of linked lists under one rooted spine: enough fan-out
+    /// that four helpers all find work, with shared structure and cycles
+    /// mixed in.
+    fn build_lanes(m: &ObjectMemory) -> crate::heap::RootHandle {
         let tok = m.new_token();
-        // A wide forest of linked lists: enough fan-out that all four
-        // helpers find work, with shared structure and cycles mixed in.
         let spine = m.alloc_array(&tok, 64).unwrap();
         let root = m.new_root(spine);
         let shared = m.alloc_array(&tok, 1).unwrap();
@@ -1170,15 +844,20 @@ mod tests {
             }
             m.store_nocheck(root.get(), lane as usize, head);
         }
-        let out = m.scavenge_parallel(4, scope_runner);
-        assert!(out.words_survived > 0);
-        m.verify_heap().assert_clean();
-        let spine2 = root.get();
+        root
+    }
+
+    /// Walks the lane forest, checking every payload, the sharing, and the
+    /// cycle, and folds a structural signature.
+    fn lanes_signature(m: &ObjectMemory, spine: Oop) -> u64 {
+        let mut sig = 0u64;
         let mut shared_seen = None;
         for lane in 0..64u64 {
-            let mut cur = m.fetch(spine2, lane as usize);
+            let mut cur = m.fetch(spine, lane as usize);
             for i in (0..20).rev() {
-                assert_eq!(m.fetch(cur, 0).as_small_int(), (lane * 100 + i) as i64);
+                let v = m.fetch(cur, 0).as_small_int();
+                assert_eq!(v, (lane * 100 + i) as i64);
+                sig = sig.wrapping_mul(1099511628211).wrapping_add(v as u64);
                 cur = m.fetch(cur, 1);
             }
             // Every lane bottoms out at the one shared cell.
@@ -1186,8 +865,19 @@ mod tests {
                 None => shared_seen = Some(cur),
                 Some(prev) => assert_eq!(cur, prev, "shared cell duplicated"),
             }
-            assert_eq!(m.fetch(cur, 0), spine2, "cycle broken");
+            assert_eq!(m.fetch(cur, 0), spine, "cycle broken");
         }
+        sig
+    }
+
+    #[test]
+    fn parallel_scavenge_preserves_a_large_graph() {
+        let m = mem();
+        let root = build_lanes(&m);
+        let out = m.try_scavenge_with(4, scope_runner).unwrap();
+        assert!(out.words_survived > 0);
+        m.verify_heap().assert_clean();
+        lanes_signature(&m, root.get());
     }
 
     #[test]
@@ -1199,13 +889,13 @@ mod tests {
         for _ in 0..200 {
             m.alloc_array(&tok, 10).unwrap();
         }
-        let out = m.scavenge_parallel(4, scope_runner);
+        let out = m.try_scavenge_with(4, scope_runner).unwrap();
         // Only the rooted object survives; abandoned buffer tails are pads,
         // not survivors.
         assert_eq!(out.words_survived, 4);
         m.verify_heap().assert_clean();
         // A second parallel scavenge re-walks the padded past space.
-        let out2 = m.scavenge_parallel(4, scope_runner);
+        let out2 = m.try_scavenge_with(4, scope_runner).unwrap();
         assert_eq!(out2.words_survived, 4);
         m.verify_heap().assert_clean();
         assert!(m.is_new(root.get()));
@@ -1221,7 +911,7 @@ mod tests {
         let holder = m.alloc_array(&tok, 1).unwrap();
         let root = m.new_root(holder);
         for _ in 0..4 {
-            m.scavenge_parallel(3, scope_runner);
+            m.try_scavenge_with(3, scope_runner).unwrap();
             m.verify_heap().assert_clean();
         }
         assert!(m.is_old(m.fetch(old, 0)), "entry-table target tenured");
@@ -1232,34 +922,35 @@ mod tests {
         // by whichever helper drains it.
         let fresh = m.alloc_array(&tok, 1).unwrap();
         m.store(root.get(), 0, fresh);
-        m.scavenge_parallel(3, scope_runner);
+        m.try_scavenge_with(3, scope_runner).unwrap();
         m.verify_heap().assert_clean();
         assert!(m.is_new(m.fetch(root.get(), 0)));
         assert!(m.header(root.get()).is_remembered());
     }
 
     #[test]
-    fn one_helper_parallel_is_the_serial_scavenger() {
-        let m = mem();
-        let tok = m.new_token();
-        let a = m.alloc_array(&tok, 3).unwrap();
-        let _root = m.new_root(a);
-        let ran_inline = std::sync::atomic::AtomicBool::new(false);
-        let out = m
-            .try_scavenge_parallel(1, |n, f| {
-                assert_eq!(n, 1);
-                ran_inline.store(true, Ordering::Relaxed);
-                f(0);
-            })
-            .unwrap();
-        // helpers <= 1 short-circuits to try_scavenge: the runner is never
-        // consulted and the corpse carries a two-word forwarding pointer.
-        assert!(
-            !ran_inline.load(Ordering::Relaxed),
-            "serial path must not invoke the runner"
-        );
-        assert!(out.words_survived > 0);
-        m.verify_heap().assert_clean();
+    fn helpers_are_observationally_one_helper() {
+        // helpers = 1 is the same scavenger: it consults the runner (for
+        // one slot) like any other count, and 2 or 4 helpers leave an
+        // identically built heap with the same graph and the same volumes.
+        let run = |helpers: usize| {
+            let m = mem();
+            let root = build_lanes(&m);
+            let asked = AtomicUsize::new(0);
+            let out = m
+                .try_scavenge_with(helpers, |n, f| {
+                    asked.store(n, Ordering::Relaxed);
+                    scope_runner(n, f);
+                })
+                .unwrap();
+            assert_eq!(asked.load(Ordering::Relaxed), helpers);
+            m.verify_heap().assert_clean();
+            let sig = lanes_signature(&m, root.get());
+            (sig, out.words_survived, out.words_tenured, m.old_used())
+        };
+        let solo = run(1);
+        assert_eq!(run(2), solo);
+        assert_eq!(run(4), solo);
     }
 
     #[test]
@@ -1269,7 +960,7 @@ mod tests {
         let a = m.alloc_array(&tok, 1).unwrap();
         let root = m.new_root(a);
         // 8 helpers for a single 3-word object: most find nothing to do.
-        let out = m.scavenge_parallel(8, scope_runner);
+        let out = m.try_scavenge_with(8, scope_runner).unwrap();
         assert_eq!(out.words_survived, 3);
         m.verify_heap().assert_clean();
         assert!(m.is_new(root.get()));

@@ -129,15 +129,6 @@ impl SnapshotError {
             SnapshotErrorKind::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display()))),
         )
     }
-
-    /// Whether this is a missing-file open failure. Recovery paths probe
-    /// for a checkpoint by *attempting* the load and matching this —
-    /// never by a `path.exists()` pre-check, which races with a
-    /// concurrent replace (TOCTOU) and cannot distinguish "no checkpoint"
-    /// from "checkpoint present but unreadable".
-    pub fn is_not_found(&self) -> bool {
-        matches!(&self.kind, SnapshotErrorKind::Io(e) if e.kind() == io::ErrorKind::NotFound)
-    }
 }
 
 impl fmt::Display for SnapshotError {

@@ -1,23 +1,26 @@
-//! Per-helper work-stealing deques for the parallel scavenger's transitive
-//! copy phase.
+//! Work distribution for the stop-the-world collectors: per-helper
+//! work-stealing deques plus the one termination protocol both the
+//! scavenger's transitive copy and the full collector's transitive mark
+//! drain through ([`WorkPool`]).
 //!
 //! Each GC helper owns one [`StealDeque`]: it pushes and takes freshly
-//! copied objects at the *bottom* (LIFO, cache-warm), while idle helpers
+//! claimed objects at the *bottom* (LIFO, cache-warm), while idle helpers
 //! steal from the *top* (FIFO, oldest first). The implementation is a
 //! fixed-capacity Chase–Lev-style circular buffer on std atomics — the
 //! workspace is hermetic, so no crossbeam — simplified by a property of the
-//! surrounding algorithm: *processing an object twice is benign* (forwarding
-//! is CAS-idempotent and slot rewrites are racing stores of identical
-//! values, done atomically). That tolerance for multiplicity (cf. Castañeda
-//! & Piña, *Fully Read/Write Fence-Free Work-Stealing with Multiplicity*)
-//! means the rare overwrite race between a slow thief and a wrapping owner
-//! needs no generation tags: the thief's CAS on `top` fails and the value is
-//! discarded.
+//! surrounding algorithms: *processing an object twice is benign* (forwarding
+//! and mark claims are CAS-idempotent and slot rewrites are racing stores of
+//! identical values, done atomically). That tolerance for multiplicity (cf.
+//! Castañeda & Piña, *Fully Read/Write Fence-Free Work-Stealing with
+//! Multiplicity*) means the rare overwrite race between a slow thief and a
+//! wrapping owner needs no generation tags: the thief's CAS on `top` fails
+//! and the value is discarded.
 //!
-//! When a deque fills up, the owner falls back to a private overflow vector
-//! (see the scavenger); the deque itself never grows.
+//! When a deque fills up, the owner falls back to its private stack (see
+//! [`Worker`]); the deque itself never grows.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// A bounded single-owner/multi-thief deque of raw oop words.
 pub(crate) struct StealDeque {
@@ -115,6 +118,210 @@ impl StealDeque {
         let t = self.top.load(Ordering::SeqCst);
         let b = self.bottom.load(Ordering::SeqCst);
         t >= b
+    }
+}
+
+/// The leader-drafts-helpers runner contract both collectors share (and
+/// `RendezvousGuard::run_stopped` fulfils): call the closure with distinct
+/// slots in `0..helpers` — any subset, but slot 0 (the leader) must run —
+/// from at most one thread per slot, and return once every invocation has
+/// finished.
+pub(crate) type HelperRunner<'a> = &'a dyn Fn(usize, &(dyn Fn(usize) + Sync));
+
+/// The runner for a collection nobody helps with: the caller is slot 0.
+pub(crate) fn solo_runner(_helpers: usize, f: &(dyn Fn(usize) + Sync)) {
+    f(0);
+}
+
+/// Chaos: a non-leader helper slot may be told to die (`gc_helper.panic`).
+/// Call at slot entry, *before* the slot claims any work or joins a
+/// [`WorkPool`]'s busy set: the leader then never waits on a count the dead
+/// helper would have owed, the unwind is absorbed by the rendezvous'
+/// helper-slot catch, and the collection completes with fewer helpers.
+pub(crate) fn chaos_helper_panic(slot: usize, phase: &str) {
+    if slot != 0 && mst_vkernel::fault::gc_helper_panic() {
+        panic!("chaos: injected GC helper panic (gc_helper.panic) in {phase} slot {slot}");
+    }
+}
+
+/// Capacity of each slot's deque (oop words). Overflow goes to the owner's
+/// private stack, so this only bounds what thieves can see.
+const DEQUE_CAPACITY: usize = 1 << 13;
+
+/// The shared half of one transitive drain: a deque per helper slot and the
+/// busy/rounds termination detector. Helpers join with [`enter`]
+/// (WorkPool::enter) and pull work through [`Worker::next`] until it
+/// reports global quiescence.
+pub(crate) struct WorkPool {
+    slots: usize,
+    /// One deque per slot; helpers push/take their own, steal the rest. A
+    /// one-slot pool has none: with nobody to steal, its helper keeps
+    /// everything on its private stack.
+    deques: Vec<StealDeque>,
+    /// Helpers that actually ran (any subset of the slots may).
+    entered: AtomicUsize,
+    /// Helpers currently holding or producing work (termination detection).
+    busy: AtomicUsize,
+    /// Bumped whenever a helper (re-)joins the busy set, *after* the busy
+    /// increment: an idle helper that saw `busy == 0` and empty deques can
+    /// detect a racing re-entry by re-reading this.
+    rounds: AtomicUsize,
+}
+
+impl WorkPool {
+    pub(crate) fn new(slots: usize) -> WorkPool {
+        assert!(slots >= 1, "a collection needs its leader");
+        // The one place the helper count picks a strategy.
+        let shared = if slots > 1 { slots } else { 0 };
+        WorkPool {
+            slots,
+            deques: (0..shared)
+                .map(|_| StealDeque::new(DEQUE_CAPACITY))
+                .collect(),
+            entered: AtomicUsize::new(0),
+            busy: AtomicUsize::new(0),
+            rounds: AtomicUsize::new(0),
+        }
+    }
+
+    /// Helpers that entered so far (exact once the runner has returned).
+    pub(crate) fn entered(&self) -> usize {
+        self.entered.load(Ordering::SeqCst)
+    }
+
+    /// Joins the pool as `slot`'s worker, in the busy set. `phase` names
+    /// the collection phase in the chaos panic message.
+    pub(crate) fn enter(&self, slot: usize, phase: &str) -> Worker<'_> {
+        assert!(slot < self.slots, "helper slot out of range");
+        chaos_helper_panic(slot, phase);
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        self.join();
+        Worker {
+            pool: self,
+            slot,
+            stack: Vec::new(),
+            busy: true,
+            steals: 0,
+            term_ns: 0,
+        }
+    }
+
+    /// Joins the busy set. `busy` first, `rounds` second: the idle probe
+    /// reads them in the opposite order, so any entry lands in at least one
+    /// of its two reads.
+    fn join(&self) {
+        self.busy.fetch_add(1, Ordering::SeqCst);
+        self.rounds.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// One helper's handle on a [`WorkPool`]: its slot, its private stack, and
+/// its statistics.
+pub(crate) struct Worker<'p> {
+    pool: &'p WorkPool,
+    slot: usize,
+    /// Private LIFO, invisible to thieves: what the deque could not hold.
+    stack: Vec<u64>,
+    /// Whether this worker currently counts in the pool's busy set.
+    busy: bool,
+    steals: u64,
+    term_ns: u64,
+}
+
+/// What a [`Worker`] hands back when it leaves the pool.
+pub(crate) struct WorkerReport {
+    /// Work the helper still held (non-empty only when it stopped pulling
+    /// before [`Worker::next`] reported quiescence).
+    pub(crate) leftover: Vec<u64>,
+    pub(crate) steals: u64,
+    /// Nanoseconds spent probing for termination rather than working.
+    pub(crate) term_ns: u64,
+}
+
+impl Worker<'_> {
+    /// Puts `work` on the private stack (a drain resumed from an earlier
+    /// one's [`leftover`](WorkerReport::leftover)).
+    pub(crate) fn seed(&mut self, mut work: Vec<u64>) {
+        work.append(&mut self.stack);
+        self.stack = work;
+    }
+
+    pub(crate) fn push(&mut self, v: u64) {
+        match self.pool.deques.get(self.slot) {
+            Some(d) if d.push(v) => {}
+            _ => self.stack.push(v),
+        }
+    }
+
+    /// The next work item: own stack, own deque, then a steal. When all
+    /// three are dry the helper leaves the busy set and probes for global
+    /// quiescence, returning `None` once every helper is dry at once.
+    pub(crate) fn next(&mut self) -> Option<u64> {
+        let pool = self.pool;
+        let deques = &pool.deques;
+        loop {
+            if !self.busy {
+                pool.join();
+                self.busy = true;
+            }
+            if let Some(v) = self.stack.pop() {
+                return Some(v);
+            }
+            if let Some(v) = deques.get(self.slot).and_then(StealDeque::take) {
+                return Some(v);
+            }
+            let n = deques.len();
+            for k in 1..n {
+                if let Some(v) = deques[(self.slot + k) % n].steal() {
+                    self.steals += 1;
+                    return Some(v);
+                }
+            }
+            // Locally dry: leave the busy set, then probe. The invariant
+            // making this sound: a helper only decrements `busy` with an
+            // empty deque and no work in hand, so when `busy == 0` all
+            // outstanding work is visible in deques. The `rounds` re-read
+            // catches a helper that re-entered (and may have already
+            // emptied a deque again) during the probe.
+            pool.busy.fetch_sub(1, Ordering::SeqCst);
+            self.busy = false;
+            let t_probe = Instant::now();
+            let quiescent = loop {
+                let r0 = pool.rounds.load(Ordering::SeqCst);
+                if pool.busy.load(Ordering::SeqCst) == 0
+                    && deques.iter().all(StealDeque::is_empty)
+                    && pool.rounds.load(Ordering::SeqCst) == r0
+                {
+                    break true;
+                }
+                if deques.iter().any(|d| !d.is_empty()) {
+                    break false;
+                }
+                std::hint::spin_loop();
+            };
+            self.term_ns += t_probe.elapsed().as_nanos() as u64;
+            if quiescent {
+                return None;
+            }
+        }
+    }
+
+    /// Leaves the pool, taking along whatever this helper still held (its
+    /// stack and its own deque) so a budgeted drain can resume later.
+    pub(crate) fn finish(mut self) -> WorkerReport {
+        if let Some(d) = self.pool.deques.get(self.slot) {
+            while let Some(v) = d.take() {
+                self.stack.push(v);
+            }
+        }
+        if self.busy {
+            self.pool.busy.fetch_sub(1, Ordering::SeqCst);
+        }
+        WorkerReport {
+            leftover: self.stack,
+            steals: self.steals,
+            term_ns: self.term_ns,
+        }
     }
 }
 
@@ -230,5 +437,95 @@ mod tests {
             .filter(|&v| !seen[v as usize].load(Ordering::Acquire))
             .collect();
         assert!(missing.is_empty(), "lost elements: {missing:?}");
+    }
+
+    /// Drains a seeded random tree (node 0 the root; processing a node
+    /// pushes its children) through a pool of `slots`, with the slots in
+    /// `absent` dying before they enter. Returns per-node visit counts, the
+    /// entered count, and total steals.
+    fn drain_tree(
+        seed: u64,
+        nodes: usize,
+        slots: usize,
+        absent: &[usize],
+    ) -> (Vec<u32>, usize, u64) {
+        let mut rng = mst_vkernel::SplitMix64::new(seed);
+        let mut children: Vec<Vec<u64>> = vec![Vec::new(); nodes];
+        for n in 1..nodes {
+            children[rng.gen_range(0, n as u64) as usize].push(n as u64);
+        }
+        let visits: Vec<AtomicU64> = (0..nodes).map(|_| AtomicU64::new(0)).collect();
+        let steals = AtomicU64::new(0);
+        let pool = WorkPool::new(slots);
+        let helper = |slot: usize| {
+            if absent.contains(&slot) {
+                // What `chaos_helper_panic` does to a slot: gone before it
+                // joins the busy set, so nobody may wait for it.
+                return;
+            }
+            let mut w = pool.enter(slot, "test");
+            if slot == 0 {
+                w.push(0);
+            }
+            while let Some(n) = w.next() {
+                visits[n as usize].fetch_add(1, Ordering::Relaxed);
+                for &c in &children[n as usize] {
+                    w.push(c);
+                }
+            }
+            let report = w.finish();
+            assert!(report.leftover.is_empty(), "drained to quiescence");
+            steals.fetch_add(report.steals, Ordering::Relaxed);
+        };
+        std::thread::scope(|s| {
+            for slot in 1..slots {
+                let helper = &helper;
+                s.spawn(move || helper(slot));
+            }
+            helper(0);
+        });
+        let visits = visits
+            .iter()
+            .map(|v| v.load(Ordering::Relaxed) as u32)
+            .collect();
+        (visits, pool.entered(), steals.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn work_pool_processes_every_item_once_and_terminates() {
+        const NODES: usize = 50_000; // deeper than one deque's capacity
+        for seed in [1u64, 0xB00C, 0x6C_BE4C] {
+            // One slot: everything stays on the private stack, no steals.
+            let (visits, entered, steals) = drain_tree(seed, NODES, 1, &[]);
+            assert!(visits.iter().all(|&v| v == 1), "seed {seed:#x}, 1 slot");
+            assert_eq!((entered, steals), (1, 0));
+            // Four slots, one of which dies before entering: the other
+            // three still see every node exactly once and all terminate
+            // (the scope would hang otherwise).
+            let (visits, entered, _) = drain_tree(seed, NODES, 4, &[3]);
+            let wrong = visits.iter().filter(|&&v| v != 1).count();
+            assert_eq!(
+                wrong, 0,
+                "seed {seed:#x}, 4 slots: {wrong} nodes not visited once"
+            );
+            assert_eq!(entered, 3);
+        }
+    }
+
+    #[test]
+    fn work_pool_hands_back_unfinished_work() {
+        // A helper that stops pulling early (a budgeted mark slice) leaves
+        // with everything it still held, from stack and deque alike.
+        for slots in [1usize, 2] {
+            let pool = WorkPool::new(slots);
+            let mut w = pool.enter(0, "test");
+            w.seed(vec![1, 2, 3]);
+            w.push(4);
+            assert!(w.next().is_some());
+            let mut left = w.finish().leftover;
+            left.sort_unstable();
+            assert_eq!(left.len(), 3, "{slots} slot(s)");
+            assert!(left.iter().all(|v| (1..=4).contains(v)));
+        }
     }
 }

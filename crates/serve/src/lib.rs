@@ -690,8 +690,8 @@ impl Server {
     }
 
     /// Spawns a fresh session for `t`: newest → oldest down the committed
-    /// checkpoint chain, then the legacy single-file checkpoint, then
-    /// copy-on-load from the shared template. Bumps the tenant epoch.
+    /// checkpoint chain, then copy-on-load from the shared template. Bumps
+    /// the tenant epoch.
     fn spawn_session(&self, t: &Tenant) -> MsSystem {
         t.epoch.fetch_add(1, Ordering::Relaxed);
         t.degraded.store(0, Ordering::Relaxed);
@@ -712,18 +712,6 @@ impl Server {
                     // recovery: fall down the chain toward the template.
                     None => tel::counter("serve.checkpoint_fallback").incr(),
                 }
-            }
-        }
-        if let Some(dir) = &self.cfg.checkpoint_dir {
-            // Legacy pre-manifest layout: one unversioned image. Probe by
-            // *attempting* the load — a `path.exists()` pre-check races
-            // with a concurrent replace (TOCTOU) and cannot tell "no
-            // checkpoint" from "checkpoint present but unreadable".
-            let path = dir.join(format!("tenant{}.image", t.id));
-            match MsSystem::from_snapshot_file(&path, config) {
-                Ok(ms) => return ms,
-                Err(e) if e.is_not_found() => {} // never checkpointed: silent
-                Err(_) => tel::counter("serve.checkpoint_fallback").incr(),
             }
         }
         MsSystem::from_template(&self.template, config)

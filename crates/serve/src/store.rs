@@ -656,7 +656,16 @@ impl CheckpointStore {
 mod tests {
     use super::*;
 
-    fn temp_store(tag: &str, retain: usize) -> (PathBuf, CheckpointStore) {
+    /// One test at a time touches a store: the fault registry is
+    /// process-global, so the test that arms the `ckpt.*` sites would
+    /// otherwise tear a commit some other test is making concurrently.
+    static STORE_TESTS: Mutex<()> = Mutex::new(());
+
+    fn temp_store(
+        tag: &str,
+        retain: usize,
+    ) -> (PathBuf, CheckpointStore, std::sync::MutexGuard<'static, ()>) {
+        let alone = STORE_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let dir = std::env::temp_dir().join(format!(
             "mst_ckpt_store_{tag}_{}_{:?}",
             std::process::id(),
@@ -664,7 +673,7 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         let store = CheckpointStore::open(&dir, retain).expect("store opens");
-        (dir, store)
+        (dir, store, alone)
     }
 
     fn fake_image(tag: u8, len: usize) -> Vec<u8> {
@@ -673,7 +682,7 @@ mod tests {
 
     #[test]
     fn commit_read_and_reopen_round_trip() {
-        let (dir, store) = temp_store("roundtrip", 4);
+        let (dir, store, _alone) = temp_store("roundtrip", 4);
         let img1 = fake_image(3, 257);
         let img2 = fake_image(5, 513);
         store.commit(0, 1, 0, &img1).expect("commit e1");
@@ -700,7 +709,7 @@ mod tests {
 
     #[test]
     fn retention_prunes_old_epochs_but_never_the_newest() {
-        let (dir, store) = temp_store("retention", 2);
+        let (dir, store, _alone) = temp_store("retention", 2);
         for epoch in 1..=5u64 {
             store
                 .commit(0, epoch, 0, &fake_image(epoch as u8, 64))
@@ -728,7 +737,7 @@ mod tests {
 
     #[test]
     fn recommit_at_same_epoch_supersedes() {
-        let (dir, store) = temp_store("recommit", 4);
+        let (dir, store, _alone) = temp_store("recommit", 4);
         store.commit(0, 1, 0, &fake_image(1, 64)).unwrap();
         let img = fake_image(9, 96);
         store.commit(0, 1, 0, &img).unwrap();
@@ -743,7 +752,7 @@ mod tests {
 
     #[test]
     fn corrupt_image_is_detected_by_length_and_crc() {
-        let (dir, store) = temp_store("imgcorrupt", 4);
+        let (dir, store, _alone) = temp_store("imgcorrupt", 4);
         store.commit(0, 1, 0, &fake_image(1, 128)).unwrap();
         let newest = store.newest(0).unwrap();
         let path = dir.join(newest.file_name());
@@ -768,7 +777,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_chains_and_shrinks_the_journal() {
-        let (dir, store) = temp_store("compact", 2);
+        let (dir, store, _alone) = temp_store("compact", 2);
         for epoch in 1..=20u64 {
             store
                 .commit(0, epoch, 0, &fake_image(epoch as u8, 64))
@@ -836,7 +845,7 @@ mod tests {
     /// journal must open to a consistent (prefix) state.
     #[test]
     fn store_reopens_from_every_journal_truncation() {
-        let (dir, store) = temp_store("everycut", 8);
+        let (dir, store, _alone) = temp_store("everycut", 8);
         for epoch in 1..=3u64 {
             store
                 .commit(1, epoch, 0, &fake_image(epoch as u8, 64))
@@ -867,7 +876,7 @@ mod tests {
 
     #[test]
     fn corrupt_mid_journal_keeps_the_valid_prefix() {
-        let (dir, store) = temp_store("midflip", 8);
+        let (dir, store, _alone) = temp_store("midflip", 8);
         for epoch in 1..=3u64 {
             store
                 .commit(0, epoch, 0, &fake_image(epoch as u8, 64))
@@ -910,7 +919,7 @@ mod tests {
         }
         let _disarm = Disarm;
 
-        let (dir, store) = temp_store("injected", 4);
+        let (dir, store, _alone) = temp_store("injected", 4);
         store.commit(0, 1, 0, &fake_image(1, 200)).unwrap();
 
         // ckpt.crash: the image write dies at a seeded boundary; the

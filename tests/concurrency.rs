@@ -182,6 +182,35 @@ fn competitor_errors_do_not_poison_the_benchmark() {
         .any(|e| e.contains("fooBarBaz")));
 }
 
+/// Regression: a doit used to be blamed for *any* error logged while it
+/// ran, so a forked Process dying first failed its caller. The loop keeps
+/// the doit running long enough for a worker to run the fork to its
+/// `doesNotUnderstand:`; the doit must still answer, and the competitor's
+/// error must still be logged.
+#[test]
+fn a_forked_process_dying_mid_doit_does_not_fail_the_doit() {
+    let mut ms = system();
+    assert_eq!(
+        eval(&mut ms, "[nil fooBarBaz] fork. 1 to: 200000 do: [:i | ]. 1"),
+        Value::Int(1)
+    );
+    let logged = || {
+        ms.vm()
+            .error_log
+            .lock()
+            .iter()
+            .any(|e| e.contains("fooBarBaz"))
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !logged() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert!(logged(), "the competitor's error is still in the log");
+    // The doit's *own* failure still fails it.
+    let err = ms.evaluate("nil fooBarBaz").expect_err("own error");
+    assert!(err.to_string().contains("fooBarBaz"), "{err}");
+}
+
 #[test]
 fn transcript_is_serialized_across_processes() {
     let mut ms = system();

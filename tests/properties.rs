@@ -435,7 +435,8 @@ fn verifier_rejects_a_corrupted_remembered_set() {
 }
 
 // ---------------------------------------------------------------------
-// Parallel scavenging oracle: the serial scavenger
+// Helper-count oracle for scavenging: N helpers ≡ one helper, judged by a
+// test-side graph walker and the heap verifier
 // ---------------------------------------------------------------------
 
 /// Drives the scavenge closure from `helpers` OS threads, the way a stopped
@@ -468,14 +469,14 @@ fn scratch_mem_roomy() -> mst_objmem::ObjectMemory {
 }
 
 /// Applies a schedule like [`apply_heap_ops`], scavenging with `helpers`
-/// threads (1 = the exact serial path).
+/// threads (1 = the same scavenger with nobody to steal from).
 fn apply_heap_ops_par(
     mem: &mst_objmem::ObjectMemory,
     ops: &[HeapOp],
     helpers: usize,
 ) -> Vec<mst_objmem::RootHandle> {
     let scavenge = |mem: &mst_objmem::ObjectMemory| {
-        let _ = mem.try_scavenge_parallel(helpers, scope_runner);
+        let _ = mem.try_scavenge_with(helpers, scope_runner);
     };
     let tok = mem.new_token();
     let mut roots: Vec<mst_objmem::RootHandle> = Vec::new();
@@ -591,61 +592,64 @@ fn graph_signature(
         .collect()
 }
 
+/// Where two signatures first differ, for a failure message.
+fn sig_divergence(solo: &[SigNode], multi: &[SigNode]) -> String {
+    solo.iter()
+        .zip(multi.iter())
+        .position(|(a, b)| a != b)
+        .map(|i| {
+            format!(
+                "first divergence at node {i}: {:?} vs {:?}",
+                solo[i], multi[i]
+            )
+        })
+        .unwrap_or_else(|| {
+            format!(
+                "node counts: one helper {} vs many {}",
+                solo.len(),
+                multi.len()
+            )
+        })
+}
+
+/// Fails unless `mem` passes the heap verifier.
+fn audit_clean(mem: &mst_objmem::ObjectMemory, what: &str) -> Result<(), String> {
+    let audit = mem.verify_heap();
+    if audit.is_clean() {
+        Ok(())
+    } else {
+        Err(format!("dirty heap ({what}):\n{audit}"))
+    }
+}
+
 #[test]
-fn parallel_scavenge_is_observationally_serial() {
+fn n_helper_scavenge_is_observationally_one_helper() {
     Runner::with_cases(16).run(
-        "parallel_scavenge_is_observationally_serial",
+        "n_helper_scavenge_is_observationally_one_helper",
         &heap_ops(),
         |ops| {
-            let serial = scratch_mem_roomy();
-            let parallel = scratch_mem_roomy();
-            let sroots = apply_heap_ops_par(&serial, ops, 1);
-            let proots = apply_heap_ops_par(&parallel, ops, 4);
-            for (mem, name) in [(&serial, "serial"), (&parallel, "parallel")] {
-                let audit = mem.verify_heap();
-                if !audit.is_clean() {
+            let solo = scratch_mem_roomy();
+            let sroots = apply_heap_ops_par(&solo, ops, 1);
+            audit_clean(&solo, "1 helper")?;
+            let ssig = graph_signature(&solo, &sroots);
+            for helpers in [2usize, 4] {
+                let multi = scratch_mem_roomy();
+                let mroots = apply_heap_ops_par(&multi, ops, helpers);
+                audit_clean(&multi, &format!("{helpers} helpers"))?;
+                prop_assert_eq!(sroots.len(), mroots.len());
+                let msig = graph_signature(&multi, &mroots);
+                if ssig != msig {
                     return Err(format!(
-                        "dirty {name} heap after {} ops:\n{audit}",
-                        ops.len()
+                        "reachable graphs diverged after {} ops with {helpers} helpers; {}",
+                        ops.len(),
+                        sig_divergence(&ssig, &msig)
                     ));
                 }
+                // The same tenure decisions imply identical generation stats.
+                let (s, m) = (solo.gc_stats(), multi.gc_stats());
+                prop_assert_eq!(s.words_survived, m.words_survived);
+                prop_assert_eq!(s.words_tenured, m.words_tenured);
             }
-            if sroots.len() != proots.len() {
-                return Err(format!(
-                    "root survival diverged: serial {} vs parallel {}",
-                    sroots.len(),
-                    proots.len()
-                ));
-            }
-            let ssig = graph_signature(&serial, &sroots);
-            let psig = graph_signature(&parallel, &proots);
-            if ssig != psig {
-                let at = ssig
-                    .iter()
-                    .zip(psig.iter())
-                    .position(|(a, b)| a != b)
-                    .map(|i| {
-                        format!(
-                            "first divergence at node {i}: {:?} vs {:?}",
-                            ssig[i], psig[i]
-                        )
-                    })
-                    .unwrap_or_else(|| {
-                        format!(
-                            "node counts: serial {} vs parallel {}",
-                            ssig.len(),
-                            psig.len()
-                        )
-                    });
-                return Err(format!(
-                    "reachable graphs diverged after {} ops; {at}",
-                    ops.len()
-                ));
-            }
-            // The same tenure decisions imply identical generation stats.
-            let (s, p) = (serial.gc_stats(), parallel.gc_stats());
-            prop_assert_eq!(s.words_survived, p.words_survived);
-            prop_assert_eq!(s.words_tenured, p.words_tenured);
             Ok(())
         },
     );
@@ -704,7 +708,7 @@ fn parallel_scavenge_survives_spurious_wakeups() {
         let me = rdv.participant();
         for _ in 0..10 {
             let guard = me.stop_world();
-            mem.try_scavenge_parallel(4, |n, f| {
+            mem.try_scavenge_with(4, |n, f| {
                 guard.run_stopped(n, f);
             })
             .expect("plenty of old space");
@@ -723,108 +727,53 @@ fn parallel_scavenge_survives_spurious_wakeups() {
 }
 
 // ---------------------------------------------------------------------
-// Parallel and incremental full GC oracles: the serial mark-compactor
+// Helper-count and incremental full GC oracles: the one-helper collection,
+// the graph walker, and the heap verifier
 // ---------------------------------------------------------------------
 
 #[test]
-fn parallel_full_gc_is_observationally_serial() {
+fn n_helper_full_gc_is_observationally_one_helper() {
     Runner::with_cases(12).run(
-        "parallel_full_gc_is_observationally_serial",
+        "n_helper_full_gc_is_observationally_one_helper",
         &heap_ops(),
         |ops| {
-            // Grow two identical heaps with the exact same (serial)
-            // schedule, then compact one with the serial marker and one
-            // with four helper threads stealing from each other's deques.
-            let serial = scratch_mem_roomy();
-            let parallel = scratch_mem_roomy();
-            let sroots = apply_heap_ops_par(&serial, ops, 1);
-            let proots = apply_heap_ops_par(&parallel, ops, 1);
-            let s_reclaimed = serial.full_gc();
-            let p_out = parallel.full_gc_with(4, scope_runner);
-            if !p_out.report.is_clean() {
-                return Err(format!("parallel compactor reported: {}", p_out.report));
+            // Grow identical heaps with the exact same schedule, then
+            // collect one with the leader alone and the others with helper
+            // threads stealing from each other's deques (mark) and claiming
+            // chunks (update/move/clear). Everything observable must agree —
+            // reclaimed words, the reachable graphs, the heap extent, and
+            // the entry table (the remembered set survives compaction
+            // verbatim).
+            let solo = scratch_mem_roomy();
+            let sroots = apply_heap_ops_par(&solo, ops, 1);
+            let s_out = solo.full_gc_with(1, scope_runner);
+            if !s_out.report.is_clean() {
+                return Err(format!("1-helper compactor reported: {}", s_out.report));
             }
-            prop_assert_eq!(s_reclaimed, p_out.reclaimed_words);
-            for (mem, name) in [(&serial, "serial"), (&parallel, "parallel")] {
-                let audit = mem.verify_heap();
-                if !audit.is_clean() {
-                    return Err(format!("dirty {name} heap after full collection:\n{audit}"));
+            audit_clean(&solo, "1 helper")?;
+            let ssig = graph_signature(&solo, &sroots);
+            for helpers in [2usize, 4] {
+                let multi = scratch_mem_roomy();
+                let mroots = apply_heap_ops_par(&multi, ops, 1);
+                let m_out = multi.full_gc_with(helpers, scope_runner);
+                if !m_out.report.is_clean() {
+                    return Err(format!(
+                        "{helpers}-helper compactor reported: {}",
+                        m_out.report
+                    ));
                 }
-            }
-            let ssig = graph_signature(&serial, &sroots);
-            let psig = graph_signature(&parallel, &proots);
-            if ssig != psig {
-                let at = ssig
-                    .iter()
-                    .zip(psig.iter())
-                    .position(|(a, b)| a != b)
-                    .map(|i| {
-                        format!(
-                            "first divergence at node {i}: {:?} vs {:?}",
-                            ssig[i], psig[i]
-                        )
-                    })
-                    .unwrap_or_else(|| {
-                        format!(
-                            "node counts: serial {} vs parallel {}",
-                            ssig.len(),
-                            psig.len()
-                        )
-                    });
-                return Err(format!(
-                    "reachable graphs diverged after {} ops; {at}",
-                    ops.len()
-                ));
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn parallel_compaction_is_observationally_serial() {
-    Runner::with_cases(12).run(
-        "parallel_compaction_is_observationally_serial",
-        &heap_ops(),
-        |ops| {
-            // Same shape as the mark-phase oracle above, but aimed at the
-            // compaction back-end: 1 helper takes the exact serial
-            // update/move/clear path, 4 helpers the chunked parallel one.
-            // Everything observable must agree — reclaimed words, the
-            // reachable graphs, the heap extent, and the entry table (the
-            // remembered set survives compaction verbatim).
-            let serial = scratch_mem_roomy();
-            let parallel = scratch_mem_roomy();
-            let sroots = apply_heap_ops_par(&serial, ops, 1);
-            let proots = apply_heap_ops_par(&parallel, ops, 1);
-            let s_out = serial.full_gc_with(1, scope_runner);
-            let p_out = parallel.full_gc_with(4, scope_runner);
-            for (out, name) in [(&s_out, "serial"), (&p_out, "parallel")] {
-                if !out.report.is_clean() {
-                    return Err(format!("{name} compactor reported: {}", out.report));
+                prop_assert_eq!(s_out.reclaimed_words, m_out.reclaimed_words);
+                prop_assert_eq!(solo.old_used(), multi.old_used());
+                prop_assert_eq!(solo.entry_table_snapshot(), multi.entry_table_snapshot());
+                audit_clean(&multi, &format!("{helpers} helpers"))?;
+                let msig = graph_signature(&multi, &mroots);
+                if ssig != msig {
+                    return Err(format!(
+                        "reachable graphs diverged after {} ops with {helpers} helpers; {}",
+                        ops.len(),
+                        sig_divergence(&ssig, &msig)
+                    ));
                 }
-            }
-            prop_assert_eq!(s_out.reclaimed_words, p_out.reclaimed_words);
-            prop_assert_eq!(serial.old_used(), parallel.old_used());
-            prop_assert_eq!(
-                serial.entry_table_snapshot(),
-                parallel.entry_table_snapshot()
-            );
-            for (mem, name) in [(&serial, "serial"), (&parallel, "parallel")] {
-                let audit = mem.verify_heap();
-                if !audit.is_clean() {
-                    return Err(format!("dirty {name} heap after full collection:\n{audit}"));
-                }
-            }
-            let ssig = graph_signature(&serial, &sroots);
-            let psig = graph_signature(&parallel, &proots);
-            if ssig != psig {
-                return Err(format!(
-                    "reachable graphs diverged after {} ops (serial {} nodes, parallel {})",
-                    ops.len(),
-                    ssig.len(),
-                    psig.len()
-                ));
             }
             Ok(())
         },
@@ -946,6 +895,79 @@ fn incremental_mark_survives_random_mutator_interleavings() {
                 return Err(format!("dirty heap after final collection:\n{audit}"));
             }
             drop(roots);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn budgeted_marker_marks_exactly_the_monolithic_old_set() {
+    // On a quiescent heap (no mutator between slices) the marker driven
+    // with any word budget must claim exactly the old objects the same
+    // marker claims when driven to exhaustion. "At least": once the slices
+    // converge, every reachable old object carries its mark bit. "At most":
+    // the finish leaves old space at the extent, and the graph in the
+    // shape, the monolithic collection leaves on an identically grown heap.
+    Runner::with_cases(16).run(
+        "budgeted_marker_marks_exactly_the_monolithic_old_set",
+        &tuple2(heap_ops(), int_range(1, 2048)),
+        |(ops, slice_words)| {
+            use mst_objmem::Oop;
+            let mono = scratch_mem_roomy();
+            let mroots = apply_heap_ops_par(&mono, ops, 1);
+            // Scavenge first, on both sides: new space then holds live
+            // survivors only, which the incremental finish scans
+            // conservatively and the monolithic mark traces precisely.
+            let _ = mono.try_scavenge();
+            let m_out = mono.full_gc_with(1, scope_runner);
+            audit_clean(&mono, "monolithic")?;
+
+            let incr = scratch_mem_roomy();
+            let iroots = apply_heap_ops_par(&incr, ops, 1);
+            let _ = incr.try_scavenge();
+            if !incr.full_gc_begin() {
+                return Err("window refused on a scavenge-fresh heap".into());
+            }
+            let mut slices = 0usize;
+            while !incr.full_gc_mark_slice(*slice_words as usize) {
+                slices += 1;
+                if slices > 1_000_000 {
+                    return Err("budgeted mark failed to converge".into());
+                }
+            }
+            let mut seen = std::collections::HashSet::new();
+            let mut stack: Vec<Oop> = iroots.iter().map(|r| r.get()).collect();
+            while let Some(obj) = stack.pop() {
+                if obj == Oop::ZERO || obj.is_small_int() || !seen.insert(obj.raw()) {
+                    continue;
+                }
+                if incr.is_old(obj) && !incr.header(obj).is_marked() {
+                    return Err(format!(
+                        "reachable old object @{} left unmarked by {slice_words}-word slices",
+                        obj.index()
+                    ));
+                }
+                for i in 0..incr.header(obj).body_words() {
+                    stack.push(incr.fetch(obj, i));
+                }
+            }
+            let i_out = incr.full_gc_finish();
+            if !i_out.report.is_clean() {
+                return Err(format!("incremental compactor reported: {}", i_out.report));
+            }
+            audit_clean(&incr, "incremental")?;
+            prop_assert_eq!(m_out.reclaimed_words, i_out.reclaimed_words);
+            prop_assert_eq!(mono.old_used(), incr.old_used());
+            let (msig, isig) = (
+                graph_signature(&mono, &mroots),
+                graph_signature(&incr, &iroots),
+            );
+            if msig != isig {
+                return Err(format!(
+                    "graphs diverged with {slice_words}-word slices; {}",
+                    sig_divergence(&msig, &isig)
+                ));
+            }
             Ok(())
         },
     );

@@ -674,47 +674,26 @@ fn checkpoint_fallback_walks_the_chain_past_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite regression: the legacy single-file checkpoint probe attempts
-/// the load and matches the structured error — no `path.exists()`
-/// pre-check. A missing file is silent (no fallback counted); a torn or
-/// garbage file falls back to the template without wedging the spawn.
+/// A cold spawn against an empty checkpoint store is "never checkpointed",
+/// not a fallback: it goes straight to the template and counts no
+/// `serve.checkpoint_fallback`.
 #[test]
-fn legacy_checkpoint_probe_attempts_load_instead_of_exists_check() {
-    let dir = temp_dir("legacy_probe");
-    let ckpt_dir = dir.join("ckpts");
-    std::fs::create_dir_all(&ckpt_dir).expect("checkpoint dir");
+fn cold_spawn_with_empty_store_counts_no_fallback() {
+    let dir = temp_dir("cold_spawn");
     let config = small_config();
     let template = make_template(&dir, config);
     let cfg = ServeConfig {
         processors: 2,
-        checkpoint_dir: Some(ckpt_dir.clone()),
+        checkpoint_dir: Some(dir.join("ckpts")),
         ..ServeConfig::default()
     };
-
-    // No checkpoint at all: the cold spawn goes straight to the template
-    // with no fallback counted (NotFound is "never checkpointed").
-    let fallbacks_before = mst_telemetry::counter("serve.checkpoint_fallback").get();
-    let server = Server::new(template.clone(), config, cfg.clone(), 1);
-    assert_eq!(server.request(0, "6 * 7").unwrap().value, Value::Int(42));
-    assert_eq!(
-        mst_telemetry::counter("serve.checkpoint_fallback").get(),
-        fallbacks_before,
-        "a missing checkpoint is not a fallback"
-    );
-    drop(server);
-
-    // A legacy checkpoint torn mid-replace (garbage bytes under the old
-    // unversioned name): the probe must attempt the load, count the
-    // fallback, and serve from the template.
-    std::fs::write(ckpt_dir.join("tenant0.image"), b"torn mid-replace")
-        .expect("plant torn legacy checkpoint");
     let fallbacks_before = mst_telemetry::counter("serve.checkpoint_fallback").get();
     let server = Server::new(template, config, cfg, 1);
     assert_eq!(server.request(0, "6 * 7").unwrap().value, Value::Int(42));
     assert_eq!(
         mst_telemetry::counter("serve.checkpoint_fallback").get(),
-        fallbacks_before + 1,
-        "a torn legacy checkpoint is a counted fallback"
+        fallbacks_before,
+        "a missing checkpoint is not a fallback"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
