@@ -28,8 +28,9 @@
 //! compared against the monolithic mark pause. Writes `BENCH_fullgc.json`.
 //! On a host with at least four cores the run fails (exit 1) if the
 //! 4-helper mark is slower than 0.7x serial; the incremental slice bound
-//! (longest slice strictly below the monolithic mark) is enforced on any
-//! host.
+//! (longest slice strictly below the monolithic mark) and the forwarding
+//! bound (one-helper update at most 1.5x the one-helper mark) are enforced
+//! on any host.
 
 use mst_bench::harness::ns_human;
 use mst_objmem::{MemoryConfig, ObjFormat, ObjectMemory, Oop, So};
@@ -583,6 +584,16 @@ fn fullgc_bench() {
             "PASS: longest incremental mark slice is {:.2}x the monolithic mark pause",
             incr.max_slice_ns as f64 / solo_mark
         );
+    }
+    // Forwarding is a table read, so rewriting every slot costs about what
+    // visiting every slot to mark it did, on any host. A per-slot search
+    // coming back shows as a multiple (3.9x at the committed baseline).
+    let uratio = runs[0].best_update_ns as f64 / solo_mark;
+    if uratio > 1.5 {
+        eprintln!("FAIL: 1-helper update is {uratio:.2}x the 1-helper mark (budget: 1.50x)");
+        failed = true;
+    } else {
+        println!("PASS: 1-helper update is {uratio:.2}x the 1-helper mark (budget: 1.50x)");
     }
     if failed {
         std::process::exit(1);

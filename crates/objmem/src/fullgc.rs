@@ -7,10 +7,21 @@
 //!
 //! 1. **Mark** every object reachable from the roots (special objects, root
 //!    cells, interned symbols), tracing through both generations.
-//! 2. **Plan**: walk old space linearly, assigning each marked object its
-//!    slid-down address.
+//! 2. **Plan**: walk old space linearly, turning the marks into forwarding
+//!    tables — a bit per marked object's start, a bit per live word, and
+//!    the live words below each 64-word block.
 //! 3. **Update** every reference in marked objects, roots, the symbol table
-//!    and the entry table; then **move** the bodies and clear marks.
+//!    and the entry table through the tables, unmarking as it goes; then
+//!    **move** the live words down, run by run.
+//!
+//! There is no object table and no forwarding pointer outside a collection
+//! (the paper's §3.1), so the update must translate *every* pointer slot in
+//! the heap and one translation must cost next to nothing. A header word
+//! cannot hold the destination — word 0 is full (size, format, age, flags,
+//! hash) and word 1 is the class oop the update itself has to read — so the
+//! destination is computed: `old_start + before[block] + popcount(live bits
+//! of the block below the target)`, after a start-bit test that doubles as
+//! the dangling-reference check. See [`Relocator`].
 //!
 //! New-space objects are never moved by a full collection; unreachable ones
 //! are simply never scanned again (the next scavenge abandons them).
@@ -34,16 +45,15 @@
 //!   the newly written value, so the final pause is bounded by
 //!   live-data-moved, not old-space-scanned.
 //!
-//! The compaction back-end runs over the same helper slots as the mark
-//! (update shards the marked list, the new-space walk, and the reference
-//! tables — the relocation map is immutable after planning; move cuts the
-//! map into independent chunk-runs wherever a run's destinations clear
-//! every earlier source, a layout that yields a single run sliding on the
-//! leader alone).
-//! Per-helper reports are merged in deterministic order, and a corrupt
-//! special table aborts the compaction cleanly
-//! ([`CompactAbort`]) before any heap mutation instead of panicking
-//! mid-stop-the-world. Only the plan walk stays serial.
+//! The update runs over the same helper slots as the mark (it shards the
+//! marked list, the new-space walk, and the reference tables — the
+//! forwarding tables are immutable after planning). Per-helper reports are
+//! merged in deterministic order, and a corrupt special table aborts the
+//! compaction cleanly ([`CompactAbort`]) before any heap mutation instead of
+//! panicking mid-stop-the-world. The plan walk and the move are serial: a
+//! word's destination depends on every gap below it, so two stretches of
+//! old space can only slide independently where nothing below either has
+//! moved — and there nothing slides.
 //!
 //! **The world must be stopped by the caller** for every entry point here
 //! (for the incremental mode: during each slice and the finish). Free
@@ -69,14 +79,12 @@ const FULL_GC_WORDS_PER_HELPER: usize = 128 << 10; // 1 MB
 
 /// Root oops claimed per cursor bump during the root scan.
 const MARK_ROOT_CHUNK: usize = 32;
-/// Marked objects claimed per cursor bump during the parallel update and
-/// clear phases (the relocation map is read-only, so the shards need no
-/// coordination beyond the claim itself).
+/// Marked objects claimed per cursor bump during the parallel update phase
+/// (the forwarding tables are read-only, so the shards need no coordination
+/// beyond the claim itself).
 const UPDATE_CHUNK: usize = 256;
-/// Target live words per chunk-run of the parallel slide. Runs are cut only
-/// where a later run's destinations cannot overlap an earlier run's
-/// sources, so the actual chunk sizes ride the heap layout.
-const MOVE_CHUNK_WORDS: usize = 16 << 10;
+/// Old-space words per forwarding-table block: one bitmap word.
+const BLOCK_WORDS: usize = u64::BITS as usize;
 /// Dangling-reference diagnostics recorded per collection; counting
 /// continues past the cap (mirrors `HeapAudit`'s error cap).
 const MAX_DANGLING: usize = 16;
@@ -95,7 +103,6 @@ struct FullGcInstruments {
     forced_finish: &'static mst_telemetry::Counter,
     dangling_refs: &'static mst_telemetry::Counter,
     parallel_compactions: &'static mst_telemetry::Counter,
-    move_chunks: &'static mst_telemetry::Histogram,
     aborted: &'static mst_telemetry::Counter,
 }
 
@@ -114,7 +121,6 @@ fn instruments() -> &'static FullGcInstruments {
         forced_finish: mst_telemetry::counter("gc.full.incremental.forced_finish"),
         dangling_refs: mst_telemetry::counter("gc.full.dangling_refs"),
         parallel_compactions: mst_telemetry::counter("gc.full.parallel.compactions"),
-        move_chunks: mst_telemetry::histogram("gc.full.move_chunks"),
         aborted: mst_telemetry::counter("gc.full.aborted"),
     })
 }
@@ -177,8 +183,8 @@ impl std::fmt::Display for DanglingRef {
 }
 
 /// Why a compaction was abandoned before any heap mutation. The abort
-/// happens between the plan and update phases — the relocation map is the
-/// only thing built so far — so containment is exact: clear the marks and
+/// happens between the plan and update phases — the forwarding tables are
+/// the only thing built so far — so containment is exact: clear the marks and
 /// the heap is byte-for-byte what the mark phase found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompactAbort {
@@ -261,9 +267,10 @@ pub struct FullGcOutcome {
     pub update_nanos: u64,
     /// Stop-the-world nanoseconds sliding live bodies leftward.
     pub move_nanos: u64,
-    /// Stop-the-world nanoseconds clearing mark bits.
+    /// Stop-the-world nanoseconds clearing mark bits: an aborted compaction
+    /// only (a completed one unmarks each object as it updates it).
     pub clear_nanos: u64,
-    /// Helper threads that actually entered the compaction phases.
+    /// Helper threads that actually entered the update phase.
     pub compact_helpers: usize,
     /// Dangling-reference diagnostics (see [`FullGcReport`]).
     pub report: FullGcReport,
@@ -277,7 +284,7 @@ pub(crate) struct FullMarkState {
     /// Marked-but-untraced objects (old space only), as raw oops: the
     /// marker's leftover work between slices.
     gray: Vec<u64>,
-    /// Every object marked so far, for the plan/update/clear phases.
+    /// Every object marked so far, for the update phase to visit and unmark.
     marked: Vec<Oop>,
     /// Old objects allocated (black) during the window; re-traced at finish
     /// because fresh-object initialization legally bypasses the barrier.
@@ -310,63 +317,180 @@ struct CompactTiming {
     update_ns: u64,
     move_ns: u64,
     clear_ns: u64,
-    /// Workers that entered the busiest compaction phase.
+    /// Workers that entered the update phase.
     helpers: usize,
-    /// Chunk-runs the slide was partitioned into (1 = serial fallback).
-    move_chunks: usize,
 }
 
-/// One entry of the relocation plan: a marked old object's current address,
-/// its slid-down destination, and its total extent in words (header +
-/// class + body, precomputed so the move phase never re-reads headers).
-#[derive(Clone, Copy)]
-struct MapEntry {
-    from: usize,
-    to: usize,
-    total: usize,
-}
-
-/// Relocation oracle for the update phase: the sorted from→to plan. After
-/// planning it is **read-only** — every worker shares one `&Relocator` and
-/// resolves addresses through binary search with no coordination at all.
-/// Diagnostics go to each worker's private [`ReportSink`] instead (the old
-/// interior-mutable report was the one thing keeping this single-threaded).
+/// The relocation plan, as forwarding tables over `[old_start, old_next)`
+/// in [`BLOCK_WORDS`]-word blocks: an object's destination is `old_start`
+/// plus the live words below it, read off as `before[block]` plus a
+/// popcount of the block's `live` bits under the object's own — two table
+/// loads, no header reads, no search. The serial plan walk fills the tables;
+/// after it they are **read-only** — every update worker shares one
+/// `&Relocator` with no coordination at all, and diagnostics go to each
+/// worker's private [`ReportSink`]. The move is driven by the same tables
+/// (maximal runs of `live` bits are the ranges to slide), so no per-object
+/// record exists anywhere.
 struct Relocator<'m> {
     mem: &'m ObjectMemory,
-    map: Vec<MapEntry>,
-    /// The post-compaction address of `nil`, substituted for dangling slots
-    /// (the pre-move `nil` would itself dangle once bodies slide).
+    old_start: usize,
+    /// One bit per old-space word, set on each marked object's header word.
+    starts: Vec<u64>,
+    /// One bit per old-space word, set on every word of a marked object.
+    live: Vec<u64>,
+    /// Live words preceding each block.
+    before: Vec<u32>,
+    /// Live words in all: where the compacted old space ends.
+    live_words: usize,
+    /// `nil` before and after the move. The latter is substituted for
+    /// dangling slots (the pre-move `nil` would itself dangle once bodies
+    /// slide); the pair answers most slots of any heap without the tables.
+    nil_old: Oop,
     nil_new: Oop,
 }
 
-impl Relocator<'_> {
+impl<'m> Relocator<'m> {
+    /// Phase 2: one linear walk of old space (the only reader of dead
+    /// headers) sets the bitmaps; a prefix sum over the `live` words then
+    /// fills `before`.
+    fn plan(mem: &'m ObjectMemory) -> Relocator<'m> {
+        let old_start = mem.spaces().old_start;
+        let old_next = mem.old_next_value();
+        assert!(
+            old_next - old_start <= u32::MAX as usize,
+            "old space outgrew the u32 block offsets"
+        );
+        let nblocks = (old_next - old_start).div_ceil(BLOCK_WORDS);
+        let mut starts = vec![0u64; nblocks];
+        let mut live = vec![0u64; nblocks];
+        let mut scan = old_start;
+        while scan < old_next {
+            let h = mem.header(Oop::from_index(scan));
+            let total = 2 + h.body_words();
+            if h.is_marked() {
+                let lo = scan - old_start;
+                let hi = lo + total - 1;
+                starts[lo / BLOCK_WORDS] |= 1 << (lo % BLOCK_WORDS);
+                let first = !0u64 << (lo % BLOCK_WORDS);
+                let last = !0u64 >> (BLOCK_WORDS - 1 - hi % BLOCK_WORDS);
+                let (bl, bh) = (lo / BLOCK_WORDS, hi / BLOCK_WORDS);
+                if bl == bh {
+                    live[bl] |= first & last;
+                } else {
+                    live[bl] |= first;
+                    live[bl + 1..bh].fill(!0);
+                    live[bh] |= last;
+                }
+            }
+            scan += total;
+        }
+        let mut live_words = 0usize;
+        let before = live
+            .iter()
+            .map(|w| {
+                let below = live_words as u32;
+                live_words += w.count_ones() as usize;
+                below
+            })
+            .collect();
+        Relocator {
+            mem,
+            old_start,
+            starts,
+            live,
+            before,
+            live_words,
+            nil_old: Oop::ZERO,
+            nil_new: Oop::ZERO,
+        }
+    }
+
     /// The target's post-compaction address; `None` when the target is old
-    /// but not the start of any marked object. Non-old oops pass through.
+    /// but not the start of any marked object (its start bit is clear, or
+    /// it lies outside `[old_start, old_next)` where there is no block).
+    /// Non-old oops pass through.
+    #[inline]
     fn lookup(&self, oop: Oop) -> Option<Oop> {
         if !oop.is_object() || !self.mem.spaces().is_old(oop.index()) {
             return Some(oop);
         }
-        self.map
-            .binary_search_by_key(&oop.index(), |e| e.from)
-            .ok()
-            .map(|i| Oop::from_index(self.map[i].to))
+        let off = oop.index().wrapping_sub(self.old_start);
+        let (b, bit) = (off / BLOCK_WORDS, 1u64 << (off % BLOCK_WORDS));
+        if self.starts.get(b)? & bit == 0 {
+            return None;
+        }
+        let below = (self.live[b] & (bit - 1)).count_ones() as usize;
+        Some(Oop::from_index(
+            self.old_start + self.before[b] as usize + below,
+        ))
+    }
+
+    /// Phase 4: slides each maximal run of live words down onto the running
+    /// destination, in address order (the memmove-down argument) — adjacent
+    /// survivors move as one `memmove`, and the dense prefix not at all.
+    fn slide(&self) {
+        let mut to = self.old_start;
+        // Source address of the run of live words still open, if any.
+        let mut run: Option<usize> = None;
+        let mut close = |from: usize, end: usize| {
+            if from != to {
+                self.mem.slide_words(from, to, end - from);
+            }
+            to += end - from;
+        };
+        for (b, &w) in self.live.iter().enumerate() {
+            let base = self.old_start + b * BLOCK_WORDS;
+            let mut k = 0;
+            loop {
+                // The stretch of equal bits from bit `k` (zeros shift in).
+                let rest = w >> k;
+                k += if run.is_some() {
+                    rest.trailing_ones()
+                } else {
+                    rest.trailing_zeros()
+                } as usize;
+                if k >= BLOCK_WORDS {
+                    break;
+                }
+                match run.take() {
+                    Some(from) => close(from, base + k),
+                    None => run = Some(base + k),
+                }
+            }
+        }
+        if let Some(from) = run {
+            close(from, self.old_start + self.live.len() * BLOCK_WORDS);
+        }
     }
 
     /// Relocates, neutralizing failures to (relocated) `nil` with a recorded
     /// diagnostic instead of aborting the VM from inside stop-the-world.
+    /// Runs once per pointer slot in the heap, hence inlined around an
+    /// out-of-line failure path.
+    #[inline]
     fn reloc(&self, sink: &mut ReportSink, referrer: Oop, slot: DanglingSlot, oop: Oop) -> Oop {
-        match self.lookup(oop) {
-            Some(n) => n,
-            None => {
-                instruments().dangling_refs.incr();
-                sink.record(DanglingRef {
-                    referrer,
-                    slot,
-                    target: oop,
-                });
-                self.nil_new
-            }
+        if oop == self.nil_old {
+            return self.nil_new;
         }
+        self.lookup(oop)
+            .unwrap_or_else(|| self.neutralize(sink, referrer, slot, oop))
+    }
+
+    #[cold]
+    fn neutralize(
+        &self,
+        sink: &mut ReportSink,
+        referrer: Oop,
+        slot: DanglingSlot,
+        target: Oop,
+    ) -> Oop {
+        instruments().dangling_refs.incr();
+        sink.record(DanglingRef {
+            referrer,
+            slot,
+            target,
+        });
+        self.nil_new
     }
 }
 
@@ -517,6 +641,12 @@ impl ObjectMemory {
                 .store(!incremental, Ordering::Relaxed);
         }
         let pause_ns = start.elapsed().as_nanos() as u64;
+        // Test builds audit the heap after every collection that claims to
+        // have been clean, not only where a test thinks to ask.
+        #[cfg(test)]
+        if report.is_clean() {
+            self.verify_heap().assert_clean();
+        }
         self.stats.full_gcs.incr();
         self.stats.full_gc_nanos.add(st.mark_nanos + pause_ns);
         let instr = instruments();
@@ -768,22 +898,22 @@ impl ObjectMemory {
     }
 
     // ------------------------------------------------------------------
-    // Compaction back-end: plan, update, move, clear
+    // Compaction back-end: plan, update, move
     // ------------------------------------------------------------------
 
-    /// Phases 2–5 over a completed mark: plan slid-down addresses, update
-    /// every reference, move the bodies, clear the marks. When
+    /// Phases 2–4 over a completed mark: plan slid-down addresses, update
+    /// every reference (unmarking on the way), move the bodies. When
     /// `update_new_walk` is set, every formatted new-space object's slots
     /// are rewritten too (the incremental path, whose `marked` list holds
     /// only old objects); otherwise the marked list itself covers the live
     /// new-space referrers (the monolithic path).
     ///
-    /// The update, move, and clear phases run on up to `helpers` workers
-    /// drawn from the stopped world (one `run` invocation per phase — the
-    /// runner returning is the only barrier, so a helper dying mid-phase
-    /// can never wedge the next one). Planning stays serial: it is a single
-    /// prefix-sum walk, and its output is what makes the other phases
-    /// embarrassingly parallel.
+    /// The update phase runs on up to `helpers` workers drawn from the
+    /// stopped world (one `run` invocation — the runner returning is the
+    /// only barrier, so a helper dying mid-phase can never wedge what
+    /// follows). Planning is a single serial walk whose read-only output is
+    /// what makes the update embarrassingly parallel; the move is serial by
+    /// nature (see [`Relocator::slide`]).
     fn compact_marked(
         &self,
         marked: &[Oop],
@@ -794,64 +924,20 @@ impl ObjectMemory {
         let old_used_before = self.old_used();
         let mut timing = CompactTiming {
             helpers: 1,
-            move_chunks: 1,
             ..CompactTiming::default()
         };
         let t_phase = Instant::now();
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 2);
 
         // --- Phase 2: plan new addresses --------------------------------
-        // Sorted by construction (linear walk), enabling binary search.
-        // Destinations are contiguous from `old_start` and never exceed
-        // their sources — the two facts the chunked slide leans on.
-        //
-        // The same walk cuts the plan into the move phase's chunk-runs. A
-        // cut before an entry is legal iff its destination clears the
-        // previous entry's source extent: with contiguous destinations and
-        // `to <= from` everywhere, that single inequality proves no run's
-        // writes can touch another run's unread sources (in either
-        // direction).
-        let mut map: Vec<MapEntry> = Vec::with_capacity(marked.len());
-        let mut chunks: Vec<(usize, usize)> = Vec::new();
-        let (mut run_start, mut run_words, mut prev_end) = (0usize, 0usize, 0usize);
-        let mut dest = self.spaces().old_start;
-        let mut scan = self.spaces().old_start;
-        let old_next = self.old_next_value();
-        while scan < old_next {
-            let obj = Oop::from_index(scan);
-            let h = self.header(obj);
-            let total = 2 + h.body_words();
-            if h.is_marked() {
-                if run_words >= MOVE_CHUNK_WORDS && dest >= prev_end {
-                    chunks.push((run_start, map.len()));
-                    run_start = map.len();
-                    run_words = 0;
-                }
-                map.push(MapEntry {
-                    from: scan,
-                    to: dest,
-                    total,
-                });
-                dest += total;
-                run_words += total;
-                prev_end = scan + total;
-            }
-            scan += total;
-        }
-        if run_start < map.len() {
-            chunks.push((run_start, map.len()));
-        }
-        let mut rel = Relocator {
-            mem: self,
-            map,
-            nil_new: Oop::ZERO,
-        };
+        let mut rel = Relocator::plan(self);
         // `nil` is a special object, hence marked and relocatable by every
         // healthy collection. When it is not, the special table is corrupt:
-        // abort *before any heap mutation* — only the plan (a side table)
+        // abort *before any heap mutation* — only the plan (side tables)
         // exists so far — clear the marks, and report the abort instead of
         // panicking mid-stop-the-world with the heap half-planned.
-        rel.nil_new = match rel.lookup(self.nil()) {
+        rel.nil_old = self.nil();
+        rel.nil_new = match rel.lookup(rel.nil_old) {
             Some(n) => n,
             None => {
                 timing.plan_ns = t_phase.elapsed().as_nanos() as u64;
@@ -883,6 +969,11 @@ impl ObjectMemory {
         if update_new_walk {
             self.each_new_object(|_, obj| new_objs.push(obj));
         }
+        // Dead entries leave the entry table while the marks still say so
+        // (the workers below unmark as they go).
+        self.entry_table
+            .lock()
+            .retain(|&obj| self.header(obj).is_marked());
         let upd = UpdatePhase {
             rel: &rel,
             marked,
@@ -890,54 +981,25 @@ impl ObjectMemory {
             cursor: AtomicUsize::new(0),
             merge: Mutex::new(UpdateMerge::default()),
         };
-        let upd_entered = run_phase(helpers, run, &|| upd.run_worker());
+        timing.helpers = run_phase(helpers, run, &|| upd.run_worker());
         let m = upd.merge.into_inner().unwrap();
-        let relocated_marks = m.relocated_marks;
-        let mut report = merge_report(m.recs, m.count);
+        let report = merge_report(m.recs, m.count);
         timing.update_ns = t_phase.elapsed().as_nanos() as u64;
         let t_phase = Instant::now();
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 4);
 
         // --- Phase 4: move bodies ---------------------------------------
-        // Chunked leftward sliding over the runs the plan walk cut: at a cut
-        // a later run's writes all land at or above the cut destination —
-        // past every earlier source — while earlier runs' writes stay below
-        // it, so runs are mutually independent and workers claim them in
-        // any order. Within a run, entries are processed in address order
-        // with forward word copies (the memmove-down argument). A layout
-        // that yields a single run slides on the leader alone.
-        timing.move_chunks = chunks.len().max(1);
-        instruments().move_chunks.record(chunks.len().max(1) as u64);
-        let mov = MovePhase {
-            mem: self,
-            map: &rel.map,
-            chunks,
-            cursor: AtomicUsize::new(0),
-        };
-        let move_helpers = if mov.chunks.len() >= 2 { helpers } else { 1 };
-        let move_entered = run_phase(move_helpers, run, &|| mov.run_worker());
-        self.set_old_next(dest);
+        // Serial, on the leader: each word's destination depends on every
+        // gap below it, so two stretches of old space can slide
+        // independently only where nothing below either has moved — where
+        // there is nothing to slide.
+        rel.slide();
+        self.set_old_next(rel.old_start + rel.live_words);
         timing.move_ns = t_phase.elapsed().as_nanos() as u64;
-        let t_phase = Instant::now();
-        mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 5);
-
-        // --- Phase 5: clear marks ----------------------------------------
-        // Relocated mark addresses are disjoint, so workers clear chunks of
-        // the list with no ordering constraint at all.
-        let clr = ClearPhase {
-            mem: self,
-            marks: relocated_marks,
-            cursor: AtomicUsize::new(0),
-        };
-        let clear_entered = run_phase(helpers, run, &|| clr.run_worker());
-        timing.clear_ns = t_phase.elapsed().as_nanos() as u64;
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 0);
 
-        timing.helpers = upd_entered.max(move_entered).max(clear_entered);
         instruments().parallel_compactions.incr();
-        report.aborted = None;
-        let reclaimed = old_used_before - (dest - self.spaces().old_start);
-        (reclaimed, report, timing)
+        (old_used_before - rel.live_words, report, timing)
     }
 
     /// Linearly walks every formatted new-space object — eden followed by
@@ -1032,19 +1094,12 @@ struct UpdatePhase<'a> {
 struct UpdateMerge {
     recs: Vec<(u64, DanglingRef)>,
     count: usize,
-    /// Post-move addresses whose mark bits phase 5 clears. Marks whose
-    /// "object" cannot be relocated (a marked mid-object word) are dropped:
-    /// their original address may be overwritten by the slide, and blindly
-    /// clearing a bit at a stale address would corrupt whatever lives there
-    /// afterwards.
-    relocated_marks: Vec<Oop>,
 }
 
 impl UpdatePhase<'_> {
     fn run_worker(&self) {
         let mem = self.rel.mem;
         let mut sink = ReportSink::default();
-        let mut relocated: Vec<Oop> = Vec::new();
         let marked_chunks = self.marked.len().div_ceil(UPDATE_CHUNK);
         let new_chunks = self.new_objs.len().div_ceil(UPDATE_CHUNK);
         let total = marked_chunks + new_chunks + 4;
@@ -1059,9 +1114,12 @@ impl UpdatePhase<'_> {
                 let hi = (lo + UPDATE_CHUNK).min(self.marked.len());
                 for &obj in &self.marked[lo..hi] {
                     self.update_object(obj, &mut sink);
-                    if let Some(n) = self.rel.lookup(obj) {
-                        relocated.push(n);
-                    }
+                    // The tables hold the liveness now, and this header's
+                    // line is already dirty: unmark here, so bodies slide
+                    // with clean headers and no clear pass is needed — and
+                    // while nothing has moved, so even a marked word that
+                    // is no object start is unmarked where it was marked.
+                    mem.set_header(obj, mem.header(obj).with_marked(false));
                 }
             } else if item < marked_chunks + new_chunks {
                 let lo = (item - marked_chunks) * UPDATE_CHUNK;
@@ -1094,9 +1152,7 @@ impl UpdatePhase<'_> {
                             .reloc(&mut sink, Oop::ZERO, DanglingSlot::Symbol, o)
                     }),
                     _ => {
-                        let mut table = mem.entry_table.lock();
-                        table.retain(|&obj| mem.header(obj).is_marked());
-                        for entry in table.iter_mut() {
+                        for entry in mem.entry_table.lock().iter_mut() {
                             *entry =
                                 self.rel
                                     .reloc(&mut sink, Oop::ZERO, DanglingSlot::Entry, *entry);
@@ -1108,7 +1164,6 @@ impl UpdatePhase<'_> {
         let mut m = self.merge.lock().unwrap();
         m.recs.append(&mut sink.recs);
         m.count += sink.count;
-        m.relocated_marks.append(&mut relocated);
     }
 
     fn update_object(&self, obj: Oop, sink: &mut ReportSink) {
@@ -1119,60 +1174,6 @@ impl UpdatePhase<'_> {
         }
         let class = mem.class_of(obj);
         mem.set_class(obj, self.rel.reloc(sink, obj, DanglingSlot::Class, class));
-    }
-}
-
-/// Shared state for the (optionally parallel) move phase: workers claim
-/// whole chunk-runs — precut by the plan walk to be mutually independent —
-/// and slide each run's entries in address order.
-struct MovePhase<'a> {
-    mem: &'a ObjectMemory,
-    map: &'a [MapEntry],
-    chunks: Vec<(usize, usize)>,
-    cursor: AtomicUsize,
-}
-
-impl MovePhase<'_> {
-    fn run_worker(&self) {
-        loop {
-            let c = self.cursor.fetch_add(1, Ordering::SeqCst);
-            if c >= self.chunks.len() {
-                break;
-            }
-            let (lo, hi) = self.chunks[c];
-            for e in &self.map[lo..hi] {
-                if e.from != e.to {
-                    for i in 0..e.total {
-                        self.mem.set_word(e.to + i, self.mem.word(e.from + i));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Shared state for the (optionally parallel) mark-clear phase: relocated
-/// mark addresses are disjoint, so chunks of the list clear independently.
-struct ClearPhase<'a> {
-    mem: &'a ObjectMemory,
-    marks: Vec<Oop>,
-    cursor: AtomicUsize,
-}
-
-impl ClearPhase<'_> {
-    fn run_worker(&self) {
-        loop {
-            let c = self.cursor.fetch_add(1, Ordering::SeqCst);
-            let lo = c * UPDATE_CHUNK;
-            if lo >= self.marks.len() {
-                break;
-            }
-            let hi = (lo + UPDATE_CHUNK).min(self.marks.len());
-            for &obj in &self.marks[lo..hi] {
-                let h = self.mem.header(obj);
-                self.mem.set_header(obj, h.with_marked(false));
-            }
-        }
     }
 }
 
@@ -1925,6 +1926,124 @@ mod tests {
         assert!(target2.index() < old_target.index(), "old target slid down");
         assert_eq!(m.fetch(target2, 0).as_small_int(), 7, "contents intact");
         m.verify_heap().assert_clean();
+    }
+
+    /// The plan the tables replaced: a linear prefix sum over old space,
+    /// one `(from, to, total)` per marked object in address order. Kept as
+    /// the reference [`Relocator`]'s tables are checked against.
+    fn linear_plan(m: &ObjectMemory) -> Vec<(usize, usize, usize)> {
+        let mut plan = Vec::new();
+        let mut to = m.spaces().old_start;
+        let mut scan = to;
+        while scan < m.old_next_value() {
+            let h = m.header(Oop::from_index(scan));
+            let total = 2 + h.body_words();
+            if h.is_marked() {
+                plan.push((scan, to, total));
+                to += total;
+            }
+            scan += total;
+        }
+        plan
+    }
+
+    #[test]
+    fn table_forwarding_matches_linear_plan_for_every_word() {
+        let mut rng = mst_vkernel::SplitMix64::new(0x0016_B17A);
+        // Layout shapes the sizes must produce, counted to prove they did.
+        let (mut last_word_starts, mut exact_fills, mut straddlers) = (0, 0, 0);
+        let mut ragged_ends = 0;
+        for case in 0..48 {
+            let m = ObjectMemory::new(MemoryConfig {
+                old_words: 128 << 10,
+                eden_words: 4 << 10,
+                survivor_words: 2 << 10,
+                ..MemoryConfig::default()
+            });
+            bootstrap_minimal(&m);
+            let old_start = m.spaces().old_start;
+            let array = |body: usize| m.alloc_array_old(body).unwrap();
+            // Pads so the next header lands on bit `k` of a block (a pad
+            // object is at least its own two header words).
+            let pad_to = |k: usize| {
+                let at = (m.old_next_value() - old_start) % BLOCK_WORDS;
+                array((k + 2 * BLOCK_WORDS - at - 2) % BLOCK_WORDS);
+            };
+            pad_to(BLOCK_WORDS - 1);
+            array(rng.gen_range(0, 201) as usize); // header alone in its block
+            pad_to(0);
+            array(BLOCK_WORDS - 2); // exactly one block
+            for _ in 0..rng.gen_range(0, 600) {
+                array(rng.gen_range(0, 201) as usize);
+            }
+            let old_next = m.old_next_value();
+            ragged_ends += usize::from(!(old_next - old_start).is_multiple_of(BLOCK_WORDS));
+
+            // Mark sets: none, all, a dense prefix under a random tail,
+            // random. Every non-header word gets a distinct value, so a
+            // mis-slid word cannot go unnoticed.
+            let dense_below = match case % 4 {
+                1 => old_next,
+                2 => rng.gen_range(old_start as u64, old_next as u64) as usize,
+                _ => old_start,
+            };
+            let mut scan = old_start;
+            while scan < old_next {
+                let obj = Oop::from_index(scan);
+                let total = 2 + m.header(obj).body_words();
+                for at in scan + 1..scan + total {
+                    m.set_word(at, Oop::from_small_int(at as i64).raw());
+                }
+                if scan < dense_below || (case % 4 >= 2 && rng.gen_range(0, 2) == 0) {
+                    m.set_header(obj, m.header(obj).with_marked(true));
+                    let k = (scan - old_start) % BLOCK_WORDS;
+                    last_word_starts += usize::from(k == BLOCK_WORDS - 1);
+                    exact_fills += usize::from(k == 0 && total == BLOCK_WORDS);
+                    straddlers += usize::from(k + total > BLOCK_WORDS);
+                }
+                scan += total;
+            }
+            let snapshot: Vec<u64> = (old_start..old_next).map(|at| m.word(at)).collect();
+
+            let plan = linear_plan(&m);
+            let rel = Relocator::plan(&m);
+            let live_words: usize = plan.iter().map(|&(_, _, total)| total).sum();
+            assert_eq!(rel.live_words, live_words, "case {case}");
+            // Every word address of old space, and past its used end.
+            let mut next = plan.iter().peekable();
+            for at in old_start..old_next + 2 * BLOCK_WORDS {
+                let expected = next
+                    .next_if(|&&(from, _, _)| from == at)
+                    .map(|&(_, to, _)| Oop::from_index(to));
+                assert_eq!(
+                    rel.lookup(Oop::from_index(at)),
+                    expected,
+                    "case {case}: word {} of old space",
+                    at - old_start
+                );
+            }
+            for passes in [
+                Oop::from_small_int(7),
+                Oop::from_index(m.spaces().eden_start),
+            ] {
+                assert_eq!(
+                    rel.lookup(passes),
+                    Some(passes),
+                    "non-old oops pass through"
+                );
+            }
+
+            // And the slide the same tables drive lands every word.
+            rel.slide();
+            for &(from, to, total) in &plan {
+                let was = &snapshot[from - old_start..][..total];
+                for (i, &word) in was.iter().enumerate() {
+                    assert_eq!(m.word(to + i), word, "case {case}: word {i} of @{from}");
+                }
+            }
+        }
+        assert!(last_word_starts > 0 && exact_fills > 0 && straddlers > 0);
+        assert!(ragged_ends > 0);
     }
 
     #[test]

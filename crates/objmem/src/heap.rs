@@ -506,6 +506,25 @@ impl ObjectMemory {
         }
     }
 
+    /// Slides `n` words from `from` down to `to <= from`; the ranges may
+    /// overlap (the compactor's move: a run of survivors closing the gap
+    /// below it).
+    #[inline]
+    pub(crate) fn slide_words(&self, from: usize, to: usize, n: usize) {
+        assert!(to <= from, "heap slide must move down");
+        assert!(
+            from + n <= self.spaces.surv_b_end,
+            "heap slide out of range"
+        );
+        // SAFETY: both ranges lie inside the store (`to <= from` and the
+        // source end are asserted above); `ptr::copy` is memmove, so overlap
+        // is fine; synchronization per module docs.
+        unsafe {
+            let base = self.store.base();
+            std::ptr::copy(base.add(from), base.add(to), n);
+        }
+    }
+
     /// Atomic view of a heap word, for the parallel scavenger's CAS-installed
     /// forwarding and racing slot updates.
     #[inline]

@@ -54,7 +54,7 @@ fn push_event(out: &mut String, tid: u64, ev: &TraceEvent) {
 fn push_process_name(out: &mut String) {
     let _ = write!(
         out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{TRACE_PID},\
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{TRACE_PID},\"tid\":0,\
          \"args\":{{\"name\":\"{}\"}}}}",
         escape(TRACE_PROCESS_NAME)
     );
@@ -74,20 +74,13 @@ fn push_thread_name(out: &mut String, tid: u64, name: &str) {
 pub fn events_to_json(threads: &[(u64, &str, &[TraceEvent])]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     push_process_name(&mut out);
-    let mut first = false;
     for (tid, name, _) in threads {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+        out.push(',');
         push_thread_name(&mut out, *tid, name);
     }
     for (tid, _, events) in threads {
         for ev in *events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
+            out.push(',');
             push_event(&mut out, *tid, ev);
         }
     }
@@ -196,8 +189,17 @@ mod tests {
                 .and_then(Json::as_str),
             Some("p0:interp")
         );
+        // What `trace --smoke` requires of every event, metadata included...
+        for ev in evs {
+            for key in ["name", "ph", "pid", "tid", "args"] {
+                assert!(ev.get(key).is_some(), "event missing required key {key}");
+            }
+        }
+        assert_eq!(pmeta.get("tid").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(tmeta.get("tid").and_then(Json::as_f64), Some(7.0));
+        // ...and of the non-metadata ones besides.
         for ev in &evs[2..] {
-            for key in ["name", "cat", "ph", "ts", "pid", "tid", "args"] {
+            for key in ["cat", "ts"] {
                 assert!(ev.get(key).is_some(), "event missing required key {key}");
             }
         }
