@@ -22,8 +22,7 @@
 //!
 //! The run **fails** (exit 1) on any verification miss or if the armed
 //! fault never fired. Writes `BENCH_recover.json` (`mst-bench-rows/1`)
-//! with recovery-time p50/p99, gated by `benchcmp` against
-//! `baselines/BENCH_recover.json`.
+//! with recovery-time p50/p99.
 
 use std::collections::BTreeMap;
 use std::time::Duration;

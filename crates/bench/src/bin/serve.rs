@@ -22,8 +22,7 @@
 //! 2× the fault-free p99 (with a 10 ms floor so the trivial-doit baseline
 //! does not turn scheduler jitter on shared CI runners into a flake).
 //!
-//! Writes `BENCH_serve.json` (`mst-bench-rows/1`), whose ns rows the
-//! standing `benchcmp` gate compares against `baselines/BENCH_serve.json`.
+//! Writes `BENCH_serve.json` (`mst-bench-rows/1`).
 
 use std::time::Duration;
 

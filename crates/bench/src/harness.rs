@@ -274,8 +274,7 @@ fn micro_results() -> &'static Mutex<Vec<(String, MicroResult)>> {
 
 /// Writes all recorded micro-benchmark results on the shared
 /// `mst-bench-rows/1` row schema (two `ns` rows per benchmark:
-/// `<group>/<name>.wall_ns` and `.cpu_ns`), for CI artifacts and
-/// `benchcmp` regression diffing.
+/// `<group>/<name>.wall_ns` and `.cpu_ns`), for CI artifacts.
 pub fn write_micro_json(path: &str) -> std::io::Result<()> {
     let results = micro_results().lock().unwrap_or_else(|p| p.into_inner());
     let mut rows = Vec::with_capacity(results.len() * 2);

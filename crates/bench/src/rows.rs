@@ -1,19 +1,17 @@
 //! The one place `BENCH_*.json` artifacts are written.
 //!
-//! Every bench binary used to invent its own JSON shape; `benchcmp` (and
-//! any other diffing tool) then needed one parser per artifact. All
-//! writers now funnel through [`write_rows`], emitting the shared
-//! `mst-bench-rows/1` schema:
+//! All writers funnel through [`write_rows`], emitting the shared
+//! `mst-bench-rows/1` schema, so one parser reads every artifact:
 //!
 //! ```json
 //! {"schema":"mst-bench-rows/1","bench":"gcbench","meta":{"cores":"4"},
 //!  "rows":[{"name":"scavenge.h1.best_ns","value":104000,"unit":"ns","n":15}]}
 //! ```
 //!
-//! Rows with `unit == "ns"` are lower-is-better durations — the ones
-//! `benchcmp` gates; other units (`count`, `pct`, …) ride along as
-//! context. `PROFILE.json` embeds the identical row shape (see
-//! [`mst_telemetry::profile`]), so one comparison tool covers everything.
+//! Rows with `unit == "ns"` are lower-is-better durations; other units
+//! (`count`, `pct`, …) ride along as context. `PROFILE.json` embeds the
+//! identical row shape (see [`mst_telemetry::profile`]). Speed claims are
+//! decided by `benchmark/`'s paired `compare`, not by these artifacts.
 
 use mst_telemetry::profile::{row_json, Row, ROWS_SCHEMA};
 

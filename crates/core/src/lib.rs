@@ -28,7 +28,10 @@ pub use mst_objmem::SnapshotTemplate;
 use mst_objmem::{AllocPolicy, MemoryConfig, ObjectMemory, Oop, RootHandle, So};
 use mst_vkernel::{spawn_lightweight, LightweightHandle, Processor, RendezvousGuard, SyncMode};
 
+pub mod env;
 pub mod testing;
+
+pub use env::RuntimeEnv;
 
 /// The four system states measured in the paper's Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,20 +132,20 @@ pub struct MsConfig {
     pub memory: MemoryConfig,
     /// Bytecodes between safepoint polls.
     pub quantum: u32,
-    /// Record trace events ([`mst_telemetry::trace`]) while this system
-    /// runs. Off by default: the disabled path is one branch on a relaxed
-    /// atomic. Setting `MST_TRACE=1` in the environment also enables
-    /// tracing at [`MsSystem::try_new`], regardless of this flag.
+    /// Record trace events ([`mst_telemetry::trace`]) from this system's
+    /// boot on. Off by default: the disabled path is one branch on a
+    /// relaxed atomic. Tracing is process-global and only ever switched
+    /// on; the environment can switch it on too (README.md § Configuration
+    /// has every variable and the precedence rule).
     pub trace: bool,
     /// Fault injection ([`mst_vkernel::fault`]). `None` (the default)
-    /// leaves the process-global chaos registry alone, except that the
-    /// `MST_CHAOS=<seed>:<rate>[:<sites>]` environment variable may arm it
-    /// at [`MsSystem::try_new`]. `Some` installs the given configuration.
-    /// Disabled injection costs one branch on a relaxed atomic per site.
+    /// leaves the process-global chaos registry alone; `Some` installs the
+    /// given configuration at boot. Disabled injection costs one branch on
+    /// a relaxed atomic per site.
     pub chaos: Option<mst_vkernel::fault::ChaosConfig>,
     /// What the processor supervisor does when a worker interpreter
     /// panics: restart it in place, degrade to the survivors (the
-    /// default), or rethrow. The default honours `MST_SUPERVISOR_POLICY`.
+    /// default), or rethrow.
     pub supervisor: SupervisorPolicy,
 }
 
@@ -155,7 +158,7 @@ impl Default for MsConfig {
             quantum: 1024,
             trace: false,
             chaos: None,
-            supervisor: SupervisorPolicy::from_env(),
+            supervisor: SupervisorPolicy::default(),
         }
     }
 }
@@ -175,6 +178,16 @@ impl MsConfig {
             strategies,
             processors,
             ..MsConfig::default()
+        }
+    }
+
+    /// `memory` with the sync and allocation strategies written into it:
+    /// the one place [`Strategies`] is mapped onto a [`MemoryConfig`].
+    pub fn memory_config(&self) -> MemoryConfig {
+        MemoryConfig {
+            sync: self.strategies.sync,
+            alloc_policy: self.strategies.alloc,
+            ..self.memory
         }
     }
 }
@@ -283,47 +296,49 @@ impl MsSystem {
 
     /// Like [`new`](Self::new) but surfacing bootstrap errors.
     pub fn try_new(config: MsConfig) -> Result<MsSystem, BootstrapError> {
-        // Tracing is process-global and only ever switched ON here: systems
-        // run concurrently in tests, so one asking for a trace must not
-        // silence another's.
-        if config.trace {
-            mst_telemetry::set_enabled(true);
-        } else {
-            mst_telemetry::init_from_env();
-        }
-        // Per-processor state timelines are opt-in the same way
-        // (`MST_TIMELINE=1`); profile harnesses enable them directly.
-        mst_telemetry::timeline::init_from_env();
-        // Fault injection follows the same pattern: an explicit config
-        // wins; otherwise MST_CHAOS may arm the process-global registry.
-        if let Some(chaos) = config.chaos {
-            mst_vkernel::fault::install(chaos);
-        } else {
-            mst_vkernel::fault::init_from_env();
-        }
-        let mut memory = config.memory;
-        memory.sync = config.strategies.sync;
-        memory.alloc_policy = config.strategies.alloc;
+        let mem = ObjectMemory::new(config.memory_config());
+        mst_image::build_image(&mem)?;
+        Ok(MsSystem::boot(mem, config, RuntimeEnv::process()))
+    }
+
+    /// The one boot path: wraps a populated object memory in a VM and
+    /// starts the interpreters. The only place `config.trace` and
+    /// `config.chaos` are applied and the only place the environment is
+    /// overlaid, by one rule — a variable that is set overrides the
+    /// corresponding value for this boot.
+    fn boot(mut mem: ObjectMemory, mut config: MsConfig, env: &RuntimeEnv) -> MsSystem {
+        env::arm(config.trace, config.chaos);
+        config.supervisor = env.supervisor_policy.unwrap_or(config.supervisor);
+        mem.set_collector(env.gc_threads, env.full_gc);
         let options = VmOptions {
-            sync: config.strategies.sync,
-            memory,
+            memory: *mem.config(),
             cache_policy: config.strategies.cache,
             context_policy: config.strategies.free_contexts,
             processors: config.processors,
             quantum: config.quantum,
         };
-        let vm = Arc::new(Vm::new(options));
-        mst_image::build_image(&vm.mem)?;
-        let main = Interpreter::new(Arc::clone(&vm));
+        let vm = Arc::new(Vm::with_memory(mem, options));
+        if let Some(ms) = env.watchdog_ms {
+            vm.rendezvous.set_watchdog(ms);
+        }
+        if let Some(policy) = env.watchdog_policy {
+            vm.rendezvous.set_watchdog_policy(policy);
+        }
+        if let Some(path) = &env.watchdog_dump {
+            vm.rendezvous.set_watchdog_dump(path);
+        }
+        if let Some(path) = &env.supervisor_checkpoint {
+            vm.set_supervisor_checkpoint(path);
+        }
         let mut system = MsSystem {
+            main: Interpreter::new(Arc::clone(&vm)),
             vm,
             config,
-            main,
             workers: Vec::new(),
             background: Vec::new(),
         };
         system.start_workers();
-        Ok(system)
+        system
     }
 
     fn start_workers(&mut self) {
@@ -598,11 +613,17 @@ impl MsSystem {
         &self,
         w: &mut impl std::io::Write,
     ) -> Result<(), mst_objmem::SnapshotError> {
+        self.with_snapshot_ready(|mem| mem.save_snapshot(w))
+    }
+
+    /// Runs `save` on the stopped world, eden emptied and the
+    /// `activeProcess` slot cleared.
+    fn with_snapshot_ready<R>(&self, save: impl FnOnce(&ObjectMemory) -> R) -> R {
         self.with_world(|vm| {
-            vm.mem.scavenge(); // snapshot with an empty eden
+            vm.mem.scavenge();
             vm.bump_cache_epoch();
             scheduler::set_active_process_slot(&vm.mem, vm.mem.nil());
-            vm.mem.save_snapshot(w)
+            save(&vm.mem)
         })
     }
 
@@ -617,12 +638,7 @@ impl MsSystem {
         &self,
         path: &std::path::Path,
     ) -> Result<(), mst_objmem::SnapshotError> {
-        self.with_world(|vm| {
-            vm.mem.scavenge(); // snapshot with an empty eden
-            vm.bump_cache_epoch();
-            scheduler::set_active_process_slot(&vm.mem, vm.mem.nil());
-            vm.mem.save_snapshot_to_path(path)
-        })
+        self.with_snapshot_ready(|mem| mem.save_snapshot_to_path(path))
     }
 
     /// Boots a system from a snapshot file written by
@@ -660,29 +676,8 @@ impl MsSystem {
         r: &mut impl std::io::Read,
         config: MsConfig,
     ) -> Result<MsSystem, mst_objmem::SnapshotError> {
-        let mut memory = config.memory;
-        memory.sync = config.strategies.sync;
-        memory.alloc_policy = config.strategies.alloc;
-        let mem = ObjectMemory::load_snapshot(r, memory)?;
-        let options = VmOptions {
-            sync: config.strategies.sync,
-            memory,
-            cache_policy: config.strategies.cache,
-            context_policy: config.strategies.free_contexts,
-            processors: config.processors,
-            quantum: config.quantum,
-        };
-        let vm = Arc::new(Vm::with_memory(mem, options));
-        let main = Interpreter::new(Arc::clone(&vm));
-        let mut system = MsSystem {
-            vm,
-            config,
-            main,
-            workers: Vec::new(),
-            background: Vec::new(),
-        };
-        system.start_workers();
-        Ok(system)
+        let mem = ObjectMemory::load_snapshot(r, config.memory_config())?;
+        Ok(MsSystem::boot(mem, config, RuntimeEnv::process()))
     }
 
     /// Reads and validates a snapshot file as a reusable
@@ -697,10 +692,7 @@ impl MsSystem {
         path: &std::path::Path,
         config: MsConfig,
     ) -> Result<SnapshotTemplate, mst_objmem::SnapshotError> {
-        let mut memory = config.memory;
-        memory.sync = config.strategies.sync;
-        memory.alloc_policy = config.strategies.alloc;
-        SnapshotTemplate::from_path(path, memory)
+        SnapshotTemplate::from_path(path, config.memory_config())
     }
 
     /// Boots a fresh, fully independent system from a shared
@@ -717,25 +709,7 @@ impl MsSystem {
         config: MsConfig,
     ) -> Result<MsSystem, mst_objmem::SnapshotError> {
         let mem = template.instantiate()?;
-        let options = VmOptions {
-            sync: config.strategies.sync,
-            memory: template.config(),
-            cache_policy: config.strategies.cache,
-            context_policy: config.strategies.free_contexts,
-            processors: config.processors,
-            quantum: config.quantum,
-        };
-        let vm = Arc::new(Vm::with_memory(mem, options));
-        let main = Interpreter::new(Arc::clone(&vm));
-        let mut system = MsSystem {
-            vm,
-            config,
-            main,
-            workers: Vec::new(),
-            background: Vec::new(),
-        };
-        system.start_workers();
-        Ok(system)
+        Ok(MsSystem::boot(mem, config, RuntimeEnv::process()))
     }
 
     /// Runs a [`Prepared`] doit under a wall-clock deadline: if the doit is
@@ -832,12 +806,10 @@ impl MsSystem {
         self.with_world(|vm| vm.mem.verify_heap())
     }
 
-    /// Stops every interpreter and joins the worker threads.
-    pub fn shutdown(mut self) {
-        self.vm.shutdown();
-        for w in self.workers.drain(..) {
-            w.join();
-        }
+    /// Stops every interpreter and joins the worker threads (what dropping
+    /// the system does).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -928,6 +900,35 @@ mod tests {
             Value::Str("survives compaction".into())
         );
         assert_eq!(ms.evaluate("2 + 2").unwrap(), Value::Int(4));
+    }
+
+    #[test]
+    fn an_env_override_replaces_its_value_on_a_template_boot_and_nothing_else() {
+        let config = small_config();
+        let mut image = Vec::new();
+        MsSystem::new(config).save_snapshot(&mut image).unwrap();
+        let template = SnapshotTemplate::from_bytes(image, config.memory_config()).unwrap();
+        let full_gc = mst_objmem::FullGcMode::Incremental { slice_words: 512 };
+        let env = RuntimeEnv {
+            gc_threads: Some(3),
+            full_gc: Some(full_gc),
+            supervisor_policy: Some(SupervisorPolicy::Restart),
+            ..RuntimeEnv::default()
+        };
+        let mut ms = MsSystem::boot(template.instantiate().unwrap(), config, &env);
+        let memory = MemoryConfig {
+            gc_helpers: 3,
+            full_gc_mode: full_gc,
+            ..template.config()
+        };
+        assert_eq!(*ms.mem().config(), memory);
+        assert_eq!(ms.vm().options.memory, memory);
+        let expected = MsConfig {
+            supervisor: SupervisorPolicy::Restart,
+            ..config
+        };
+        assert_eq!(format!("{:?}", ms.config()), format!("{expected:?}"));
+        assert_eq!(ms.evaluate("3 + 4").unwrap(), Value::Int(7));
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl Interpreter {
         let epoch = vm.mem.gc_epoch();
         let proc_root = vm.mem.new_root(Oop::ZERO);
         let free = Arc::new(mst_vkernel::SpinMutex::new(
-            vm.options.sync,
+            vm.options.memory.sync,
             FreeLists::default(),
         ));
         // Sever this interpreter's recycling chains before any full

@@ -368,15 +368,20 @@ mod tests {
     use std::sync::Arc;
 
     fn test_vm() -> Arc<Vm> {
-        let vm = Arc::new(Vm::new(VmOptions {
-            memory: MemoryConfig {
-                old_words: 64 << 10,
-                eden_words: 16 << 10,
-                survivor_words: 8 << 10,
-                ..MemoryConfig::default()
-            },
-            ..VmOptions::default()
-        }));
+        let memory = MemoryConfig {
+            old_words: 64 << 10,
+            eden_words: 16 << 10,
+            survivor_words: 8 << 10,
+            ..MemoryConfig::default()
+        };
+        let options = VmOptions {
+            memory,
+            cache_policy: crate::CachePolicy::Replicated,
+            context_policy: crate::FreeListPolicy::Replicated,
+            processors: 5,
+            quantum: 1024,
+        };
+        let vm = Arc::new(Vm::with_memory(ObjectMemory::new(memory), options));
         let mem = &vm.mem;
         let nil = mem
             .allocate_old(Oop::ZERO, ObjFormat::Pointers, 0, 0)

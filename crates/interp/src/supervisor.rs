@@ -18,8 +18,8 @@
 //!   processor and keep going;
 //! * **degrade** (default) — take the processor offline and continue on
 //!   N−1 processors; when the *last* supervised processor degrades, a
-//!   checkpoint snapshot is written to `MST_SUPERVISOR_CHECKPOINT` (if
-//!   set) as the restart path;
+//!   checkpoint snapshot is written to the file named by
+//!   [`Vm::set_supervisor_checkpoint`] (if any) as the restart path;
 //! * **panic** — rethrow, failing fast (for harnesses that want a crash).
 //!
 //! Every recovery emits `supervisor.*` telemetry counters and a
@@ -57,18 +57,6 @@ impl std::str::FromStr for SupervisorPolicy {
             "panic" => Ok(SupervisorPolicy::Panic),
             _ => Err(()),
         }
-    }
-}
-
-impl SupervisorPolicy {
-    /// The policy from `MST_SUPERVISOR_POLICY` (`restart`|`degrade`|`panic`),
-    /// defaulting to [`Degrade`](SupervisorPolicy::Degrade) when unset or
-    /// unparsable.
-    pub fn from_env() -> SupervisorPolicy {
-        std::env::var("MST_SUPERVISOR_POLICY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default()
     }
 }
 
@@ -146,15 +134,14 @@ pub fn supervise(vm: Arc<Vm>, processor: usize, policy: SupervisorPolicy) {
     }
 }
 
-/// Degrade-path last resort: when `MST_SUPERVISOR_CHECKPOINT` names a file,
-/// stop the world, scavenge, and write a crash-consistent snapshot there.
+/// Degrade-path last resort: when [`Vm::set_supervisor_checkpoint`] named a
+/// file, stop the world, scavenge, and write a crash-consistent snapshot
+/// there.
 fn checkpoint_if_configured(vm: &Vm) {
-    let Ok(path) = std::env::var("MST_SUPERVISOR_CHECKPOINT") else {
+    let Some(file) = vm.supervisor_checkpoint.lock().clone() else {
         return;
     };
-    if path.is_empty() {
-        return;
-    }
+    let path = file.display();
     let _span = tel::span("supervisor.checkpoint", "supervisor");
     let me = vm.rendezvous.participant();
     let guard = me.stop_world();
@@ -165,13 +152,13 @@ fn checkpoint_if_configured(vm: &Vm) {
     // process winds down, and transient I/O (ENOSPC races, interrupted
     // writes) is exactly what the temp+rename save can survive a second
     // attempt at. Failures are counted, not just buried in the error log.
-    let mut result = vm.mem.save_snapshot_to_path(std::path::Path::new(&path));
+    let mut result = vm.mem.save_snapshot_to_path(&file);
     if let Err(first) = result {
         tel::counter("supervisor.checkpoint_failures").incr();
         vm.error_log
             .lock()
             .push(format!("supervisor: checkpoint to {path} failed: {first}"));
-        result = vm.mem.save_snapshot_to_path(std::path::Path::new(&path));
+        result = vm.mem.save_snapshot_to_path(&file);
     }
     match result {
         Ok(()) => {

@@ -5,13 +5,14 @@
 //! serialized devices, and the policy knobs corresponding to the paper's
 //! three adaptation strategies.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mst_objmem::{MemoryConfig, ObjectMemory};
 use mst_telemetry as tel;
 use mst_vkernel::io::{Display, InputQueue};
-use mst_vkernel::{Rendezvous, SpinLock, SpinMutex, SyncMode};
+use mst_vkernel::{Rendezvous, SpinLock, SpinMutex};
 
 use crate::cache::GlobalCache;
 
@@ -50,9 +51,8 @@ pub enum FreeListPolicy {
 /// All the policy knobs for building a [`Vm`].
 #[derive(Debug, Clone, Copy)]
 pub struct VmOptions {
-    /// Baseline BS (no interlocking) or MS.
-    pub sync: SyncMode,
-    /// Object-memory sizing; its `sync` field should match `sync`.
+    /// Object-memory sizing; its `sync` field (baseline BS or MS) is the
+    /// whole VM's synchronization mode.
     pub memory: MemoryConfig,
     /// Method-cache strategy.
     pub cache_policy: CachePolicy,
@@ -62,19 +62,6 @@ pub struct VmOptions {
     pub processors: usize,
     /// Bytecodes between safepoint polls.
     pub quantum: u32,
-}
-
-impl Default for VmOptions {
-    fn default() -> Self {
-        VmOptions {
-            sync: SyncMode::Multiprocessor,
-            memory: MemoryConfig::default(),
-            cache_policy: CachePolicy::Replicated,
-            context_policy: FreeListPolicy::Replicated,
-            processors: 5, // the Firefly
-            quantum: 1024,
-        }
-    }
 }
 
 /// One supervised virtual processor's health, as tracked by the processor
@@ -185,6 +172,9 @@ pub struct Vm {
     /// safepoint *inside* the watched doit (the serving layer's
     /// `serve.panic` mid-doit fault).
     pub(crate) doit_panic: AtomicBool,
+    /// Where the supervisor's degrade path checkpoints the image, if
+    /// anywhere (see `supervisor::checkpoint_if_configured`).
+    pub(crate) supervisor_checkpoint: SpinMutex<Option<PathBuf>>,
 }
 
 impl std::fmt::Debug for Vm {
@@ -197,18 +187,11 @@ impl std::fmt::Debug for Vm {
 }
 
 impl Vm {
-    /// Builds a VM with fresh object memory.
-    pub fn new(options: VmOptions) -> Vm {
-        let mut memory = options.memory;
-        memory.sync = options.sync;
-        let mem = ObjectMemory::new(memory);
-        Vm::with_memory(mem, options)
-    }
-
-    /// Builds a VM around existing object memory (e.g. a loaded snapshot).
+    /// Builds a VM around an object memory (fresh, or a loaded snapshot).
     pub fn with_memory(mem: ObjectMemory, options: VmOptions) -> Vm {
+        let sync = options.memory.sync;
         let shared_free = Arc::new(SpinMutex::named(
-            options.sync,
+            sync,
             "free_contexts",
             crate::contexts::FreeLists::default(),
         ));
@@ -228,26 +211,33 @@ impl Vm {
         Vm {
             mem,
             rendezvous: Rendezvous::new(),
-            sched_lock: SpinLock::named(options.sync, "sched"),
-            display: Display::new(options.sync, 640, 480),
-            input: InputQueue::new(options.sync, 256),
+            sched_lock: SpinLock::named(sync, "sched"),
+            display: Display::new(sync, 640, 480),
+            input: InputQueue::new(sync, 256),
             options,
             run_flag: AtomicBool::new(true),
             preempt_hint: AtomicI64::new(0),
             counters: AtomicCounters::default(),
-            error_log: SpinMutex::new(options.sync, Vec::new()),
-            transcript: SpinMutex::new(options.sync, String::new()),
+            error_log: SpinMutex::new(sync, Vec::new()),
+            transcript: SpinMutex::new(sync, String::new()),
             cache_epoch: AtomicU64::new(0),
             start: std::time::Instant::now(),
-            global_cache: GlobalCache::new(options.sync),
+            global_cache: GlobalCache::new(sync),
             shared_free,
-            reserved: SpinMutex::new(options.sync, None),
+            reserved: SpinMutex::new(sync, None),
             low_space: AtomicBool::new(false),
             next_interp_id: AtomicU64::new(0),
-            roster: SpinMutex::new(options.sync, Vec::new()),
+            roster: SpinMutex::new(sync, Vec::new()),
             deadline_ns: AtomicU64::new(0),
             doit_panic: AtomicBool::new(false),
+            supervisor_checkpoint: SpinMutex::new(sync, None),
         }
+    }
+
+    /// Names the file the supervisor checkpoints the image to when the
+    /// last supervised processor degrades (none by default).
+    pub fn set_supervisor_checkpoint(&self, path: impl Into<PathBuf>) {
+        *self.supervisor_checkpoint.lock() = Some(path.into());
     }
 
     /// Snapshot of the aggregated execution counters (merged across the

@@ -95,10 +95,9 @@ pub struct MemoryConfig {
     /// Scavenge-survival count after which an object is tenured.
     pub tenure_age: u8,
     /// Threads (including the leader) a scavenge may use; `1` is the same
-    /// scavenger with nobody helping. Defaulted from `MST_GC_THREADS`.
+    /// scavenger with nobody helping.
     pub gc_helpers: usize,
     /// Full-collection scheduling (monolithic vs incremental marking).
-    /// Defaulted from `MST_FULLGC`.
     pub full_gc_mode: FullGcMode,
 }
 
@@ -111,20 +110,10 @@ impl Default for MemoryConfig {
             sync: SyncMode::Multiprocessor,
             alloc_policy: AllocPolicy::SharedEden,
             tenure_age: 3,
-            gc_helpers: gc_helpers_from_env(),
-            full_gc_mode: full_gc_mode_from_env(),
+            gc_helpers: 1,
+            full_gc_mode: FullGcMode::Stw,
         }
     }
-}
-
-/// The `MST_GC_THREADS` setting, defaulting to 1 (the leader scavenges
-/// alone) when unset or unparsable. Zero is clamped to 1.
-pub fn gc_helpers_from_env() -> usize {
-    std::env::var("MST_GC_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
 }
 
 /// How the mark phase of a full collection is scheduled.
@@ -146,23 +135,23 @@ pub enum FullGcMode {
 /// Default mark-slice budget for [`FullGcMode::Incremental`], in words.
 pub const DEFAULT_MARK_SLICE_WORDS: usize = 32 << 10;
 
-/// The `MST_FULLGC` setting: `incremental` or `incremental:<words>` selects
-/// sliced marking (with an optional per-slice word budget, floored at 256);
-/// anything else — including unset — is the monolithic default.
-pub fn full_gc_mode_from_env() -> FullGcMode {
-    let Ok(v) = std::env::var("MST_FULLGC") else {
-        return FullGcMode::Stw;
-    };
-    let v = v.trim();
-    if let Some(rest) = v.strip_prefix("incremental") {
-        let slice_words = rest
-            .strip_prefix(':')
-            .and_then(|w| w.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MARK_SLICE_WORDS)
-            .max(256);
-        FullGcMode::Incremental { slice_words }
-    } else {
-        FullGcMode::Stw
+impl std::str::FromStr for FullGcMode {
+    type Err = ();
+
+    /// `stw`, `incremental` or `incremental:<words>` (the per-slice word
+    /// budget, floored at 256).
+    fn from_str(s: &str) -> Result<FullGcMode, ()> {
+        let slice_words = match s {
+            "stw" => return Ok(FullGcMode::Stw),
+            "incremental" => DEFAULT_MARK_SLICE_WORDS,
+            _ => s
+                .strip_prefix("incremental:")
+                .and_then(|w| w.parse::<usize>().ok())
+                .ok_or(())?,
+        };
+        Ok(FullGcMode::Incremental {
+            slice_words: slice_words.max(256),
+        })
     }
 }
 
@@ -439,6 +428,14 @@ impl ObjectMemory {
     /// The configuration this memory was built with.
     pub fn config(&self) -> &MemoryConfig {
         &self.config
+    }
+
+    /// Overrides the collector knobs that are `Some` — the only part of the
+    /// configuration not baked into the heap layout. Takes `&mut self`: only
+    /// the owner of a memory no interpreter shares yet may call it.
+    pub fn set_collector(&mut self, gc_helpers: Option<usize>, mode: Option<FullGcMode>) {
+        self.config.gc_helpers = gc_helpers.unwrap_or(self.config.gc_helpers);
+        self.config.full_gc_mode = mode.unwrap_or(self.config.full_gc_mode);
     }
 
     /// The space boundaries.
@@ -1264,6 +1261,18 @@ impl ObjectMemory {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    #[test]
+    fn full_gc_mode_parses() {
+        let incremental = |slice_words| Ok(FullGcMode::Incremental { slice_words });
+        assert_eq!("stw".parse(), Ok(FullGcMode::Stw));
+        assert_eq!("incremental".parse(), incremental(DEFAULT_MARK_SLICE_WORDS));
+        assert_eq!("incremental:4096".parse(), incremental(4096));
+        assert_eq!("incremental:8".parse(), incremental(256));
+        for bad in ["", "monolithic", "incremental:", "incremental:many"] {
+            assert_eq!(bad.parse::<FullGcMode>(), Err(()), "{bad:?}");
+        }
+    }
 
     fn small_mem() -> ObjectMemory {
         let mem = ObjectMemory::new(MemoryConfig {

@@ -44,8 +44,8 @@ mod verify;
 pub use fullgc::{DanglingRef, DanglingSlot, FullGcOutcome, FullGcReport};
 pub use header::{Header, ObjFormat, MAX_AGE, MAX_BODY_WORDS};
 pub use heap::{
-    full_gc_mode_from_env, gc_helpers_from_env, AllocPolicy, AllocToken, FullGcMode, GcStats,
-    MemoryConfig, ObjectMemory, OomError, RootHandle, Spaces, DEFAULT_MARK_SLICE_WORDS,
+    AllocPolicy, AllocToken, FullGcMode, GcStats, MemoryConfig, ObjectMemory, OomError, RootHandle,
+    Spaces, DEFAULT_MARK_SLICE_WORDS,
 };
 pub use method::MethodHeader;
 pub use oop::Oop;

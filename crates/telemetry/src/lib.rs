@@ -28,7 +28,7 @@
 //!   (roots, copy/mark, termination, plan, update, move) with per-helper
 //!   work and steal counts.
 //! * [`profile`] — versioned [`ProfileReport`] snapshots (`PROFILE.json`)
-//!   embedding normalized `{name, value, unit, n}` rows for `benchcmp`.
+//!   embedding normalized `{name, value, unit, n}` rows.
 //! * [`report`] — a human-readable `vmstat`-style text report of every
 //!   registered counter and histogram, plus the utilization and
 //!   pause-attribution tables.
@@ -68,6 +68,4 @@ pub use pauselog::GcPause;
 pub use profile::{ProfileReport, Row};
 pub use registry::{counter, histogram};
 pub use timeline::{enter_state, ProcState, ProcTimeline};
-pub use trace::{
-    enabled, init_from_env, instant, now_ns, set_enabled, span, Span, TraceEvent, TracePhase,
-};
+pub use trace::{enabled, instant, now_ns, set_enabled, span, Span, TraceEvent, TracePhase};

@@ -5,8 +5,8 @@
 //! and GC pause log into a [`ProfileReport`], serializable to the
 //! `PROFILE.json` schema (`mst-profile/1`). The report embeds a normalized
 //! `rows` array — the same `{name, value, unit, n}` row shape the
-//! `BENCH_*.json` artifacts use — so one comparison tool (`benchcmp`) can
-//! gate every artifact the tree produces.
+//! `BENCH_*.json` artifacts use — so every artifact the tree produces reads
+//! the same way.
 
 use std::fmt::Write as _;
 
@@ -20,9 +20,8 @@ pub const PROFILE_SCHEMA: &str = "mst-profile/1";
 /// Schema tag shared by all row-based bench artifacts.
 pub const ROWS_SCHEMA: &str = "mst-bench-rows/1";
 
-/// One normalized measurement row: the unit of comparison for `benchcmp`.
-/// `unit == "ns"` marks a lower-is-better duration eligible for regression
-/// gating; other units (`pct`, `count`, …) are informational.
+/// One normalized measurement row. `unit == "ns"` marks a lower-is-better
+/// duration; other units (`pct`, `count`, …) are informational.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Row {
     pub name: String,
@@ -58,7 +57,7 @@ pub fn row_json(row: &Row) -> String {
 
 /// Formats an `f64` so `json::parse` round-trips it (always with a decimal
 /// point or exponent, never `NaN`/`inf` — those become 0).
-pub fn fmt_f64(v: f64) -> String {
+fn fmt_f64(v: f64) -> String {
     if !v.is_finite() {
         return "0".to_string();
     }

@@ -130,18 +130,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Relaxed)
 }
 
-/// Turns timeline accounting on or off (also see `MST_TIMELINE`).
+/// Turns timeline accounting on or off.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
-}
-
-/// Enables the timeline when `MST_TIMELINE` is `1`/`true`/`on`.
-pub fn init_from_env() {
-    if let Ok(v) = std::env::var("MST_TIMELINE") {
-        if matches!(v.as_str(), "1" | "true" | "on") {
-            set_enabled(true);
-        }
-    }
 }
 
 /// Closes the open interval of `proc` (accumulating into its current state)

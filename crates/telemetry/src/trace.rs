@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Default ring capacity, in events, per thread (`MST_TRACE_RING` overrides).
+/// Ring capacity, in events, per thread.
 pub const DEFAULT_RING_CAP: usize = 65_536;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -36,17 +36,6 @@ pub fn enabled() -> bool {
 /// Turns event recording on or off.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Enables tracing if the `MST_TRACE` environment variable is set to
-/// anything but `0` or the empty string. Returns the resulting state.
-pub fn init_from_env() -> bool {
-    if let Some(v) = std::env::var_os("MST_TRACE") {
-        if !v.is_empty() && v != "0" {
-            set_enabled(true);
-        }
-    }
-    enabled()
 }
 
 /// Monotonic nanoseconds since the first telemetry call in this process.
@@ -181,14 +170,6 @@ fn rings() -> &'static Mutex<Vec<Arc<ThreadRing>>> {
     RINGS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn ring_cap() -> usize {
-    std::env::var("MST_TRACE_RING")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_RING_CAP)
-        .max(16)
-}
-
 fn my_ring<R>(f: impl FnOnce(&ThreadRing) -> R) -> R {
     MY_RING.with(|cell| {
         let ring = cell.get_or_init(|| {
@@ -197,7 +178,7 @@ fn my_ring<R>(f: impl FnOnce(&ThreadRing) -> R) -> R {
                 .name()
                 .map(str::to_string)
                 .unwrap_or_else(|| format!("thread-{tid}"));
-            let ring = Arc::new(ThreadRing::new(tid, name, ring_cap()));
+            let ring = Arc::new(ThreadRing::new(tid, name, DEFAULT_RING_CAP));
             rings()
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())

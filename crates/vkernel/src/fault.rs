@@ -42,9 +42,9 @@
 //!   kill-budgeted), or stall checkpoint I/O.
 //!
 //! Disabled (the default), every injection point is a single branch on one
-//! relaxed atomic load. Configuration comes from the `MST_CHAOS`
-//! environment variable (`<seed>:<rate>` with an optional `:<site,...>`
-//! filter) or programmatically via [`configure`] / [`ChaosConfig`].
+//! relaxed atomic load. Configuration arrives by value ([`install`]);
+//! `mst-core` reads `MST_CHAOS` and hands its value to
+//! [`ChaosConfig::parse`].
 //! Injections are counted in the telemetry registry under `chaos.*`.
 
 use std::cell::Cell;
@@ -243,15 +243,10 @@ fn counters() -> &'static [&'static tel::Counter; 13] {
     })
 }
 
-/// Arms every injection site: faults fire with probability `rate` using
-/// PRNG streams derived from `seed`. Process-global.
-pub fn configure(seed: u64, rate: f64) {
-    install(ChaosConfig::new(seed, rate));
-}
-
-/// Arms the sites in `config.sites` at `config.rate`. Resets the kill
-/// budget to unlimited; call [`set_kill_budget`] afterwards to bound
-/// [`thread_panic`].
+/// Arms the sites in `config.sites` at `config.rate`: faults fire with
+/// that probability using PRNG streams derived from `config.seed`.
+/// Process-global. Resets the kill budget to unlimited; call
+/// [`set_kill_budget`] afterwards to bound [`thread_panic`].
 pub fn install(config: ChaosConfig) {
     let ppm = (config.rate.clamp(0.0, 1.0) * 1_000_000.0) as u32;
     SEED.store(config.seed, Ordering::Relaxed);
@@ -282,22 +277,6 @@ pub fn enabled() -> bool {
 /// Sets how long a fired [`poll_stall`] sleeps.
 pub fn set_stall_ns(ns: u64) {
     STALL_NS.store(ns, Ordering::Relaxed);
-}
-
-/// Arms chaos from the `MST_CHAOS` environment variable (format
-/// `<seed>:<rate>[:<site,...>]`). Returns whether anything was armed; a
-/// missing or malformed variable leaves chaos off.
-pub fn init_from_env() -> bool {
-    match std::env::var("MST_CHAOS") {
-        Ok(spec) => match ChaosConfig::parse(&spec) {
-            Some(c) => {
-                install(c);
-                enabled()
-            }
-            None => false,
-        },
-        Err(_) => false,
-    }
 }
 
 /// Rolls the seeded PRNG for `site`; returns whether the fault fires.
@@ -517,7 +496,7 @@ mod tests {
         assert!(!spurious_wake());
 
         // Rate 1.0: every armed site fires.
-        configure(42, 1.0);
+        install(ChaosConfig::new(42, 1.0));
         assert!(enabled());
         assert!(fail_alloc());
         assert!(spurious_wake());
@@ -533,7 +512,7 @@ mod tests {
 
         // Destructive sites are opt-in: a blanket ALL_SITES config never
         // kills threads or tears writes.
-        configure(42, 1.0);
+        install(ChaosConfig::new(42, 1.0));
         assert!(!thread_panic());
         assert!(!torn_write());
         assert!(!gc_helper_panic());

@@ -17,12 +17,13 @@
 //!   mid-bytecode still leaves the roster and a stopper waiting on it
 //!   recounts instead of hanging the world forever.
 //! * **Safepoint watchdog.** A leader waiting for mutators to park gives up
-//!   waiting *silently* after a deadline ([`Rendezvous::set_watchdog`], or
-//!   `MST_WATCHDOG_MS`): it dumps a diagnostic report — per-participant
+//!   waiting *silently* after a deadline ([`Rendezvous::set_watchdog`]):
+//!   it dumps a diagnostic report — per-participant
 //!   parked/running state, the telemetry registry, recent trace events — to
 //!   stderr and to a dump file, then either panics or keeps waiting
 //!   according to the configured [`WatchdogPolicy`].
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -136,6 +137,10 @@ struct Inner {
     roster: Vec<RosterEntry>,
     /// Open world-stopped closure parked threads may help run.
     job: Option<HelperJob>,
+    /// Where the watchdog writes its report; `None` is
+    /// [`Rendezvous::DEFAULT_WATCHDOG_DUMP`]. Lives here, not beside `flag`,
+    /// because the leader already holds this mutex when it dumps.
+    watchdog_dump: Option<PathBuf>,
 }
 
 impl Inner {
@@ -185,22 +190,20 @@ impl Rendezvous {
     /// with a report instead of timing out the job.
     pub const DEFAULT_WATCHDOG_MS: u64 = 10_000;
 
-    /// Creates a rendezvous with no registered participants. The watchdog
-    /// deadline and policy are read from `MST_WATCHDOG_MS` /
-    /// `MST_WATCHDOG_POLICY` (`panic` or `log`) when set.
+    /// Default watchdog report file, relative to the working directory
+    /// (CI uploads it as an artifact when a job fails).
+    pub const DEFAULT_WATCHDOG_DUMP: &'static str = "watchdog-dump.txt";
+
+    /// Creates a rendezvous with no registered participants, the default
+    /// watchdog deadline, [`WatchdogPolicy::Log`] and the default dump file.
     pub fn new() -> Self {
-        let ms = std::env::var("MST_WATCHDOG_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(Self::DEFAULT_WATCHDOG_MS);
-        let panics = matches!(std::env::var("MST_WATCHDOG_POLICY").as_deref(), Ok("panic"));
         Rendezvous {
             flag: AtomicBool::new(false),
             inner: Mutex::new(Inner::default()),
             cv: Condvar::new(),
             next_id: AtomicU64::new(1),
-            watchdog_ms: AtomicU64::new(ms),
-            watchdog_panics: AtomicBool::new(panics),
+            watchdog_ms: AtomicU64::new(Self::DEFAULT_WATCHDOG_MS),
+            watchdog_panics: AtomicBool::new(false),
         }
     }
 
@@ -213,6 +216,11 @@ impl Rendezvous {
     pub fn set_watchdog_policy(&self, policy: WatchdogPolicy) {
         self.watchdog_panics
             .store(policy == WatchdogPolicy::Panic, Ordering::Relaxed);
+    }
+
+    /// Sets the file the watchdog writes its report to.
+    pub fn set_watchdog_dump(&self, path: impl Into<PathBuf>) {
+        self.lock_inner().watchdog_dump = Some(path.into());
     }
 
     /// Locks `inner`, recovering from poison: the protected state is a set
@@ -392,9 +400,12 @@ impl Rendezvous {
                 dumped = true;
                 let report = watchdog_report(&inner, id, waited_ms);
                 eprintln!("{report}");
-                let path = std::env::var("MST_WATCHDOG_DUMP")
-                    .unwrap_or_else(|_| "watchdog-dump.txt".to_string());
-                if let Err(e) = std::fs::write(&path, &report) {
+                let file = inner
+                    .watchdog_dump
+                    .clone()
+                    .unwrap_or_else(|| Self::DEFAULT_WATCHDOG_DUMP.into());
+                let path = file.display();
+                if let Err(e) = std::fs::write(&file, &report) {
                     eprintln!("safepoint watchdog: could not write {path}: {e}");
                 }
                 if self.watchdog_panics.load(Ordering::Relaxed) {
@@ -937,10 +948,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mst-watchdog-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let dump = dir.join("dump.txt");
-        // The dump path is read from the environment inside stop_world.
-        std::env::set_var("MST_WATCHDOG_DUMP", &dump);
 
         let rdv = Arc::new(Rendezvous::new());
+        rdv.set_watchdog_dump(&dump);
         rdv.set_watchdog(50);
         rdv.set_watchdog_policy(WatchdogPolicy::Panic);
         let me = rdv.register();
@@ -966,7 +976,6 @@ mod tests {
             "report: {report}"
         );
         assert!(report.contains("newest gc pauses"), "report: {report}");
-        std::env::remove_var("MST_WATCHDOG_DUMP");
         let _ = std::fs::remove_dir_all(&dir);
 
         // The panic path released the request; after retiring the dead

@@ -55,7 +55,6 @@ fn supervisor_degrades_killed_processors_and_checkpoints() {
     let dir = std::env::temp_dir().join(format!("mst-degrade-ckpt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
     let ckpt = dir.join("degrade.image");
-    std::env::set_var("MST_SUPERVISOR_CHECKPOINT", &ckpt);
 
     // Arm only the destructive thread.panic site, before the workers spawn
     // (`MsConfig.chaos` stays None so `new` does not re-install and reset
@@ -73,7 +72,9 @@ fn supervisor_degrades_killed_processors_and_checkpoints() {
         supervisor: SupervisorPolicy::Degrade,
         ..MsConfig::default()
     });
-    // Idle workers never execute bytecodes, so give them something to run.
+    // Idle workers never execute bytecodes, so none has died yet: name the
+    // checkpoint file, then give them something to run.
+    ms.vm().set_supervisor_checkpoint(&ckpt);
     ms.spawn_competitors(2, false);
     assert!(
         wait_until(10_000, || ms.processors_online() == 0),
@@ -81,7 +82,6 @@ fn supervisor_degrades_killed_processors_and_checkpoints() {
         ms.processor_roster()
     );
     fault::disable();
-    std::env::remove_var("MST_SUPERVISOR_CHECKPOINT");
 
     let roster = ms.processor_roster();
     assert_eq!(roster.len(), 2);
