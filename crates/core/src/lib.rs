@@ -21,12 +21,12 @@ use mst_compiler::CompileError;
 use mst_image::BootstrapError;
 use mst_interp::{
     scheduler, spawn_method_process, supervise, CachePolicy, FreeListPolicy, Interpreter,
-    RunOutcome, Vm, VmOptions,
+    RunOutcome, StoppedWorld, Vm, VmOptions,
 };
 pub use mst_interp::{ProcessorInfo, SupervisorPolicy};
 pub use mst_objmem::SnapshotTemplate;
 use mst_objmem::{AllocPolicy, MemoryConfig, ObjectMemory, Oop, RootHandle, So};
-use mst_vkernel::{spawn_lightweight, LightweightHandle, Processor, RendezvousGuard, SyncMode};
+use mst_vkernel::{spawn_lightweight, LightweightHandle, Processor, SyncMode};
 
 pub mod env;
 pub mod testing;
@@ -389,55 +389,16 @@ impl MsSystem {
         self.run_prepared(&prepared)
     }
 
-    /// Runs `f` with every interpreter parked at a safepoint. All heap
-    /// access performed outside the main interpreter (compilation, process
-    /// spawning, result conversion) must go through this: the main thread
-    /// is not a rendezvous participant between runs, so without the guard
-    /// it would race against worker-triggered scavenges.
-    fn with_world<R>(&self, f: impl FnOnce(&Vm) -> R) -> R {
-        self.with_stopped_world(|vm, _| f(vm))
-    }
-
-    /// [`with_world`](Self::with_world), also handing `f` the guard so a
-    /// collection it runs can draft the parked interpreters as helpers.
-    fn with_stopped_world<R>(&self, f: impl FnOnce(&Vm, &RendezvousGuard<'_>) -> R) -> R {
-        // stop_world() counts its caller as one of the registered
-        // participants; a thread that is not registered must join first or
-        // the rendezvous under-waits by one and a mutator keeps running.
-        // The RAII guard also unregisters if `f` panics, so workers are
-        // not left waiting on a dead participant.
-        let me = self.vm.rendezvous.participant();
-        let guard = me.stop_world();
-        let r = f(&self.vm, &guard);
-        drop(guard);
-        r
-    }
-
-    /// Scavenges the stopped world, drafting up to `gc_helpers` parked
-    /// interpreters.
-    fn scavenge_stopped(
-        vm: &Vm,
-        guard: &RendezvousGuard<'_>,
-    ) -> Result<mst_objmem::ScavengeOutcome, mst_objmem::OomError> {
-        let scavenged = vm
-            .mem
-            .try_scavenge_with(vm.mem.config().gc_helpers, |n, f| {
-                guard.run_stopped(n, f);
-            });
-        // Even a scavenge that gives up may have compacted old space first.
-        vm.bump_cache_epoch();
-        scavenged
-    }
-
     /// Compiles a doit once for repeated execution (benchmark harnesses).
     ///
     /// # Errors
     ///
     /// [`EvalError::Compile`] for syntax errors.
     pub fn prepare(&mut self, source: &str) -> Result<Prepared, EvalError> {
-        let method = self.with_world(|vm| mst_image::compile_doit(&vm.mem, source))?;
+        let world = self.vm.stop_world();
+        let method = mst_image::compile_doit(world.mem(), source)?;
         Ok(Prepared {
-            method: self.with_world(|vm| vm.mem.new_root(method)),
+            method: world.mem().new_root(method),
         })
     }
 
@@ -447,8 +408,7 @@ impl MsSystem {
     ///
     /// [`EvalError::Runtime`] if the Process terminated through `error:`.
     pub fn run_prepared(&mut self, prepared: &Prepared) -> Result<Value, EvalError> {
-        let root = self.run_prepared_rooted(prepared)?;
-        Ok(self.with_world(|_| self.value_of_unguarded(root.get())))
+        self.run_doit(prepared, Self::value_in)
     }
 
     /// As [`run_prepared`](Self::run_prepared), returning a GC-tracked root
@@ -458,33 +418,44 @@ impl MsSystem {
     ///
     /// As [`run_prepared`](Self::run_prepared).
     pub fn run_prepared_rooted(&mut self, prepared: &Prepared) -> Result<RootHandle, EvalError> {
+        self.run_doit(prepared, ObjectMemory::new_root)
+    }
+
+    /// Runs a doit to completion, crossing the rendezvous twice: once to
+    /// spawn its Process and once to hand its result oop to `read`. The
+    /// calling thread is not a rendezvous participant between the two, so
+    /// the world is the only place it may touch the heap.
+    fn run_doit<R>(
+        &mut self,
+        prepared: &Prepared,
+        read: impl FnOnce(&ObjectMemory, Oop) -> R,
+    ) -> Result<R, EvalError> {
         self.main.take_doit_error(); // nothing stale from an abandoned run
-        let process = self.with_stopped_world(|vm, guard| {
-            let token = vm.mem.new_token();
+        let process = {
+            let world = self.vm.stop_world();
+            let (vm, mem) = (world.vm(), world.mem());
+            let token = mem.new_token();
             loop {
-                match spawn_method_process(vm, &token, prepared.method.get(), vm.mem.nil(), 5) {
-                    Some(p) => {
-                        // Pin the doit to this interpreter before it is
-                        // ready, so measurements charge the right thread
-                        // and its failure is this interpreter's to report;
-                        // workers will not claim it.
-                        let root = vm.mem.new_root(p);
-                        vm.set_reserved(Some(root.clone()));
-                        scheduler::add_ready(vm, p);
-                        break Ok(root);
-                    }
-                    None => {
-                        // Eden is full; collect while we hold the world. A
-                        // collection that cannot complete (old space full)
-                        // is reported instead of crashing the system.
-                        if let Err(e) = Self::scavenge_stopped(vm, guard) {
-                            scheduler::signal_low_space(vm);
-                            break Err(EvalError::Runtime(format!("outOfMemory: {e}")));
-                        }
-                    }
+                let spawned = spawn_method_process(vm, &token, prepared.method.get(), mem.nil(), 5);
+                if let Some(p) = spawned {
+                    // Pin the doit to this interpreter before it is ready,
+                    // so measurements charge the right thread and its
+                    // failure is this interpreter's to report; workers will
+                    // not claim it.
+                    let root = mem.new_root(p);
+                    vm.set_reserved(Some(root.clone()));
+                    scheduler::add_ready(vm, p);
+                    break root;
+                }
+                // Eden is full; collect while we hold the world. A
+                // collection that cannot complete (old space full) is
+                // reported instead of crashing the system.
+                if let Err(e) = world.scavenge() {
+                    scheduler::signal_low_space(vm);
+                    return Err(EvalError::Runtime(format!("outOfMemory: {e}")));
                 }
             }
-        })?;
+        };
         let doit_span = mst_telemetry::span("vm.doit", "vm");
         let outcome = self.main.run(Some(process.clone()));
         drop(doit_span);
@@ -495,12 +466,10 @@ impl MsSystem {
         }
         // The terminating interpreter (possibly a worker) left the value in
         // the Process's result slot.
-        let result = self.with_world(|vm| {
-            vm.mem.new_root(
-                vm.mem
-                    .fetch(process.get(), mst_objmem::layout::process::RESULT),
-            )
-        });
+        let world = self.vm.stop_world();
+        let slot = mst_objmem::layout::process::RESULT;
+        let result = read(world.mem(), world.mem().fetch(process.get(), slot));
+        drop(world);
         // Only the doit's own failure fails it: a forked Process that died
         // meanwhile is in the error log, not in this result.
         match self.main.take_doit_error() {
@@ -524,11 +493,11 @@ impl MsSystem {
     /// Converts an oop into a [`Value`], parking the interpreters while it
     /// reads the heap.
     pub fn value_of(&self, oop: Oop) -> Value {
-        self.with_world(|_| self.value_of_unguarded(oop))
+        Self::value_in(self.vm.stop_world().mem(), oop)
     }
 
-    fn value_of_unguarded(&self, oop: Oop) -> Value {
-        let mem = &self.vm.mem;
+    /// [`value_of`](Self::value_of) for a caller that holds the stopped world.
+    fn value_in(mem: &ObjectMemory, oop: Oop) -> Value {
         if oop == Oop::ZERO {
             return Value::Nil;
         }
@@ -613,18 +582,24 @@ impl MsSystem {
         &self,
         w: &mut impl std::io::Write,
     ) -> Result<(), mst_objmem::SnapshotError> {
-        self.with_snapshot_ready(|mem| mem.save_snapshot(w))
+        self.snapshot_world()?.mem().save_snapshot(w)
     }
 
-    /// Runs `save` on the stopped world, eden emptied and the
-    /// `activeProcess` slot cleared.
-    fn with_snapshot_ready<R>(&self, save: impl FnOnce(&ObjectMemory) -> R) -> R {
-        self.with_world(|vm| {
-            vm.mem.scavenge();
-            vm.bump_cache_epoch();
-            scheduler::set_active_process_slot(&vm.mem, vm.mem.nil());
-            save(&vm.mem)
-        })
+    /// The stopped world, ready to be written: eden emptied and the
+    /// `activeProcess` slot cleared. An eden whose survivors old space
+    /// cannot absorb is the save's failure, not a panic while the world is
+    /// held: nothing is written.
+    fn snapshot_world(&self) -> Result<StoppedWorld<'_>, mst_objmem::SnapshotError> {
+        use std::io::{Error, ErrorKind::OutOfMemory};
+        let world = self.vm.stop_world();
+        match world.snapshot_ready() {
+            Ok(()) => Ok(world),
+            Err(e) => Err(mst_objmem::SnapshotError {
+                section: "scavenge",
+                offset: 0,
+                kind: mst_objmem::SnapshotErrorKind::Io(Error::new(OutOfMemory, e)),
+            }),
+        }
     }
 
     /// Writes a crash-consistent snapshot to `path`: the image is staged
@@ -638,7 +613,7 @@ impl MsSystem {
         &self,
         path: &std::path::Path,
     ) -> Result<(), mst_objmem::SnapshotError> {
-        self.with_snapshot_ready(|mem| mem.save_snapshot_to_path(path))
+        self.snapshot_world()?.mem().save_snapshot_to_path(path)
     }
 
     /// Boots a system from a snapshot file written by
@@ -758,9 +733,8 @@ impl MsSystem {
     /// Panics on genuine out-of-memory (old space cannot absorb the
     /// survivors even after a full collection).
     pub fn collect_garbage(&self) {
-        self.with_stopped_world(|vm, guard| {
-            Self::scavenge_stopped(vm, guard).unwrap_or_else(|e| panic!("{e}"));
-        });
+        let scavenged = self.vm.stop_world().scavenge();
+        scavenged.unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Stops the world and runs a full mark-compact collection (for tests
@@ -771,30 +745,7 @@ impl MsSystem {
     /// VM error log — the same containment surface the supervisor uses —
     /// instead of crashing the system.
     pub fn full_collect(&self) -> mst_objmem::FullGcOutcome {
-        let outcome = self.with_stopped_world(|vm, guard| {
-            // The calling thread marks too, so it counts alongside the
-            // online workers when sizing the helper pool.
-            let available = vm.processors_online() + 1;
-            let helpers = vm.mem.adaptive_full_gc_helpers(available);
-            let outcome = vm.mem.full_gc_with(helpers, |n, f| {
-                guard.run_stopped(n, f);
-            });
-            vm.bump_cache_epoch();
-            outcome
-        });
-        for d in self.vm.mem.take_fullgc_dangling() {
-            self.vm.error_log.lock().push(format!("heap: {d}"));
-        }
-        if let Some(abort) = outcome.report.aborted {
-            // The compactor refused to run (e.g. the special table is
-            // corrupt): the heap is unchanged and the system keeps going,
-            // but operators must hear about it.
-            self.vm
-                .error_log
-                .lock()
-                .push(format!("heap: full GC aborted: {abort}"));
-        }
-        outcome
+        self.vm.stop_world().full_collect()
     }
 
     /// Stops the world and runs the heap verifier ([`mst_objmem`]'s
@@ -803,7 +754,7 @@ impl MsSystem {
     /// set, and the symbol table are cross-checked. The chaos soak harness
     /// calls this after each faulted run to prove the heap survived.
     pub fn audit_heap(&self) -> mst_objmem::HeapAudit {
-        self.with_world(|vm| vm.mem.verify_heap())
+        self.vm.stop_world().mem().verify_heap()
     }
 
     /// Stops every interpreter and joins the worker threads (what dropping

@@ -26,6 +26,7 @@ use crate::contexts::{reinit_block_ctx, reinit_method_ctx, CtxKind, FreeLists};
 use crate::dicts::method_dict_at;
 use crate::scheduler as sched;
 use crate::vm::{CachePolicy, FreeListPolicy, Vm};
+use crate::world::StoppedWorld;
 
 /// Why `run` returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,7 +301,6 @@ impl Interpreter {
             self.report_error(format!("outOfMemory: {e}"));
             sched::signal_low_space(&self.vm);
         }
-        self.after_gc();
     }
 
     /// Method installation invalidates every cache in the system.
@@ -397,10 +397,7 @@ impl Interpreter {
                     // Idle: no claimable process. Keep polling the GC flag —
                     // parked idle interpreters must not block a scavenge.
                     tel::timeline::transition(tel::ProcState::Idle);
-                    if self.vm.rendezvous.poll() {
-                        self.mem().retire_token(&self.token);
-                        self.vm.rendezvous.park(participant.id());
-                    }
+                    self.park_if_requested();
                     mst_vkernel::delay(24);
                 }
             }
@@ -669,65 +666,40 @@ impl Interpreter {
             return self.out_of_memory();
         }
         match self.scavenge_world() {
-            Ok(()) => {
-                self.after_gc();
-                Step::Continue
-            }
+            Ok(()) => Step::Continue,
             Err(_) => self.out_of_memory(),
         }
     }
 
-    /// Stops the world and scavenges, unless another interpreter beat us to
-    /// it. `Err` means the old generation cannot absorb the survivors; the
-    /// heap is left untouched in that case so execution can continue.
-    fn scavenge_world(&mut self) -> Result<(), mst_objmem::OomError> {
+    /// Stops the world as this interpreter and runs `f` on it; `f` is also
+    /// told whether the heap is as this interpreter last saw it (`false`:
+    /// another interpreter collected while this one waited to lead). The
+    /// registers must already be flushed: whenever objects moved across the
+    /// stop — under `f`, or before it — they are reloaded from the heap.
+    fn stop_world<R>(&mut self, f: impl FnOnce(&StoppedWorld<'_>, bool) -> R) -> R {
         let before = self.mem().gc_epoch();
         // Exact accounting: hand the unused tail of our allocation buffer
-        // back before the collection sizes its tenure reserve.
+        // back before a collection sizes its tenure reserve.
         self.mem().retire_token(&self.token);
-        let guard = self.vm.rendezvous.stop_world(self.rdv_id());
-        let mut result = Ok(());
-        if self.mem().gc_epoch() == before {
-            // Nobody beat us to it: collect.
-            *self.vm.shared_free.lock() = FreeLists::default();
-            // Donate the stopped interpreters, up to `gc_helpers` slots: they
-            // run the scavenge closure from inside their parks (paper §5
-            // future work — "the stopped processors could help with the
-            // collection").
-            let helpers = self.mem().config().gc_helpers;
-            let scavenged = self.mem().try_scavenge_with(helpers, |n, f| {
-                guard.run_stopped(n, f);
-            });
-            match scavenged {
-                Ok(_) => {
-                    self.vm.bump_cache_epoch();
-                    self.vm.global_cache.clear(self.vm.cache_epoch());
-                }
-                Err(e) => result = Err(e),
-            }
+        let world = self.vm.stop_world_as(self.rdv_id());
+        let r = f(&world, self.mem().gc_epoch() == before);
+        drop(world);
+        if self.mem().gc_epoch() != before {
+            self.after_gc();
         }
-        drop(guard);
-        if result.is_ok() {
-            self.check_low_space();
-        }
-        result
+        r
     }
 
-    /// Signals the low-space semaphore (edge-triggered via a latch on the
-    /// [`Vm`]) when a successful collection still leaves the old generation
-    /// nearly full, giving the image a chance to shed load *before* hard
-    /// exhaustion terminates a process.
-    fn check_low_space(&self) {
-        let mem = self.mem();
-        let free = mem.old_free();
-        let threshold = (mem.old_used() + free) / 16;
-        if free < threshold {
-            if !self.vm.low_space.swap(true, Ordering::Relaxed) {
-                sched::signal_low_space(&self.vm);
+    /// Stops the world and scavenges, unless another interpreter beat us to
+    /// it. `Err` means the old generation cannot absorb the survivors; new
+    /// space is left untouched in that case so execution can continue.
+    fn scavenge_world(&mut self) -> Result<(), mst_objmem::OomError> {
+        self.stop_world(|world, unbeaten| {
+            if unbeaten {
+                world.scavenge()?;
             }
-        } else if free >= threshold.saturating_mul(2) {
-            self.vm.low_space.store(false, Ordering::Relaxed);
-        }
+            Ok(())
+        })
     }
 
     /// Terminates the current process because memory is exhausted even
@@ -754,68 +726,70 @@ impl Interpreter {
         self.reload_registers();
     }
 
-    /// Drives the incremental full collector from the safepoint (no-op
-    /// under [`mst_objmem::FullGcMode::Stw`]). One call performs at most one
-    /// bounded stop-the-world step: *begin* (arm the write barrier) when the
-    /// low-space latch is set and no window is open, otherwise one mark
-    /// slice, finishing — plan/update/move, the only unbounded pause — once
-    /// the trace converges. Mutators run between calls, which is the whole
-    /// point: the monolithic mark pause is diced into `slice_words`-sized
-    /// pieces.
+    /// Drives the incremental full collector from the safepoint, registers
+    /// flushed (no-op under [`mst_objmem::FullGcMode::Stw`]). One call
+    /// performs at most one bounded stop-the-world step: *begin* (arm the
+    /// write barrier) when the low-space latch is set and no window is open,
+    /// otherwise one mark slice, finishing — plan/update/move, the only
+    /// unbounded pause — once the trace converges. Mutators run between
+    /// calls, which is the whole point: the monolithic mark pause is diced
+    /// into `slice_words`-sized pieces.
     fn incremental_full_gc_step(&mut self) {
         let mem = self.mem();
         let mst_objmem::FullGcMode::Incremental { slice_words } = mem.config().full_gc_mode else {
             return;
         };
         let marking = mem.incremental_mark_active();
-        if !marking && !self.vm.low_space.load(Ordering::Relaxed) {
+        if !marking && !self.vm.low_space_latched() {
             return;
         }
-        let before = mem.gc_epoch();
-        self.flush_registers();
-        self.mem().retire_token(&self.token);
-        let guard = self.vm.rendezvous.stop_world(self.rdv_id());
-        if !mem.incremental_mark_active() {
-            // Re-check under stop-world: another interpreter may have begun
-            // (or finished) a window while we raced here. `full_gc_begin`
-            // refuses on its own when preconditions fail (a monolithic full
-            // GC since the last scavenge).
-            if self.vm.low_space.load(Ordering::Relaxed) {
-                mem.full_gc_begin();
+        self.stop_world(|world, _| {
+            if !mem.incremental_mark_active() {
+                // Re-check under stop-world: another interpreter may have
+                // begun (or finished) a window while we raced here.
+                // `full_gc_begin` refuses on its own when preconditions fail
+                // (a monolithic full GC since the last scavenge).
+                if world.vm().low_space_latched() {
+                    mem.full_gc_begin();
+                }
+            } else if mem.full_gc_mark_slice(slice_words) {
+                // The finish pause (plan/update/move/clear) is the only
+                // unbounded one; it compacts old space.
+                world.finish_incremental();
             }
-        } else if mem.full_gc_mark_slice(slice_words) {
-            // The finish pause (plan/update/move/clear) drafts the other
-            // stopped processors as compaction helpers, exactly like the
-            // monolithic collector's mark phase.
-            let helpers = mem.adaptive_full_gc_helpers(self.vm.processors_online() + 1);
-            mem.full_gc_finish_with(helpers, |n, f| {
-                guard.run_stopped(n, f);
-            });
-            self.vm.bump_cache_epoch();
-            self.vm.global_cache.clear(self.vm.cache_epoch());
+        });
+    }
+
+    /// Parks while another thread holds the world, if one asks for it;
+    /// whether it parked. The one place an interpreter parks, idle or at a
+    /// safepoint: a loaded Process's registers must already be in the heap.
+    fn park_if_requested(&mut self) -> bool {
+        let requested = self.vm.rendezvous.poll();
+        if requested {
+            // The stopper may size a scavenge while we sit parked: retire
+            // the allocation buffer so eden accounting is exact.
+            self.mem().retire_token(&self.token);
+            self.vm.rendezvous.park(self.rdv_id());
         }
-        drop(guard);
-        if mem.gc_epoch() != before {
-            // The finish compacted old space: every cached oop moved.
-            self.after_gc();
-            self.check_low_space();
-        }
+        requested
     }
 
     /// The safepoint: polls stop-the-world, shutdown, and preemption.
     fn safepoint(&mut self) -> Step {
         self.counter = self.vm.options.quantum;
         self.flush_counters();
+        // Whatever this safepoint decides — park, yield, wind down, die — the
+        // heap must say where the Process stands: a collector traces it from
+        // there, and whoever claims it next resumes at this bytecode
+        // boundary (after an injected panic, a surviving interpreter the
+        // supervisor's recovery hands it to).
+        self.flush_registers();
         // Chaos: a stalled safepoint response is what the watchdog exists
         // to diagnose, so the injection point sits here rather than in the
         // per-bytecode poll.
         mst_vkernel::fault::poll_stall();
-        // Chaos: a processor dying mid-run. Registers are flushed first so
-        // the claimed process is consistent in the heap — the supervisor's
-        // recovery migrates it to a surviving interpreter, which resumes it
-        // from exactly this bytecode boundary.
+        // Chaos: a processor dying mid-run.
         if self.panic_injectable && mst_vkernel::fault::thread_panic() {
-            self.flush_registers();
             panic!(
                 "chaos: injected interpreter panic (thread.panic) on interp {}",
                 self.id
@@ -825,31 +799,21 @@ impl Interpreter {
         // only while this interpreter is executing the watched doit, so one
         // tenant session dies without touching any other session's workers.
         if self.watching_claimed() && self.vm.take_doit_panic() {
-            self.flush_registers();
             panic!(
                 "chaos: injected mid-doit panic (serve.panic) on interp {}",
                 self.id
             );
         }
-        if self.vm.rendezvous.poll() {
-            self.flush_registers();
-            // The stopper may size a scavenge while we sit parked: retire
-            // the allocation buffer so eden accounting is exact.
-            self.mem().retire_token(&self.token);
-            self.vm.rendezvous.park(self.rdv_id());
-            self.after_gc();
-        } else if self.sels_epoch != self.mem().gc_epoch() {
-            // Another interpreter collected while we were between polls
-            // (possible when we were parked inside a lock delay).
+        // Reload whenever objects moved: under the stop we parked for, or
+        // while we were between polls (parked inside a lock delay).
+        if self.park_if_requested() || self.sels_epoch != self.mem().gc_epoch() {
             self.after_gc();
         }
         self.incremental_full_gc_step();
         if !self.vm.running() {
-            self.flush_registers();
             return Step::Event(Event::Shutdown);
         }
         if self.vm.preempt_hint.load(Ordering::Relaxed) > self.priority {
-            self.flush_registers();
             return Step::Event(Event::Yielded);
         }
         // Deadline enforcement: a watched doit runs under an optional
@@ -868,7 +832,6 @@ impl Interpreter {
         if let Some(w) = &self.watched {
             let w = w.clone();
             if self.watched_done(&w) {
-                self.flush_registers();
                 return Step::Event(Event::Yielded);
             }
         }

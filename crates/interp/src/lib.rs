@@ -28,7 +28,9 @@ pub mod primitives;
 pub mod scheduler;
 mod supervisor;
 mod vm;
+mod world;
 
 pub use interp::{spawn_method_process, Interpreter, RunOutcome};
 pub use supervisor::{supervise, SupervisorPolicy};
 pub use vm::{CachePolicy, FreeListPolicy, ProcessorInfo, Vm, VmCounters, VmOptions};
+pub use world::StoppedWorld;

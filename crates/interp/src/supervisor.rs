@@ -32,7 +32,6 @@ use std::sync::Arc;
 use mst_telemetry as tel;
 
 use crate::interp::Interpreter;
-use crate::scheduler;
 use crate::vm::Vm;
 
 /// What the supervisor does after recovering from an interpreter panic.
@@ -135,43 +134,40 @@ pub fn supervise(vm: Arc<Vm>, processor: usize, policy: SupervisorPolicy) {
 }
 
 /// Degrade-path last resort: when [`Vm::set_supervisor_checkpoint`] named a
-/// file, stop the world, scavenge, and write a crash-consistent snapshot
-/// there.
+/// file, stop the world, empty eden, and write a crash-consistent snapshot
+/// there. Failures are counted, not just buried in the error log, and never
+/// raised: the main interpreter may still be running doits.
 fn checkpoint_if_configured(vm: &Vm) {
     let Some(file) = vm.supervisor_checkpoint.lock().clone() else {
         return;
     };
     let path = file.display();
     let _span = tel::span("supervisor.checkpoint", "supervisor");
-    let me = vm.rendezvous.participant();
-    let guard = me.stop_world();
-    vm.mem.scavenge(); // checkpoint with an empty eden
-    vm.bump_cache_epoch();
-    scheduler::set_active_process_slot(&vm.mem, vm.mem.nil());
-    // One bounded retry: this is the image's last chance before the
-    // process winds down, and transient I/O (ENOSPC races, interrupted
-    // writes) is exactly what the temp+rename save can survive a second
-    // attempt at. Failures are counted, not just buried in the error log.
-    let mut result = vm.mem.save_snapshot_to_path(&file);
-    if let Err(first) = result {
+    let failed = |what: &str, e: &dyn std::fmt::Display| {
         tel::counter("supervisor.checkpoint_failures").incr();
         vm.error_log
             .lock()
-            .push(format!("supervisor: checkpoint to {path} failed: {first}"));
-        result = vm.mem.save_snapshot_to_path(&file);
+            .push(format!("supervisor: {what} to {path} failed: {e}"));
+    };
+    let world = vm.stop_world();
+    if let Err(e) = world.snapshot_ready() {
+        // Old space cannot absorb eden's survivors: there is no consistent
+        // image to write, and a retry would change nothing.
+        return failed("checkpoint", &e);
+    }
+    // One bounded retry: this is the image's last chance before the
+    // process winds down, and transient I/O (ENOSPC races, interrupted
+    // writes) is exactly what the temp+rename save can survive a second
+    // attempt at.
+    let mut result = world.mem().save_snapshot_to_path(&file);
+    if let Err(first) = result {
+        failed("checkpoint", &first);
+        result = world.mem().save_snapshot_to_path(&file);
     }
     match result {
-        Ok(()) => {
-            tel::counter("supervisor.checkpoints").incr();
-        }
-        Err(e) => {
-            tel::counter("supervisor.checkpoint_failures").incr();
-            vm.error_log.lock().push(format!(
-                "supervisor: checkpoint retry to {path} failed: {e}"
-            ));
-        }
+        Ok(()) => tel::counter("supervisor.checkpoints").incr(),
+        Err(e) => failed("checkpoint retry", &e),
     }
-    drop(guard);
 }
 
 #[cfg(test)]

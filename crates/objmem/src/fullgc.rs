@@ -56,7 +56,9 @@
 //! moved — and there nothing slides.
 //!
 //! **The world must be stopped by the caller** for every entry point here
-//! (for the incremental mode: during each slice and the finish). Free
+//! (for the incremental mode: during each slice and the finish); in a
+//! running system the caller holds an `mst_interp::StoppedWorld`, whose
+//! methods are the only route to the `_with` forms. Free
 //! context lists hold dead contexts by design; the registered pre-full-GC
 //! hooks ([`ObjectMemory::register_pre_fullgc_hook`]) sever them before any
 //! marking starts, so a full collection triggered from *inside* a scavenge
@@ -559,7 +561,8 @@ impl ObjectMemory {
 
     /// Runs a full collection on up to `helpers` threads drawn from the
     /// stopped world (marking and the compaction phases alike). **The world
-    /// must be stopped by the caller.**
+    /// must be stopped by the caller**: in a running system,
+    /// `mst_interp::StoppedWorld::full_collect` and nobody else.
     ///
     /// `run`'s contract is the scavenger's (and
     /// `RendezvousGuard::run_stopped` fulfils it): invoke the closure with
@@ -778,8 +781,9 @@ impl ObjectMemory {
 
     /// Opens an incremental full collection: runs the pre-full-GC hooks,
     /// marks the roots, and arms the write barrier. **The world must be
-    /// stopped by the caller** for this call (mutators may run between the
-    /// slices that follow).
+    /// stopped by the caller** (an interpreter holding its
+    /// `mst_interp::StoppedWorld`) for this call; mutators may run between
+    /// the slices that follow.
     ///
     /// Returns `false` without side effects when a window is already open or
     /// when a monolithic full GC ran since the last scavenge (dead new-space
@@ -807,7 +811,8 @@ impl ObjectMemory {
 
     /// Traces up to `budget_words` object words from the gray set, first
     /// claiming what the write barrier logged since the last slice. **The
-    /// world must be stopped by the caller.** Returns `true` when marking is
+    /// world must be stopped by the caller** (as for
+    /// [`full_gc_begin`](Self::full_gc_begin)). Returns `true` when marking is
     /// complete (gray set and barrier log both empty) — call
     /// [`full_gc_finish_with`](Self::full_gc_finish_with) then. A no-op
     /// returning `true` when no window is open.
@@ -843,7 +848,9 @@ impl ObjectMemory {
     /// the stopped world: re-scans the roots, re-traces black allocations,
     /// conservatively marks every old object referenced from new space,
     /// drains the remaining gray set, then compacts. **The world must be
-    /// stopped by the caller.** `run`'s contract is [`full_gc_with`]
+    /// stopped by the caller**: in a running system,
+    /// `mst_interp::StoppedWorld::finish_incremental` and nobody else.
+    /// `run`'s contract is [`full_gc_with`]
     /// (Self::full_gc_with)'s. A no-op (default outcome) when no window is
     /// open.
     ///

@@ -10,7 +10,9 @@
 //!
 //! * **serialization** — the allocation lock, the entry-table lock, and the
 //!   stop-the-world discipline for scavenging (the caller stops the world
-//!   through [`mst_vkernel::Rendezvous`]; see [`ObjectMemory::scavenge`]);
+//!   through [`mst_vkernel::Rendezvous`]; in a running system that caller
+//!   is always `mst_interp::StoppedWorld`, the one owner of every collector
+//!   entry point below; see [`ObjectMemory::scavenge`]);
 //! * **replication** — [`AllocPolicy::PerProcessorLab`], the per-processor
 //!   new-space allocation areas the paper proposes as future work;
 //! * **reorganization** — not needed at this layer.

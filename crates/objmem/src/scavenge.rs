@@ -59,7 +59,9 @@ fn scavenge_pause_hist() -> &'static mst_telemetry::Histogram {
 
 impl ObjectMemory {
     /// Scavenges new space on the calling thread. **The world must be
-    /// stopped by the caller.**
+    /// stopped by the caller**; a running system goes through
+    /// `mst_interp::StoppedWorld::scavenge`, which cannot panic while it
+    /// holds the world — this solo form is for tests and benches.
     ///
     /// # Panics
     ///
@@ -78,7 +80,8 @@ impl ObjectMemory {
     /// Scavenges new space with up to `helpers` threads drawn from the
     /// stopped world, reporting old-space exhaustion as a recoverable
     /// [`OomError`](crate::OomError) instead of panicking. **The world must
-    /// be stopped by the caller.**
+    /// be stopped by the caller**: in a running system,
+    /// `mst_interp::StoppedWorld::scavenge` and nobody else.
     ///
     /// `run` is handed the helper count and a closure; its contract is the
     /// one [`RendezvousGuard::run_stopped`](mst_vkernel::RendezvousGuard)

@@ -345,7 +345,9 @@ fn oop_in_bounds(raw: u64, limit: usize) -> bool {
 
 impl ObjectMemory {
     /// Writes a snapshot of the image. **The world must be stopped** and a
-    /// scavenge should normally precede the save so eden is empty.
+    /// scavenge should normally precede the save so eden is empty: a
+    /// running system calls `mst_interp::StoppedWorld::snapshot_ready` and
+    /// saves only if that succeeds.
     pub fn save_snapshot(&self, w: &mut impl Write) -> Result<(), SnapshotError> {
         self.save_inner(w)
             .map_err(|e| SnapshotError::io("write", 0, e))

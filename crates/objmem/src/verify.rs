@@ -102,7 +102,8 @@ struct Verifier<'m> {
 impl ObjectMemory {
     /// Audits every used heap region against the scavenger's invariants.
     /// **The world must be stopped by the caller** (the walk reads bump
-    /// pointers and object graphs non-atomically).
+    /// pointers and object graphs non-atomically); a running system reaches
+    /// the memory through `mst_interp::StoppedWorld::mem`.
     pub fn verify_heap(&self) -> HeapAudit {
         let sp = self.spaces();
         let past_start = if self.past_is_a.load(std::sync::atomic::Ordering::Relaxed) {

@@ -377,47 +377,32 @@ impl Server {
     }
 
     /// Restores one tenant's session during [`recover`](Self::recover):
-    /// newest chain entry → older entries → template → cold.
+    /// newest chain entry → older entries → template; cold when it never
+    /// committed.
     fn recover_tenant(&self, t: &Tenant) -> RecoverySource {
-        let Some(store) = &self.store else {
+        let newest = self.store.as_ref().and_then(|s| s.newest(t.id as u64));
+        let Some(newest) = newest else {
             return RecoverySource::Cold;
         };
-        let chain = store.chain(t.id as u64);
-        let Some(newest_epoch) = chain.first().map(|c| c.epoch) else {
-            return RecoverySource::Cold;
-        };
-        let config = MsConfig {
-            processors: self.cfg.processors,
-            ..self.base
-        };
-        for commit in &chain {
-            let loaded = store
-                .read_image(commit)
-                .ok()
-                .and_then(|bytes| MsSystem::from_snapshot(&mut &bytes[..], config).ok());
-            match loaded {
-                Some(ms) => {
-                    t.epoch.store(commit.epoch, Ordering::Relaxed);
-                    t.restarts.store(commit.restarts, Ordering::Relaxed);
-                    t.degraded.store(0, Ordering::Relaxed);
-                    t.since_ckpt.store(0, Ordering::Relaxed);
-                    lock_slot(&t.slot).ms = Some(ms);
-                    tel::counter("serve.ckpt.recovered").incr();
-                    return RecoverySource::Checkpoint {
-                        epoch: commit.epoch,
-                    };
+        let (ms, restored) = self.restore_newest(t);
+        lock_slot(&t.slot).ms = Some(ms);
+        match restored {
+            Some(commit) => {
+                t.epoch.store(commit.epoch, Ordering::Relaxed);
+                t.restarts.store(commit.restarts, Ordering::Relaxed);
+                tel::counter("serve.ckpt.recovered").incr();
+                RecoverySource::Checkpoint {
+                    epoch: commit.epoch,
                 }
-                None => tel::counter("serve.checkpoint_fallback").incr(),
+            }
+            None => {
+                // Every committed image was unreadable: the chain is
+                // evidence of the tenant's existence but not of its state.
+                // One generation above everything committed.
+                t.epoch.store(newest.epoch + 1, Ordering::Relaxed);
+                RecoverySource::Template
             }
         }
-        // Every committed image was unreadable: the chain is evidence of
-        // the tenant's existence but not of its state. Fresh session from
-        // the template, one generation above everything committed.
-        let ms = MsSystem::from_template(&self.template, config)
-            .expect("template was validated at build time");
-        t.epoch.store(newest_epoch + 1, Ordering::Relaxed);
-        lock_slot(&t.slot).ms = Some(ms);
-        RecoverySource::Template
     }
 
     /// The durable checkpoint store, when a directory is configured.
@@ -689,11 +674,17 @@ impl Server {
         let _ = self.commit_session(t, ms);
     }
 
-    /// Spawns a fresh session for `t`: newest → oldest down the committed
-    /// checkpoint chain, then copy-on-load from the shared template. Bumps
-    /// the tenant epoch.
+    /// Spawns a fresh session for `t` at the next epoch.
     fn spawn_session(&self, t: &Tenant) -> MsSystem {
         t.epoch.fetch_add(1, Ordering::Relaxed);
+        self.restore_newest(t).0
+    }
+
+    /// The one chain walk: boots `t`'s session from the newest loadable
+    /// image in its committed chain — answering which commit that was — or,
+    /// with none, copy-on-load from the shared template. The session starts
+    /// undegraded with a fresh checkpoint interval.
+    fn restore_newest(&self, t: &Tenant) -> (MsSystem, Option<Commit>) {
         t.degraded.store(0, Ordering::Relaxed);
         t.since_ckpt.store(0, Ordering::Relaxed);
         let config = MsConfig {
@@ -707,15 +698,16 @@ impl Server {
                     .ok()
                     .and_then(|bytes| MsSystem::from_snapshot(&mut &bytes[..], config).ok());
                 match loaded {
-                    Some(ms) => return ms,
+                    Some(ms) => return (ms, Some(commit)),
                     // A corrupt or unloadable checkpoint must not wedge
                     // recovery: fall down the chain toward the template.
                     None => tel::counter("serve.checkpoint_fallback").incr(),
                 }
             }
         }
-        MsSystem::from_template(&self.template, config)
-            .expect("template was validated at build time")
+        let ms = MsSystem::from_template(&self.template, config)
+            .expect("template was validated at build time");
+        (ms, None)
     }
 }
 

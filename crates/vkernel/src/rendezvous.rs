@@ -302,12 +302,37 @@ impl Rendezvous {
     /// Parks the calling participant until the pending stop — if any — is
     /// released. Call upon observing [`poll`](Self::poll) return `true`.
     pub fn park(&self, id: ParticipantId) {
-        let mut inner = self.lock_inner();
+        let inner = self.lock_inner();
         if !inner.requested {
             return; // raced with the release
         }
         let start_ns = tel::now_ns();
-        let wait_state = timeline::enter_state(ProcState::SafepointWait);
+        drop(self.park_while_requested(inner, id));
+        let parked_ns = tel::now_ns() - start_ns;
+        instruments().2.record(parked_ns);
+        if tel::enabled() {
+            record(TraceEvent {
+                name: "safepoint.park",
+                cat: "safepoint",
+                phase: TracePhase::Complete,
+                start_ns,
+                dur_ns: parked_ns,
+                arg_name: "",
+                arg: 0,
+            });
+        }
+    }
+
+    /// The one park loop: counts `id` as parked and waits out the pending
+    /// stop, running the leader's helper job whenever a slot is open.
+    /// Returns with the lock held, the request released and the parked
+    /// accounting restored.
+    fn park_while_requested<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, Inner>,
+        id: ParticipantId,
+    ) -> MutexGuard<'a, Inner> {
+        let _wait_state = timeline::enter_state(ProcState::SafepointWait);
         inner.parked += 1;
         if let Some(e) = inner.roster_entry(id) {
             e.parked = true;
@@ -324,21 +349,7 @@ impl Rendezvous {
         if let Some(e) = inner.roster_entry(id) {
             e.parked = false;
         }
-        drop(inner);
-        drop(wait_state);
-        let parked_ns = tel::now_ns() - start_ns;
-        instruments().2.record(parked_ns);
-        if tel::enabled() {
-            record(TraceEvent {
-                name: "safepoint.park",
-                cat: "safepoint",
-                phase: TracePhase::Complete,
-                start_ns,
-                dur_ns: parked_ns,
-                arg_name: "",
-                arg: 0,
-            });
-        }
+        inner
     }
 
     /// Stops the world: sets the global flag and waits until every other
@@ -358,24 +369,7 @@ impl Rendezvous {
                 // Somebody else is leading a stop: behave as a parker, then
                 // go around again — another woken would-be leader may have
                 // claimed the next stop while we were rescheduled.
-                let wait_state = timeline::enter_state(ProcState::SafepointWait);
-                inner.parked += 1;
-                if let Some(e) = inner.roster_entry(id) {
-                    e.parked = true;
-                }
-                self.cv.notify_all();
-                while inner.requested {
-                    let (guard, helped) = self.try_help(inner, id);
-                    inner = guard;
-                    if !helped {
-                        inner = self.wait(inner);
-                    }
-                }
-                inner.parked -= 1;
-                if let Some(e) = inner.roster_entry(id) {
-                    e.parked = false;
-                }
-                drop(wait_state);
+                inner = self.park_while_requested(inner, id);
                 continue;
             }
             inner.requested = true;

@@ -345,6 +345,53 @@ fn old_space_exhaustion_signals_low_space_and_is_recoverable() {
     assert!(audit.is_clean(), "heap dirty after containment:\n{audit}");
 }
 
+#[test]
+fn a_snapshot_under_old_space_exhaustion_is_an_error_not_a_panic() {
+    // The memory shape of the test above, but the hoard stays reachable (a
+    // method literal is as global as the image gets), so collection cannot
+    // recover the space.
+    let config = MsConfig {
+        memory: mst_objmem::MemoryConfig {
+            old_words: 2 << 20,
+            eden_words: 64 << 10,
+            survivor_words: 24 << 10,
+            ..mst_objmem::MemoryConfig::default()
+        },
+        processors: 2,
+        ..MsConfig::default()
+    };
+    let mut ms = MsSystem::new(config);
+    eval(&mut ms, "Benchmark class compile: 'hoard ^#(nil)'");
+    eval(&mut ms, "Benchmark hoard at: 1 put: OrderedCollection new");
+    let err = ms
+        .evaluate(
+            "| c | c := Benchmark hoard at: 1.
+             [true] whileTrue: [c add: (Array new: 20000)]",
+        )
+        .expect_err("hoarding large arrays must exhaust old space");
+    assert!(err.to_string().contains("outOfMemory"), "{err}");
+    // Young survivors old space has no room to tenure: the scavenge that
+    // empties eden for a snapshot cannot complete.
+    eval(
+        &mut ms,
+        "| c | c := Benchmark hoard at: 1.
+         1 to: 3 do: [:i | c add: (Array new: 10000)]",
+    );
+    let err = ms
+        .save_snapshot(&mut Vec::new())
+        .expect_err("nowhere to tenure eden's survivors: nothing may be saved");
+    assert!(err.to_string().contains("out of memory"), "{err}");
+    // The world was released and the system still runs; with the hoard
+    // dropped the save succeeds and the image round-trips.
+    eval(&mut ms, "Benchmark hoard at: 1 put: nil");
+    let mut image = Vec::new();
+    ms.save_snapshot(&mut image).expect("space recovered");
+    let mut restored = MsSystem::from_snapshot(&mut &image[..], config).expect("image loads");
+    assert_eq!(eval(&mut restored, "3 + 4"), Value::Int(7));
+    assert!(restored.audit_heap().is_clean());
+    assert!(ms.audit_heap().is_clean());
+}
+
 /// Excess-signal count of the image's LowSpaceSemaphore (signals no process
 /// was waiting for).
 fn low_space_signals(ms: &mut MsSystem) -> i64 {
