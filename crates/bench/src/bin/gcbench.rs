@@ -22,15 +22,13 @@
 //! path), auditing the heap after every collection. Both modes write
 //! `BENCH_gc.json` for CI artifact upload.
 //!
-//! `--fullgc` measures the mark-compact collector instead: the mark phase
-//! of a full collection over a pinned old-space live set with 1, 2, and 4
-//! helpers, plus one incremental collection whose longest mark slice is
-//! compared against the monolithic mark pause. Writes `BENCH_fullgc.json`.
-//! On a host with at least four cores the run fails (exit 1) if the
-//! 4-helper mark is slower than 0.7x serial; the incremental slice bound
-//! (longest slice strictly below the monolithic mark) and the forwarding
-//! bound (one-helper update at most 1.5x the one-helper mark) are enforced
-//! on any host.
+//! `--fullgc` measures the mark-compact collector instead: the phases of a
+//! full collection over a pinned old-space live set with 1, 2, and 4
+//! helpers. Writes `BENCH_fullgc.json`. On a host with at least four cores
+//! the run fails (exit 1) if the 4-helper mark, or the 4-helper
+//! update+move, is slower than 0.7x serial; the forwarding bound
+//! (one-helper update at most 1.5x the one-helper mark) is enforced on any
+//! host.
 
 use mst_bench::harness::ns_human;
 use mst_objmem::{MemoryConfig, ObjFormat, ObjectMemory, Oop, So};
@@ -360,54 +358,7 @@ fn measure_fullgc(mem: &ObjectMemory, helpers: usize, rounds: usize) -> FullGcRu
     }
 }
 
-struct IncrementalRun {
-    slice_budget_words: usize,
-    slices: usize,
-    max_slice_ns: u64,
-    finish_ns: u64,
-    mark_ns: u64,
-}
-
-/// One incremental collection over the same pinned live set, timing every
-/// bounded mark slice individually (the number the pause-bound gate cares
-/// about) plus the monolithic finish.
-fn measure_incremental(mem: &ObjectMemory, budget_words: usize) -> IncrementalRun {
-    assert!(mem.full_gc_begin(), "window must open on a scavenged heap");
-    let mut slices = 0usize;
-    let mut max_slice_ns = 0u64;
-    let mut mark_ns = 0u64;
-    loop {
-        let t = std::time::Instant::now();
-        let done = mem.full_gc_mark_slice(budget_words);
-        let ns = t.elapsed().as_nanos() as u64;
-        slices += 1;
-        max_slice_ns = max_slice_ns.max(ns);
-        mark_ns += ns;
-        if done {
-            break;
-        }
-    }
-    let t = std::time::Instant::now();
-    let out = mem.full_gc_finish();
-    let finish_ns = t.elapsed().as_nanos() as u64;
-    assert!(out.report.is_clean(), "{}", out.report);
-    mem.verify_heap().assert_clean();
-    IncrementalRun {
-        slice_budget_words: budget_words,
-        slices,
-        max_slice_ns,
-        finish_ns,
-        mark_ns,
-    }
-}
-
-fn write_fullgc_json(
-    path: &str,
-    live_words: usize,
-    cores: usize,
-    runs: &[FullGcRun],
-    incr: &IncrementalRun,
-) {
+fn write_fullgc_json(path: &str, live_words: usize, cores: usize, runs: &[FullGcRun]) {
     let mut rows = Vec::new();
     for r in runs {
         let h = r.helpers;
@@ -443,38 +394,12 @@ fn write_fullgc_json(
             n,
         ));
     }
-    let slices = incr.slices as u64;
-    rows.push(Row::new(
-        "fullgc.incr.max_slice_ns",
-        incr.max_slice_ns as f64,
-        "ns",
-        slices,
-    ));
-    rows.push(Row::new(
-        "fullgc.incr.mark_ns",
-        incr.mark_ns as f64,
-        "ns",
-        slices,
-    ));
-    rows.push(Row::new(
-        "fullgc.incr.finish_ns",
-        incr.finish_ns as f64,
-        "ns",
-        1,
-    ));
-    rows.push(Row::new(
-        "fullgc.incr.slices",
-        incr.slices as f64,
-        "count",
-        1,
-    ));
     mst_bench::rows::write_rows(
         path,
         "gcbench-fullgc",
         &[
             ("live_words", live_words.to_string()),
             ("cores", cores.to_string()),
-            ("slice_budget_words", incr.slice_budget_words.to_string()),
         ],
         &rows,
     );
@@ -508,22 +433,9 @@ fn fullgc_bench() {
         );
         runs.push(run);
     }
-
-    // The incremental window needs a scavenge-fresh heap (a monolithic
-    // full GC parks the no-scavenge latch that `full_gc_begin` respects).
-    mem.try_scavenge().expect("old space has headroom");
-    let incr = measure_incremental(&mem, 32 << 10);
-    println!(
-        "  incremental: {} slices of <= {} words; max slice {:>10}, finish {:>10}, mark {:>10}",
-        incr.slices,
-        incr.slice_budget_words,
-        ns_human(incr.max_slice_ns as f64),
-        ns_human(incr.finish_ns as f64),
-        ns_human(incr.mark_ns as f64)
-    );
     drop(roots);
 
-    write_fullgc_json("BENCH_fullgc.json", live_words, cores, &runs, &incr);
+    write_fullgc_json("BENCH_fullgc.json", live_words, cores, &runs);
     println!("wrote BENCH_fullgc.json");
 
     let solo_mark = runs[0].best_mark_ns as f64;
@@ -567,22 +479,6 @@ fn fullgc_bench() {
         println!(
             "note: only {cores} core(s) visible; 4-helper update+move is {cratio:.2}x \
              serial (gate requires >= 4 cores)"
-        );
-    }
-    // The slice bound holds on any host: that is the point of incremental
-    // marking, and it does not depend on parallelism.
-    if incr.max_slice_ns >= solo_mark as u64 {
-        eprintln!(
-            "FAIL: longest incremental mark slice ({}) is not below the monolithic \
-             mark pause ({})",
-            ns_human(incr.max_slice_ns as f64),
-            ns_human(solo_mark)
-        );
-        failed = true;
-    } else {
-        println!(
-            "PASS: longest incremental mark slice is {:.2}x the monolithic mark pause",
-            incr.max_slice_ns as f64 / solo_mark
         );
     }
     // Forwarding is a table read, so rewriting every slot costs about what

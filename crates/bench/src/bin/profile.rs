@@ -17,8 +17,10 @@
 //!   and the aggregate across processors to `wall × processors` within 1%
 //!   (a leak here means some code path switches state without closing the
 //!   previous interval);
-//! * **pauses are attributed** — every recorded GC pause must have at
-//!   least 95% of its duration attributed to named phases.
+//! * **pauses are attributed** — every recorded GC pause's named phases
+//!   must sum to its duration within 1 µs. Both collectors take their
+//!   phases as gaps between boundary timestamps off one clock, so this is
+//!   an identity, not a budget a preempted pause can miss.
 //!
 //! `--smoke` shortens the workload for CI; the gates are identical.
 
@@ -158,26 +160,27 @@ fn main() {
         );
     }
 
-    // Gate 2: every pause >= 95% attributed to named phases.
+    // Gate 2: every pause's phases sum to the pause, within 1 µs.
     let (pauses, _dropped) = pauselog::snapshot();
     assert!(!pauses.is_empty(), "workload must record GC pauses");
-    let mut worst = 100.0f64;
+    let mut worst = 0u64;
     for p in &pauses {
-        worst = worst.min(p.coverage_pct());
-        if p.coverage_pct() < 95.0 {
+        let gap = p.attributed_ns().abs_diff(p.total_ns);
+        worst = worst.max(gap);
+        if gap > 1_000 {
             eprintln!(
-                "FAIL: {} pause at {} ns attributes only {:.1}% of {} ns (budget 95%)",
+                "FAIL: {} pause at {} ns: phases sum to {} of {} ns (budget 1 µs)",
                 p.kind,
                 p.start_ns,
-                p.coverage_pct(),
+                p.attributed_ns(),
                 p.total_ns
             );
             failed = true;
         }
     }
-    if worst >= 95.0 {
+    if worst <= 1_000 {
         eprintln!(
-            "PASS: {} pauses recorded, worst phase coverage {worst:.1}%",
+            "PASS: {} pauses recorded, phases sum to every pause within {worst} ns",
             pauses.len()
         );
     }

@@ -184,7 +184,8 @@ pub fn system_for_state(state: SystemState) -> MsSystem {
 /// time plus optional throughput.
 ///
 /// The budget per benchmark defaults to 100 ms and can be changed with
-/// `MST_MICRO_MS` (e.g. `MST_MICRO_MS=500 cargo bench -p mst-bench`).
+/// `MST_MICRO_MS` (e.g. `MST_MICRO_MS=500 cargo bench -p mst-bench`); a
+/// value that is not a `u64` fails the run.
 pub struct MicroGroup {
     name: &'static str,
     budget: std::time::Duration,
@@ -195,10 +196,7 @@ pub struct MicroGroup {
 impl MicroGroup {
     /// Starts a group and prints its header.
     pub fn new(name: &'static str) -> Self {
-        let ms = std::env::var("MST_MICRO_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(100u64);
+        let ms = micro_budget_ms(std::env::var("MST_MICRO_MS").ok().as_deref());
         println!("\n{name}");
         MicroGroup {
             name,
@@ -264,6 +262,19 @@ impl MicroGroup {
             .push((format!("{}/{name}", self.name), result));
         result
     }
+}
+
+/// The per-benchmark budget `MST_MICRO_MS` asks for: 100 ms when unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable, when the value is not a `u64`: a typo must
+/// not silently run every benchmark at the default budget.
+fn micro_budget_ms(raw: Option<&str>) -> u64 {
+    raw.map_or(100, |v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("MST_MICRO_MS={v} is not a u64"))
+    })
 }
 
 /// Every [`MicroGroup::bench`] result recorded so far, in run order.
@@ -380,6 +391,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn micro_budget_defaults_and_parses() {
+        assert_eq!(micro_budget_ms(None), 100);
+        assert_eq!(micro_budget_ms(Some("5")), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "MST_MICRO_MS=5ms is not a u64")]
+    fn a_malformed_micro_budget_fails_loudly() {
+        micro_budget_ms(Some("5ms"));
     }
 
     #[test]

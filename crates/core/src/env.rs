@@ -12,7 +12,6 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use mst_interp::SupervisorPolicy;
-use mst_objmem::FullGcMode;
 use mst_vkernel::fault::ChaosConfig;
 use mst_vkernel::WatchdogPolicy;
 
@@ -22,7 +21,7 @@ const PATH: &str = "<path>";
 /// Every runtime variable: `(name, grammar, what a set value does)`. One
 /// rule sits above the grammars: an empty value is an unset variable.
 #[rustfmt::skip] // a table: one row per variable
-pub const VARIABLES: [(&str, &str, &str); 10] = [
+pub const VARIABLES: [(&str, &str, &str); 9] = [
     ("MST_TRACE", BOOL, "switches trace-event recording on for the process"),
     ("MST_TIMELINE", BOOL, "switches per-processor state timelines on for the process"),
     ("MST_CHAOS", "<seed>:<rate 0..=1>[:<site,...>]", "arms fault injection for the process"),
@@ -32,7 +31,6 @@ pub const VARIABLES: [(&str, &str, &str); 10] = [
     ("MST_SUPERVISOR_POLICY", "restart|degrade|panic", "overrides MsConfig.supervisor"),
     ("MST_SUPERVISOR_CHECKPOINT", PATH, "image file written when the last worker degrades"),
     ("MST_GC_THREADS", "<usize> (0 means 1)", "overrides MemoryConfig.gc_helpers"),
-    ("MST_FULLGC", "stw|incremental[:<words>] (min 256)", "overrides MemoryConfig.full_gc_mode"),
 ];
 
 /// A variable whose value does not fit its grammar.
@@ -77,8 +75,6 @@ pub struct RuntimeEnv {
     pub supervisor_checkpoint: Option<PathBuf>,
     /// `MST_GC_THREADS`.
     pub gc_threads: Option<usize>,
-    /// `MST_FULLGC`.
-    pub full_gc: Option<FullGcMode>,
 }
 
 fn parse_bool(s: &str) -> Option<bool> {
@@ -132,7 +128,6 @@ impl RuntimeEnv {
             gc_threads: var(l, "MST_GC_THREADS", |s| {
                 s.parse().ok().map(|n: usize| n.max(1))
             })?,
-            full_gc: var(l, "MST_FULLGC", |s| s.parse().ok())?,
         })
     }
 
@@ -200,7 +195,7 @@ mod tests {
     #[test]
     fn every_accepted_form_parses() {
         type Set = fn(&mut RuntimeEnv);
-        let cases: [(&str, &str, Set); 29] = [
+        let cases: [(&str, &str, Set); 25] = [
             // One boolean grammar for both switches.
             ("MST_TRACE", "1", |e| e.trace = true),
             ("MST_TRACE", "true", |e| e.trace = true),
@@ -245,18 +240,6 @@ mod tests {
             }),
             ("MST_GC_THREADS", "4", |e| e.gc_threads = Some(4)),
             ("MST_GC_THREADS", "0", |e| e.gc_threads = Some(1)),
-            ("MST_FULLGC", "stw", |e| e.full_gc = Some(FullGcMode::Stw)),
-            ("MST_FULLGC", "incremental", |e| {
-                e.full_gc = Some(FullGcMode::Incremental {
-                    slice_words: mst_objmem::DEFAULT_MARK_SLICE_WORDS,
-                });
-            }),
-            ("MST_FULLGC", "incremental:4096", |e| {
-                e.full_gc = Some(FullGcMode::Incremental { slice_words: 4096 });
-            }),
-            ("MST_FULLGC", "incremental:8", |e| {
-                e.full_gc = Some(FullGcMode::Incremental { slice_words: 256 });
-            }),
         ];
         for (variable, value, set) in cases {
             let mut expected = RuntimeEnv::default();
@@ -279,7 +262,6 @@ mod tests {
             ("MST_WATCHDOG_POLICY", "abort"),
             ("MST_SUPERVISOR_POLICY", "bogus"),
             ("MST_GC_THREADS", "-1"),
-            ("MST_FULLGC", "incremental:many"),
         ];
         for (variable, value) in malformed {
             let err = parse_one(variable, value).expect_err(variable);
@@ -345,5 +327,16 @@ mod tests {
         for variable in HARNESS_VARIABLES {
             assert!(readme.contains(variable), "README lacks {variable}");
         }
+        // And it counts them: one table row each, and the number in words.
+        let rows = readme.lines().filter(|l| l.starts_with("| `MST_")).count();
+        assert_eq!(rows, VARIABLES.len() + HARNESS_VARIABLES.len());
+        let count = match VARIABLES.len() {
+            9 => "nine",
+            n => panic!("spell {n} here, as the README does"),
+        };
+        assert!(
+            readme.contains(&format!("runtime also reads {count}")),
+            "README does not say the runtime reads {count} variables"
+        );
     }
 }

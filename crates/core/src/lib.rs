@@ -309,7 +309,7 @@ impl MsSystem {
     fn boot(mut mem: ObjectMemory, mut config: MsConfig, env: &RuntimeEnv) -> MsSystem {
         env::arm(config.trace, config.chaos);
         config.supervisor = env.supervisor_policy.unwrap_or(config.supervisor);
-        mem.set_collector(env.gc_threads, env.full_gc);
+        mem.set_collector(env.gc_threads);
         let options = VmOptions {
             memory: *mem.config(),
             cache_policy: config.strategies.cache,
@@ -859,17 +859,14 @@ mod tests {
         let mut image = Vec::new();
         MsSystem::new(config).save_snapshot(&mut image).unwrap();
         let template = SnapshotTemplate::from_bytes(image, config.memory_config()).unwrap();
-        let full_gc = mst_objmem::FullGcMode::Incremental { slice_words: 512 };
         let env = RuntimeEnv {
             gc_threads: Some(3),
-            full_gc: Some(full_gc),
             supervisor_policy: Some(SupervisorPolicy::Restart),
             ..RuntimeEnv::default()
         };
         let mut ms = MsSystem::boot(template.instantiate().unwrap(), config, &env);
         let memory = MemoryConfig {
             gc_helpers: 3,
-            full_gc_mode: full_gc,
             ..template.config()
         };
         assert_eq!(*ms.mem().config(), memory);

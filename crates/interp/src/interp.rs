@@ -26,7 +26,6 @@ use crate::contexts::{reinit_block_ctx, reinit_method_ctx, CtxKind, FreeLists};
 use crate::dicts::method_dict_at;
 use crate::scheduler as sched;
 use crate::vm::{CachePolicy, FreeListPolicy, Vm};
-use crate::world::StoppedWorld;
 
 /// Why `run` returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -671,35 +670,28 @@ impl Interpreter {
         }
     }
 
-    /// Stops the world as this interpreter and runs `f` on it; `f` is also
-    /// told whether the heap is as this interpreter last saw it (`false`:
-    /// another interpreter collected while this one waited to lead). The
-    /// registers must already be flushed: whenever objects moved across the
-    /// stop — under `f`, or before it — they are reloaded from the heap.
-    fn stop_world<R>(&mut self, f: impl FnOnce(&StoppedWorld<'_>, bool) -> R) -> R {
+    /// Stops the world as this interpreter and scavenges, unless another
+    /// interpreter collected while this one waited to lead. `Err` means the
+    /// old generation cannot absorb the survivors; new space is left
+    /// untouched in that case so execution can continue. The registers must
+    /// already be flushed: whenever objects moved across the stop — under
+    /// this scavenge, or before it — they are reloaded from the heap.
+    fn scavenge_world(&mut self) -> Result<(), mst_objmem::OomError> {
         let before = self.mem().gc_epoch();
         // Exact accounting: hand the unused tail of our allocation buffer
         // back before a collection sizes its tenure reserve.
         self.mem().retire_token(&self.token);
         let world = self.vm.stop_world_as(self.rdv_id());
-        let r = f(&world, self.mem().gc_epoch() == before);
+        let scavenged = if self.mem().gc_epoch() == before {
+            world.scavenge().map(|_| ())
+        } else {
+            Ok(())
+        };
         drop(world);
         if self.mem().gc_epoch() != before {
             self.after_gc();
         }
-        r
-    }
-
-    /// Stops the world and scavenges, unless another interpreter beat us to
-    /// it. `Err` means the old generation cannot absorb the survivors; new
-    /// space is left untouched in that case so execution can continue.
-    fn scavenge_world(&mut self) -> Result<(), mst_objmem::OomError> {
-        self.stop_world(|world, unbeaten| {
-            if unbeaten {
-                world.scavenge()?;
-            }
-            Ok(())
-        })
+        scavenged
     }
 
     /// Terminates the current process because memory is exhausted even
@@ -724,40 +716,6 @@ impl Interpreter {
         self.free.lock().clear(self.mem().gc_epoch());
         self.refresh_special_selectors();
         self.reload_registers();
-    }
-
-    /// Drives the incremental full collector from the safepoint, registers
-    /// flushed (no-op under [`mst_objmem::FullGcMode::Stw`]). One call
-    /// performs at most one bounded stop-the-world step: *begin* (arm the
-    /// write barrier) when the low-space latch is set and no window is open,
-    /// otherwise one mark slice, finishing — plan/update/move, the only
-    /// unbounded pause — once the trace converges. Mutators run between
-    /// calls, which is the whole point: the monolithic mark pause is diced
-    /// into `slice_words`-sized pieces.
-    fn incremental_full_gc_step(&mut self) {
-        let mem = self.mem();
-        let mst_objmem::FullGcMode::Incremental { slice_words } = mem.config().full_gc_mode else {
-            return;
-        };
-        let marking = mem.incremental_mark_active();
-        if !marking && !self.vm.low_space_latched() {
-            return;
-        }
-        self.stop_world(|world, _| {
-            if !mem.incremental_mark_active() {
-                // Re-check under stop-world: another interpreter may have
-                // begun (or finished) a window while we raced here.
-                // `full_gc_begin` refuses on its own when preconditions fail
-                // (a monolithic full GC since the last scavenge).
-                if world.vm().low_space_latched() {
-                    mem.full_gc_begin();
-                }
-            } else if mem.full_gc_mark_slice(slice_words) {
-                // The finish pause (plan/update/move/clear) is the only
-                // unbounded one; it compacts old space.
-                world.finish_incremental();
-            }
-        });
     }
 
     /// Parks while another thread holds the world, if one asks for it;
@@ -809,7 +767,6 @@ impl Interpreter {
         if self.park_if_requested() || self.sels_epoch != self.mem().gc_epoch() {
             self.after_gc();
         }
-        self.incremental_full_gc_step();
         if !self.vm.running() {
             return Step::Event(Event::Shutdown);
         }

@@ -89,26 +89,14 @@ impl StoppedWorld<'_> {
         scavenged
     }
 
-    /// Runs a full mark-compact collection (or completes the incremental
-    /// one in flight).
-    pub fn full_collect(&self) -> FullGcOutcome {
-        self.full(|mem, helpers| mem.full_gc_with(helpers, |n, f| self.run(n, f)))
-    }
-
-    /// Closes an open incremental mark window: the finishing mark, then the
-    /// compaction. A no-op when no window is open.
-    pub fn finish_incremental(&self) -> FullGcOutcome {
-        self.full(|mem, helpers| mem.full_gc_finish_with(helpers, |n, f| self.run(n, f)))
-    }
-
-    /// A full collection by either entry. The helper count adapts to the
+    /// Runs a full mark-compact collection. The helper count adapts to the
     /// live set, so a small heap marks solo even on a big machine; the
     /// calling thread marks too, so it counts beside the online workers.
-    fn full(&self, collect: impl FnOnce(&ObjectMemory, usize) -> FullGcOutcome) -> FullGcOutcome {
+    pub fn full_collect(&self) -> FullGcOutcome {
         let mem = self.mem();
         let before = mem.gc_epoch();
         let helpers = mem.adaptive_full_gc_helpers(self.vm.processors_online() + 1);
-        let outcome = collect(mem, helpers);
+        let outcome = mem.full_gc_with(helpers, |n, f| self.run(n, f));
         self.collected(before, Some(&outcome.report));
         outcome
     }

@@ -26,28 +26,17 @@
 //! New-space objects are never moved by a full collection; unreachable ones
 //! are simply never scanned again (the next scavenge abandons them).
 //!
-//! There is one marker ([`Marker`]): one root enumeration (special
-//! objects, root cells, interned symbols), one claim primitive (an atomic
-//! `fetch_or` of the mark bit on the header word), one `trace`, balanced
-//! across helper slots by the scavenger's [`WorkPool`]. Two drivers use it:
-//!
-//! * **Monolithic** ([`ObjectMemory::full_gc_with`]): the marker runs to
-//!   exhaustion on `helpers >= 1` slots drafted from the stopped world (the
-//!   scavenger's `run_stopped` contract). One helper is the same code with
-//!   nobody to steal from.
-//! * **Incremental** ([`ObjectMemory::full_gc_begin`] /
-//!   [`full_gc_mark_slice`](ObjectMemory::full_gc_mark_slice) /
-//!   [`full_gc_finish_with`](ObjectMemory::full_gc_finish_with)): the same
-//!   marker restricted to old space and driven with a word budget in
-//!   bounded stop-the-world slices, its gray set parked on the
-//!   `ObjectMemory` while mutators run; a snapshot-at-the-beginning write
-//!   barrier in [`ObjectMemory::store`] records both the overwritten and
-//!   the newly written value, so the final pause is bounded by
-//!   live-data-moved, not old-space-scanned.
+//! There is one collector, [`ObjectMemory::full_gc_with`]: one stop-the-world
+//! pause on `helpers >= 1` slots drafted from the stopped world (the
+//! scavenger's `run_stopped` contract), and one marker ([`Marker`]) — one
+//! root enumeration (special objects, root cells, interned symbols), one
+//! claim primitive (an atomic `fetch_or` of the mark bit on the header
+//! word), one `trace`, balanced across the slots by the scavenger's
+//! [`WorkPool`]. One helper is the same code with nobody to steal from.
 //!
 //! The update runs over the same helper slots as the mark (it shards the
-//! marked list, the new-space walk, and the reference tables — the
-//! forwarding tables are immutable after planning). Per-helper reports are
+//! marked list and the reference tables — the forwarding tables are
+//! immutable after planning). Per-helper reports are
 //! merged in deterministic order, and a corrupt special table aborts the
 //! compaction cleanly ([`CompactAbort`]) before any heap mutation instead of
 //! panicking mid-stop-the-world. The plan walk and the move are serial: a
@@ -55,9 +44,8 @@
 //! old space can only slide independently where nothing below either has
 //! moved — and there nothing slides.
 //!
-//! **The world must be stopped by the caller** for every entry point here
-//! (for the incremental mode: during each slice and the finish); in a
-//! running system the caller holds an `mst_interp::StoppedWorld`, whose
+//! **The world must be stopped by the caller** for every entry point here;
+//! in a running system the caller holds an `mst_interp::StoppedWorld`, whose
 //! methods are the only route to the `_with` forms. Free
 //! context lists hold dead contexts by design; the registered pre-full-GC
 //! hooks ([`ObjectMemory::register_pre_fullgc_hook`]) sever them before any
@@ -68,7 +56,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::header::{Header, ObjFormat, PAD_WORD};
+use crate::header::{Header, ObjFormat};
 use crate::heap::ObjectMemory;
 use crate::method::MethodHeader;
 use crate::oop::Oop;
@@ -94,15 +82,10 @@ const MAX_DANGLING: usize = 16;
 /// Telemetry for the full collector (`gc.full*`).
 struct FullGcInstruments {
     pause_ns: &'static mst_telemetry::Histogram,
-    mark_slice_ns: &'static mst_telemetry::Histogram,
     parallel_collections: &'static mst_telemetry::Counter,
     parallel_steals: &'static mst_telemetry::Counter,
     parallel_helpers: &'static mst_telemetry::Histogram,
     helper_marked_words: &'static mst_telemetry::Histogram,
-    satb_recorded: &'static mst_telemetry::Counter,
-    incremental_collections: &'static mst_telemetry::Counter,
-    incremental_slices: &'static mst_telemetry::Counter,
-    forced_finish: &'static mst_telemetry::Counter,
     dangling_refs: &'static mst_telemetry::Counter,
     parallel_compactions: &'static mst_telemetry::Counter,
     aborted: &'static mst_telemetry::Counter,
@@ -112,15 +95,10 @@ fn instruments() -> &'static FullGcInstruments {
     static I: OnceLock<FullGcInstruments> = OnceLock::new();
     I.get_or_init(|| FullGcInstruments {
         pause_ns: mst_telemetry::histogram("gc.full_pause_ns"),
-        mark_slice_ns: mst_telemetry::histogram("gc.full_mark_slice_ns"),
         parallel_collections: mst_telemetry::counter("gc.full.parallel.collections"),
         parallel_steals: mst_telemetry::counter("gc.full.parallel.steals"),
         parallel_helpers: mst_telemetry::histogram("gc.full.parallel.helpers"),
         helper_marked_words: mst_telemetry::histogram("gc.full.parallel.helper_marked_words"),
-        satb_recorded: mst_telemetry::counter("gc.full.satb.recorded"),
-        incremental_collections: mst_telemetry::counter("gc.full.incremental.collections"),
-        incremental_slices: mst_telemetry::counter("gc.full.incremental.slices"),
-        forced_finish: mst_telemetry::counter("gc.full.incremental.forced_finish"),
         dangling_refs: mst_telemetry::counter("gc.full.dangling_refs"),
         parallel_compactions: mst_telemetry::counter("gc.full.parallel.compactions"),
         aborted: mst_telemetry::counter("gc.full.aborted"),
@@ -249,28 +227,23 @@ impl std::fmt::Display for FullGcReport {
 pub struct FullGcOutcome {
     /// Old-space words reclaimed.
     pub reclaimed_words: usize,
-    /// Stop-the-world nanoseconds spent marking (for the incremental mode:
-    /// summed over the slices and the finishing mark).
+    /// Nanoseconds spent marking.
     pub mark_nanos: u64,
-    /// Wall nanoseconds from begin to finish (equals the pause for the
-    /// monolithic modes; spans mutator execution for the incremental one).
+    /// The whole stop-the-world pause, in nanoseconds: the sum of the five
+    /// phases below, exactly.
     pub total_nanos: u64,
-    /// The longest single stop-the-world pause this collection imposed.
-    pub max_pause_nanos: u64,
-    /// Mark pauses taken: 1 for monolithic marking; the bounded slices plus
-    /// the finishing mark for the incremental mode.
-    pub slices: u64,
-    /// Helper threads that actually entered the mark of the final pause
-    /// (what its pause-log entry reports too).
+    /// Helper threads that actually entered the mark (what the pause-log
+    /// entry reports too).
     pub helpers: usize,
-    /// Stop-the-world nanoseconds planning slid-down addresses.
+    /// Nanoseconds planning slid-down addresses.
     pub plan_nanos: u64,
-    /// Stop-the-world nanoseconds rewriting references through the plan.
+    /// Nanoseconds rewriting references through the plan.
     pub update_nanos: u64,
-    /// Stop-the-world nanoseconds sliding live bodies leftward.
+    /// Nanoseconds sliding live bodies leftward, and closing the pause.
     pub move_nanos: u64,
-    /// Stop-the-world nanoseconds clearing mark bits: an aborted compaction
-    /// only (a completed one unmarks each object as it updates it).
+    /// Nanoseconds clearing mark bits, and closing the pause: an aborted
+    /// compaction only (a completed one unmarks each object as it updates
+    /// it).
     pub clear_nanos: u64,
     /// Helper threads that actually entered the update phase.
     pub compact_helpers: usize,
@@ -278,49 +251,58 @@ pub struct FullGcOutcome {
     pub report: FullGcReport,
 }
 
-/// A collection's marking so far. For an incremental collection it is parked
-/// on the `ObjectMemory` between slices while mutators run against the write
-/// barrier; a monolithic one starts its only pause with an empty one.
-#[derive(Debug)]
-pub(crate) struct FullMarkState {
-    /// Marked-but-untraced objects (old space only), as raw oops: the
-    /// marker's leftover work between slices.
-    gray: Vec<u64>,
-    /// Every object marked so far, for the update phase to visit and unmark.
-    marked: Vec<Oop>,
-    /// Old objects allocated (black) during the window; re-traced at finish
-    /// because fresh-object initialization legally bypasses the barrier.
-    alloc_black: Vec<Oop>,
-    slices: u64,
-    mark_nanos: u64,
-    max_slice_nanos: u64,
-    started: Instant,
+/// The phases of a pause, in the order the pause log lists them.
+#[derive(Clone, Copy)]
+enum Phase {
+    Mark,
+    Plan,
+    Update,
+    Move,
+    Clear,
 }
 
-impl FullMarkState {
-    fn new() -> FullMarkState {
-        FullMarkState {
-            gray: Vec::new(),
-            marked: Vec::new(),
-            alloc_black: Vec::new(),
-            slices: 0,
-            mark_nanos: 0,
-            max_slice_nanos: 0,
-            started: Instant::now(),
+const PHASE_NAMES: [&str; 5] = ["mark", "plan", "update", "move", "clear"];
+
+/// One clock for a whole pause. A phase runs from the boundary that opened
+/// it to the one that opens the next, and the last to the end of the pause,
+/// so the phases sum to the pause exactly: no seam between two timers goes
+/// unattributed.
+struct PauseClock {
+    start: Instant,
+    running: Phase,
+    /// Where the running phase began, in nanoseconds since `start`.
+    since: u64,
+    ns: [u64; 5],
+}
+
+impl PauseClock {
+    /// Starts the pause, in the mark phase.
+    fn start() -> PauseClock {
+        PauseClock {
+            start: Instant::now(),
+            running: Phase::Mark,
+            since: 0,
+            ns: [0; 5],
         }
     }
-}
 
-/// Per-phase wall times of one [`compact_marked`](ObjectMemory::compact_marked)
-/// run, feeding the pause-attribution log.
-#[derive(Default)]
-struct CompactTiming {
-    plan_ns: u64,
-    update_ns: u64,
-    move_ns: u64,
-    clear_ns: u64,
-    /// Workers that entered the update phase.
-    helpers: usize,
+    /// Closes the running phase now; returns the boundary.
+    fn close(&mut self) -> u64 {
+        let now = self.start.elapsed().as_nanos() as u64;
+        self.ns[self.running as usize] += now - self.since;
+        self.since = now;
+        now
+    }
+
+    /// Closes the running phase and opens `next`.
+    fn enter(&mut self, next: Phase) {
+        self.close();
+        self.running = next;
+    }
+
+    fn ns(&self, phase: Phase) -> u64 {
+        self.ns[phase as usize]
+    }
 }
 
 /// The relocation plan, as forwarding tables over `[old_start, old_next)`
@@ -569,81 +551,35 @@ impl ObjectMemory {
     /// distinct slot indices in `0..helpers` — any subset, but slot 0 must
     /// run — from at most one thread per slot, returning only once every
     /// invocation has finished. It is invoked once per helper-driven phase.
-    ///
-    /// An incremental mark already in flight is completed instead (its
-    /// snapshot must not be mixed with a fresh trace).
     pub fn full_gc_with<R>(&self, helpers: usize, run: R) -> FullGcOutcome
     where
         R: Fn(usize, &(dyn Fn(usize) + Sync)),
     {
-        let run: HelperRunner = &run;
-        let helpers = helpers.max(1);
-        if self.incremental_mark_active() {
-            return self.full_gc_force_finish(helpers, run);
-        }
         self.run_pre_fullgc_hooks();
-        self.collect(None, helpers, run)
+        self.collect(helpers.max(1), &run)
     }
 
-    /// One stop-the-world collection pause: complete the mark — all of it
-    /// for a monolithic collection (`window` is `None`), what the slices
-    /// left for an incremental one — then compact and account.
-    fn collect(
-        &self,
-        window: Option<FullMarkState>,
-        helpers: usize,
-        run: HelperRunner,
-    ) -> FullGcOutcome {
-        let incremental = window.is_some();
-        let mut st = window.unwrap_or_else(FullMarkState::new);
-        let (kind, mark_phase) = if incremental {
-            ("fullgc_finish", "finish_mark")
-        } else {
-            ("fullgc", "mark")
-        };
+    /// The collection pause: mark, compact, account.
+    fn collect(&self, helpers: usize, run: HelperRunner) -> FullGcOutcome {
         let mut trace_span = mst_telemetry::span("gc.full", "gc");
         let pause_start_ns = mst_telemetry::now_ns();
-        let start = Instant::now();
+        let mut clock = PauseClock::start();
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 1);
 
-        let mut roots = self.mark_roots();
-        let job = if incremental {
-            // To claim: anything that became a root during the window, plus
-            // what the barrier logged since the last slice. To trace: the
-            // parked gray set; the objects allocated black, whose slots may
-            // have been initialized with `store_nocheck` (legal for fresh
-            // objects), which the write barrier never sees; and every
-            // formatted new-space object (live or dead) — a conservative
-            // scan, so each old object referenced from new space stays and
-            // each such slot gets rewritten in the update phase below.
-            roots.append(&mut self.satb.lock());
-            let mut gray = std::mem::take(&mut st.gray);
-            gray.extend(st.alloc_black.drain(..).map(Oop::raw));
-            self.each_new_object(|_, obj| gray.push(obj.raw()));
-            MarkJob::old_slice(roots, gray, usize::MAX)
-        } else {
-            MarkJob::exhaustive(roots)
-        };
-        let mut m = self.mark(job, helpers, run);
-        self.mark_active.store(false, Ordering::Release);
-        merge_into(&mut st.marked, &mut m.marked);
-        let mark_ns = start.elapsed().as_nanos() as u64;
-
-        // The incremental path rewrites *every* new-space slot (the same
-        // walk that marked them); the monolithic one only the live ones.
-        let (reclaimed, report, timing) =
-            self.compact_marked(&st.marked, incremental, helpers, run);
+        let m = self.mark(self.mark_roots(), helpers, run);
+        let (reclaimed, report, compact_helpers) =
+            self.compact_marked(&m.marked, helpers, run, &mut clock);
         if report.aborted.is_none() {
             self.bump_epoch();
-            // So until the next completed scavenge after a monolithic
-            // collection, dead new-space objects may hold dangling
-            // references to compacted-away old objects (abandoned by
-            // design); the heap verifier consults this flag. An aborted
-            // compaction moved nothing, so neither applies.
-            self.fullgc_since_scavenge
-                .store(!incremental, Ordering::Relaxed);
+            // Until the next completed scavenge, dead new-space objects may
+            // hold dangling references to compacted-away old objects
+            // (abandoned by design); the heap verifier consults this flag.
+            // An aborted compaction moved nothing, so it does not apply.
+            self.fullgc_since_scavenge.store(true, Ordering::Relaxed);
         }
-        let pause_ns = start.elapsed().as_nanos() as u64;
+        // The last boundary: the running phase (move, or clear) ends with
+        // the pause.
+        let pause_ns = clock.close();
         // Test builds audit the heap after every collection that claims to
         // have been clean, not only where a test thinks to ask.
         #[cfg(test)]
@@ -651,7 +587,7 @@ impl ObjectMemory {
             self.verify_heap().assert_clean();
         }
         self.stats.full_gcs.incr();
-        self.stats.full_gc_nanos.add(st.mark_nanos + pause_ns);
+        self.stats.full_gc_nanos.add(pause_ns);
         let instr = instruments();
         instr.pause_ns.record(pause_ns);
         instr.parallel_collections.incr();
@@ -665,16 +601,10 @@ impl ObjectMemory {
             .iter()
             .fold((u64::MAX, 0u64), |(lo, hi), &w| (lo.min(w), hi.max(w)));
         mst_telemetry::pauselog::record(mst_telemetry::GcPause {
-            kind,
+            kind: "fullgc",
             start_ns: pause_start_ns,
             total_ns: pause_ns,
-            phases: vec![
-                (mark_phase, mark_ns),
-                ("plan", timing.plan_ns),
-                ("update", timing.update_ns),
-                ("move", timing.move_ns),
-                ("clear", timing.clear_ns),
-            ],
+            phases: PHASE_NAMES.into_iter().zip(clock.ns).collect(),
             helpers: m.entered,
             per_helper_work: m.per_helper_words,
             steals: m.steals,
@@ -685,16 +615,14 @@ impl ObjectMemory {
         drop(trace_span);
         FullGcOutcome {
             reclaimed_words: reclaimed,
-            mark_nanos: st.mark_nanos + mark_ns,
-            total_nanos: st.started.elapsed().as_nanos() as u64,
-            max_pause_nanos: st.max_slice_nanos.max(pause_ns),
-            slices: st.slices + 1,
+            mark_nanos: clock.ns(Phase::Mark),
+            total_nanos: pause_ns,
             helpers: m.entered,
-            plan_nanos: timing.plan_ns,
-            update_nanos: timing.update_ns,
-            move_nanos: timing.move_ns,
-            clear_nanos: timing.clear_ns,
-            compact_helpers: timing.helpers,
+            plan_nanos: clock.ns(Phase::Plan),
+            update_nanos: clock.ns(Phase::Update),
+            move_nanos: clock.ns(Phase::Move),
+            clear_nanos: clock.ns(Phase::Clear),
+            compact_helpers,
             report,
         }
     }
@@ -711,7 +639,7 @@ impl ObjectMemory {
     }
 
     // ------------------------------------------------------------------
-    // The marker's drivers
+    // The mark
     // ------------------------------------------------------------------
 
     /// The root enumeration for marking: every special object, live root
@@ -732,18 +660,15 @@ impl ObjectMemory {
         roots
     }
 
-    /// Runs the marker over `job` on up to `helpers` slots.
-    fn mark(&self, mut job: MarkJob, helpers: usize, run: HelperRunner) -> MarkOutcome {
-        let out = Mutex::new(MarkOutcome {
-            gray: std::mem::take(&mut job.gray),
-            ..MarkOutcome::default()
-        });
+    /// Marks everything reachable from `roots`, in both generations, on up
+    /// to `helpers` slots.
+    fn mark(&self, roots: Vec<u64>, helpers: usize, run: HelperRunner) -> MarkOutcome {
         let marker = Marker {
             mem: self,
-            job,
+            roots,
             root_cursor: AtomicUsize::new(0),
             pool: WorkPool::new(helpers),
-            out,
+            out: Mutex::default(),
         };
         run(helpers, &|slot| marker.run_helper(slot));
         let mut out = marker.out.into_inner().unwrap();
@@ -769,151 +694,15 @@ impl ObjectMemory {
     }
 
     // ------------------------------------------------------------------
-    // Incremental driver: budgeted slices under a SATB write barrier
-    // ------------------------------------------------------------------
-
-    /// Whether an incremental mark window is open (mutators are running
-    /// against the snapshot-at-the-beginning write barrier).
-    #[inline]
-    pub fn incremental_mark_active(&self) -> bool {
-        self.mark_active.load(Ordering::Acquire)
-    }
-
-    /// Opens an incremental full collection: runs the pre-full-GC hooks,
-    /// marks the roots, and arms the write barrier. **The world must be
-    /// stopped by the caller** (an interpreter holding its
-    /// `mst_interp::StoppedWorld`) for this call; mutators may run between
-    /// the slices that follow.
-    ///
-    /// Returns `false` without side effects when a window is already open or
-    /// when a monolithic full GC ran since the last scavenge (dead new-space
-    /// objects may dangle, and the finish walk would trace them).
-    /// [`crate::AllocPolicy::PerProcessorLab`] is fine: LAB buffers are formatted
-    /// as pad words when carved, so eden stays linearly walkable and the
-    /// finish's conservative new-space scan covers it.
-    pub fn full_gc_begin(&self) -> bool {
-        if self.incremental_mark_active() || self.fullgc_since_scavenge.load(Ordering::Relaxed) {
-            return false;
-        }
-        self.run_pre_fullgc_hooks();
-        let mut st = FullMarkState::new();
-        // A zero budget: claim the roots, trace nothing yet.
-        let job = MarkJob::old_slice(self.mark_roots(), Vec::new(), 0);
-        let m = self.mark(job, 1, &solo_runner);
-        st.gray = m.gray;
-        st.marked = m.marked;
-        self.satb.lock().clear();
-        *self.full_mark.lock() = Some(st);
-        self.mark_active.store(true, Ordering::Release);
-        instruments().incremental_collections.incr();
-        true
-    }
-
-    /// Traces up to `budget_words` object words from the gray set, first
-    /// claiming what the write barrier logged since the last slice. **The
-    /// world must be stopped by the caller** (as for
-    /// [`full_gc_begin`](Self::full_gc_begin)). Returns `true` when marking is
-    /// complete (gray set and barrier log both empty) — call
-    /// [`full_gc_finish_with`](Self::full_gc_finish_with) then. A no-op
-    /// returning `true` when no window is open.
-    pub fn full_gc_mark_slice(&self, budget_words: usize) -> bool {
-        let start = Instant::now();
-        let mut guard = self.full_mark.lock();
-        let Some(st) = guard.as_mut() else {
-            return true;
-        };
-        let logged = std::mem::take(&mut *self.satb.lock());
-        let gray = std::mem::take(&mut st.gray);
-        // At least one word, so every slice makes progress.
-        let job = MarkJob::old_slice(logged, gray, budget_words.max(1));
-        let mut m = self.mark(job, 1, &solo_runner);
-        st.gray = m.gray;
-        st.marked.append(&mut m.marked);
-        st.slices += 1;
-        let ns = start.elapsed().as_nanos() as u64;
-        st.mark_nanos += ns;
-        st.max_slice_nanos = st.max_slice_nanos.max(ns);
-        let instr = instruments();
-        instr.mark_slice_ns.record(ns);
-        instr.incremental_slices.incr();
-        st.gray.is_empty() && self.satb.lock().is_empty()
-    }
-
-    /// [`full_gc_finish_with`](Self::full_gc_finish_with) and nobody helping.
-    pub fn full_gc_finish(&self) -> FullGcOutcome {
-        self.full_gc_finish_with(1, solo_runner)
-    }
-
-    /// Closes the incremental window on up to `helpers` threads drawn from
-    /// the stopped world: re-scans the roots, re-traces black allocations,
-    /// conservatively marks every old object referenced from new space,
-    /// drains the remaining gray set, then compacts. **The world must be
-    /// stopped by the caller**: in a running system,
-    /// `mst_interp::StoppedWorld::finish_incremental` and nobody else.
-    /// `run`'s contract is [`full_gc_with`]
-    /// (Self::full_gc_with)'s. A no-op (default outcome) when no window is
-    /// open.
-    ///
-    /// Unlike the monolithic collector, this path rewrites *every* new-space
-    /// slot (the same walk that marked them), so it leaves no dangling
-    /// references behind and `fullgc_since_scavenge` stays clear.
-    pub fn full_gc_finish_with<R>(&self, helpers: usize, run: R) -> FullGcOutcome
-    where
-        R: Fn(usize, &(dyn Fn(usize) + Sync)),
-    {
-        let window = self.full_mark.lock().take();
-        match window {
-            Some(st) => self.collect(Some(st), helpers.max(1), &run),
-            None => FullGcOutcome::default(),
-        }
-    }
-
-    /// [`full_gc_finish_with`](Self::full_gc_finish_with), recorded as
-    /// *forced*: a scavenge or monolithic full GC needed the heap and could
-    /// not wait for the mutators to finish the mark at their own pace. The
-    /// caller's helpers come along.
-    pub(crate) fn full_gc_force_finish(&self, helpers: usize, run: HelperRunner) -> FullGcOutcome {
-        if self.incremental_mark_active() {
-            instruments().forced_finish.incr();
-        }
-        self.full_gc_finish_with(helpers, run)
-    }
-
-    /// Write-barrier slow path: records `v` for the in-progress mark if it
-    /// is an unmarked old object. Called by [`store`](Self::store) for both
-    /// the overwritten value (snapshot-at-the-beginning: everything
-    /// reachable when the window opened must be traced) and the new value
-    /// (insertion into an already-traced object would otherwise hide it).
-    pub(crate) fn satb_record(&self, v: Oop) {
-        if v.is_object() && self.spaces().is_old(v.index()) && !self.header(v).is_marked() {
-            self.satb.lock().push(v.raw());
-            instruments().satb_recorded.incr();
-        }
-    }
-
-    /// Marks an old object allocated while the incremental window is open
-    /// ("allocate black"): it must survive this collection, and its slots
-    /// are re-traced at finish. Called by `allocate_old`.
-    pub(crate) fn mark_allocate_black(&self, obj: Oop) {
-        let mut guard = self.full_mark.lock();
-        if let Some(st) = guard.as_mut() {
-            if self.claim_mark(obj).is_some() {
-                st.marked.push(obj);
-                st.alloc_black.push(obj);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Compaction back-end: plan, update, move
     // ------------------------------------------------------------------
 
     /// Phases 2–4 over a completed mark: plan slid-down addresses, update
-    /// every reference (unmarking on the way), move the bodies. When
-    /// `update_new_walk` is set, every formatted new-space object's slots
-    /// are rewritten too (the incremental path, whose `marked` list holds
-    /// only old objects); otherwise the marked list itself covers the live
-    /// new-space referrers (the monolithic path).
+    /// every reference (unmarking on the way), move the bodies. The marked
+    /// list covers every live referrer, new-space ones included. Opens each
+    /// phase on `clock`; the caller closes the last one with the pause.
+    /// Returns the reclaimed words, the report, and how many workers entered
+    /// the update.
     ///
     /// The update phase runs on up to `helpers` workers drawn from the
     /// stopped world (one `run` invocation — the runner returning is the
@@ -924,17 +713,13 @@ impl ObjectMemory {
     fn compact_marked(
         &self,
         marked: &[Oop],
-        update_new_walk: bool,
         helpers: usize,
         run: HelperRunner,
-    ) -> (usize, FullGcReport, CompactTiming) {
-        let old_used_before = self.old_used();
-        let mut timing = CompactTiming {
-            helpers: 1,
-            ..CompactTiming::default()
-        };
-        let t_phase = Instant::now();
+        clock: &mut PauseClock,
+    ) -> (usize, FullGcReport, usize) {
+        clock.enter(Phase::Plan);
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 2);
+        let old_used_before = self.old_used();
 
         // --- Phase 2: plan new addresses --------------------------------
         let mut rel = Relocator::plan(self);
@@ -947,52 +732,41 @@ impl ObjectMemory {
         rel.nil_new = match rel.lookup(rel.nil_old) {
             Some(n) => n,
             None => {
-                timing.plan_ns = t_phase.elapsed().as_nanos() as u64;
-                let t_clear = Instant::now();
+                clock.enter(Phase::Clear);
                 for &obj in marked {
                     let h = self.header(obj);
                     self.set_header(obj, h.with_marked(false));
                 }
-                timing.clear_ns = t_clear.elapsed().as_nanos() as u64;
                 mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 0);
                 let report = FullGcReport {
                     aborted: Some(CompactAbort::NilUnrelocatable),
                     ..FullGcReport::default()
                 };
-                return (0, report, timing);
+                return (0, report, 1);
             }
         };
-        timing.plan_ns = t_phase.elapsed().as_nanos() as u64;
-        let t_phase = Instant::now();
+        clock.enter(Phase::Update);
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 3);
 
         // --- Phase 3: update references ----------------------------------
-        // The new-space walk is collected up front (a linear scan cannot be
-        // shared), then workers claim chunks of the marked list, chunks of
-        // the new-space list, and finally the four reference tables through
-        // one atomic cursor. Every marked object belongs to exactly one
-        // chunk, so no object word is ever written by two workers.
-        let mut new_objs: Vec<Oop> = Vec::new();
-        if update_new_walk {
-            self.each_new_object(|_, obj| new_objs.push(obj));
-        }
-        // Dead entries leave the entry table while the marks still say so
-        // (the workers below unmark as they go).
+        // Workers claim chunks of the marked list, then the four reference
+        // tables, through one atomic cursor. Every marked object belongs to
+        // exactly one chunk, so no object word is ever written by two
+        // workers. Dead entries leave the entry table first, while the marks
+        // still say so (the workers unmark as they go).
         self.entry_table
             .lock()
             .retain(|&obj| self.header(obj).is_marked());
         let upd = UpdatePhase {
             rel: &rel,
             marked,
-            new_objs,
             cursor: AtomicUsize::new(0),
             merge: Mutex::new(UpdateMerge::default()),
         };
-        timing.helpers = run_phase(helpers, run, &|| upd.run_worker());
+        let entered = run_phase(helpers, run, &|| upd.run_worker());
         let m = upd.merge.into_inner().unwrap();
         let report = merge_report(m.recs, m.count);
-        timing.update_ns = t_phase.elapsed().as_nanos() as u64;
-        let t_phase = Instant::now();
+        clock.enter(Phase::Move);
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 4);
 
         // --- Phase 4: move bodies ---------------------------------------
@@ -1002,55 +776,10 @@ impl ObjectMemory {
         // there is nothing to slide.
         rel.slide();
         self.set_old_next(rel.old_start + rel.live_words);
-        timing.move_ns = t_phase.elapsed().as_nanos() as u64;
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 0);
 
         instruments().parallel_compactions.incr();
-        (old_used_before - rel.live_words, report, timing)
-    }
-
-    /// Linearly walks every formatted new-space object — eden followed by
-    /// the past survivor space — skipping pad words. Eden is walkable under
-    /// both allocation policies: the shared bump pointer leaves no gaps,
-    /// and LAB buffers are formatted as pad words the moment they are
-    /// carved (see `ObjectMemory::allocate`), so the carved-but-unfilled
-    /// tails read as filler, not garbage. Before that fix, the incremental
-    /// finish silently skipped eden under
-    /// [`crate::AllocPolicy::PerProcessorLab`] and live eden referrers kept stale
-    /// addresses into compacted-away old space.
-    pub(crate) fn each_new_object(&self, mut f: impl FnMut(&ObjectMemory, Oop)) {
-        let sp = *self.spaces();
-        {
-            let end = sp.eden_start + self.eden_frontier();
-            let mut scan = sp.eden_start;
-            while scan < end {
-                if self.word(scan) == PAD_WORD {
-                    scan += 1;
-                    continue;
-                }
-                let obj = Oop::from_index(scan);
-                let total = 2 + self.header(obj).body_words();
-                f(self, obj);
-                scan += total;
-            }
-        }
-        let past_start = if self.past_is_a.load(Ordering::Relaxed) {
-            sp.surv_a_start
-        } else {
-            sp.surv_b_start
-        };
-        let past_fill = self.past_fill.load(Ordering::Relaxed).max(past_start);
-        let mut scan = past_start;
-        while scan < past_fill {
-            if self.word(scan) == PAD_WORD {
-                scan += 1;
-                continue;
-            }
-            let obj = Oop::from_index(scan);
-            let total = 2 + self.header(obj).body_words();
-            f(self, obj);
-            scan += total;
-        }
+        (old_used_before - rel.live_words, report, entered)
     }
 
     /// Stashes a dirty report where the interpreter layer can collect it for
@@ -1085,14 +814,13 @@ impl ObjectMemory {
 
 /// Shared state for the (optionally parallel) reference-update phase.
 /// Work items — claimed with one atomic cursor — are, in order: chunks of
-/// the marked list, chunks of the collected new-space objects, then the
-/// four reference tables (specials, root cells, symbols, entry table).
-/// The relocation plan is read-only and every object/table belongs to
-/// exactly one item, so the only shared mutable state is the final merge.
+/// the marked list, then the four reference tables (specials, root cells,
+/// symbols, entry table). The relocation plan is read-only and every
+/// object/table belongs to exactly one item, so the only shared mutable
+/// state is the final merge.
 struct UpdatePhase<'a> {
     rel: &'a Relocator<'a>,
     marked: &'a [Oop],
-    new_objs: Vec<Oop>,
     cursor: AtomicUsize,
     merge: Mutex<UpdateMerge>,
 }
@@ -1108,8 +836,7 @@ impl UpdatePhase<'_> {
         let mem = self.rel.mem;
         let mut sink = ReportSink::default();
         let marked_chunks = self.marked.len().div_ceil(UPDATE_CHUNK);
-        let new_chunks = self.new_objs.len().div_ceil(UPDATE_CHUNK);
-        let total = marked_chunks + new_chunks + 4;
+        let total = marked_chunks + 4;
         loop {
             let item = self.cursor.fetch_add(1, Ordering::SeqCst);
             if item >= total {
@@ -1128,14 +855,8 @@ impl UpdatePhase<'_> {
                     // is no object start is unmarked where it was marked.
                     mem.set_header(obj, mem.header(obj).with_marked(false));
                 }
-            } else if item < marked_chunks + new_chunks {
-                let lo = (item - marked_chunks) * UPDATE_CHUNK;
-                let hi = (lo + UPDATE_CHUNK).min(self.new_objs.len());
-                for &obj in &self.new_objs[lo..hi] {
-                    self.update_object(obj, &mut sink);
-                }
             } else {
-                match item - marked_chunks - new_chunks {
+                match item - marked_chunks {
                     0 => self.rel.mem.specials().update_all(|o| {
                         self.rel
                             .reloc(&mut sink, Oop::ZERO, DanglingSlot::Special, o)
@@ -1194,51 +915,12 @@ fn merge_into<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
     }
 }
 
-/// What one run of the marker is asked to do.
-struct MarkJob {
-    /// Ignore references into new space (the incremental collector reclaims
-    /// only old space; new-space liveness is the scavenger's business).
-    old_only: bool,
-    /// Oops to claim (and, if won, trace).
-    roots: Vec<u64>,
-    /// Already-marked objects still to be traced (the leader resumes them).
-    gray: Vec<u64>,
-    /// Object words each helper may trace before it stops and hands its
-    /// unfinished work back.
-    budget: usize,
-}
-
-impl MarkJob {
-    /// Both generations from `roots`, until nothing is gray.
-    fn exhaustive(roots: Vec<u64>) -> MarkJob {
-        MarkJob {
-            old_only: false,
-            roots,
-            gray: Vec::new(),
-            budget: usize::MAX,
-        }
-    }
-
-    /// Old space only, resuming from `gray`, for at most `budget` words.
-    fn old_slice(roots: Vec<u64>, gray: Vec<u64>, budget: usize) -> MarkJob {
-        MarkJob {
-            old_only: true,
-            roots,
-            gray,
-            budget,
-        }
-    }
-}
-
 /// What one run of the marker did; while it runs, where its helpers merge
 /// their results.
 #[derive(Default)]
 struct MarkOutcome {
     /// Objects this run claimed.
     marked: Vec<Oop>,
-    /// In: the job's gray set, taken by the leader. Out: every helper's
-    /// unfinished work (empty unless the budget ran out).
-    gray: Vec<u64>,
     /// Helpers that actually entered.
     entered: usize,
     steals: u64,
@@ -1249,7 +931,8 @@ struct MarkOutcome {
 /// helper; all mutation goes through atomics or the `out` mutex.
 struct Marker<'m> {
     mem: &'m ObjectMemory,
-    job: MarkJob,
+    /// Oops to claim (and, if won, trace).
+    roots: Vec<u64>,
     root_cursor: AtomicUsize,
     /// Marked objects whose slots still await tracing.
     pool: WorkPool,
@@ -1270,34 +953,26 @@ impl Marker<'_> {
             marked: Vec::with_capacity(1024),
             marked_words: 0,
         };
-        // Slot 0 — the leader, guaranteed to run — resumes the gray set.
-        if slot == 0 {
-            h.worker
-                .seed(std::mem::take(&mut self.out.lock().unwrap().gray));
-        }
         // Roots, in exclusive chunks.
         loop {
             let i0 = self
                 .root_cursor
                 .fetch_add(MARK_ROOT_CHUNK, Ordering::SeqCst);
-            if i0 >= self.job.roots.len() {
+            if i0 >= self.roots.len() {
                 break;
             }
-            let end = (i0 + MARK_ROOT_CHUNK).min(self.job.roots.len());
-            for &raw in &self.job.roots[i0..end] {
+            let end = (i0 + MARK_ROOT_CHUNK).min(self.roots.len());
+            for &raw in &self.roots[i0..end] {
                 self.mark(&mut h, Oop::from_raw(raw));
             }
         }
-        // Transitive trace, until every helper is dry or the budget is spent.
-        let mut traced = 0usize;
-        while traced < self.job.budget {
-            let Some(raw) = h.worker.next() else { break };
-            traced += self.trace(&mut h, Oop::from_raw(raw));
+        // Transitive trace, until every helper is dry.
+        while let Some(raw) = h.worker.next() {
+            self.trace(&mut h, Oop::from_raw(raw));
         }
-        let mut report = h.worker.finish();
+        let report = h.worker.finish();
         let mut m = self.out.lock().unwrap();
         merge_into(&mut m.marked, &mut h.marked);
-        merge_into(&mut m.gray, &mut report.leftover);
         m.steals += report.steals;
         m.per_helper_words.push(h.marked_words);
     }
@@ -1305,7 +980,7 @@ impl Marker<'_> {
     /// Marks `oop` if [`claim_mark`](ObjectMemory::claim_mark) wins it: the
     /// winner pushes it for tracing and onto its private marked list.
     fn mark(&self, h: &mut MarkCtx, oop: Oop) {
-        if !oop.is_object() || (self.job.old_only && !self.mem.spaces().is_old(oop.index())) {
+        if !oop.is_object() {
             return;
         }
         if let Some(prev) = self.mem.claim_mark(oop) {
@@ -1315,8 +990,8 @@ impl Marker<'_> {
         }
     }
 
-    /// Traces one object's class word and pointer slots; returns the words
-    /// visited (for budgeting). The class word is a reference too —
+    /// Traces one object's class word and pointer slots. The class word is
+    /// a reference too —
     /// metaclasses in particular are reachable only through their
     /// instances' class pointers.
     ///
@@ -1324,7 +999,7 @@ impl Marker<'_> {
     /// may concurrently `fetch_or` this object's *header* word (re-marking),
     /// so the header is re-read atomically; slot words are never written
     /// during the mark phase, so plain loads are race-free.
-    fn trace(&self, h: &mut MarkCtx, obj: Oop) -> usize {
+    fn trace(&self, h: &mut MarkCtx, obj: Oop) {
         let mem = self.mem;
         let hd = Header(mem.word_atomic(obj.index()).load(Ordering::Acquire));
         self.mark(h, Oop::from_raw(mem.word(obj.index() + 1)));
@@ -1338,7 +1013,6 @@ impl Marker<'_> {
         for i in 0..nslots {
             self.mark(h, Oop::from_raw(mem.word(obj.index() + 2 + i)));
         }
-        nslots + 2
     }
 }
 
@@ -1346,7 +1020,7 @@ impl Marker<'_> {
 mod tests {
     use super::*;
     use crate::heap::tests::bootstrap_minimal;
-    use crate::heap::{FullGcMode, MemoryConfig, ObjectMemory};
+    use crate::heap::{MemoryConfig, ObjectMemory};
 
     fn mem() -> ObjectMemory {
         let m = ObjectMemory::new(MemoryConfig {
@@ -1677,181 +1351,6 @@ mod tests {
         assert_eq!(runs.load(Ordering::Relaxed), 21, "one-shot hook pruned");
     }
 
-    fn incr_mem() -> ObjectMemory {
-        let m = ObjectMemory::new(MemoryConfig {
-            old_words: 64 << 10,
-            eden_words: 16 << 10,
-            survivor_words: 8 << 10,
-            tenure_age: 2,
-            full_gc_mode: FullGcMode::Incremental { slice_words: 64 },
-            ..MemoryConfig::default()
-        });
-        bootstrap_minimal(&m);
-        m
-    }
-
-    #[test]
-    fn incremental_mark_completes_and_compacts() {
-        let m = incr_mem();
-        let before = m.old_used();
-        for _ in 0..50 {
-            m.alloc_array_old(20).unwrap();
-        }
-        let root = build_old_graph(&m, 8, 6);
-        assert!(m.full_gc_begin());
-        assert!(m.incremental_mark_active());
-        let mut slices = 0;
-        while !m.full_gc_mark_slice(64) {
-            slices += 1;
-            assert!(slices < 10_000, "mark failed to converge");
-        }
-        let out = m.full_gc_finish();
-        assert!(!m.incremental_mark_active());
-        assert!(out.reclaimed_words >= 50 * 22, "garbage reclaimed");
-        assert!(out.slices > 1, "marking actually proceeded in slices");
-        assert_eq!(graph_signature(&m, root.get(), 8, 6), {
-            let m2 = incr_mem();
-            for _ in 0..50 {
-                m2.alloc_array_old(20).unwrap();
-            }
-            let r2 = build_old_graph(&m2, 8, 6);
-            m2.full_gc();
-            graph_signature(&m2, r2.get(), 8, 6)
-        });
-        assert!(before <= m.old_used());
-        m.verify_heap().assert_clean();
-        assert_eq!(m.gc_stats().full_gcs, 1);
-    }
-
-    #[test]
-    fn satb_barrier_keeps_hidden_objects_alive() {
-        let m = incr_mem();
-        // `shelf` is a root-reachable old object; `hidden` hangs off
-        // `donor`. After the roots are marked (and with a tiny budget,
-        // before `donor` is traced), move `hidden` to `shelf` and sever the
-        // donor path: without a barrier the trace would never see it.
-        let shelf = m.alloc_array_old(1).unwrap();
-        let shelf_root = m.new_root(shelf);
-        let donor = m.alloc_array_old(1).unwrap();
-        let donor_root = m.new_root(donor);
-        let hidden = m.alloc_array_old(1).unwrap();
-        m.store_nocheck(hidden, 0, Oop::from_small_int(424242));
-        m.store(donor, 0, hidden);
-        m.alloc_array_old(300).unwrap(); // garbage, so compaction moves things
-
-        assert!(m.full_gc_begin());
-        // Mutator runs between slices: hide the object behind the wavefront.
-        m.store(shelf, 0, hidden);
-        m.store(donor, 0, m.nil());
-        while !m.full_gc_mark_slice(32) {}
-        let out = m.full_gc_finish();
-        assert!(out.report.is_clean());
-        let shelf2 = shelf_root.get();
-        let hidden2 = m.fetch(shelf2, 0);
-        assert_eq!(
-            m.fetch(hidden2, 0).as_small_int(),
-            424242,
-            "barrier lost the hidden object"
-        );
-        assert_eq!(m.fetch(donor_root.get(), 0), m.nil());
-        m.verify_heap().assert_clean();
-    }
-
-    #[test]
-    fn incremental_finish_updates_new_space_and_clears_no_scavenge_flag() {
-        let m = incr_mem();
-        let tok = m.new_token();
-        m.alloc_array_old(200).unwrap(); // garbage below the live target
-        let old_target = m.alloc_array_old(1).unwrap();
-        m.store_nocheck(old_target, 0, Oop::from_small_int(7));
-        let young = m.alloc_array(&tok, 1).unwrap();
-        m.store_nocheck(young, 0, old_target);
-        let root = m.new_root(young);
-        assert!(m.full_gc_begin());
-        while !m.full_gc_mark_slice(64) {}
-        m.full_gc_finish();
-        // The conservative walk rewrote the new-space slot...
-        let target2 = m.fetch(root.get(), 0);
-        assert!(target2.index() < old_target.index(), "slot updated");
-        assert_eq!(m.fetch(target2, 0).as_small_int(), 7);
-        // ...so the audit can validate new-space references immediately.
-        let audit = m.verify_heap();
-        assert!(!audit.new_refs_unchecked);
-        audit.assert_clean();
-    }
-
-    #[test]
-    fn scavenge_force_finishes_an_active_mark() {
-        let m = incr_mem();
-        let tok = m.new_token();
-        m.alloc_array_old(100).unwrap();
-        let keep = m.alloc_array(&tok, 2).unwrap();
-        let _root = m.new_root(keep);
-        assert!(m.full_gc_begin());
-        m.full_gc_mark_slice(8); // deliberately unfinished
-        let out = m.scavenge();
-        assert!(out.full_gc_ran, "scavenge completed the pending full GC");
-        assert!(!m.incremental_mark_active());
-        assert_eq!(m.gc_stats().full_gcs, 1);
-        m.verify_heap().assert_clean();
-    }
-
-    #[test]
-    fn begin_refuses_when_preconditions_fail() {
-        let m = incr_mem();
-        assert!(m.full_gc_begin());
-        assert!(!m.full_gc_begin(), "window already open");
-        m.full_gc_finish();
-        // After a *monolithic* full GC, dead new objects may dangle: the
-        // finish walk would trace them, so begin refuses until a scavenge.
-        m.full_gc();
-        assert!(!m.full_gc_begin());
-        m.scavenge();
-        assert!(m.full_gc_begin());
-        m.full_gc_finish();
-        // LAB eden *is* linearly walkable (carves are pad-formatted), so
-        // the incremental window opens and finishes cleanly under LAB too.
-        let lab = ObjectMemory::new(MemoryConfig {
-            old_words: 64 << 10,
-            eden_words: 16 << 10,
-            survivor_words: 8 << 10,
-            alloc_policy: crate::AllocPolicy::PerProcessorLab { lab_words: 512 },
-            full_gc_mode: FullGcMode::Incremental { slice_words: 64 },
-            ..MemoryConfig::default()
-        });
-        bootstrap_minimal(&lab);
-        assert!(
-            lab.full_gc_begin(),
-            "LAB eden is pad-formatted and walkable"
-        );
-        while !lab.full_gc_mark_slice(64) {}
-        let out = lab.full_gc_finish();
-        assert!(out.report.is_clean());
-        lab.verify_heap().assert_clean();
-    }
-
-    #[test]
-    fn old_allocation_during_window_is_black_and_retraced() {
-        let m = incr_mem();
-        m.alloc_array_old(100).unwrap(); // garbage
-        let anchor = m.alloc_array_old(1).unwrap();
-        let anchor_root = m.new_root(anchor);
-        assert!(m.full_gc_begin());
-        // Mutator allocates in old space mid-window and initializes a slot
-        // with a raw store (fresh-object idiom, invisible to the barrier).
-        let fresh = m.alloc_array_old(2).unwrap();
-        assert!(m.header(fresh).is_marked(), "allocated black");
-        m.store_nocheck(fresh, 0, anchor);
-        m.store(anchor_root.get(), 0, fresh);
-        while !m.full_gc_mark_slice(64) {}
-        let out = m.full_gc_finish();
-        assert!(out.report.is_clean());
-        let fresh2 = m.fetch(anchor_root.get(), 0);
-        assert!(!m.header(fresh2).is_marked(), "mark cleared");
-        assert_eq!(m.fetch(fresh2, 0), anchor_root.get(), "retrace fixed slot");
-        m.verify_heap().assert_clean();
-    }
-
     #[test]
     fn corrupt_nil_aborts_compaction_cleanly() {
         use crate::special::So;
@@ -1895,43 +1394,6 @@ mod tests {
         let out2 = m.full_gc_with(2, scope_runner);
         assert!(out2.report.aborted.is_none());
         assert!(out2.reclaimed_words >= 102, "garbage finally reclaimed");
-        m.verify_heap().assert_clean();
-    }
-
-    #[test]
-    fn lab_eden_referrers_are_updated_by_incremental_finish() {
-        // Regression: `each_new_object` used to skip eden entirely under
-        // PerProcessorLab, so the incremental finish neither marked old
-        // objects referenced only from eden nor rewrote eden slots after
-        // the slide — live eden referrers kept stale old addresses.
-        let m = ObjectMemory::new(MemoryConfig {
-            old_words: 64 << 10,
-            eden_words: 16 << 10,
-            survivor_words: 8 << 10,
-            tenure_age: 2,
-            alloc_policy: crate::AllocPolicy::PerProcessorLab { lab_words: 512 },
-            full_gc_mode: FullGcMode::Incremental { slice_words: 64 },
-            ..MemoryConfig::default()
-        });
-        bootstrap_minimal(&m);
-        let tok = m.new_token();
-        let _garbage = m.alloc_array_old(300).unwrap();
-        let old_target = m.alloc_array_old(1).unwrap();
-        m.store_nocheck(old_target, 0, Oop::from_small_int(7));
-        // The only reference to `old_target` lives in an eden object carved
-        // from a LAB.
-        let young = m.alloc_array(&tok, 1).unwrap();
-        m.store_nocheck(young, 0, old_target);
-        let root = m.new_root(young);
-        assert!(m.full_gc_begin());
-        while !m.full_gc_mark_slice(64) {}
-        let out = m.full_gc_finish();
-        assert!(out.report.is_clean());
-        let young2 = root.get();
-        assert_eq!(young2, young, "full GC does not move new objects");
-        let target2 = m.fetch(young2, 0);
-        assert!(target2.index() < old_target.index(), "old target slid down");
-        assert_eq!(m.fetch(target2, 0).as_small_int(), 7, "contents intact");
         m.verify_heap().assert_clean();
     }
 
@@ -2051,6 +1513,37 @@ mod tests {
         }
         assert!(last_word_starts > 0 && exact_fills > 0 && straddlers > 0);
         assert!(ragged_ends > 0);
+    }
+
+    #[test]
+    fn pause_phases_sum_exactly_to_the_pause() {
+        let m = mem();
+        let _root = build_old_graph(&m, 8, 6);
+        m.alloc_array_old(100).unwrap(); // garbage, so the move has work
+        let completed = m.full_gc_with(2, scope_runner);
+        // And an aborted one: nil forged into the middle of an object.
+        let victim = m.alloc_array_old(4).unwrap();
+        m.store_nocheck(victim, 0, Oop::from_raw(1 << 24));
+        m.store_nocheck(victim, 1, m.nil());
+        m.specials()
+            .set(crate::special::So::Nil, Oop::from_index(victim.index() + 2));
+        let aborted = m.full_gc_with(2, scope_runner);
+        assert!(aborted.report.aborted.is_some());
+        for out in [completed, aborted] {
+            let phases = out.mark_nanos
+                + out.plan_nanos
+                + out.update_nanos
+                + out.move_nanos
+                + out.clear_nanos;
+            assert_eq!(phases, out.total_nanos, "{out:?}");
+        }
+        // Every full collection any test ran, as the pause log has it.
+        let (pauses, _) = mst_telemetry::pauselog::snapshot();
+        let full: Vec<_> = pauses.iter().filter(|p| p.kind == "fullgc").collect();
+        assert!(!full.is_empty());
+        for p in full {
+            assert_eq!(p.attributed_ns(), p.total_ns, "{p:?}");
+        }
     }
 
     #[test]

@@ -97,8 +97,6 @@ pub struct MemoryConfig {
     /// Threads (including the leader) a scavenge may use; `1` is the same
     /// scavenger with nobody helping.
     pub gc_helpers: usize,
-    /// Full-collection scheduling (monolithic vs incremental marking).
-    pub full_gc_mode: FullGcMode,
 }
 
 impl Default for MemoryConfig {
@@ -111,47 +109,7 @@ impl Default for MemoryConfig {
             alloc_policy: AllocPolicy::SharedEden,
             tenure_age: 3,
             gc_helpers: 1,
-            full_gc_mode: FullGcMode::Stw,
         }
-    }
-}
-
-/// How the mark phase of a full collection is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FullGcMode {
-    /// One monolithic stop-the-world mark-compact pause.
-    #[default]
-    Stw,
-    /// Marking proceeds in bounded stop-the-world slices interleaved with
-    /// mutator execution, under a snapshot-at-the-beginning write barrier;
-    /// only the final plan/update/move pass stops the world for real. See
-    /// `ObjectMemory::full_gc_begin`.
-    Incremental {
-        /// Object words traced per mark slice.
-        slice_words: usize,
-    },
-}
-
-/// Default mark-slice budget for [`FullGcMode::Incremental`], in words.
-pub const DEFAULT_MARK_SLICE_WORDS: usize = 32 << 10;
-
-impl std::str::FromStr for FullGcMode {
-    type Err = ();
-
-    /// `stw`, `incremental` or `incremental:<words>` (the per-slice word
-    /// budget, floored at 256).
-    fn from_str(s: &str) -> Result<FullGcMode, ()> {
-        let slice_words = match s {
-            "stw" => return Ok(FullGcMode::Stw),
-            "incremental" => DEFAULT_MARK_SLICE_WORDS,
-            _ => s
-                .strip_prefix("incremental:")
-                .and_then(|w| w.parse::<usize>().ok())
-                .ok_or(())?,
-        };
-        Ok(FullGcMode::Incremental {
-            slice_words: slice_words.max(256),
-        })
     }
 }
 
@@ -339,16 +297,6 @@ pub struct ObjectMemory {
     /// compacted-away old objects (full GC abandons them by design), so the
     /// heap verifier must not treat those as corruption.
     pub(crate) fullgc_since_scavenge: AtomicBool,
-    /// In-progress incremental mark (between `full_gc_begin` and
-    /// `full_gc_finish`); `None` otherwise.
-    pub(crate) full_mark: SpinMutex<Option<crate::fullgc::FullMarkState>>,
-    /// Fast-path flag mirroring `full_mark.is_some()`: tested by every
-    /// `store` to decide whether the SATB write barrier applies.
-    pub(crate) mark_active: AtomicBool,
-    /// Snapshot-at-the-beginning write-barrier log: raw oops of unmarked old
-    /// objects overwritten or stored while an incremental mark is active,
-    /// drained by the next mark slice.
-    pub(crate) satb: SpinMutex<Vec<u64>>,
     /// Callbacks run (world stopped) before any full collection marks its
     /// roots — e.g. the interpreter severing free-context lists so recycled
     /// garbage is not conservatively retained. A hook returning `false` is
@@ -399,9 +347,6 @@ impl ObjectMemory {
             symbols: SpinMutex::new(config.sync, HashMap::new()),
             gc_epoch: AtomicU64::new(0),
             fullgc_since_scavenge: AtomicBool::new(false),
-            full_mark: SpinMutex::new(config.sync, None),
-            mark_active: AtomicBool::new(false),
-            satb: SpinMutex::named(config.sync, "satb", Vec::new()),
             pre_fullgc_hooks: SpinMutex::new(config.sync, Vec::new()),
             fullgc_dangling: SpinMutex::new(config.sync, Vec::new()),
             stats: GcCounters::default(),
@@ -430,12 +375,12 @@ impl ObjectMemory {
         &self.config
     }
 
-    /// Overrides the collector knobs that are `Some` — the only part of the
-    /// configuration not baked into the heap layout. Takes `&mut self`: only
-    /// the owner of a memory no interpreter shares yet may call it.
-    pub fn set_collector(&mut self, gc_helpers: Option<usize>, mode: Option<FullGcMode>) {
+    /// Overrides the scavenge helper count when it is `Some` — the only part
+    /// of the configuration not baked into the heap layout. Takes `&mut
+    /// self`: only the owner of a memory no interpreter shares yet may call
+    /// it.
+    pub fn set_collector(&mut self, gc_helpers: Option<usize>) {
         self.config.gc_helpers = gc_helpers.unwrap_or(self.config.gc_helpers);
-        self.config.full_gc_mode = mode.unwrap_or(self.config.full_gc_mode);
     }
 
     /// The space boundaries.
@@ -571,18 +516,10 @@ impl ObjectMemory {
     }
 
     /// Writes body pointer slot `i`, performing the generation-scavenging
-    /// store check (entry-table maintenance, paper §3.1) and — while an
-    /// incremental full-GC mark is active — the snapshot-at-the-beginning
-    /// write barrier, piggybacked on the same pre-write fast path: both the
-    /// overwritten value (so everything reachable at mark start gets traced)
-    /// and the new value (so a store into an already-traced object cannot
-    /// hide it) are logged if they are unmarked old objects.
+    /// store check (entry-table maintenance, paper §3.1) — the only write
+    /// barrier there is.
     #[inline]
     pub fn store(&self, obj: Oop, i: usize, v: Oop) {
-        if self.mark_active.load(Ordering::Relaxed) {
-            self.satb_record(Oop::from_raw(self.word(obj.index() + 2 + i)));
-            self.satb_record(v);
-        }
         self.store_nocheck(obj, i, v);
         self.store_check(obj, v);
     }
@@ -845,9 +782,8 @@ impl ObjectMemory {
                     }
                     // Format the fresh buffer as pad words so eden stays
                     // linearly walkable (objects + filler) even while LAB
-                    // tails are carved but unfilled. The full collector's
-                    // `each_new_object` and the heap verifier both rely on
-                    // this to walk eden under LAB policy.
+                    // tails are carved but unfilled. The heap verifier relies
+                    // on this to walk eden under LAB policy.
                     for w in *next..*next + chunk {
                         self.set_word(w, PAD_WORD);
                     }
@@ -883,14 +819,7 @@ impl ObjectMemory {
             *next += total;
             idx
         };
-        let obj = self.format_object(idx, class, format, body_words, odd_bytes);
-        // Allocate black while an incremental mark is running: the new
-        // object must survive the in-progress collection, and its slots are
-        // re-traced at finish (initializing stores may bypass the barrier).
-        if self.mark_active.load(Ordering::Relaxed) {
-            self.mark_allocate_black(obj);
-        }
-        Some(obj)
+        Some(self.format_object(idx, class, format, body_words, odd_bytes))
     }
 
     fn format_object(
@@ -1261,18 +1190,6 @@ impl ObjectMemory {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-
-    #[test]
-    fn full_gc_mode_parses() {
-        let incremental = |slice_words| Ok(FullGcMode::Incremental { slice_words });
-        assert_eq!("stw".parse(), Ok(FullGcMode::Stw));
-        assert_eq!("incremental".parse(), incremental(DEFAULT_MARK_SLICE_WORDS));
-        assert_eq!("incremental:4096".parse(), incremental(4096));
-        assert_eq!("incremental:8".parse(), incremental(256));
-        for bad in ["", "monolithic", "incremental:", "incremental:many"] {
-            assert_eq!(bad.parse::<FullGcMode>(), Err(()), "{bad:?}");
-        }
-    }
 
     fn small_mem() -> ObjectMemory {
         let mem = ObjectMemory::new(MemoryConfig {

@@ -46,8 +46,7 @@ mod verify;
 pub use fullgc::{DanglingRef, DanglingSlot, FullGcOutcome, FullGcReport};
 pub use header::{Header, ObjFormat, MAX_AGE, MAX_BODY_WORDS};
 pub use heap::{
-    AllocPolicy, AllocToken, FullGcMode, GcStats, MemoryConfig, ObjectMemory, OomError, RootHandle,
-    Spaces, DEFAULT_MARK_SLICE_WORDS,
+    AllocPolicy, AllocToken, GcStats, MemoryConfig, ObjectMemory, OomError, RootHandle, Spaces,
 };
 pub use method::MethodHeader;
 pub use oop::Oop;

@@ -89,9 +89,8 @@ impl ObjectMemory {
     /// `0..helpers` (any subset is fine, but slot 0 — the leader — must
     /// run), from at most one thread per slot, and return only once every
     /// invocation has finished. A plain `std::thread::scope` fan-out works
-    /// too. A full collection this scavenge has to run first (closing an
-    /// open incremental mark window, or making tenure room) borrows the
-    /// same runner.
+    /// too. A full collection this scavenge has to run first to make tenure
+    /// room borrows the same runner.
     ///
     /// Replicated caches and allocation buffers become invalid: the GC epoch
     /// ([`gc_epoch`](Self::gc_epoch)) is bumped so their owners notice.
@@ -119,15 +118,7 @@ impl ObjectMemory {
             "occupied_words",
             self.eden_used() as u64,
         );
-        // An unfinished incremental mark cannot survive a scavenge (eden
-        // empties and survivors flip under the mark's feet): complete it
-        // now — its compaction may itself free the room this scavenge needs.
-        let mut full_gc_ran = false;
-        if self.incremental_mark_active() {
-            self.full_gc_force_finish(self.adaptive_full_gc_helpers(helpers), run);
-            full_gc_ran = true;
-        }
-        full_gc_ran |= self.reserve_tenure_room(helpers, run)?;
+        let full_gc_ran = self.reserve_tenure_room(helpers, run)?;
         let reserve_ns = start.elapsed().as_nanos() as u64;
         let (to_start, to_end) = self.select_to_space();
         self.survivor_next.store(to_start, Ordering::Relaxed);
@@ -257,6 +248,10 @@ impl ObjectMemory {
 
         trace_span.set_arg("words_survived", outcome.words_survived);
         drop(trace_span);
+        // Test builds audit the heap after every completed scavenge, as
+        // after every full collection.
+        #[cfg(test)]
+        self.verify_heap().assert_clean();
         Ok(outcome)
     }
 

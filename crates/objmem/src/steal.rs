@@ -230,22 +230,12 @@ pub(crate) struct Worker<'p> {
 
 /// What a [`Worker`] hands back when it leaves the pool.
 pub(crate) struct WorkerReport {
-    /// Work the helper still held (non-empty only when it stopped pulling
-    /// before [`Worker::next`] reported quiescence).
-    pub(crate) leftover: Vec<u64>,
     pub(crate) steals: u64,
     /// Nanoseconds spent probing for termination rather than working.
     pub(crate) term_ns: u64,
 }
 
 impl Worker<'_> {
-    /// Puts `work` on the private stack (a drain resumed from an earlier
-    /// one's [`leftover`](WorkerReport::leftover)).
-    pub(crate) fn seed(&mut self, mut work: Vec<u64>) {
-        work.append(&mut self.stack);
-        self.stack = work;
-    }
-
     pub(crate) fn push(&mut self, v: u64) {
         match self.pool.deques.get(self.slot) {
             Some(d) if d.push(v) => {}
@@ -306,19 +296,14 @@ impl Worker<'_> {
         }
     }
 
-    /// Leaves the pool, taking along whatever this helper still held (its
-    /// stack and its own deque) so a budgeted drain can resume later.
-    pub(crate) fn finish(mut self) -> WorkerReport {
-        if let Some(d) = self.pool.deques.get(self.slot) {
-            while let Some(v) = d.take() {
-                self.stack.push(v);
-            }
-        }
-        if self.busy {
-            self.pool.busy.fetch_sub(1, Ordering::SeqCst);
-        }
+    /// Leaves the pool once [`next`](Self::next) has reported quiescence:
+    /// by then the helper holds no work and is out of the busy set.
+    pub(crate) fn finish(self) -> WorkerReport {
+        debug_assert!(
+            !self.busy && self.stack.is_empty(),
+            "finish before quiescence"
+        );
         WorkerReport {
-            leftover: self.stack,
             steals: self.steals,
             term_ns: self.term_ns,
         }
@@ -474,7 +459,6 @@ mod tests {
                 }
             }
             let report = w.finish();
-            assert!(report.leftover.is_empty(), "drained to quiescence");
             steals.fetch_add(report.steals, Ordering::Relaxed);
         };
         std::thread::scope(|s| {
@@ -509,23 +493,6 @@ mod tests {
                 "seed {seed:#x}, 4 slots: {wrong} nodes not visited once"
             );
             assert_eq!(entered, 3);
-        }
-    }
-
-    #[test]
-    fn work_pool_hands_back_unfinished_work() {
-        // A helper that stops pulling early (a budgeted mark slice) leaves
-        // with everything it still held, from stack and deque alike.
-        for slots in [1usize, 2] {
-            let pool = WorkPool::new(slots);
-            let mut w = pool.enter(0, "test");
-            w.seed(vec![1, 2, 3]);
-            w.push(4);
-            assert!(w.next().is_some());
-            let mut left = w.finish().leftover;
-            left.sort_unstable();
-            assert_eq!(left.len(), 3, "{slots} slot(s)");
-            assert!(left.iter().all(|v| (1..=4).contains(v)));
         }
     }
 }

@@ -56,9 +56,6 @@ pub struct HeapAudit {
     /// ran since the last scavenge, so *dead* new-space objects may hold
     /// dangling references to compacted-away old objects by design.
     pub new_refs_unchecked: bool,
-    /// An incremental full-GC mark was active during the audit: mark bits
-    /// are legitimate collector state, not leftovers, and were not flagged.
-    pub mark_in_progress: bool,
 }
 
 impl HeapAudit {
@@ -133,9 +130,6 @@ impl ObjectMemory {
             .fullgc_since_scavenge
             .load(std::sync::atomic::Ordering::Relaxed);
         v.audit.new_refs_unchecked = !new_refs_ok;
-        // Between `full_gc_begin` and `full_gc_finish`, mark bits are the
-        // collector's live wavefront — expected, not stale.
-        v.audit.mark_in_progress = self.incremental_mark_active();
 
         v.walk_region("old", sp.old_start, v.old_used.1, true);
         v.walk_region("past-survivor", past_start, past_fill, new_refs_ok);
@@ -216,7 +210,7 @@ impl Verifier<'_> {
             // The body holds a forwarding address, not slots.
             return;
         }
-        if h.is_marked() && !self.audit.mark_in_progress {
+        if h.is_marked() {
             self.error(format!(
                 "{region}@{idx}: stale mark bit (full GC ended halfway?)"
             ));

@@ -727,7 +727,7 @@ fn parallel_scavenge_survives_spurious_wakeups() {
 }
 
 // ---------------------------------------------------------------------
-// Helper-count and incremental full GC oracles: the one-helper collection,
+// Helper-count full GC oracles: the one-helper collection,
 // the graph walker, and the heap verifier
 // ---------------------------------------------------------------------
 
@@ -774,199 +774,6 @@ fn n_helper_full_gc_is_observationally_one_helper() {
                         sig_divergence(&ssig, &msig)
                     ));
                 }
-            }
-            Ok(())
-        },
-    );
-}
-
-/// A roomy scratch memory configured for incremental full collections with
-/// deliberately tiny mark slices, so random schedules interleave many
-/// mutator steps inside each marking window.
-fn scratch_mem_incremental() -> mst_objmem::ObjectMemory {
-    use mst_objmem::{FullGcMode, MemoryConfig, ObjFormat, ObjectMemory, Oop, So};
-    let mem = ObjectMemory::new(MemoryConfig {
-        old_words: 128 << 10,
-        eden_words: 8 << 10,
-        survivor_words: 32 << 10,
-        full_gc_mode: FullGcMode::Incremental { slice_words: 256 },
-        ..MemoryConfig::default()
-    });
-    let nil = mem
-        .allocate_old(Oop::ZERO, ObjFormat::Pointers, 0, 0)
-        .unwrap();
-    mem.specials().set(So::Nil, nil);
-    mem
-}
-
-#[test]
-fn incremental_mark_survives_random_mutator_interleavings() {
-    Runner::with_cases(16).run(
-        "incremental_mark_survives_random_mutator_interleavings",
-        &heap_ops(),
-        |ops| {
-            let mem = scratch_mem_incremental();
-            let tok = mem.new_token();
-            let mut roots: Vec<mst_objmem::RootHandle> = Vec::new();
-            let mut finishes = 0usize;
-            for (step, op) in ops.iter().enumerate() {
-                match op {
-                    HeapOp::AllocNew { words, rooted } => {
-                        let obj = mem.alloc_array(&tok, *words).or_else(|| {
-                            let _ = mem.try_scavenge();
-                            mem.alloc_array(&tok, *words)
-                        });
-                        if let (Some(o), true) = (obj, *rooted) {
-                            roots.push(mem.new_root(o));
-                        }
-                    }
-                    HeapOp::AllocOld { words } => {
-                        // During a window this exercises allocate-black.
-                        if let Some(o) = mem.alloc_array_old(*words) {
-                            roots.push(mem.new_root(o));
-                        }
-                    }
-                    HeapOp::Link { from, to } => {
-                        // During a window this store runs the SATB barrier.
-                        if !roots.is_empty() {
-                            let from = roots[from % roots.len()].get();
-                            let to = roots[to % roots.len()].get();
-                            mem.store(from, 0, to);
-                        }
-                    }
-                    HeapOp::DropRoot(i) => {
-                        if !roots.is_empty() {
-                            let i = i % roots.len();
-                            roots.swap_remove(i);
-                        }
-                    }
-                    HeapOp::Scavenge => {
-                        // Scavenge must force-finish any open window first.
-                        let _ = mem.try_scavenge();
-                        if mem.incremental_mark_active() {
-                            return Err(format!(
-                                "mark window still open across a scavenge at step {step}"
-                            ));
-                        }
-                    }
-                    HeapOp::FullGc => {
-                        // One incremental step: open a window, advance it a
-                        // slice, or finish it — whichever state we are in.
-                        if !mem.incremental_mark_active() {
-                            let _ = mem.full_gc_begin();
-                        } else if mem.full_gc_mark_slice(256) {
-                            let outcome = mem.full_gc_finish();
-                            if !outcome.report.is_clean() {
-                                return Err(format!(
-                                    "compactor reported at step {step}: {}",
-                                    outcome.report
-                                ));
-                            }
-                            finishes += 1;
-                        }
-                    }
-                }
-                // The heap must verify clean after *every* step, including
-                // mid-window (the verifier tolerates mark bits only while a
-                // window is open).
-                let audit = mem.verify_heap();
-                if !audit.is_clean() {
-                    return Err(format!(
-                        "dirty heap after step {step} ({op:?}), {} finishes so far:\n{audit}",
-                        finishes
-                    ));
-                }
-            }
-            // Drive any open window to completion and collect once more so
-            // every schedule ends with at least one full incremental cycle.
-            if !mem.incremental_mark_active() {
-                let _ = mem.try_scavenge();
-                let _ = mem.full_gc_begin();
-            }
-            if mem.incremental_mark_active() {
-                while !mem.full_gc_mark_slice(256) {}
-                let outcome = mem.full_gc_finish();
-                if !outcome.report.is_clean() {
-                    return Err(format!("final compactor report: {}", outcome.report));
-                }
-            }
-            let audit = mem.verify_heap();
-            if !audit.is_clean() {
-                return Err(format!("dirty heap after final collection:\n{audit}"));
-            }
-            drop(roots);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn budgeted_marker_marks_exactly_the_monolithic_old_set() {
-    // On a quiescent heap (no mutator between slices) the marker driven
-    // with any word budget must claim exactly the old objects the same
-    // marker claims when driven to exhaustion. "At least": once the slices
-    // converge, every reachable old object carries its mark bit. "At most":
-    // the finish leaves old space at the extent, and the graph in the
-    // shape, the monolithic collection leaves on an identically grown heap.
-    Runner::with_cases(16).run(
-        "budgeted_marker_marks_exactly_the_monolithic_old_set",
-        &tuple2(heap_ops(), int_range(1, 2048)),
-        |(ops, slice_words)| {
-            use mst_objmem::Oop;
-            let mono = scratch_mem_roomy();
-            let mroots = apply_heap_ops_par(&mono, ops, 1);
-            // Scavenge first, on both sides: new space then holds live
-            // survivors only, which the incremental finish scans
-            // conservatively and the monolithic mark traces precisely.
-            let _ = mono.try_scavenge();
-            let m_out = mono.full_gc_with(1, scope_runner);
-            audit_clean(&mono, "monolithic")?;
-
-            let incr = scratch_mem_roomy();
-            let iroots = apply_heap_ops_par(&incr, ops, 1);
-            let _ = incr.try_scavenge();
-            if !incr.full_gc_begin() {
-                return Err("window refused on a scavenge-fresh heap".into());
-            }
-            let mut slices = 0usize;
-            while !incr.full_gc_mark_slice(*slice_words as usize) {
-                slices += 1;
-                if slices > 1_000_000 {
-                    return Err("budgeted mark failed to converge".into());
-                }
-            }
-            let mut seen = std::collections::HashSet::new();
-            let mut stack: Vec<Oop> = iroots.iter().map(|r| r.get()).collect();
-            while let Some(obj) = stack.pop() {
-                if obj == Oop::ZERO || obj.is_small_int() || !seen.insert(obj.raw()) {
-                    continue;
-                }
-                if incr.is_old(obj) && !incr.header(obj).is_marked() {
-                    return Err(format!(
-                        "reachable old object @{} left unmarked by {slice_words}-word slices",
-                        obj.index()
-                    ));
-                }
-                for i in 0..incr.header(obj).body_words() {
-                    stack.push(incr.fetch(obj, i));
-                }
-            }
-            let i_out = incr.full_gc_finish();
-            if !i_out.report.is_clean() {
-                return Err(format!("incremental compactor reported: {}", i_out.report));
-            }
-            audit_clean(&incr, "incremental")?;
-            prop_assert_eq!(m_out.reclaimed_words, i_out.reclaimed_words);
-            prop_assert_eq!(mono.old_used(), incr.old_used());
-            let (msig, isig) = (
-                graph_signature(&mono, &mroots),
-                graph_signature(&incr, &iroots),
-            );
-            if msig != isig {
-                return Err(format!(
-                    "graphs diverged with {slice_words}-word slices; {}",
-                    sig_divergence(&msig, &isig)
-                ));
             }
             Ok(())
         },
