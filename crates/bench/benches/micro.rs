@@ -1,6 +1,7 @@
 //! Micro-benchmarks (experiment M1 in DESIGN.md): the rates that
 //! contextualize the macro results — bytecode dispatch, full sends,
-//! allocation, context activation, spin-lock acquisition, scavenging.
+//! allocation, context activation, spin-lock acquisition, scavenging, and
+//! the CRC-32 every checkpoint image pays.
 //!
 //! Runs on the in-tree [`mst_bench::harness::MicroGroup`] runner instead
 //! of `criterion`, per the hermetic-build policy. Invoke with
@@ -80,7 +81,7 @@ fn bench_gc() {
     });
 }
 
-fn bench_locks() {
+fn bench_vkernel() {
     let mut g = MicroGroup::new("vkernel");
     let mp = SpinLock::new(SyncMode::Multiprocessor);
     g.bench("spinlock_uncontended", || {
@@ -92,13 +93,19 @@ fn bench_locks() {
         let guard = uni.acquire();
         std::hint::black_box(&guard);
     });
+    let image: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
+        .collect();
+    g.throughput(1 << 20).bench("crc32_1mib", || {
+        std::hint::black_box(mst_vkernel::crc::crc32(std::hint::black_box(&image)));
+    });
 }
 
 fn main() {
     bench_dispatch();
     bench_compiler();
     bench_gc();
-    bench_locks();
+    bench_vkernel();
     mst_bench::harness::write_micro_json("BENCH_micro.json").expect("write BENCH_micro.json");
     println!("\nwrote BENCH_micro.json");
 }

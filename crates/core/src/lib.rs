@@ -573,7 +573,8 @@ impl MsSystem {
 
     /// Writes a snapshot of the running image (paper §3.3: the
     /// `activeProcess` slot is filled around the snapshot for
-    /// pre-reorganization compatibility, then emptied again).
+    /// pre-reorganization compatibility, then emptied again). Returns the
+    /// CRC-32 of the bytes written.
     ///
     /// # Errors
     ///
@@ -581,7 +582,7 @@ impl MsSystem {
     pub fn save_snapshot(
         &self,
         w: &mut impl std::io::Write,
-    ) -> Result<(), mst_objmem::SnapshotError> {
+    ) -> Result<u32, mst_objmem::SnapshotError> {
         self.snapshot_world()?.mem().save_snapshot(w)
     }
 

@@ -172,38 +172,52 @@ fn put_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-/// Forwards writes while accumulating a CRC-32 of everything written.
-struct CrcWriter<'a, W: Write> {
+/// Words of a heap region staged per write: one CRC step and one
+/// `write_all` per 4 KiB instead of per word.
+const REGION_CHUNK_WORDS: usize = 512;
+
+/// Writes an image while folding the CRC-32 of every byte written, so the
+/// caller learns the whole file's checksum without a second pass: small
+/// pieces (magic, lengths, CRC words) are digested directly, and each
+/// section payload's CRC, which the section frame needs anyway, is
+/// [combined](Crc32::append_crc) in.
+struct ImageWriter<'a, W: Write> {
     inner: &'a mut W,
-    crc: Crc32,
+    file: Crc32,
 }
 
-impl<'a, W: Write> CrcWriter<'a, W> {
-    fn new(inner: &'a mut W) -> CrcWriter<'a, W> {
-        CrcWriter {
-            inner,
-            crc: Crc32::new(),
-        }
-    }
-}
-
-impl<W: Write> Write for CrcWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
+impl<W: Write> ImageWriter<'_, W> {
+    fn put_u64(&mut self, v: u64) -> io::Result<()> {
+        let bytes = v.to_le_bytes();
+        self.inner.write_all(&bytes)?;
+        self.file.update(&bytes);
+        Ok(())
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
+    /// Writes payload bytes of the open section, checksummed once into
+    /// `section` only.
+    fn payload(&mut self, section: &mut Crc32, bytes: &[u8]) -> io::Result<()> {
+        self.inner.write_all(bytes)?;
+        section.update(bytes);
+        Ok(())
     }
-}
 
-/// Writes one `[len][payload][crc]` section from an in-memory payload.
-fn write_section(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    put_u64(w, payload.len() as u64)?;
-    w.write_all(payload)?;
-    put_u64(w, mst_vkernel::crc::crc32(payload) as u64)
+    /// Closes a section whose `len`-byte payload was checksummed into
+    /// `section`: folds it into the file CRC and writes the CRC word.
+    fn end_section(&mut self, section: Crc32, len: u64) -> io::Result<()> {
+        let crc = section.finish();
+        self.file.append_crc(crc, len);
+        self.put_u64(crc as u64)
+    }
+
+    /// Writes one `[len][payload][crc]` section from an in-memory payload.
+    fn section(&mut self, payload: &[u8]) -> io::Result<()> {
+        let len = payload.len() as u64;
+        self.put_u64(len)?;
+        let mut crc = Crc32::new();
+        self.payload(&mut crc, payload)?;
+        self.end_section(crc, len)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -348,14 +362,21 @@ impl ObjectMemory {
     /// scavenge should normally precede the save so eden is empty: a
     /// running system calls `mst_interp::StoppedWorld::snapshot_ready` and
     /// saves only if that succeeds.
-    pub fn save_snapshot(&self, w: &mut impl Write) -> Result<(), SnapshotError> {
+    ///
+    /// Returns the CRC-32 of every byte written, folded from the section
+    /// checksums as they are written (no byte is checksummed twice).
+    pub fn save_snapshot(&self, w: &mut impl Write) -> Result<u32, SnapshotError> {
         self.save_inner(w)
             .map_err(|e| SnapshotError::io("write", 0, e))
     }
 
-    fn save_inner(&self, w: &mut impl Write) -> io::Result<()> {
-        put_u64(w, MAGIC)?;
-        put_u64(w, VERSION)?;
+    fn save_inner(&self, w: &mut impl Write) -> io::Result<u32> {
+        let w = &mut ImageWriter {
+            inner: w,
+            file: Crc32::new(),
+        };
+        w.put_u64(MAGIC)?;
+        w.put_u64(VERSION)?;
         let sp = *self.spaces();
         let c = self.config();
 
@@ -371,7 +392,7 @@ impl ObjectMemory {
         put_u64(&mut config, self.eden_frontier() as u64)?;
         put_u64(&mut config, self.past_is_a.load(Ordering::Relaxed) as u64)?;
         put_u64(&mut config, self.past_survivor_used() as u64)?;
-        write_section(w, &config)?;
+        w.section(&config)?;
 
         // specials
         let mut specials = Vec::with_capacity(SPECIAL_COUNT * 8);
@@ -379,7 +400,7 @@ impl ObjectMemory {
             specials.extend_from_slice(&o.raw().to_le_bytes());
             o
         });
-        write_section(w, &specials)?;
+        w.section(&specials)?;
 
         // entries
         let entries: Vec<Oop> = self.entry_table.lock().clone();
@@ -388,7 +409,7 @@ impl ObjectMemory {
         for e in &entries {
             put_u64(&mut buf, e.raw())?;
         }
-        write_section(w, &buf)?;
+        w.section(&buf)?;
 
         // symbols
         let symbols: Vec<(String, u64)> = self.symbol_entries();
@@ -399,11 +420,10 @@ impl ObjectMemory {
             buf.extend_from_slice(name.as_bytes());
             put_u64(&mut buf, *raw)?;
         }
-        write_section(w, &buf)?;
+        w.section(&buf)?;
 
-        // Heap regions: old space, eden, past survivor — streamed through a
-        // CRC writer rather than buffered (old space is the bulk of the
-        // image).
+        // Heap regions: old space, eden, past survivor — streamed in chunks
+        // rather than buffered (old space is the bulk of the image).
         self.write_region_section(w, sp.old_start, self.old_next_value())?;
         self.write_region_section(w, sp.eden_start, sp.eden_start + self.eden_frontier())?;
         let past_start = if self.past_is_a.load(Ordering::Relaxed) {
@@ -412,19 +432,29 @@ impl ObjectMemory {
             sp.surv_b_start
         };
         self.write_region_section(w, past_start, past_start + self.past_survivor_used())?;
-        Ok(())
+        Ok(w.file.finish())
     }
 
-    fn write_region_section(&self, w: &mut impl Write, start: usize, end: usize) -> io::Result<()> {
+    fn write_region_section(
+        &self,
+        w: &mut ImageWriter<'_, impl Write>,
+        start: usize,
+        end: usize,
+    ) -> io::Result<()> {
         let words = end - start;
-        put_u64(w, (8 + words * 8) as u64)?;
-        let mut cw = CrcWriter::new(w);
-        put_u64(&mut cw, words as u64)?;
-        for idx in start..end {
-            put_u64(&mut cw, self.word(idx))?;
+        let len = (8 + words * 8) as u64;
+        w.put_u64(len)?;
+        let mut crc = Crc32::new();
+        w.payload(&mut crc, &(words as u64).to_le_bytes())?;
+        let mut buf = [0u8; REGION_CHUNK_WORDS * 8];
+        for from in (start..end).step_by(REGION_CHUNK_WORDS) {
+            let n = REGION_CHUNK_WORDS.min(end - from);
+            for (i, dst) in buf[..n * 8].chunks_exact_mut(8).enumerate() {
+                dst.copy_from_slice(&self.word(from + i).to_le_bytes());
+            }
+            w.payload(&mut crc, &buf[..n * 8])?;
         }
-        let crc = cw.crc.finish();
-        put_u64(w, crc as u64)
+        w.end_section(crc, len)
     }
 
     /// Writes a snapshot durably to `path`: the image goes to a sibling
@@ -442,7 +472,7 @@ impl ObjectMemory {
 
         let file = File::create(&tmp).map_err(err)?;
         let mut w = BufWriter::new(file);
-        let result = self.save_inner(&mut w).and_then(|()| w.flush());
+        let result = self.save_inner(&mut w).and_then(|_| w.flush());
         let file = match w.into_inner() {
             Ok(f) => f,
             Err(e) => {
@@ -872,6 +902,7 @@ mod tests {
     use super::*;
     use crate::heap::tests::bootstrap_minimal;
     use crate::special::So;
+    use mst_vkernel::crc::crc32;
 
     fn small_config() -> MemoryConfig {
         MemoryConfig {
@@ -894,7 +925,8 @@ mod tests {
         mem.specials().set(So::SmalltalkDict, s); // abuse a slot as a root
 
         let mut buf = Vec::new();
-        mem.save_snapshot(&mut buf).unwrap();
+        let crc = mem.save_snapshot(&mut buf).unwrap();
+        assert_eq!(crc, crc32(&buf), "folded file CRC equals a second pass");
         let loaded = ObjectMemory::load_snapshot(&mut buf.as_slice(), small_config()).unwrap();
         assert_eq!(
             loaded.str_value(loaded.specials().get(So::SmalltalkDict)),
@@ -1000,7 +1032,9 @@ mod tests {
         let old = mem.alloc_array_old(1).unwrap();
         mem.store(old, 0, young);
         let mut buf = Vec::new();
-        mem.save_snapshot(&mut buf).unwrap();
+        // Every region non-empty, eden included: the folded CRC still
+        // equals a second pass over the bytes.
+        assert_eq!(mem.save_snapshot(&mut buf).unwrap(), crc32(&buf));
         let loaded = ObjectMemory::load_snapshot(&mut buf.as_slice(), small_config()).unwrap();
         let young2 = loaded.fetch(old, 0);
         assert_eq!(loaded.fetch(young2, 0).as_small_int(), 9);

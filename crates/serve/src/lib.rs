@@ -629,20 +629,16 @@ impl Server {
             return Err(ServeError::Runtime("no checkpoint directory".into()));
         };
         let t0 = tel::now_ns();
-        let mut image = Vec::new();
-        let result = ms
-            .save_snapshot(&mut image)
-            .map_err(|e| ServeError::Runtime(format!("checkpoint: {e}")))
-            .and_then(|()| {
-                store
-                    .commit(
-                        t.id as u64,
-                        t.epoch.load(Ordering::Relaxed),
-                        t.restarts.load(Ordering::Relaxed),
-                        &image,
-                    )
-                    .map_err(|e| ServeError::Runtime(format!("checkpoint: {e}")))
-            });
+        // The image streams straight into the store's temp file; the
+        // snapshot's folded CRC is the one the commit record keeps.
+        let result = store
+            .commit(
+                t.id as u64,
+                t.epoch.load(Ordering::Relaxed),
+                t.restarts.load(Ordering::Relaxed),
+                |mut w| ms.save_snapshot(&mut w).map_err(std::io::Error::other),
+            )
+            .map_err(|e| ServeError::Runtime(format!("checkpoint: {e}")));
         match &result {
             Ok(_) => {
                 t.since_ckpt.store(0, Ordering::Relaxed);
@@ -670,6 +666,10 @@ impl Server {
         let Some(ms) = slot.ms.as_ref() else {
             return;
         };
+        // The interval restarts whether or not the commit succeeds: a
+        // failing store (a full disk) is retried after another `n`
+        // requests, not on every request.
+        t.since_ckpt.store(0, Ordering::Relaxed);
         tel::counter("serve.ckpt.auto").incr();
         let _ = self.commit_session(t, ms);
     }

@@ -22,7 +22,9 @@
 //!
 //! A checkpoint exists only once its MANIFEST record is durable:
 //!
-//! 1. write the image bytes to `tenant{N}.e{E}.image.tmp`, fsync;
+//! 1. stream the image into `tenant{N}.e{E}.image.tmp` through a buffered
+//!    writer, fsync (the writer returns the image's CRC-32, folded from its
+//!    section checksums; debug builds re-read the file and assert it);
 //! 2. rename over `tenant{N}.e{E}.image`, fsync the directory;
 //! 3. append a CRC-framed [`Commit`] record to `MANIFEST`, fsync.
 //!
@@ -54,15 +56,16 @@
 //! via the same temp + fsync + rename discipline.
 //!
 //! Chaos: the `ckpt.crash` and `ckpt.torn_manifest` fault sites
-//! ([`mst_vkernel::fault`]) abandon step 1 or tear step 3 at a seeded
-//! byte boundary, leaving the directory exactly as a process death would;
+//! ([`mst_vkernel::fault`]) tear step 1 (the written temp file is truncated
+//! to the boundary and fsynced, never renamed) or step 3 at a seeded byte
+//! boundary, leaving the directory exactly as a process death would;
 //! `ckpt.slow` stalls the write. The `crashrec` bench drives recovery
 //! across hundreds of such deaths.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -177,6 +180,18 @@ impl std::error::Error for StoreError {
 
 fn io_err(ctx: &'static str) -> impl FnOnce(io::Error) -> StoreError {
     move |source| StoreError::Io { ctx, source }
+}
+
+/// Runs an image writer over a buffered `file`, flushing it before handing
+/// the file back with the writer's CRC.
+fn stream_image(
+    file: File,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<u32>,
+) -> io::Result<(File, u32)> {
+    let mut w = BufWriter::new(file);
+    let crc = write(&mut w)?;
+    let file = w.into_inner().map_err(|e| e.into_error())?;
+    Ok((file, crc))
 }
 
 // ---------------------------------------------------------------------------
@@ -452,40 +467,59 @@ impl CheckpointStore {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Commits `image` as `tenant`'s checkpoint at `epoch`, returning the
-    /// durable path. Applies the commit protocol (temp + fsync + rename,
-    /// then a fsynced MANIFEST append), then retention.
+    /// Commits the image `write` produces as `tenant`'s checkpoint at
+    /// `epoch`, returning the durable path. Applies the commit protocol
+    /// (temp + fsync + rename, then a fsynced MANIFEST append), then
+    /// retention.
+    ///
+    /// `write` streams the image into the temp file and returns the CRC-32
+    /// of every byte it wrote; that CRC is what the commit record stores
+    /// (debug builds re-read the file and assert it). The store counts the
+    /// length itself. No store lock is held while `write` runs.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on real I/O failure; [`StoreError::Injected`]
-    /// when a chaos site abandoned the write. In both cases the previous
-    /// committed chain is untouched.
+    /// [`StoreError::Io`] on real I/O failure or when `write` fails (the
+    /// temp file is removed); [`StoreError::Injected`] when a chaos site
+    /// abandoned the write. In every case the previous committed chain is
+    /// untouched.
     pub fn commit(
         &self,
         tenant: u64,
         epoch: u64,
         restarts: u64,
-        image: &[u8],
+        write: impl FnOnce(&mut dyn Write) -> io::Result<u32>,
     ) -> Result<PathBuf, StoreError> {
         let t0 = tel::now_ns();
         fault::ckpt_slow();
-        let commit = Commit {
+        let mut commit = Commit {
             tenant,
             epoch,
             restarts,
-            file_len: image.len() as u64,
-            file_crc: crc32(image),
+            file_len: 0,
+            file_crc: 0,
         };
         let final_path = self.dir.join(commit.file_name());
         let tmp = self.dir.join(format!("{}.tmp", commit.file_name()));
 
         // Step 1: durable image bytes under a temp name.
-        let mut file = File::create(&tmp).map_err(io_err("image create"))?;
-        if let Some(boundary) = fault::ckpt_crash(image.len() as u64) {
+        let file = File::create(&tmp).map_err(io_err("image create"))?;
+        let (mut file, crc) = match stream_image(file, write) {
+            Ok(written) => written,
+            Err(e) => {
+                let _ = fs::remove_file(&tmp);
+                return Err(StoreError::Io {
+                    ctx: "image write",
+                    source: e,
+                });
+            }
+        };
+        commit.file_len = file.stream_position().map_err(io_err("image write"))?;
+        commit.file_crc = crc;
+        if let Some(boundary) = fault::ckpt_crash(commit.file_len) {
             // Simulated process death mid-write: persist exactly the torn
             // prefix and stop — no rename, no record, no cleanup.
-            let _ = file.write_all(&image[..boundary as usize]);
+            let _ = file.set_len(boundary);
             let _ = file.sync_all();
             tel::counter("serve.ckpt.commit_failures").incr();
             return Err(StoreError::Injected {
@@ -493,10 +527,19 @@ impl CheckpointStore {
                 boundary,
             });
         }
-        file.write_all(image)
-            .and_then(|()| file.sync_all())
-            .map_err(io_err("image write"))?;
+        file.sync_all().map_err(io_err("image write"))?;
         drop(file);
+        #[cfg(debug_assertions)]
+        {
+            let bytes = fs::read(&tmp).map_err(io_err("image re-read"))?;
+            assert_eq!(bytes.len() as u64, commit.file_len, "{}", tmp.display());
+            assert_eq!(
+                crc32(&bytes),
+                commit.file_crc,
+                "{}: the writer's CRC disagrees with the bytes on disk",
+                tmp.display()
+            );
+        }
 
         // Step 2: publish the image under its versioned name.
         fs::rename(&tmp, &final_path).map_err(io_err("image rename"))?;
@@ -676,6 +719,14 @@ mod tests {
         (dir, store, alone)
     }
 
+    /// The writer callback that streams an in-memory image.
+    fn image(bytes: &[u8]) -> impl FnOnce(&mut dyn Write) -> io::Result<u32> + '_ {
+        move |w| {
+            w.write_all(bytes)?;
+            Ok(crc32(bytes))
+        }
+    }
+
     fn fake_image(tag: u8, len: usize) -> Vec<u8> {
         (0..len).map(|i| (i as u8).wrapping_mul(tag)).collect()
     }
@@ -685,9 +736,11 @@ mod tests {
         let (dir, store, _alone) = temp_store("roundtrip", 4);
         let img1 = fake_image(3, 257);
         let img2 = fake_image(5, 513);
-        store.commit(0, 1, 0, &img1).expect("commit e1");
-        store.commit(0, 2, 1, &img2).expect("commit e2");
-        store.commit(7, 4, 0, &img1).expect("tenant 7 commit");
+        store.commit(0, 1, 0, image(&img1)).expect("commit e1");
+        store.commit(0, 2, 1, image(&img2)).expect("commit e2");
+        store
+            .commit(7, 4, 0, image(&img1))
+            .expect("tenant 7 commit");
 
         let newest = store.newest(0).expect("chain exists");
         assert_eq!((newest.epoch, newest.restarts), (2, 1));
@@ -712,7 +765,7 @@ mod tests {
         let (dir, store, _alone) = temp_store("retention", 2);
         for epoch in 1..=5u64 {
             store
-                .commit(0, epoch, 0, &fake_image(epoch as u8, 64))
+                .commit(0, epoch, 0, image(&fake_image(epoch as u8, 64)))
                 .expect("commit");
         }
         let chain = store.chain(0);
@@ -738,9 +791,9 @@ mod tests {
     #[test]
     fn recommit_at_same_epoch_supersedes() {
         let (dir, store, _alone) = temp_store("recommit", 4);
-        store.commit(0, 1, 0, &fake_image(1, 64)).unwrap();
+        store.commit(0, 1, 0, image(&fake_image(1, 64))).unwrap();
         let img = fake_image(9, 96);
-        store.commit(0, 1, 0, &img).unwrap();
+        store.commit(0, 1, 0, image(&img)).unwrap();
         let chain = store.chain(0);
         assert_eq!(chain.len(), 1, "same-epoch re-commit supersedes");
         assert_eq!(store.read_image(&chain[0]).unwrap(), img);
@@ -751,9 +804,41 @@ mod tests {
     }
 
     #[test]
+    fn failed_writer_leaves_no_temp_file_and_no_record() {
+        let (dir, store, _alone) = temp_store("writerfail", 4);
+        let img = fake_image(1, 64);
+        store.commit(0, 1, 0, image(&img)).unwrap();
+        let err = store
+            .commit(0, 2, 0, |w| {
+                w.write_all(&[7; 100])?;
+                Err(io::Error::other("serializer failed"))
+            })
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::Io {
+                    ctx: "image write",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
+        let chain = store.chain(0);
+        assert_eq!(chain.len(), 1, "the failed commit left no record");
+        assert_eq!(store.read_image(&chain[0]).unwrap(), img);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_image_is_detected_by_length_and_crc() {
         let (dir, store, _alone) = temp_store("imgcorrupt", 4);
-        store.commit(0, 1, 0, &fake_image(1, 128)).unwrap();
+        store.commit(0, 1, 0, image(&fake_image(1, 128))).unwrap();
         let newest = store.newest(0).unwrap();
         let path = dir.join(newest.file_name());
 
@@ -780,7 +865,7 @@ mod tests {
         let (dir, store, _alone) = temp_store("compact", 2);
         for epoch in 1..=20u64 {
             store
-                .commit(0, epoch, 0, &fake_image(epoch as u8, 64))
+                .commit(0, epoch, 0, image(&fake_image(epoch as u8, 64)))
                 .unwrap();
         }
         let before = fs::metadata(dir.join("MANIFEST")).unwrap().len();
@@ -848,7 +933,7 @@ mod tests {
         let (dir, store, _alone) = temp_store("everycut", 8);
         for epoch in 1..=3u64 {
             store
-                .commit(1, epoch, 0, &fake_image(epoch as u8, 64))
+                .commit(1, epoch, 0, image(&fake_image(epoch as u8, 64)))
                 .unwrap();
         }
         let manifest = fs::read(dir.join("MANIFEST")).unwrap();
@@ -879,7 +964,7 @@ mod tests {
         let (dir, store, _alone) = temp_store("midflip", 8);
         for epoch in 1..=3u64 {
             store
-                .commit(0, epoch, 0, &fake_image(epoch as u8, 64))
+                .commit(0, epoch, 0, image(&fake_image(epoch as u8, 64)))
                 .unwrap();
         }
         let path = dir.join("MANIFEST");
@@ -898,7 +983,7 @@ mod tests {
         );
         // And the store keeps working: the truncated journal accepts new
         // commits on top of the surviving prefix.
-        store.commit(0, 5, 0, &fake_image(5, 64)).unwrap();
+        store.commit(0, 5, 0, image(&fake_image(5, 64))).unwrap();
         drop(store);
         let store = CheckpointStore::open(&dir, 8).unwrap();
         assert_eq!(
@@ -920,7 +1005,7 @@ mod tests {
         let _disarm = Disarm;
 
         let (dir, store, _alone) = temp_store("injected", 4);
-        store.commit(0, 1, 0, &fake_image(1, 200)).unwrap();
+        store.commit(0, 1, 0, image(&fake_image(1, 200))).unwrap();
 
         // ckpt.crash: the image write dies at a seeded boundary; the
         // committed chain is untouched and a torn .tmp is left behind.
@@ -930,7 +1015,9 @@ mod tests {
             sites: FaultSite::CkptCrash.bit(),
         });
         fault::set_kill_budget(1);
-        let err = store.commit(0, 2, 0, &fake_image(2, 200)).unwrap_err();
+        let err = store
+            .commit(0, 2, 0, image(&fake_image(2, 200)))
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -952,7 +1039,9 @@ mod tests {
             sites: FaultSite::CkptTornManifest.bit(),
         });
         fault::set_kill_budget(1);
-        let err = store.commit(0, 3, 0, &fake_image(3, 200)).unwrap_err();
+        let err = store
+            .commit(0, 3, 0, image(&fake_image(3, 200)))
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -978,7 +1067,7 @@ mod tests {
             fake_image(1, 200)
         );
         // The torn tail was truncated on open: appends work again.
-        store.commit(0, 4, 1, &fake_image(4, 200)).unwrap();
+        store.commit(0, 4, 1, image(&fake_image(4, 200))).unwrap();
         assert_eq!(store.newest(0).unwrap().epoch, 4);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -153,6 +153,27 @@ fn non_boolean_loop_condition_is_reported() {
 }
 
 #[test]
+fn saved_snapshot_reports_the_crc_of_its_bytes() {
+    let mut ms = system();
+    let mut fresh = Vec::new();
+    let crc = ms.save_snapshot(&mut fresh).unwrap();
+    assert_eq!(crc, mst_vkernel::crc::crc32(&fresh), "freshly booted");
+
+    // Churn: tenured garbage, scavenges, and a result that survives them.
+    eval(
+        &mut ms,
+        "| keep | keep := OrderedCollection new.
+         1 to: 3000 do: [:i | keep add: (Array new: 14). keep size > 200 ifTrue: [keep removeFirst]].
+         Object new scavenge. keep size",
+    );
+    assert!(ms.mem().gc_stats().scavenges > 0);
+    let mut churned = Vec::new();
+    let crc = ms.save_snapshot(&mut churned).unwrap();
+    assert_ne!(churned, fresh);
+    assert_eq!(crc, mst_vkernel::crc::crc32(&churned), "after GC churn");
+}
+
+#[test]
 fn snapshot_round_trip_preserves_runtime_state() {
     let config = MsConfig {
         processors: 2,

@@ -702,6 +702,9 @@ fn cold_spawn_with_empty_store_counts_no_fallback() {
 /// at the quiescent point after a doit — no explicit checkpoint call.
 #[test]
 fn checkpoint_policy_commits_every_n_requests() {
+    // Serialized with the other tests that read the process-global
+    // `serve.ckpt.*` counters around auto-checkpoints.
+    let _guard = chaos_lock();
     let dir = temp_dir("policy");
     let config = small_config();
     let template = make_template(&dir, config);
@@ -727,5 +730,53 @@ fn checkpoint_policy_commits_every_n_requests() {
         .newest(0)
         .expect("second request triggers the policy commit");
     assert_eq!(newest.epoch, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bugfix: a failing auto-checkpoint restarts its interval like a
+/// successful one, so a broken store is retried once per `every_requests`,
+/// not on every later request (each attempt stops the world and
+/// serializes the whole image).
+#[test]
+fn failing_auto_checkpoint_is_retried_once_per_interval() {
+    let _guard = chaos_lock();
+    let dir = temp_dir("auto_retry");
+    let ckpt_dir = dir.join("ckpts");
+    let config = small_config();
+    let template = make_template(&dir, config);
+    let every = 4;
+    let cfg = ServeConfig {
+        processors: 2,
+        checkpoint_dir: Some(ckpt_dir.clone()),
+        checkpoint: mst_serve::CheckpointPolicy {
+            every_requests: Some(every),
+            on_degrade: false,
+        },
+        ..ServeConfig::default()
+    };
+    let server = Server::new(template, config, cfg, 1);
+    // The store is open; then its directory vanishes, so every commit
+    // fails to create its temp file (a dead disk, even for root).
+    std::fs::remove_dir_all(&ckpt_dir).expect("checkpoint dir exists");
+    let auto = mst_telemetry::counter("serve.ckpt.auto");
+    let failures = mst_telemetry::counter("serve.ckpt.failures");
+    let (auto_before, failures_before) = (auto.get(), failures.get());
+    for _ in 0..3 * every {
+        assert_eq!(
+            server
+                .request(0, "3 + 4")
+                .expect("requests are still served")
+                .value,
+            Value::Int(7)
+        );
+    }
+    let attempts = auto.get() - auto_before;
+    assert_eq!(attempts, 3, "one attempt per {every} requests");
+    assert_eq!(
+        failures.get() - failures_before,
+        attempts,
+        "each one failed"
+    );
+    assert!(server.store().unwrap().newest(0).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
