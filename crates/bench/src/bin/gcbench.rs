@@ -314,6 +314,7 @@ struct FullGcRun {
     best_mark_ns: u64,
     mean_mark_ns: u64,
     best_total_ns: u64,
+    best_plan_ns: u64,
     best_update_ns: u64,
     best_move_ns: u64,
     rounds: usize,
@@ -327,6 +328,7 @@ struct FullGcRun {
 fn measure_fullgc(mem: &ObjectMemory, helpers: usize, rounds: usize) -> FullGcRun {
     let mut marks = Vec::with_capacity(rounds);
     let mut totals = Vec::with_capacity(rounds);
+    let mut plans = Vec::with_capacity(rounds);
     let mut updates = Vec::with_capacity(rounds);
     let mut moves = Vec::with_capacity(rounds);
     let mut batch: Vec<mst_objmem::RootHandle> = Vec::new();
@@ -344,6 +346,7 @@ fn measure_fullgc(mem: &ObjectMemory, helpers: usize, rounds: usize) -> FullGcRu
         mem.verify_heap().assert_clean();
         marks.push(out.mark_nanos);
         totals.push(out.total_nanos);
+        plans.push(out.plan_nanos);
         updates.push(out.update_nanos);
         moves.push(out.move_nanos);
     }
@@ -352,6 +355,7 @@ fn measure_fullgc(mem: &ObjectMemory, helpers: usize, rounds: usize) -> FullGcRu
         best_mark_ns: *marks.iter().min().expect("rounds >= 1"),
         mean_mark_ns: marks.iter().sum::<u64>() / marks.len() as u64,
         best_total_ns: *totals.iter().min().expect("rounds >= 1"),
+        best_plan_ns: *plans.iter().min().expect("rounds >= 1"),
         best_update_ns: *updates.iter().min().expect("rounds >= 1"),
         best_move_ns: *moves.iter().min().expect("rounds >= 1"),
         rounds,
@@ -378,6 +382,12 @@ fn write_fullgc_json(path: &str, live_words: usize, cores: usize, runs: &[FullGc
         rows.push(Row::new(
             format!("fullgc.h{h}.best_total_ns"),
             r.best_total_ns as f64,
+            "ns",
+            n,
+        ));
+        rows.push(Row::new(
+            format!("fullgc.h{h}.best_plan_ns"),
+            r.best_plan_ns as f64,
             "ns",
             n,
         ));
@@ -421,11 +431,12 @@ fn fullgc_bench() {
     for helpers in [1usize, 2, 4] {
         let run = measure_fullgc(&mem, helpers, rounds);
         println!(
-            "  helpers={}  mark best {:>10}  mean {:>10}  update best {:>10}  \
-             move best {:>10}  total best {:>10}  ({} rounds)",
+            "  helpers={}  mark best {:>10}  mean {:>10}  plan best {:>10}  \
+             update best {:>10}  move best {:>10}  total best {:>10}  ({} rounds)",
             run.helpers,
             ns_human(run.best_mark_ns as f64),
             ns_human(run.mean_mark_ns as f64),
+            ns_human(run.best_plan_ns as f64),
             ns_human(run.best_update_ns as f64),
             ns_human(run.best_move_ns as f64),
             ns_human(run.best_total_ns as f64),

@@ -6,13 +6,15 @@
 //! three-pass sliding compactor over old space:
 //!
 //! 1. **Mark** every object reachable from the roots (special objects, root
-//!    cells, interned symbols), tracing through both generations.
-//! 2. **Plan**: walk old space linearly, turning the marks into forwarding
-//!    tables — a bit per marked object's start, a bit per live word, and
-//!    the live words below each 64-word block.
+//!    cells, interned symbols), tracing through both generations, into a
+//!    side bitmap ([`MarkBits`]): a bit on each reached object's header
+//!    word. Nothing writes the heap.
+//! 2. **Plan**: walk the bitmap's old-space bits, which *are* the start
+//!    bits of the forwarding tables, and add a bit per live word and the
+//!    live words below each 64-word block.
 //! 3. **Update** every reference in marked objects, roots, the symbol table
-//!    and the entry table through the tables, unmarking as it goes; then
-//!    **move** the live words down, run by run.
+//!    and the entry table through the tables; then **move** the live words
+//!    down, run by run.
 //!
 //! There is no object table and no forwarding pointer outside a collection
 //! (the paper's §3.1), so the update must translate *every* pointer slot in
@@ -30,16 +32,18 @@
 //! pause on `helpers >= 1` slots drafted from the stopped world (the
 //! scavenger's `run_stopped` contract), and one marker ([`Marker`]) — one
 //! root enumeration (special objects, root cells, interned symbols), one
-//! claim primitive (an atomic `fetch_or` of the mark bit on the header
-//! word), one `trace`, balanced across the slots by the scavenger's
-//! [`WorkPool`]. One helper is the same code with nobody to steal from.
+//! claim primitive (a test, then an atomic `fetch_or` of the object's bit
+//! in the bitmap word), one `trace`, balanced across the slots by the
+//! scavenger's [`WorkPool`]. One helper is the same code with nobody to
+//! steal from.
 //!
 //! The update runs over the same helper slots as the mark (it shards the
-//! marked list and the reference tables — the forwarding tables are
-//! immutable after planning). Per-helper reports are
-//! merged in deterministic order, and a corrupt special table aborts the
-//! compaction cleanly ([`CompactAbort`]) before any heap mutation instead of
-//! panicking mid-stop-the-world. The plan walk and the move are serial: a
+//! bitmap's blocks and the reference tables — the forwarding tables are
+//! immutable after planning). Per-helper reports are merged in
+//! deterministic order, and a corrupt special table aborts the compaction
+//! ([`CompactAbort`]) before any heap mutation instead of panicking
+//! mid-stop-the-world: the heap was never written, so dropping the side
+//! tables is the whole cleanup. The plan walk and the move are serial: a
 //! word's destination depends on every gap below it, so two stretches of
 //! old space can only slide independently where nothing below either has
 //! moved — and there nothing slides.
@@ -52,11 +56,11 @@
 //! marking starts, so a full collection triggered from *inside* a scavenge
 //! honors the same precondition as a deliberate one.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::header::{Header, ObjFormat};
+use crate::header::ObjFormat;
 use crate::heap::ObjectMemory;
 use crate::method::MethodHeader;
 use crate::oop::Oop;
@@ -69,11 +73,11 @@ const FULL_GC_WORDS_PER_HELPER: usize = 128 << 10; // 1 MB
 
 /// Root oops claimed per cursor bump during the root scan.
 const MARK_ROOT_CHUNK: usize = 32;
-/// Marked objects claimed per cursor bump during the parallel update phase
-/// (the forwarding tables are read-only, so the shards need no coordination
-/// beyond the claim itself).
-const UPDATE_CHUNK: usize = 256;
-/// Old-space words per forwarding-table block: one bitmap word.
+/// Mark-bitmap words (of [`BLOCK_WORDS`] heap words each) claimed per
+/// cursor bump during the parallel update phase (the forwarding tables are
+/// read-only, so the shards need no coordination beyond the claim itself).
+const UPDATE_CHUNK: usize = 64;
+/// Heap words per bitmap word, and per forwarding-table block.
 const BLOCK_WORDS: usize = u64::BITS as usize;
 /// Dangling-reference diagnostics recorded per collection; counting
 /// continues past the cap (mirrors `HeapAudit`'s error cap).
@@ -163,9 +167,9 @@ impl std::fmt::Display for DanglingRef {
 }
 
 /// Why a compaction was abandoned before any heap mutation. The abort
-/// happens between the plan and update phases — the forwarding tables are
-/// the only thing built so far — so containment is exact: clear the marks and
-/// the heap is byte-for-byte what the mark phase found.
+/// happens between the plan and update phases, and until the update
+/// nothing but the side tables has been written, so containment is exact:
+/// drop the tables and the heap is byte-for-byte what the mark phase found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompactAbort {
     /// `nil` was not the start of a marked old object when planning
@@ -197,7 +201,7 @@ pub struct FullGcReport {
     /// Total dangling references found (may exceed `dangling.len()`).
     pub dangling_count: usize,
     /// Set when the compaction was abandoned with the heap untouched
-    /// (marks cleared, nothing moved, nothing reclaimed).
+    /// (nothing moved, nothing reclaimed).
     pub aborted: Option<CompactAbort>,
 }
 
@@ -229,22 +233,19 @@ pub struct FullGcOutcome {
     pub reclaimed_words: usize,
     /// Nanoseconds spent marking.
     pub mark_nanos: u64,
-    /// The whole stop-the-world pause, in nanoseconds: the sum of the five
-    /// phases below, exactly.
+    /// The whole stop-the-world pause, in nanoseconds: the sum of the four
+    /// phases, exactly.
     pub total_nanos: u64,
     /// Helper threads that actually entered the mark (what the pause-log
     /// entry reports too).
     pub helpers: usize,
-    /// Nanoseconds planning slid-down addresses.
+    /// Nanoseconds planning slid-down addresses (and closing the pause of
+    /// an aborted compaction).
     pub plan_nanos: u64,
     /// Nanoseconds rewriting references through the plan.
     pub update_nanos: u64,
     /// Nanoseconds sliding live bodies leftward, and closing the pause.
     pub move_nanos: u64,
-    /// Nanoseconds clearing mark bits, and closing the pause: an aborted
-    /// compaction only (a completed one unmarks each object as it updates
-    /// it).
-    pub clear_nanos: u64,
     /// Helper threads that actually entered the update phase.
     pub compact_helpers: usize,
     /// Dangling-reference diagnostics (see [`FullGcReport`]).
@@ -258,10 +259,9 @@ enum Phase {
     Plan,
     Update,
     Move,
-    Clear,
 }
 
-const PHASE_NAMES: [&str; 5] = ["mark", "plan", "update", "move", "clear"];
+const PHASE_NAMES: [&str; 4] = ["mark", "plan", "update", "move"];
 
 /// One clock for a whole pause. A phase runs from the boundary that opened
 /// it to the one that opens the next, and the last to the end of the pause,
@@ -272,7 +272,7 @@ struct PauseClock {
     running: Phase,
     /// Where the running phase began, in nanoseconds since `start`.
     since: u64,
-    ns: [u64; 5],
+    ns: [u64; 4],
 }
 
 impl PauseClock {
@@ -282,7 +282,7 @@ impl PauseClock {
             start: Instant::now(),
             running: Phase::Mark,
             since: 0,
-            ns: [0; 5],
+            ns: [0; 4],
         }
     }
 
@@ -305,6 +305,71 @@ impl PauseClock {
     }
 }
 
+/// The mark bitmap: one bit per heap word of old space's used prefix and
+/// of the occupied new-space ranges (eden to its frontier, the past
+/// survivor space to its fill), set on each reached object's header word.
+/// It is sized when the collection starts, and each range begins on a
+/// bitmap word of its own, so the old range's words are the forwarding
+/// tables' start bits as they stand. A word outside every range (the
+/// future survivor space, an unallocated tail, no heap at all) has no bit
+/// and is never claimed.
+struct MarkBits {
+    /// `(first heap word, end, first bitmap word)` per range, old space
+    /// first.
+    ranges: [(usize, usize, usize); 3],
+    bits: Vec<AtomicU64>,
+}
+
+impl MarkBits {
+    fn new(mem: &ObjectMemory) -> MarkBits {
+        let sp = mem.spaces();
+        let mut blocks = 0;
+        let ranges = [
+            (sp.old_start, mem.old_next_value()),
+            (sp.eden_start, sp.eden_start + mem.eden_frontier()),
+            mem.past_range(),
+        ]
+        .map(|(lo, hi)| {
+            let base = blocks;
+            blocks += (hi - lo).div_ceil(BLOCK_WORDS);
+            (lo, hi, base)
+        });
+        MarkBits {
+            ranges,
+            bits: (0..blocks).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Heap word `idx`'s bitmap word and bit, if a range covers it.
+    #[inline]
+    fn locate(&self, idx: usize) -> Option<(&AtomicU64, u64)> {
+        let &(lo, _, base) = self.ranges.iter().find(|r| (r.0..r.1).contains(&idx))?;
+        let (off, bit) = (idx - lo, 1 << ((idx - lo) % BLOCK_WORDS));
+        Some((&self.bits[base + off / BLOCK_WORDS], bit))
+    }
+
+    /// Claims the object at heap word `idx` — *the* claim primitive: a
+    /// cheap test, then one atomic `fetch_or` on the bitmap word. True for
+    /// the one winner. Relaxed suffices: the heap is read-only until the
+    /// mark ends, and the runner returning orders every bit before the
+    /// plan reads it.
+    #[inline]
+    fn claim(&self, idx: usize) -> bool {
+        self.locate(idx).is_some_and(|(w, bit)| {
+            w.load(Ordering::Relaxed) & bit == 0 && w.fetch_or(bit, Ordering::Relaxed) & bit == 0
+        })
+    }
+
+    /// The heap word that bit 0 of bitmap word `b` stands for.
+    fn word_base(&self, b: usize) -> usize {
+        // An empty range shares its base with the next; the last range
+        // starting at or below `b` is the one holding it.
+        let mut ranges = self.ranges.iter();
+        let &(lo, _, base) = ranges.rfind(|r| r.2 <= b).expect("old space at 0");
+        lo + (b - base) * BLOCK_WORDS
+    }
+}
+
 /// The relocation plan, as forwarding tables over `[old_start, old_next)`
 /// in [`BLOCK_WORDS`]-word blocks: an object's destination is `old_start`
 /// plus the live words below it, read off as `before[block]` plus a
@@ -318,8 +383,9 @@ impl PauseClock {
 struct Relocator<'m> {
     mem: &'m ObjectMemory,
     old_start: usize,
-    /// One bit per old-space word, set on each marked object's header word.
-    starts: Vec<u64>,
+    /// The mark bitmap. Its old range is the start bits: after the plan, a
+    /// bit on each marked object's header word and nowhere else.
+    marks: MarkBits,
     /// One bit per old-space word, set on every word of a marked object.
     live: Vec<u64>,
     /// Live words preceding each block.
@@ -334,39 +400,49 @@ struct Relocator<'m> {
 }
 
 impl<'m> Relocator<'m> {
-    /// Phase 2: one linear walk of old space (the only reader of dead
-    /// headers) sets the bitmaps; a prefix sum over the `live` words then
-    /// fills `before`.
-    fn plan(mem: &'m ObjectMemory) -> Relocator<'m> {
-        let old_start = mem.spaces().old_start;
-        let old_next = mem.old_next_value();
+    /// Phase 2: one walk over the set bits of the mark bitmap's old range
+    /// sets the `live` bits of each marked object; a prefix sum over the
+    /// `live` words then fills `before`.
+    ///
+    /// A marked word is an object start only where the header chain from
+    /// `old_start` lands: a corrupt pointer into an object's body marks a
+    /// word that is not one, and its bit is cleared here so that references
+    /// to it dangle. The chain steps over each live object at once; it
+    /// reads a dead header only to bridge a gap between two marked words.
+    fn plan(mem: &'m ObjectMemory, mut marks: MarkBits) -> Relocator<'m> {
+        let (old_start, old_next, _) = marks.ranges[0];
         assert!(
             old_next - old_start <= u32::MAX as usize,
             "old space outgrew the u32 block offsets"
         );
         let nblocks = (old_next - old_start).div_ceil(BLOCK_WORDS);
-        let mut starts = vec![0u64; nblocks];
         let mut live = vec![0u64; nblocks];
-        let mut scan = old_start;
-        while scan < old_next {
-            let h = mem.header(Oop::from_index(scan));
-            let total = 2 + h.body_words();
-            if h.is_marked() {
-                let lo = scan - old_start;
-                let hi = lo + total - 1;
-                starts[lo / BLOCK_WORDS] |= 1 << (lo % BLOCK_WORDS);
-                let first = !0u64 << (lo % BLOCK_WORDS);
-                let last = !0u64 >> (BLOCK_WORDS - 1 - hi % BLOCK_WORDS);
-                let (bl, bh) = (lo / BLOCK_WORDS, hi / BLOCK_WORDS);
-                if bl == bh {
-                    live[bl] |= first & last;
-                } else {
-                    live[bl] |= first;
-                    live[bl + 1..bh].fill(!0);
-                    live[bh] |= last;
+        let size = |off: usize| 2 + mem.header(Oop::from_index(old_start + off)).body_words();
+        // Every word below offset `chain` lies in an object already stepped
+        // over.
+        let mut chain = 0;
+        for (b, starts) in marks.bits[..nblocks].iter_mut().enumerate() {
+            let starts = starts.get_mut();
+            let mut w = *starts;
+            while w != 0 {
+                let bit = w & w.wrapping_neg();
+                w ^= bit;
+                let mut at = b * BLOCK_WORDS + bit.trailing_zeros() as usize;
+                while chain < at {
+                    chain += size(chain);
+                }
+                if chain != at {
+                    *starts &= !bit;
+                    continue;
+                }
+                chain += size(at);
+                // The object's words, a block's share at a time.
+                while at < chain {
+                    let n = (chain - at).min(BLOCK_WORDS - at % BLOCK_WORDS);
+                    live[at / BLOCK_WORDS] |= !0u64 >> (BLOCK_WORDS - n) << (at % BLOCK_WORDS);
+                    at += n;
                 }
             }
-            scan += total;
         }
         let mut live_words = 0usize;
         let before = live
@@ -380,7 +456,7 @@ impl<'m> Relocator<'m> {
         Relocator {
             mem,
             old_start,
-            starts,
+            marks,
             live,
             before,
             live_words,
@@ -400,10 +476,11 @@ impl<'m> Relocator<'m> {
         }
         let off = oop.index().wrapping_sub(self.old_start);
         let (b, bit) = (off / BLOCK_WORDS, 1u64 << (off % BLOCK_WORDS));
-        if self.starts.get(b)? & bit == 0 {
+        let live = *self.live.get(b)?;
+        if self.marks.bits[b].load(Ordering::Relaxed) & bit == 0 {
             return None;
         }
-        let below = (self.live[b] & (bit - 1)).count_ones() as usize;
+        let below = (live & (bit - 1)).count_ones() as usize;
         Some(Oop::from_index(
             self.old_start + self.before[b] as usize + below,
         ))
@@ -566,9 +643,8 @@ impl ObjectMemory {
         let mut clock = PauseClock::start();
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 1);
 
-        let m = self.mark(self.mark_roots(), helpers, run);
-        let (reclaimed, report, compact_helpers) =
-            self.compact_marked(&m.marked, helpers, run, &mut clock);
+        let (m, marks) = self.mark(helpers, run);
+        let (reclaimed, report, compact_helpers) = self.compact(marks, helpers, run, &mut clock);
         if report.aborted.is_none() {
             self.bump_epoch();
             // Until the next completed scavenge, dead new-space objects may
@@ -577,8 +653,8 @@ impl ObjectMemory {
             // An aborted compaction moved nothing, so it does not apply.
             self.fullgc_since_scavenge.store(true, Ordering::Relaxed);
         }
-        // The last boundary: the running phase (move, or clear) ends with
-        // the pause.
+        // The last boundary: the running phase (move, or plan if aborted)
+        // ends with the pause.
         let pause_ns = clock.close();
         // Test builds audit the heap after every collection that claims to
         // have been clean, not only where a test thinks to ask.
@@ -621,7 +697,6 @@ impl ObjectMemory {
             plan_nanos: clock.ns(Phase::Plan),
             update_nanos: clock.ns(Phase::Update),
             move_nanos: clock.ns(Phase::Move),
-            clear_nanos: clock.ns(Phase::Clear),
             compact_helpers,
             report,
         }
@@ -660,12 +735,14 @@ impl ObjectMemory {
         roots
     }
 
-    /// Marks everything reachable from `roots`, in both generations, on up
-    /// to `helpers` slots.
-    fn mark(&self, roots: Vec<u64>, helpers: usize, run: HelperRunner) -> MarkOutcome {
+    /// Marks everything reachable from the roots into a fresh bitmap, in
+    /// both generations, on up to `helpers` slots.
+    fn mark(&self, helpers: usize, run: HelperRunner) -> (MarkOutcome, MarkBits) {
         let marker = Marker {
             mem: self,
-            roots,
+            marks: MarkBits::new(self),
+            nil: self.nil(),
+            roots: self.mark_roots(),
             root_cursor: AtomicUsize::new(0),
             pool: WorkPool::new(helpers),
             out: Mutex::default(),
@@ -677,20 +754,7 @@ impl ObjectMemory {
             out.entered >= 1,
             "run() must invoke the mark closure (slot 0)"
         );
-        out
-    }
-
-    /// Claims `oop`'s mark bit — *the* claim primitive: a cheap test, then
-    /// one atomic `fetch_or` on the header word. The winner gets the
-    /// pre-claim header and owns the object; losers (and a stolen duplicate
-    /// re-claiming its own object) see the bit already set.
-    fn claim_mark(&self, oop: Oop) -> Option<Header> {
-        let w = self.word_atomic(oop.index());
-        if w.load(Ordering::Acquire) & Header::mark_bit() != 0 {
-            return None;
-        }
-        let prev = w.fetch_or(Header::mark_bit(), Ordering::AcqRel);
-        (prev & Header::mark_bit() == 0).then_some(Header(prev))
+        (out, marker.marks)
     }
 
     // ------------------------------------------------------------------
@@ -698,9 +762,9 @@ impl ObjectMemory {
     // ------------------------------------------------------------------
 
     /// Phases 2–4 over a completed mark: plan slid-down addresses, update
-    /// every reference (unmarking on the way), move the bodies. The marked
-    /// list covers every live referrer, new-space ones included. Opens each
-    /// phase on `clock`; the caller closes the last one with the pause.
+    /// every reference, move the bodies. The bitmap covers every live
+    /// referrer, new-space ones included. Opens each phase on `clock`; the
+    /// caller closes the last one with the pause.
     /// Returns the reclaimed words, the report, and how many workers entered
     /// the update.
     ///
@@ -710,9 +774,9 @@ impl ObjectMemory {
     /// follows). Planning is a single serial walk whose read-only output is
     /// what makes the update embarrassingly parallel; the move is serial by
     /// nature (see [`Relocator::slide`]).
-    fn compact_marked(
+    fn compact(
         &self,
-        marked: &[Oop],
+        marks: MarkBits,
         helpers: usize,
         run: HelperRunner,
         clock: &mut PauseClock,
@@ -722,21 +786,16 @@ impl ObjectMemory {
         let old_used_before = self.old_used();
 
         // --- Phase 2: plan new addresses --------------------------------
-        let mut rel = Relocator::plan(self);
+        let mut rel = Relocator::plan(self, marks);
         // `nil` is a special object, hence marked and relocatable by every
         // healthy collection. When it is not, the special table is corrupt:
-        // abort *before any heap mutation* — only the plan (side tables)
-        // exists so far — clear the marks, and report the abort instead of
-        // panicking mid-stop-the-world with the heap half-planned.
+        // abort *before any heap mutation* — only the side tables exist so
+        // far, and they are simply dropped — and report the abort instead
+        // of panicking mid-stop-the-world with the heap half-planned.
         rel.nil_old = self.nil();
         rel.nil_new = match rel.lookup(rel.nil_old) {
             Some(n) => n,
             None => {
-                clock.enter(Phase::Clear);
-                for &obj in marked {
-                    let h = self.header(obj);
-                    self.set_header(obj, h.with_marked(false));
-                }
                 mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 0);
                 let report = FullGcReport {
                     aborted: Some(CompactAbort::NilUnrelocatable),
@@ -749,17 +808,16 @@ impl ObjectMemory {
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 3);
 
         // --- Phase 3: update references ----------------------------------
-        // Workers claim chunks of the marked list, then the four reference
+        // Workers claim chunks of the mark bitmap, then the four reference
         // tables, through one atomic cursor. Every marked object belongs to
         // exactly one chunk, so no object word is ever written by two
-        // workers. Dead entries leave the entry table first, while the marks
-        // still say so (the workers unmark as they go).
+        // workers. Dead entries leave the entry table first: their start
+        // bits are clear.
         self.entry_table
             .lock()
-            .retain(|&obj| self.header(obj).is_marked());
+            .retain(|&obj| rel.lookup(obj).is_some());
         let upd = UpdatePhase {
             rel: &rel,
-            marked,
             cursor: AtomicUsize::new(0),
             merge: Mutex::new(UpdateMerge::default()),
         };
@@ -814,13 +872,12 @@ impl ObjectMemory {
 
 /// Shared state for the (optionally parallel) reference-update phase.
 /// Work items — claimed with one atomic cursor — are, in order: chunks of
-/// the marked list, then the four reference tables (specials, root cells,
-/// symbols, entry table). The relocation plan is read-only and every
-/// object/table belongs to exactly one item, so the only shared mutable
-/// state is the final merge.
+/// the mark bitmap (hence objects in address order, range by range), then
+/// the four reference tables (specials, root cells, symbols, entry table).
+/// The relocation plan is read-only and every object/table belongs to
+/// exactly one item, so the only shared mutable state is the final merge.
 struct UpdatePhase<'a> {
     rel: &'a Relocator<'a>,
-    marked: &'a [Oop],
     cursor: AtomicUsize,
     merge: Mutex<UpdateMerge>,
 }
@@ -834,29 +891,28 @@ struct UpdateMerge {
 impl UpdatePhase<'_> {
     fn run_worker(&self) {
         let mem = self.rel.mem;
+        let marks = &self.rel.marks;
         let mut sink = ReportSink::default();
-        let marked_chunks = self.marked.len().div_ceil(UPDATE_CHUNK);
-        let total = marked_chunks + 4;
+        let chunks = marks.bits.len().div_ceil(UPDATE_CHUNK);
         loop {
             let item = self.cursor.fetch_add(1, Ordering::SeqCst);
-            if item >= total {
+            if item >= chunks + 4 {
                 break;
             }
             sink.rebase(item);
-            if item < marked_chunks {
-                let lo = item * UPDATE_CHUNK;
-                let hi = (lo + UPDATE_CHUNK).min(self.marked.len());
-                for &obj in &self.marked[lo..hi] {
-                    self.update_object(obj, &mut sink);
-                    // The tables hold the liveness now, and this header's
-                    // line is already dirty: unmark here, so bodies slide
-                    // with clean headers and no clear pass is needed — and
-                    // while nothing has moved, so even a marked word that
-                    // is no object start is unmarked where it was marked.
-                    mem.set_header(obj, mem.header(obj).with_marked(false));
+            if item < chunks {
+                let hi = (item * UPDATE_CHUNK + UPDATE_CHUNK).min(marks.bits.len());
+                for b in item * UPDATE_CHUNK..hi {
+                    let base = marks.word_base(b);
+                    let mut w = marks.bits[b].load(Ordering::Relaxed);
+                    while w != 0 {
+                        let obj = Oop::from_index(base + w.trailing_zeros() as usize);
+                        self.update_object(obj, &mut sink);
+                        w &= w - 1;
+                    }
                 }
             } else {
-                match item - marked_chunks {
+                match item - chunks {
                     0 => self.rel.mem.specials().update_all(|o| {
                         self.rel
                             .reloc(&mut sink, Oop::ZERO, DanglingSlot::Special, o)
@@ -905,22 +961,10 @@ impl UpdatePhase<'_> {
     }
 }
 
-/// Moves `src` onto the end of `dst` — the first helper to report donates
-/// its buffer outright instead of copying it.
-fn merge_into<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
-    if dst.is_empty() {
-        std::mem::swap(dst, src);
-    } else {
-        dst.append(src);
-    }
-}
-
 /// What one run of the marker did; while it runs, where its helpers merge
 /// their results.
 #[derive(Default)]
 struct MarkOutcome {
-    /// Objects this run claimed.
-    marked: Vec<Oop>,
     /// Helpers that actually entered.
     entered: usize,
     steals: u64,
@@ -931,6 +975,10 @@ struct MarkOutcome {
 /// helper; all mutation goes through atomics or the `out` mutex.
 struct Marker<'m> {
     mem: &'m ObjectMemory,
+    marks: MarkBits,
+    /// A root, hence claimed there; the trace skips it without a claim, as
+    /// it is most slots of any Smalltalk heap.
+    nil: Oop,
     /// Oops to claim (and, if won, trace).
     roots: Vec<u64>,
     root_cursor: AtomicUsize,
@@ -942,16 +990,15 @@ struct Marker<'m> {
 /// One mark helper's private state.
 struct MarkCtx<'p> {
     worker: Worker<'p>,
-    marked: Vec<Oop>,
-    marked_words: u64,
+    /// Words of the objects this helper traced.
+    traced_words: u64,
 }
 
 impl Marker<'_> {
     fn run_helper(&self, slot: usize) {
         let mut h = MarkCtx {
             worker: self.pool.enter(slot, "mark"),
-            marked: Vec::with_capacity(1024),
-            marked_words: 0,
+            traced_words: 0,
         };
         // Roots, in exclusive chunks.
         loop {
@@ -972,20 +1019,15 @@ impl Marker<'_> {
         }
         let report = h.worker.finish();
         let mut m = self.out.lock().unwrap();
-        merge_into(&mut m.marked, &mut h.marked);
         m.steals += report.steals;
-        m.per_helper_words.push(h.marked_words);
+        m.per_helper_words.push(h.traced_words);
     }
 
-    /// Marks `oop` if [`claim_mark`](ObjectMemory::claim_mark) wins it: the
-    /// winner pushes it for tracing and onto its private marked list.
+    /// Marks `oop` if [`MarkBits::claim`] wins it: the winner pushes it for
+    /// tracing.
+    #[inline]
     fn mark(&self, h: &mut MarkCtx, oop: Oop) {
-        if !oop.is_object() {
-            return;
-        }
-        if let Some(prev) = self.mem.claim_mark(oop) {
-            h.marked.push(oop);
-            h.marked_words += prev.body_words() as u64 + 2;
+        if oop.is_object() && self.marks.claim(oop.index()) {
             h.worker.push(oop.raw());
         }
     }
@@ -995,23 +1037,17 @@ impl Marker<'_> {
     /// metaclasses in particular are reachable only through their
     /// instances' class pointers.
     ///
-    /// Reads go through raw `word` loads rather than `fetch`: another helper
-    /// may concurrently `fetch_or` this object's *header* word (re-marking),
-    /// so the header is re-read atomically; slot words are never written
-    /// during the mark phase, so plain loads are race-free.
+    /// Nothing writes the heap during the mark, so every read is a plain
+    /// load.
     fn trace(&self, h: &mut MarkCtx, obj: Oop) {
         let mem = self.mem;
-        let hd = Header(mem.word_atomic(obj.index()).load(Ordering::Acquire));
+        h.traced_words += 2 + mem.header(obj).body_words() as u64;
+        let slots = obj.index() + 2..obj.index() + 2 + mem.pointer_slot_count(obj);
         self.mark(h, Oop::from_raw(mem.word(obj.index() + 1)));
-        let nslots = match hd.format() {
-            ObjFormat::Pointers => hd.body_words(),
-            ObjFormat::Method => {
-                MethodHeader::decode(Oop::from_raw(mem.word(obj.index() + 2))).pointer_slots()
+        for v in slots.map(|at| Oop::from_raw(mem.word(at))) {
+            if v != self.nil {
+                self.mark(h, v);
             }
-            ObjFormat::Bytes => 0,
-        };
-        for i in 0..nslots {
-            self.mark(h, Oop::from_raw(mem.word(obj.index() + 2 + i)));
         }
     }
 }
@@ -1182,18 +1218,6 @@ mod tests {
         assert_eq!(m.fetch(m.class_of(root.get()), 3).as_small_int(), 77);
     }
 
-    #[test]
-    fn marks_are_cleared_after_collection() {
-        let m = mem();
-        let a = m.alloc_array_old(1).unwrap();
-        let root = m.new_root(a);
-        m.full_gc();
-        assert!(!m.header(root.get()).is_marked());
-        // And a second collection still finds it live.
-        m.full_gc();
-        assert!(m.fetch(root.get(), 0) == m.nil());
-    }
-
     /// Builds a deterministic old-space graph (spine of lanes of cons cells
     /// with shared structure and a cycle) and returns the spine root plus
     /// the expected per-lane checksums.
@@ -1267,7 +1291,7 @@ mod tests {
         assert!(out.reclaimed_words >= 502);
         assert!(m.is_old(root.get()));
         m.verify_heap().assert_clean();
-        // Marks all cleared, a second collection is idempotent.
+        // A second collection is idempotent.
         let out2 = m.full_gc_with(8, scope_runner);
         assert_eq!(out2.reclaimed_words, 0);
         m.verify_heap().assert_clean();
@@ -1372,6 +1396,12 @@ mod tests {
         // The old implementation panicked mid-STW with the heap half
         // planned; now the compaction aborts before any heap mutation.
         let used = m.old_used();
+        let old_words = |m: &ObjectMemory| -> Vec<u64> {
+            (m.spaces().old_start..m.old_next_value())
+                .map(|at| m.word(at))
+                .collect()
+        };
+        let before = old_words(&m);
         let out = m.full_gc_with(2, scope_runner);
         assert_eq!(
             out.reclaimed_words, 0,
@@ -1386,7 +1416,7 @@ mod tests {
         assert_eq!(m.old_used(), used, "heap untouched");
         assert_eq!(root.get(), keep, "nothing moved");
         assert_eq!(m.fetch(keep, 0).as_small_int(), 41);
-        assert!(!m.header(keep).is_marked(), "marks cleared on abort");
+        assert!(old_words(&m) == before, "every old-space word untouched");
 
         // Restore nil: the memory recovers and the next collection is
         // healthy again.
@@ -1398,16 +1428,16 @@ mod tests {
     }
 
     /// The plan the tables replaced: a linear prefix sum over old space,
-    /// one `(from, to, total)` per marked object in address order. Kept as
-    /// the reference [`Relocator`]'s tables are checked against.
-    fn linear_plan(m: &ObjectMemory) -> Vec<(usize, usize, usize)> {
+    /// one `(from, to, total)` per object whose header word is in `marked`
+    /// (sorted), in address order. Kept as the reference [`Relocator`]'s
+    /// tables are checked against.
+    fn linear_plan(m: &ObjectMemory, marked: &[usize]) -> Vec<(usize, usize, usize)> {
         let mut plan = Vec::new();
         let mut to = m.spaces().old_start;
         let mut scan = to;
         while scan < m.old_next_value() {
-            let h = m.header(Oop::from_index(scan));
-            let total = 2 + h.body_words();
-            if h.is_marked() {
+            let total = 2 + m.header(Oop::from_index(scan)).body_words();
+            if marked.binary_search(&scan).is_ok() {
                 plan.push((scan, to, total));
                 to += total;
             }
@@ -1419,9 +1449,12 @@ mod tests {
     #[test]
     fn table_forwarding_matches_linear_plan_for_every_word() {
         let mut rng = mst_vkernel::SplitMix64::new(0x0016_B17A);
+        // Draws for the body-word marks, apart so the layouts stay as they
+        // were.
+        let mut body_rng = mst_vkernel::SplitMix64::new(0xB0D1_3A2C);
         // Layout shapes the sizes must produce, counted to prove they did.
         let (mut last_word_starts, mut exact_fills, mut straddlers) = (0, 0, 0);
-        let mut ragged_ends = 0;
+        let (mut ragged_ends, mut interior_marks) = (0, 0);
         for case in 0..48 {
             let m = ObjectMemory::new(MemoryConfig {
                 old_words: 128 << 10,
@@ -1450,32 +1483,43 @@ mod tests {
 
             // Mark sets: none, all, a dense prefix under a random tail,
             // random. Every non-header word gets a distinct value, so a
-            // mis-slid word cannot go unnoticed.
+            // mis-slid word cannot go unnoticed. The random sets also mark
+            // body words, as a corrupt pointer into an object would: the
+            // plan must find no object there.
             let dense_below = match case % 4 {
                 1 => old_next,
                 2 => rng.gen_range(old_start as u64, old_next as u64) as usize,
                 _ => old_start,
             };
+            let marks = MarkBits::new(&m);
+            let mut marked = Vec::new();
             let mut scan = old_start;
             while scan < old_next {
-                let obj = Oop::from_index(scan);
-                let total = 2 + m.header(obj).body_words();
+                let total = 2 + m.header(Oop::from_index(scan)).body_words();
                 for at in scan + 1..scan + total {
                     m.set_word(at, Oop::from_small_int(at as i64).raw());
                 }
                 if scan < dense_below || (case % 4 >= 2 && rng.gen_range(0, 2) == 0) {
-                    m.set_header(obj, m.header(obj).with_marked(true));
+                    marked.push(scan);
                     let k = (scan - old_start) % BLOCK_WORDS;
                     last_word_starts += usize::from(k == BLOCK_WORDS - 1);
                     exact_fills += usize::from(k == 0 && total == BLOCK_WORDS);
                     straddlers += usize::from(k + total > BLOCK_WORDS);
                 }
+                if case % 4 >= 2 && body_rng.gen_range(0, 4) == 0 {
+                    let at = scan + 1 + body_rng.gen_range(0, total as u64 - 1) as usize;
+                    assert!(marks.claim(at));
+                    interior_marks += 1;
+                }
                 scan += total;
+            }
+            for &at in &marked {
+                assert!(marks.claim(at));
             }
             let snapshot: Vec<u64> = (old_start..old_next).map(|at| m.word(at)).collect();
 
-            let plan = linear_plan(&m);
-            let rel = Relocator::plan(&m);
+            let plan = linear_plan(&m, &marked);
+            let rel = Relocator::plan(&m, marks);
             let live_words: usize = plan.iter().map(|&(_, _, total)| total).sum();
             assert_eq!(rel.live_words, live_words, "case {case}");
             // Every word address of old space, and past its used end.
@@ -1512,7 +1556,7 @@ mod tests {
             }
         }
         assert!(last_word_starts > 0 && exact_fills > 0 && straddlers > 0);
-        assert!(ragged_ends > 0);
+        assert!(ragged_ends > 0 && interior_marks > 0);
     }
 
     #[test]
@@ -1530,11 +1574,7 @@ mod tests {
         let aborted = m.full_gc_with(2, scope_runner);
         assert!(aborted.report.aborted.is_some());
         for out in [completed, aborted] {
-            let phases = out.mark_nanos
-                + out.plan_nanos
-                + out.update_nanos
-                + out.move_nanos
-                + out.clear_nanos;
+            let phases = out.mark_nanos + out.plan_nanos + out.update_nanos + out.move_nanos;
             assert_eq!(phases, out.total_nanos, "{out:?}");
         }
         // Every full collection any test ran, as the pause log has it.

@@ -62,16 +62,17 @@ const AGE_SHIFT: u64 = 29;
 const AGE_BITS: u64 = 3;
 const FLAG_REMEMBERED: u64 = 1 << 32;
 const FLAG_FORWARDED: u64 = 1 << 33;
-const FLAG_MARKED: u64 = 1 << 34;
 const FLAG_ESCAPED: u64 = 1 << 35;
+/// Bits no header sets: 34 (free; a full collection keeps its marks in a
+/// side table) and 36–39 (unassigned, which [`PAD_WORD`] relies on).
+const RESERVED: u64 = 1 << 34 | 0b1111 << 36;
 const HASH_SHIFT: u64 = 40;
 const HASH_BITS: u64 = 22;
 
 /// Maximum body size in words a single object may have.
 pub const MAX_BODY_WORDS: usize = (1 << SIZE_BITS) - 1;
 /// Fills abandoned tail words of a parallel scavenge's to-space copy
-/// buffers. Chosen above every bit a valid header uses below the hash field
-/// (bits 36–39 are unassigned), so a space walker can never confuse a pad
+/// buffers. A reserved bit alone, so a space walker can never confuse a pad
 /// with an object header; walkers skip pad words one at a time. Pads only
 /// ever appear in survivor space, are never referenced, and die with the
 /// semispace at the next scavenge.
@@ -192,29 +193,11 @@ impl Header {
         FLAG_FORWARDED
     }
 
-    /// Whether the object is marked (mark-compact only).
+    /// Whether a reserved bit is set, which no header this system writes
+    /// has (the snapshot loader rejects such a word).
     #[inline]
-    pub fn is_marked(self) -> bool {
-        self.0 & FLAG_MARKED != 0
-    }
-
-    /// The raw mark flag, for atomic `fetch_or` marking: the parallel mark
-    /// phase sets the bit directly on the header word so racing helpers
-    /// resolve ownership with one RMW instead of a read-modify-write of the
-    /// whole header. OR-ing this bit in never disturbs any other field.
-    #[inline]
-    pub(crate) fn mark_bit() -> u64 {
-        FLAG_MARKED
-    }
-
-    /// Sets or clears the mark bit.
-    #[inline]
-    pub fn with_marked(self, on: bool) -> Header {
-        if on {
-            Header(self.0 | FLAG_MARKED)
-        } else {
-            Header(self.0 & !FLAG_MARKED)
-        }
+    pub fn has_reserved_bits(self) -> bool {
+        self.0 & RESERVED != 0
     }
 
     /// Whether a context has escaped (may not be recycled).
@@ -245,7 +228,6 @@ impl std::fmt::Debug for Header {
             .field("age", &self.age())
             .field("remembered", &self.is_remembered())
             .field("forwarded", &self.is_forwarded())
-            .field("marked", &self.is_marked())
             .field("escaped", &self.is_escaped())
             .field("hash", &self.hash())
             .finish()
@@ -264,7 +246,8 @@ mod tests {
         assert_eq!(h.odd_bytes(), 5);
         assert_eq!(h.hash(), 0x3FFFFF);
         assert_eq!(h.age(), 0);
-        assert!(!h.is_remembered() && !h.is_forwarded() && !h.is_marked() && !h.is_escaped());
+        assert!(!h.is_remembered() && !h.is_forwarded() && !h.is_escaped());
+        assert!(!h.has_reserved_bits());
     }
 
     #[test]
@@ -277,11 +260,11 @@ mod tests {
     #[test]
     fn flags_are_independent() {
         let h = Header::new(3, ObjFormat::Pointers, 0, 7);
-        let h = h.with_remembered(true).with_marked(true).with_escaped();
-        assert!(h.is_remembered() && h.is_marked() && h.is_escaped());
-        assert!(!h.is_forwarded());
+        let h = h.with_remembered(true).with_escaped();
+        assert!(h.is_remembered() && h.is_escaped());
+        assert!(!h.is_forwarded() && !h.has_reserved_bits());
         let h = h.with_remembered(false);
-        assert!(!h.is_remembered() && h.is_marked() && h.is_escaped());
+        assert!(!h.is_remembered() && h.is_escaped());
         assert_eq!(h.body_words(), 3);
         assert_eq!(h.hash(), 7);
     }
@@ -317,9 +300,10 @@ mod tests {
         let c = Header(Header::claim_word());
         assert!(c.is_forwarded());
         assert_eq!(c.forwarding_target(), 0);
-        // A pad word is not a plausible header: it has no flags, no size.
+        // A pad word is not a plausible header: it has no flags, no size,
+        // and a reserved bit.
         let p = Header(PAD_WORD);
-        assert!(!p.is_forwarded() && !p.is_marked() && !p.is_remembered());
+        assert!(!p.is_forwarded() && !p.is_remembered() && p.has_reserved_bits());
         assert_eq!(p.body_words(), 0);
     }
 

@@ -1107,12 +1107,18 @@ impl ObjectMemory {
 
     /// Words occupied by the survivors of the last scavenge.
     pub fn past_survivor_used(&self) -> usize {
+        let (start, fill) = self.past_range();
+        fill - start
+    }
+
+    /// The past survivor space's occupied words, `[start, fill)`.
+    pub(crate) fn past_range(&self) -> (usize, usize) {
         let start = if self.past_is_a.load(Ordering::Relaxed) {
             self.spaces.surv_a_start
         } else {
             self.spaces.surv_b_start
         };
-        self.past_fill.load(Ordering::Relaxed) - start
+        (start, self.past_fill.load(Ordering::Relaxed))
     }
 
     pub(crate) fn eden_reset(&self) {

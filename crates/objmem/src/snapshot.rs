@@ -49,6 +49,7 @@ use mst_vkernel::fault;
 
 use crate::header::{Header, ObjFormat};
 use crate::heap::{MemoryConfig, ObjectMemory};
+use crate::method::MethodHeader;
 use crate::oop::Oop;
 use crate::special::SPECIAL_COUNT;
 
@@ -426,12 +427,8 @@ impl ObjectMemory {
         // rather than buffered (old space is the bulk of the image).
         self.write_region_section(w, sp.old_start, self.old_next_value())?;
         self.write_region_section(w, sp.eden_start, sp.eden_start + self.eden_frontier())?;
-        let past_start = if self.past_is_a.load(Ordering::Relaxed) {
-            sp.surv_a_start
-        } else {
-            sp.surv_b_start
-        };
-        self.write_region_section(w, past_start, past_start + self.past_survivor_used())?;
+        let (past_start, past_fill) = self.past_range();
+        self.write_region_section(w, past_start, past_fill)?;
         Ok(w.file.finish())
     }
 
@@ -771,9 +768,10 @@ impl ObjectMemory {
     }
 
     /// Walks old space checking structural invariants without panicking:
-    /// headers decode, objects stay inside the space, no scavenge/GC
-    /// transient flags are set, class words and pointer slots hold
-    /// in-bounds oops. Word indices in the error messages are heap-relative.
+    /// headers decode, objects stay inside the space, no forwarding flag or
+    /// reserved bit is set, method literal frames fit their bodies, class
+    /// words and pointer slots (literals included) hold in-bounds oops.
+    /// Word indices in the error messages are heap-relative.
     pub fn validate_old_space(&self) -> Result<usize, SnapshotError> {
         let sp = *self.spaces();
         let heap_limit = sp.surv_b_end;
@@ -802,19 +800,30 @@ impl ObjectMemory {
             if h.is_forwarded() {
                 return Err(bad(scan, "forwarding pointer outside scavenge".into()));
             }
-            if h.is_marked() {
-                return Err(bad(scan, "mark bit left set outside full GC".into()));
+            if h.has_reserved_bits() {
+                return Err(bad(scan, format!("reserved bits set in header {:#x}", h.0)));
             }
             let class = self.word(scan + 1);
             if !oop_in_bounds(class, heap_limit) {
                 return Err(bad(scan, format!("class word {class:#x} out of range")));
             }
-            if format == ObjFormat::Pointers {
-                for i in 0..h.body_words() {
-                    let v = self.fetch(obj, i);
-                    if v.is_object() && v.index() >= heap_limit {
-                        return Err(bad(scan, format!("slot {i} points outside the heap")));
-                    }
+            let slots = match format {
+                ObjFormat::Pointers => h.body_words(),
+                ObjFormat::Bytes => 0,
+                // The method header and its literals, which the collector
+                // traces and rewrites like any pointer slot.
+                ObjFormat::Method => {
+                    let mh = Oop::from_raw(self.word(scan + 2));
+                    mh.is_small_int()
+                        .then(|| MethodHeader::decode(mh).pointer_slots())
+                        .filter(|&n| n <= h.body_words())
+                        .ok_or_else(|| bad(scan, "method literal frame overruns its body".into()))?
+                }
+            };
+            for i in 0..slots {
+                let v = self.fetch(obj, i);
+                if v.is_object() && v.index() >= heap_limit {
+                    return Err(bad(scan, format!("slot {i} points outside the heap")));
                 }
             }
             count += 1;
@@ -1020,6 +1029,68 @@ mod tests {
         );
         assert_eq!(err.section, "config");
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    /// The image of a minimal heap that `corrupt` has damaged. The saver
+    /// computes every CRC, so only the loader's structural walk stands
+    /// between the damage and a load.
+    fn image_of(corrupt: impl FnOnce(&ObjectMemory)) -> Vec<u8> {
+        let mem = ObjectMemory::new(small_config());
+        bootstrap_minimal(&mem);
+        corrupt(&mem);
+        let mut buf = Vec::new();
+        mem.save_snapshot(&mut buf).unwrap();
+        buf
+    }
+
+    fn load(image: &[u8]) -> Result<ObjectMemory, SnapshotError> {
+        ObjectMemory::load_snapshot(&mut &image[..], small_config())
+    }
+
+    #[test]
+    fn reserved_header_bit_is_rejected() {
+        let with_bits = |bits: u64| {
+            image_of(move |mem| {
+                let a = mem.alloc_array_old(2).unwrap();
+                mem.set_header(a, Header(mem.header(a).0 | bits));
+            })
+        };
+        assert!(load(&with_bits(0)).is_ok());
+        for bit in [34, 36, 39] {
+            let err = load(&with_bits(1 << bit)).unwrap_err();
+            assert_eq!(err.section, "old");
+            assert!(err.to_string().contains("reserved bits"), "{err}");
+        }
+    }
+
+    #[test]
+    fn method_literal_frames_are_bounds_checked() {
+        // A three-word method: header, one literal slot, bytecodes.
+        let method = |num_literals: u16, literal: fn(&ObjectMemory) -> Oop| {
+            image_of(move |mem| {
+                let m = mem
+                    .allocate_old(mem.nil(), ObjFormat::Method, 3, 0)
+                    .unwrap();
+                let mh = MethodHeader {
+                    num_literals,
+                    ..MethodHeader::default()
+                };
+                mem.store_nocheck(m, 0, mh.encode());
+                mem.store_nocheck(m, 1, literal(mem));
+            })
+        };
+        assert!(load(&method(1, |mem| mem.nil())).is_ok());
+        // A header claiming more literals than the body holds, and a literal
+        // outside the heap: the collector would trace either straight out
+        // of the object.
+        let overrun = load(&method(5, |mem| mem.nil())).unwrap_err();
+        assert!(overrun.to_string().contains("literal frame"), "{overrun}");
+        let wild = load(&method(1, |mem| {
+            Oop::from_index(mem.spaces().surv_b_end + 64)
+        }))
+        .unwrap_err();
+        assert!(wild.to_string().contains("slot 1 points outside"), "{wild}");
+        assert_eq!((overrun.section, wild.section), ("old", "old"));
     }
 
     #[test]

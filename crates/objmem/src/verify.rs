@@ -10,9 +10,9 @@
 //! * **Header sanity** — valid format bits, object extents that stay inside
 //!   their region, pointer objects with no odd-byte count, method headers
 //!   whose literal frame fits the body.
-//! * **No stale GC state** — forwarding markers exist only *during* a
-//!   scavenge and mark bits only during a full collection; any left behind
-//!   means a collection ended halfway.
+//! * **No stale GC state** — forwarding markers, the only transient GC
+//!   state a header carries, exist only *during* a scavenge; any left
+//!   behind means a scavenge ended halfway.
 //! * **Reference validity** — every pointer slot holds a small integer,
 //!   `Oop::ZERO`, or a reference into a *used* region (never the future
 //!   survivor space or the unallocated tails).
@@ -103,15 +103,7 @@ impl ObjectMemory {
     /// the memory through `mst_interp::StoppedWorld::mem`.
     pub fn verify_heap(&self) -> HeapAudit {
         let sp = self.spaces();
-        let past_start = if self.past_is_a.load(std::sync::atomic::Ordering::Relaxed) {
-            sp.surv_a_start
-        } else {
-            sp.surv_b_start
-        };
-        let past_fill = self
-            .past_fill
-            .load(std::sync::atomic::Ordering::Relaxed)
-            .max(past_start);
+        let (past_start, past_fill) = self.past_range();
         let entry_set: HashSet<u64> = self.entry_table.lock().iter().map(|o| o.raw()).collect();
         let mut v = Verifier {
             mem: self,
@@ -209,11 +201,6 @@ impl Verifier<'_> {
             ));
             // The body holds a forwarding address, not slots.
             return;
-        }
-        if h.is_marked() {
-            self.error(format!(
-                "{region}@{idx}: stale mark bit (full GC ended halfway?)"
-            ));
         }
         let class = mem.class_of(obj);
         if validate_refs && (!self.valid_reference(class) || class.is_small_int()) {

@@ -740,7 +740,8 @@ fn n_helper_full_gc_is_observationally_one_helper() {
             // Grow identical heaps with the exact same schedule, then
             // collect one with the leader alone and the others with helper
             // threads stealing from each other's deques (mark) and claiming
-            // chunks (update/move/clear). Everything observable must agree —
+            // update chunks (the plan and the move run on the leader
+            // alone). Everything observable must agree —
             // reclaimed words, the reachable graphs, the heap extent, and
             // the entry table (the remembered set survives compaction
             // verbatim).
