@@ -106,6 +106,4 @@ fn main() {
     bench_compiler();
     bench_gc();
     bench_vkernel();
-    mst_bench::harness::write_micro_json("BENCH_micro.json").expect("write BENCH_micro.json");
-    println!("\nwrote BENCH_micro.json");
 }

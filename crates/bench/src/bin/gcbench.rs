@@ -1,6 +1,6 @@
 //! Pause time of one generation scavenge as a function of helper count.
 //!
-//! Usage: `cargo run --release -p mst-bench --bin gcbench [--smoke | --fullgc]`
+//! Usage: `cargo run --release -p mst-bench --bin gcbench [--fullgc]`
 //!
 //! The paper's motivation for drafting stopped processors into the
 //! collector is that a scavenge pause is dominated by copying the live
@@ -17,22 +17,19 @@
 //! comparison is printed but only warns, since helpers then time-slice
 //! one CPU and "within noise of serial" is the best possible outcome.
 //!
-//! `--smoke` runs a short 2-helper pass with spurious condvar wakeups
-//! injected underneath a real rendezvous (the interpreter's donation
-//! path), auditing the heap after every collection. Both modes write
-//! `BENCH_gc.json` for CI artifact upload.
-//!
 //! `--fullgc` measures the mark-compact collector instead: the phases of a
 //! full collection over a pinned old-space live set with 1, 2, and 4
-//! helpers. Writes `BENCH_fullgc.json`. On a host with at least four cores
-//! the run fails (exit 1) if the 4-helper mark, or the 4-helper
-//! update+move, is slower than 0.7x serial; the forwarding bound
-//! (one-helper update at most 1.5x the one-helper mark) is enforced on any
-//! host.
+//! helpers. On a host with at least four cores the run fails (exit 1) if
+//! the 4-helper mark, or the 4-helper update+move, is slower than 0.7x
+//! serial; the forwarding bound (one-helper update at most 1.5x the
+//! one-helper mark) is enforced on any host.
+//!
+//! Both modes print their table and write no file. The chaotic 2-helper
+//! scavenge through a real rendezvous is a test,
+//! `parallel_scavenge_survives_spurious_wakeups` (`tests/properties.rs`).
 
 use mst_bench::harness::ns_human;
 use mst_objmem::{MemoryConfig, ObjFormat, ObjectMemory, Oop, So};
-use mst_telemetry::Row;
 use mst_vkernel::SplitMix64;
 
 /// Runs a leader-supplied world-stopped closure on `helpers` scoped
@@ -141,110 +138,10 @@ fn measure(mem: &ObjectMemory, helpers: usize, rounds: usize) -> HelperRun {
     }
 }
 
-fn write_json(path: &str, live_words: usize, cores: usize, chaos: bool, runs: &[HelperRun]) {
-    let mut rows = Vec::new();
-    for r in runs {
-        let h = r.helpers;
-        let n = r.rounds as u64;
-        rows.push(Row::new(
-            format!("scavenge.h{h}.best_ns"),
-            r.best_ns as f64,
-            "ns",
-            n,
-        ));
-        rows.push(Row::new(
-            format!("scavenge.h{h}.mean_ns"),
-            r.mean_ns as f64,
-            "ns",
-            n,
-        ));
-    }
-    mst_bench::rows::write_rows(
-        path,
-        "gcbench",
-        &[
-            ("live_words", live_words.to_string()),
-            ("cores", cores.to_string()),
-            ("chaos", chaos.to_string()),
-        ],
-        &rows,
-    );
-}
-
 fn available_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Short chaos pass: 2 helpers drafted through a real rendezvous while
-/// spurious condvar wakeups fire underneath every wait.
-fn smoke() {
-    use mst_vkernel::fault;
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            fault::disable();
-        }
-    }
-    let _disarm = Disarm;
-    fault::install(fault::ChaosConfig {
-        seed: 0x6CBE_4C4A,
-        rate: 0.4,
-        sites: fault::FaultSite::SpuriousWake.bit(),
-    });
-
-    let live_words = 16 << 10;
-    let mem = bench_mem(live_words);
-    let roots = build_live_graph(&mem, 0xB00C, live_words, 32);
-    let rdv = std::sync::Arc::new(mst_vkernel::Rendezvous::new());
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut pauses = Vec::new();
-    std::thread::scope(|s| {
-        for _ in 0..2 {
-            let rdv = std::sync::Arc::clone(&rdv);
-            let stop = std::sync::Arc::clone(&stop);
-            s.spawn(move || {
-                let me = rdv.participant();
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    if rdv.poll() {
-                        me.park();
-                    }
-                    std::hint::spin_loop();
-                }
-            });
-        }
-        let me = rdv.participant();
-        for _ in 0..8 {
-            let guard = me.stop_world();
-            let out = mem
-                .try_scavenge_with(2, |n, f| {
-                    guard.run_stopped(n, f);
-                })
-                .expect("old space untouched by a tenure-free scavenge");
-            drop(guard);
-            mem.verify_heap().assert_clean();
-            pauses.push(out.nanos);
-        }
-        stop.store(true, std::sync::atomic::Ordering::Release);
-    });
-    drop(roots);
-
-    let run = HelperRun {
-        helpers: 2,
-        best_ns: *pauses.iter().min().expect("eight rounds"),
-        mean_ns: pauses.iter().sum::<u64>() / pauses.len() as u64,
-        rounds: pauses.len(),
-    };
-    println!(
-        "smoke: {} chaotic 2-helper scavenges of {} live words, all audits clean \
-         (best {}, mean {})",
-        run.rounds,
-        live_words,
-        ns_human(run.best_ns as f64),
-        ns_human(run.mean_ns as f64)
-    );
-    write_json("BENCH_gc.json", live_words, available_cores(), true, &[run]);
 }
 
 /// A heap whose old space comfortably holds `live_words` of pinned live
@@ -362,59 +259,6 @@ fn measure_fullgc(mem: &ObjectMemory, helpers: usize, rounds: usize) -> FullGcRu
     }
 }
 
-fn write_fullgc_json(path: &str, live_words: usize, cores: usize, runs: &[FullGcRun]) {
-    let mut rows = Vec::new();
-    for r in runs {
-        let h = r.helpers;
-        let n = r.rounds as u64;
-        rows.push(Row::new(
-            format!("fullgc.h{h}.best_mark_ns"),
-            r.best_mark_ns as f64,
-            "ns",
-            n,
-        ));
-        rows.push(Row::new(
-            format!("fullgc.h{h}.mean_mark_ns"),
-            r.mean_mark_ns as f64,
-            "ns",
-            n,
-        ));
-        rows.push(Row::new(
-            format!("fullgc.h{h}.best_total_ns"),
-            r.best_total_ns as f64,
-            "ns",
-            n,
-        ));
-        rows.push(Row::new(
-            format!("fullgc.h{h}.best_plan_ns"),
-            r.best_plan_ns as f64,
-            "ns",
-            n,
-        ));
-        rows.push(Row::new(
-            format!("fullgc.h{h}.best_update_ns"),
-            r.best_update_ns as f64,
-            "ns",
-            n,
-        ));
-        rows.push(Row::new(
-            format!("fullgc.h{h}.best_move_ns"),
-            r.best_move_ns as f64,
-            "ns",
-            n,
-        ));
-    }
-    mst_bench::rows::write_rows(
-        path,
-        "gcbench-fullgc",
-        &[
-            ("live_words", live_words.to_string()),
-            ("cores", cores.to_string()),
-        ],
-        &rows,
-    );
-}
-
 fn fullgc_bench() {
     let cores = available_cores();
     let live_words = 192 << 10; // ~1.5 MB of pinned old-space live data
@@ -445,9 +289,6 @@ fn fullgc_bench() {
         runs.push(run);
     }
     drop(roots);
-
-    write_fullgc_json("BENCH_fullgc.json", live_words, cores, &runs);
-    println!("wrote BENCH_fullgc.json");
 
     let solo_mark = runs[0].best_mark_ns as f64;
     let par4_mark = runs[2].best_mark_ns as f64;
@@ -508,10 +349,6 @@ fn fullgc_bench() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
     if std::env::args().any(|a| a == "--fullgc") {
         fullgc_bench();
         return;
@@ -546,9 +383,6 @@ fn main() {
         "  [{} words copied per scavenge; no tenuring]",
         copied / (3 * rounds) as u64
     );
-
-    write_json("BENCH_gc.json", live_words, cores, false, &runs);
-    println!("wrote BENCH_gc.json");
 
     let serial = runs[0].best_ns as f64;
     let par4 = runs[2].best_ns as f64;

@@ -14,7 +14,6 @@ use mst_bench::harness::{
     bar, ms_str, system_for_state, time_prepared, warm_process, Timing, TABLE2,
 };
 use mst_core::SystemState;
-use mst_telemetry::Row;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -153,42 +152,6 @@ fn main() {
         (mean(3) - 1.0) * 100.0
     );
     println!("\n(differences of less than 3% are not significant — paper, Table 2 note)");
-
-    write_table2_json("BENCH_table2.json", &results);
-    println!("wrote BENCH_table2.json");
-}
-
-/// Emits the full state × benchmark grid on the shared `mst-bench-rows/1`
-/// row schema for CI artifact upload and regression diffing, paper
-/// numbers included as informational (`s`-unit) rows.
-fn write_table2_json(path: &str, results: &[Vec<Timing>]) {
-    let mut rows = Vec::new();
-    for (si, state) in SystemState::ALL.iter().enumerate() {
-        let state_key = mst_bench::rows::slug(state.label());
-        for (bi, b) in TABLE2.iter().enumerate() {
-            let key = format!("table2.{state_key}.{}", mst_bench::rows::slug(b.label));
-            let t = &results[si][bi];
-            rows.push(Row::new(
-                format!("{key}.cpu_ns"),
-                t.cpu_ns,
-                "ns",
-                t.iters as u64,
-            ));
-            rows.push(Row::new(
-                format!("{key}.wall_ns"),
-                t.wall_ns,
-                "ns",
-                t.iters as u64,
-            ));
-            rows.push(Row::new(
-                format!("{key}.paper_secs"),
-                b.paper_secs[si],
-                "s",
-                1,
-            ));
-        }
-    }
-    mst_bench::rows::write_rows(path, "table2", &[], &rows);
 }
 
 fn short(label: &str) -> String {

@@ -14,7 +14,6 @@
 //! the paper is about — while excluding simple descheduling. Wall-clock is
 //! reported alongside for completeness. See DESIGN.md §2.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use mst_core::{MsConfig, MsSystem, SystemState};
@@ -214,7 +213,7 @@ impl MicroGroup {
 
     /// Measures `f`, printing `group/name  time: … /iter  cpu: …` and — if
     /// a throughput was declared — `thrpt: … elem/s`.
-    pub fn bench(&mut self, name: &str, mut f: impl FnMut()) -> MicroResult {
+    pub fn bench(&mut self, name: &str, mut f: impl FnMut()) {
         // Warm up and calibrate: grow the batch until one batch is long
         // enough to dwarf timer overhead (or a single run already is).
         let mut batch = 1u64;
@@ -238,29 +237,19 @@ impl MicroGroup {
             }
             iters += batch;
         }
-        let cpu_total = thread_cpu_ns() - cpu0;
-        let result = MicroResult {
-            wall_ns: wall0.elapsed().as_nanos() as f64 / iters as f64,
-            cpu_ns: cpu_total as f64 / iters as f64,
-            iters,
-        };
+        let cpu_ns = (thread_cpu_ns() - cpu0) as f64 / iters as f64;
+        let wall_ns = wall0.elapsed().as_nanos() as f64 / iters as f64;
         let mut line = format!(
-            "  {:<32} time: {:>10}/iter  cpu: {:>10}/iter  ({} iters)",
+            "  {:<32} time: {:>10}/iter  cpu: {:>10}/iter  ({iters} iters)",
             format!("{}/{name}", self.name),
-            ns_human(result.wall_ns),
-            ns_human(result.cpu_ns),
-            result.iters,
+            ns_human(wall_ns),
+            ns_human(cpu_ns),
         );
         if let Some(elements) = self.throughput.take() {
-            let rate = elements as f64 / (result.wall_ns / 1.0e9);
+            let rate = elements as f64 / (wall_ns / 1.0e9);
             line.push_str(&format!("  thrpt: {}/s", si_human(rate)));
         }
         println!("{line}");
-        micro_results()
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push((format!("{}/{name}", self.name), result));
-        result
     }
 }
 
@@ -275,47 +264,6 @@ fn micro_budget_ms(raw: Option<&str>) -> u64 {
         v.parse()
             .unwrap_or_else(|_| panic!("MST_MICRO_MS={v} is not a u64"))
     })
-}
-
-/// Every [`MicroGroup::bench`] result recorded so far, in run order.
-fn micro_results() -> &'static Mutex<Vec<(String, MicroResult)>> {
-    static RESULTS: Mutex<Vec<(String, MicroResult)>> = Mutex::new(Vec::new());
-    &RESULTS
-}
-
-/// Writes all recorded micro-benchmark results on the shared
-/// `mst-bench-rows/1` row schema (two `ns` rows per benchmark:
-/// `<group>/<name>.wall_ns` and `.cpu_ns`), for CI artifacts.
-pub fn write_micro_json(path: &str) -> std::io::Result<()> {
-    let results = micro_results().lock().unwrap_or_else(|p| p.into_inner());
-    let mut rows = Vec::with_capacity(results.len() * 2);
-    for (name, r) in results.iter() {
-        rows.push(mst_telemetry::Row::new(
-            format!("{name}.wall_ns"),
-            r.wall_ns,
-            "ns",
-            r.iters,
-        ));
-        rows.push(mst_telemetry::Row::new(
-            format!("{name}.cpu_ns"),
-            r.cpu_ns,
-            "ns",
-            r.iters,
-        ));
-    }
-    crate::rows::write_rows(path, "micro", &[], &rows);
-    Ok(())
-}
-
-/// Per-iteration measurement from [`MicroGroup::bench`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MicroResult {
-    /// Wall nanoseconds per iteration.
-    pub wall_ns: f64,
-    /// CPU nanoseconds per iteration (benchmark thread only).
-    pub cpu_ns: f64,
-    /// Iterations measured.
-    pub iters: u64,
 }
 
 /// Formats nanoseconds with an adaptive unit (ns/µs/ms/s).

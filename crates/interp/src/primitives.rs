@@ -297,15 +297,16 @@ impl Interpreter {
                 self.prim_done(nargs, rcvr)
             }
             86 => {
-                // Semaphore>>wait
+                // Semaphore>>wait. The registers reach the heap before the
+                // wait: once the Process sits on the Semaphore, a signal on
+                // another interpreter makes it ready, and whichever
+                // interpreter claims it resumes it from its suspended context.
                 let me = self.current_process();
                 self.prim_done(nargs, rcvr);
+                self.flush_for_switch();
                 match sched::semaphore_wait(self.vm_arc(), rcvr, me) {
                     sched::WaitOutcome::Acquired => PrimOutcome::Done,
-                    sched::WaitOutcome::Blocked => {
-                        self.flush_for_switch();
-                        PrimOutcome::Event2(EV_BLOCKED)
-                    }
+                    sched::WaitOutcome::Blocked => PrimOutcome::Event2(EV_BLOCKED),
                 }
             }
             87 => {
@@ -317,9 +318,11 @@ impl Interpreter {
                 // Process>>suspend
                 let me = self.current_process();
                 if rcvr == me {
+                    // Flushed before the retire, for the reason `wait` is: a
+                    // `resume` on another interpreter may follow at once.
                     self.prim_done(nargs, rcvr);
-                    sched::retire(self.vm_arc(), me);
                     self.flush_for_switch();
+                    sched::retire(self.vm_arc(), me);
                     PrimOutcome::Event2(EV_BLOCKED)
                 } else if sched::suspend_other(self.vm_arc(), rcvr) {
                     self.prim_done(nargs, rcvr)

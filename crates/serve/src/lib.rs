@@ -50,7 +50,8 @@
 //! fleet — epochs, restart counts, sessions — from the directory alone
 //! after a process death. The `ckpt.crash` / `ckpt.torn_manifest` /
 //! `ckpt.slow` fault sites simulate deaths inside the commit protocol
-//! itself; the `crashrec` bench drives recovery across hundreds of them.
+//! itself; `tests/serving.rs` recovers from seeded deaths at both (as
+//! many as `MST_PROP_CASES` asks for).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -603,8 +604,8 @@ impl Server {
         self.commit_session(t, ms)
     }
 
-    /// Runs a full heap audit on `tenant`'s live session (the crashrec
-    /// harness verifies recovered sessions with this).
+    /// Runs a full heap audit on `tenant`'s live session (the recovery
+    /// tests verify recovered sessions with this).
     ///
     /// # Errors
     ///

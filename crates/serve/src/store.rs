@@ -59,8 +59,8 @@
 //! ([`mst_vkernel::fault`]) tear step 1 (the written temp file is truncated
 //! to the boundary and fsynced, never renamed) or step 3 at a seeded byte
 //! boundary, leaving the directory exactly as a process death would;
-//! `ckpt.slow` stalls the write. The `crashrec` bench drives recovery
-//! across hundreds of such deaths.
+//! `ckpt.slow` stalls the write. `tests/serving.rs` recovers from seeded
+//! deaths at both sites.
 
 use std::collections::BTreeMap;
 use std::fmt;

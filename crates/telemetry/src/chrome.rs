@@ -103,11 +103,6 @@ pub fn export_chrome_json() -> String {
     events_to_json(&borrowed)
 }
 
-/// Exports the trace to `path` as Chrome `trace_event` JSON.
-pub fn write_chrome_json(path: &str) -> std::io::Result<()> {
-    std::fs::write(path, export_chrome_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +184,7 @@ mod tests {
                 .and_then(Json::as_str),
             Some("p0:interp")
         );
-        // What `trace --smoke` requires of every event, metadata included...
+        // What a trace viewer requires of every event, metadata included...
         for ev in evs {
             for key in ["name", "ph", "pid", "tid", "args"] {
                 assert!(ev.get(key).is_some(), "event missing required key {key}");

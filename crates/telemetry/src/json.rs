@@ -1,7 +1,7 @@
 //! A minimal recursive-descent JSON parser.
 //!
 //! Exists so the exported Chrome trace can be validated in-tree (unit
-//! tests, `mst-bench --bin trace --smoke`, CI) without pulling in serde —
+//! tests and the traced-run test in `tests/config.rs`) without pulling in serde —
 //! the workspace is hermetic. Handles the full JSON grammar; numbers are
 //! parsed as `f64`, which is exactly what `trace_event` timestamps are.
 

@@ -27,13 +27,11 @@
 //! * [`pauselog`] — a bounded log of GC pauses attributed to named phases
 //!   (roots, copy/mark, termination, plan, update, move) with per-helper
 //!   work and steal counts.
-//! * [`profile`] — versioned [`ProfileReport`] snapshots (`PROFILE.json`)
-//!   embedding normalized `{name, value, unit, n}` rows.
 //! * [`report`] — a human-readable `vmstat`-style text report of every
 //!   registered counter and histogram, plus the utilization and
 //!   pause-attribution tables.
 //! * [`json`] — a minimal JSON parser so exported traces can be validated
-//!   in-tree (tests, the CI smoke run) without external dependencies.
+//!   in-tree by tests without external dependencies.
 //!
 //! # Example
 //!
@@ -57,7 +55,6 @@ pub mod chrome;
 pub mod json;
 mod metrics;
 pub mod pauselog;
-pub mod profile;
 pub mod registry;
 pub mod report;
 pub mod timeline;
@@ -65,7 +62,6 @@ pub mod trace;
 
 pub use metrics::{Counter, Histogram, HistogramSnapshot, BUCKETS, SHARDS};
 pub use pauselog::GcPause;
-pub use profile::{ProfileReport, Row};
 pub use registry::{counter, histogram};
 pub use timeline::{enter_state, ProcState, ProcTimeline};
 pub use trace::{enabled, instant, now_ns, set_enabled, span, Span, TraceEvent, TracePhase};

@@ -99,8 +99,8 @@ pub fn snapshot() -> (Vec<GcPause>, u64) {
     (log.ring.iter().cloned().collect(), log.dropped)
 }
 
-/// Clears the log (between benchmark runs). Registry histograms are
-/// cleared separately via `registry::reset_all`.
+/// Clears the log (between benchmark runs). The registry histograms the
+/// records fed are left alone.
 pub fn clear() {
     let mut log = log();
     log.ring.clear();

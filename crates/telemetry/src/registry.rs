@@ -77,23 +77,12 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-/// Snapshots all counters and histograms at once (the profile pipeline's
-/// entry point; see [`crate::profile::capture`]).
+/// Snapshots all counters and histograms at once (the repo benchmark's
+/// per-layer rows are differences of two of these).
 pub fn snapshot() -> RegistrySnapshot {
     RegistrySnapshot {
         counters: counters(),
         histograms: histograms(),
-    }
-}
-
-/// Resets every registered instrument (between benchmark runs).
-pub fn reset_all() {
-    let reg = inner();
-    for c in reg.counters.values() {
-        c.reset();
-    }
-    for h in reg.histograms.values() {
-        h.reset();
     }
 }
 

@@ -64,6 +64,56 @@ fn semaphore_mutual_exclusion_across_interpreters() {
     );
 }
 
+/// Regression: a Process that blocks in `Semaphore>>wait` can be signalled
+/// and claimed by another interpreter the moment it sits on the Semaphore,
+/// so its registers must reach the heap before the wait, not after. Two
+/// Processes ping-pong through four Semaphores, each blocking at two
+/// different sites; one resumed from a stale suspended context re-runs the
+/// wrong half of its loop and the pair wedges. A wedge is reported after a
+/// minute instead of hanging the test binary.
+#[test]
+fn a_process_blocked_on_a_semaphore_resumes_where_it_blocked() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let mut ms = system();
+        eval(
+            &mut ms,
+            "Benchmark class compile: 'ping: n a: a b: b c: c d: d count: count done: done
+                [1 to: n do: [:i |
+                    a wait. count at: 1 put: (count at: 1) + 1. b signal.
+                    c wait. count at: 2 put: (count at: 2) + 1. d signal].
+                 done signal] fork'",
+        );
+        eval(
+            &mut ms,
+            "Benchmark class compile: 'pong: n a: a b: b c: c d: d done: done
+                [1 to: n do: [:i | a signal. b wait. c signal. d wait]. done signal] fork'",
+        );
+        for _ in 0..5 {
+            let counts = eval(
+                &mut ms,
+                "| a b c d count done |
+                 a := Semaphore new. b := Semaphore new.
+                 c := Semaphore new. d := Semaphore new.
+                 count := Array with: 0 with: 0. done := Semaphore new.
+                 Benchmark ping: 2000 a: a b: b c: c d: d count: count done: done.
+                 Benchmark pong: 2000 a: a b: b c: c d: d done: done.
+                 done wait. done wait.
+                 (count at: 1) * 100000 + (count at: 2)",
+            );
+            tx.send(counts).expect("the test is listening");
+        }
+        ms.shutdown();
+    });
+    for round in 0..5 {
+        let counts = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("round {round}: the ping-pong wedged"));
+        assert_eq!(counts, Value::Int(2000 * 100_000 + 2000), "round {round}");
+    }
+    runner.join().expect("runner thread");
+}
+
 #[test]
 fn this_process_and_can_run_reorganization() {
     let mut ms = system();
@@ -282,7 +332,18 @@ fn chaos_soak_leaves_a_clean_heap_across_seeds() {
             chaos: Some(mst_vkernel::fault::ChaosConfig::new(seed, 1e-3)),
             ..MsConfig::default()
         });
+        // Faults slow everything down, but a rendezvous that takes this
+        // long is a wedge: fail with the watchdog's dump instead of hanging.
+        ms.vm().rendezvous.set_watchdog(60_000);
+        ms.vm()
+            .rendezvous
+            .set_watchdog_policy(mst_vkernel::WatchdogPolicy::Panic);
         ms.enter_state(SystemState::MsBusy4);
+        // Two Table 2 macro benchmarks: the compiler, the image's
+        // reflection and its collections, all under fire.
+        for sel in ["readWriteClassOrganization", "printClassDefinition"] {
+            eval(&mut ms, &format!("Benchmark {sel}"));
+        }
         for _ in 0..3 {
             assert_eq!(
                 eval(

@@ -2,7 +2,9 @@
 //! escaped contexts, overflow, deep recursion across collections,
 //! snapshots, and primitive-failure fallbacks.
 
+use mst_core::testing::{Gen, Runner};
 use mst_core::{MsConfig, MsSystem, Value};
+use mst_objmem::ObjectMemory;
 
 fn system() -> MsSystem {
     MsSystem::new(MsConfig {
@@ -206,6 +208,89 @@ fn snapshot_round_trip_preserves_runtime_state() {
             "| done | done := Semaphore new. [done signal] fork. done wait. 7"
         ),
         Value::Int(7)
+    );
+}
+
+/// One way to damage an image.
+#[derive(Debug)]
+enum Corruption {
+    /// Flip one bit of one byte.
+    Flip { byte: usize, bit: u8 },
+    /// Keep only the first `len` bytes.
+    Truncate { len: usize },
+    /// Overwrite a run of bytes at `start` — headers, section lengths and
+    /// CRC trailers all get hit across the cases.
+    Garbage { start: usize, bytes: Vec<u8> },
+}
+
+impl Corruption {
+    /// Bit flips, truncations and garbage runs in the proportion 8 : 2 : 1.
+    fn of_image(len: usize) -> Gen<Corruption> {
+        Gen::from_fn(move |rng, _size| match rng.gen_range(0, 11) {
+            0..=7 => Corruption::Flip {
+                byte: rng.gen_range(0, len as u64) as usize,
+                bit: rng.gen_range(0, 8) as u8,
+            },
+            8..=9 => Corruption::Truncate {
+                len: rng.gen_range(0, len as u64) as usize,
+            },
+            _ => {
+                let run = rng.gen_range(1, 128) as usize;
+                Corruption::Garbage {
+                    start: rng.gen_range(0, (len - run) as u64) as usize,
+                    bytes: (0..run).map(|_| rng.gen_range(0, 256) as u8).collect(),
+                }
+            }
+        })
+    }
+
+    fn apply(&self, image: &[u8]) -> Vec<u8> {
+        let mut out = image.to_vec();
+        match self {
+            Corruption::Flip { byte, bit } => out[*byte] ^= 1 << bit,
+            Corruption::Truncate { len } => out.truncate(*len),
+            Corruption::Garbage { start, bytes } => {
+                out[*start..*start + bytes.len()].copy_from_slice(bytes)
+            }
+        }
+        out
+    }
+}
+
+/// The loader fuzzed: every corruption of a real image must be refused
+/// with a structured `SnapshotError` — never a panic, never a silently
+/// accepted image — and the pristine image must still load.
+/// `MST_PROP_CASES` / `MST_PROP_SEED` run a larger or a different corpus.
+#[test]
+fn snapshot_loader_rejects_every_corrupted_image() {
+    let config = MsConfig {
+        processors: 2,
+        ..MsConfig::default()
+    };
+    // Not just the pristine bootstrap: a runtime-compiled method too.
+    let mut ms = MsSystem::new(config);
+    eval(&mut ms, "Benchmark class compile: 'answer ^6 * 7'");
+    assert_eq!(eval(&mut ms, "Benchmark answer"), Value::Int(42));
+    let mut image = Vec::new();
+    ms.save_snapshot(&mut image).expect("base snapshot");
+    ms.shutdown();
+    let load = |bytes: &[u8]| {
+        std::panic::catch_unwind(|| {
+            ObjectMemory::load_snapshot(&mut &bytes[..], config.memory_config()).map(|_| ())
+        })
+    };
+    assert!(
+        matches!(load(&image), Ok(Ok(()))),
+        "the pristine image must load"
+    );
+    Runner::with_cases(88).run(
+        "snapshot_loader_rejects_every_corrupted_image",
+        &Corruption::of_image(image.len()),
+        |corruption| match load(&corruption.apply(&image)) {
+            Ok(Err(_)) => Ok(()),
+            Ok(Ok(())) => Err("the corrupted image loaded".into()),
+            Err(_) => Err("the loader panicked instead of returning an error".into()),
+        },
     );
 }
 

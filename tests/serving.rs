@@ -1,6 +1,7 @@
 //! Integration: the serving layer's robustness envelope — deadline
-//! termination, snapshot-template reuse, crash-only tenant recovery, and
-//! GC-helper panic containment.
+//! termination, snapshot-template reuse, crash-only tenant recovery, a
+//! victim tenant's faults confined to it, GC-helper panic containment, and
+//! recovery from a death inside the checkpoint commit protocol.
 //!
 //! Some tests arm *destructive* fault sites (`gc_helper.panic`,
 //! `serve.panic`), which kill any injectable thread in the process — so
@@ -10,9 +11,16 @@
 
 use std::time::{Duration, Instant};
 
-use mst_core::{EvalError, MsConfig, MsSystem, SupervisorPolicy, Value};
+use mst_core::testing::{Gen, Runner};
+use mst_core::{
+    prop_assert, prop_assert_eq, EvalError, MsConfig, MsSystem, SnapshotTemplate, SupervisorPolicy,
+    Value,
+};
 use mst_objmem::MemoryConfig;
-use mst_serve::{ServeConfig, ServeError, Server};
+use mst_serve::{
+    chains_from_records, scan_manifest, Backoff, CheckpointPolicy, RecoverySource, ServeConfig,
+    ServeError, Server,
+};
 use mst_vkernel::fault::{self, ChaosConfig, FaultSite};
 use mst_vkernel::WatchdogPolicy;
 
@@ -295,6 +303,122 @@ fn tenant_crash_is_contained_and_recovered() {
         assert_eq!(r.value, Value::Int(42));
         assert_eq!(server.restarts(t), 0, "bystander session never crashed");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Drives `requests` doits of a mixed workload through `tenant`, retrying
+/// retryable failures (rejects, drops, crash respawns, expired deadlines)
+/// with seeded exponential backoff. Answers (served, terminal errors).
+fn drive_mix(server: &Server, tenant: usize, requests: usize, seed: u64) -> (usize, Vec<String>) {
+    const MIX: &[&str] = &[
+        "(1 to: 50) inject: 0 into: [:a :b | a + b]",
+        "| o | o := OrderedCollection new. 1 to: 40 do: [:i | o add: i * i]. o size",
+        "'serve' , '/' , 42 printString",
+        "[:a :b | a * b] value: 6 value: 7",
+    ];
+    let mut backoff = Backoff::new(seed, Duration::from_micros(200), Duration::from_millis(20));
+    let (mut served, mut errors) = (0, Vec::new());
+    for i in 0..requests {
+        for attempt in 1.. {
+            match server.request(tenant, MIX[i % MIX.len()]) {
+                Ok(_) => {
+                    served += 1;
+                    backoff.reset();
+                }
+                Err(
+                    ServeError::Rejected(_)
+                    | ServeError::Dropped
+                    | ServeError::SessionCrashed { .. }
+                    | ServeError::DeadlineExpired,
+                ) if attempt < 16 => {
+                    std::thread::sleep(backoff.next_delay());
+                    continue;
+                }
+                Err(e) => errors.push(format!("tenant {tenant} request {i}: {e}")),
+            }
+            break;
+        }
+    }
+    (served, errors)
+}
+
+/// Blast radius: while every tenant drives load concurrently, one victim
+/// tenant has its requests dropped, stalled and panicked mid-doit. Every
+/// other tenant serves every request with no error and no session crash,
+/// and the victim serves again once the faults stop.
+#[test]
+fn victim_faults_never_reach_the_other_tenants() {
+    let _guard = chaos_lock();
+    let _disarm = DisarmChaos;
+    let dir = temp_dir("blast_radius");
+    let config = small_config();
+    let template = make_template(&dir, config);
+    // At rate 0.3 over 24 victim requests, a site that never fires has odds
+    // under 1 in 5 000.
+    let (tenants, requests, victim) = (4, 24, 0);
+    let server = Server::new(
+        template,
+        config,
+        ServeConfig {
+            processors: 2,
+            deadline: Duration::from_secs(5),
+            queue_cap: 8,
+            queue_wait_limit: Duration::from_secs(5),
+            slow_stall: Duration::from_millis(10),
+            ..ServeConfig::default()
+        },
+        tenants,
+    );
+    for t in 0..tenants {
+        server.request(t, "3 + 4").expect("warmup");
+    }
+    let fired = || {
+        ["chaos.serve_drop", "chaos.serve_slow", "chaos.serve_panic"]
+            .map(|c| mst_telemetry::counter(c).get())
+    };
+    let fired_before = fired();
+    fault::install(ChaosConfig {
+        seed: 0x5EED_C8A0_5E12_7E00,
+        rate: 0.3,
+        sites: FaultSite::ServeDrop.bit()
+            | FaultSite::ServeSlow.bit()
+            | FaultSite::ServePanic.bit(),
+    });
+    fault::set_kill_budget(2);
+    server.set_victim(Some(victim));
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let server = &server;
+        let handles: Vec<_> = (0..tenants)
+            .map(|t| s.spawn(move || drive_mix(server, t, requests, 0x5EED ^ t as u64)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("driver thread"))
+            .collect()
+    });
+    fault::disable();
+    server.set_victim(None);
+
+    let fired_after = fired();
+    assert!(
+        (0..3).all(|i| fired_after[i] > fired_before[i]),
+        "every serve fault must fire on the victim: {fired_before:?} -> {fired_after:?}"
+    );
+    for (t, (served, errors)) in outcomes.iter().enumerate() {
+        if t == victim {
+            continue;
+        }
+        assert!(errors.is_empty(), "bystander tenant {t} failed: {errors:?}");
+        assert_eq!(
+            *served, requests,
+            "bystander tenant {t} served every request"
+        );
+        assert_eq!(server.restarts(t), 0, "bystander tenant {t} never crashed");
+    }
+    let r = server
+        .request(victim, "6 * 7")
+        .expect("the victim serves once the faults stop");
+    assert_eq!(r.value, Value::Int(42));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -779,4 +903,135 @@ fn failing_auto_checkpoint_is_retried_once_per_interval() {
     );
     assert!(server.store().unwrap().newest(0).is_none());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Process death inside the commit protocol itself, at a seeded byte
+/// boundary, twice per fleet: first mid-image-write (`ckpt.crash`), then,
+/// on the recovered fleet, mid-MANIFEST-append (`ckpt.torn_manifest`);
+/// `ckpt.slow` stalls the writes both times. Ground truth is the MANIFEST
+/// decoded from its raw bytes, independently of the store. Recovery must
+/// put every tenant on its newest committed epoch with its recorded
+/// restart count and its whole committed chain, with a clean heap and a
+/// session that serves. Each case is one seeded fleet; `MST_PROP_CASES`
+/// runs more of them (a hundred is the long soak).
+#[test]
+fn a_death_inside_a_commit_loses_no_committed_checkpoint() {
+    let _guard = chaos_lock();
+    let _disarm = DisarmChaos;
+    let dir = temp_dir("commit_death");
+    let config = small_config();
+    let template = make_template(&dir, config);
+    let tenants = 2;
+    let mut fleets = 0;
+    Runner::with_cases(2).run(
+        "a_death_inside_a_commit_loses_no_committed_checkpoint",
+        &Gen::from_fn(|rng, _size| rng.next_u64()),
+        |&seed| {
+            fleets += 1;
+            let cfg = ServeConfig {
+                processors: 2,
+                queue_wait_limit: Duration::from_secs(5),
+                checkpoint_dir: Some(dir.join(format!("fleet{fleets}"))),
+                checkpoint: CheckpointPolicy {
+                    every_requests: Some(1),
+                    on_degrade: false,
+                },
+                retain: 2,
+                ..ServeConfig::default()
+            };
+            let mut server = Server::new(template.clone(), config, cfg.clone(), tenants);
+            for t in 0..tenants {
+                for src in ["3 + 4", "'recover' , '/' , 7 printString"] {
+                    server
+                        .request(t, src)
+                        .map_err(|e| format!("tenant {t}: {e}"))?;
+                }
+            }
+            // One session crash on a seeded victim: its respawn bumps the
+            // epoch, so its chain spans two epochs and records a restart.
+            let victim = (seed % tenants as u64) as usize;
+            server.set_victim(Some(victim));
+            fault::install(ChaosConfig {
+                seed,
+                rate: 1.0,
+                sites: FaultSite::ServePanic.bit(),
+            });
+            fault::set_kill_budget(1);
+            let crashed = server.request(victim, "(1 to: 1000000) inject: 0 into: [:a :b | a + b]");
+            fault::disable();
+            server.set_victim(None);
+            prop_assert!(
+                matches!(crashed, Err(ServeError::SessionCrashed { .. })),
+                "serve.panic never crashed the victim"
+            );
+            server
+                .request(victim, "6 * 7")
+                .map_err(|e| format!("respawned victim: {e}"))?;
+            for site in [FaultSite::CkptCrash, FaultSite::CkptTornManifest] {
+                server = die_in_a_commit_and_recover(
+                    server, &template, config, &cfg, victim, site, seed,
+                )?;
+            }
+            Ok(())
+        },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Kills `server` inside `victim`'s next commit at `site`, then recovers
+/// the fleet from its checkpoint directory alone and checks every tenant
+/// against the MANIFEST's raw bytes. Answers the recovered server.
+fn die_in_a_commit_and_recover(
+    server: Server,
+    template: &SnapshotTemplate,
+    config: MsConfig,
+    cfg: &ServeConfig,
+    victim: usize,
+    site: FaultSite,
+    seed: u64,
+) -> Result<Server, String> {
+    fault::install(ChaosConfig {
+        seed,
+        rate: 1.0,
+        sites: site.bit() | FaultSite::CkptSlow.bit(),
+    });
+    fault::set_kill_budget(1);
+    let died = server.checkpoint(victim).is_err();
+    fault::disable();
+    prop_assert!(died, "{} never fired", site.name());
+
+    let manifest = cfg.checkpoint_dir.as_ref().unwrap().join("MANIFEST");
+    let raw = std::fs::read(manifest).unwrap_or_default();
+    let expected = chains_from_records(&scan_manifest(&raw).records);
+    let tenants = server.tenant_count();
+    drop(server); // process death: only the directory survives
+
+    let (server, report) = Server::recover(template.clone(), config, cfg.clone(), tenants);
+    for (t, rec) in report.tenants.iter().enumerate() {
+        let chain = expected
+            .get(&(t as u64))
+            .ok_or_else(|| format!("after {}: tenant {t} committed nothing", site.name()))?;
+        let newest = chain[0];
+        prop_assert_eq!(
+            rec.source,
+            RecoverySource::Checkpoint {
+                epoch: newest.epoch
+            }
+        );
+        prop_assert_eq!(server.epoch(t), newest.epoch);
+        prop_assert_eq!(server.restarts(t), newest.restarts);
+        prop_assert_eq!(
+            server.store().map(|s| s.chain(t as u64)),
+            Some(chain.clone())
+        );
+        let audit = server
+            .audit(t)
+            .map_err(|e| format!("tenant {t}: audit: {e}"))?;
+        prop_assert!(audit.error_count == 0, "tenant {t}: dirty heap: {audit:?}");
+        let r = server
+            .request(t, "6 * 7")
+            .map_err(|e| format!("recovered tenant {t}: {e}"))?;
+        prop_assert_eq!(r.value, Value::Int(42));
+    }
+    Ok(server)
 }

@@ -7,8 +7,9 @@
 //! [`CHAOS_LOCK`], keeping the kills away from the unrelated systems the
 //! other test binaries build concurrently.
 
-use mst_core::{MsConfig, MsSystem, SupervisorPolicy, Value};
+use mst_core::{MsConfig, MsSystem, SupervisorPolicy, SystemState, Value};
 use mst_vkernel::fault::{self, ChaosConfig, FaultSite};
+use mst_vkernel::WatchdogPolicy;
 
 /// The fault registry is process-global, so tests that arm chaos must not
 /// overlap (an `install` would reset another test's site mask and kill
@@ -170,5 +171,55 @@ fn supervisor_restart_policy_respawns_in_place() {
     assert_eq!(eval(&mut ms, "6 * 7"), Value::Int(42));
     let audit = ms.audit_heap();
     assert!(audit.is_clean(), "heap dirty after restarts:\n{audit}");
+    ms.shutdown();
+}
+
+/// Fail-operational under load: with `thread.panic` capped at two kills
+/// and the degrade policy, workers of a busy system die mid-run, the
+/// supervisor hands their Processes back to the shared pool, and the
+/// Table 2 macro benchmarks still complete on the survivors with a clean
+/// heap audit.
+#[test]
+fn degraded_busy_system_finishes_the_macros_on_the_survivors() {
+    let _serial = chaos_lock();
+    let _disarm = DisarmChaos;
+    let kills = mst_telemetry::counter("chaos.thread_panic");
+    let kills_before = kills.get();
+    // Installed before the workers spawn; `MsConfig.chaos` stays None so
+    // `new` does not re-install and reset the kill budget.
+    fault::install(ChaosConfig {
+        seed: 0xFA11_0B5E_7A11_0B5E,
+        rate: 0.02,
+        sites: FaultSite::ThreadPanic.bit(),
+    });
+    fault::set_kill_budget(2);
+    let mut ms = MsSystem::new(MsConfig {
+        supervisor: SupervisorPolicy::Degrade,
+        ..MsConfig::for_state(SystemState::MsBusy4)
+    });
+    ms.vm().rendezvous.set_watchdog(60_000);
+    ms.vm()
+        .rendezvous
+        .set_watchdog_policy(WatchdogPolicy::Panic);
+    ms.enter_state(SystemState::MsBusy4);
+    for sel in ["readWriteClassOrganization", "printClassDefinition"] {
+        eval(&mut ms, &format!("Benchmark {sel}"));
+    }
+    // The busy competitors poll constantly: the budget is spent by now.
+    assert!(
+        wait_until(10_000, || kills.get() - kills_before == 2),
+        "expected two injected interpreter panics, saw {}",
+        kills.get() - kills_before
+    );
+    assert_eq!(eval(&mut ms, "3 + 4"), Value::Int(7));
+    fault::disable();
+    let roster = ms.processor_roster();
+    assert_eq!(
+        ms.processors_online(),
+        roster.len() - 2,
+        "each kill takes exactly one worker offline: {roster:?}"
+    );
+    let audit = ms.audit_heap();
+    assert!(audit.is_clean(), "heap dirty after degradation:\n{audit}");
     ms.shutdown();
 }

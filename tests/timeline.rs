@@ -1,7 +1,8 @@
 //! Integration: telemetry v2 under chaos — panic-safe per-processor state
-//! accounting across supervisor restarts, and exact merging of the sharded
-//! counters / log₂ histograms under concurrent writers with the chaos
-//! scheduler perturbing interleavings.
+//! accounting across supervisor restarts, exact accounting of a busy
+//! system's processors and GC pauses over a measured window, and exact
+//! merging of the sharded counters / log₂ histograms under concurrent
+//! writers with the chaos scheduler perturbing interleavings.
 //!
 //! The restart test arms the *destructive* `thread.panic` site, so this
 //! file is its own test binary (one process per integration-test file) and
@@ -9,9 +10,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mst_core::{MsConfig, MsSystem, SupervisorPolicy};
+use mst_core::{MsConfig, MsSystem, SupervisorPolicy, SystemState};
 use mst_telemetry::timeline::{self, ProcState};
-use mst_telemetry::{Counter, Histogram};
+use mst_telemetry::{pauselog, Counter, Histogram};
 use mst_vkernel::fault::{self, ChaosConfig, FaultSite};
 
 /// The fault registry and the timeline enable flag are process-global:
@@ -86,7 +87,9 @@ fn supervisor_restart_keeps_timeline_accounting_exact() {
     fault::disable();
 
     // Accounting must have survived the panics and still be live: the
-    // respawned interpreters keep accumulating state time.
+    // respawned interpreters keep accumulating state time, and each has
+    // claimed a competitor (a worker can die before its first claim, and
+    // its respawn takes a moment to pick a Process up again).
     let before = timeline::snapshot();
     assert!(
         wait_until(5_000, || {
@@ -94,7 +97,8 @@ fn supervisor_restart_keeps_timeline_accounting_exact() {
             [1usize, 2].iter().all(|&p| {
                 let b = before.iter().find(|t| t.proc == p);
                 let a = after.iter().find(|t| t.proc == p);
-                matches!((b, a), (Some(b), Some(a)) if a.total_ns() > b.total_ns())
+                matches!((b, a), (Some(b), Some(a))
+                    if a.total_ns() > b.total_ns() && a.ns[ProcState::Mutator as usize] > 0)
             })
         }),
         "restarted workers must keep accumulating timeline state"
@@ -118,6 +122,81 @@ fn supervisor_restart_keeps_timeline_accounting_exact() {
         assert!(
             t.ns[ProcState::Mutator as usize] > 0,
             "p{proc}: competitors ran, mutator time must be nonzero"
+        );
+    }
+}
+
+/// A busy system's books balance over a measured window: every processor's
+/// per-state nanoseconds sum to the window's wall clock within 1%, and
+/// every GC pause it records is partitioned by its named phases within
+/// 1 µs. Both collectors take phases as gaps between boundary timestamps
+/// off one clock, so the pause check is an identity a loaded host cannot
+/// miss; a gap means a phase timer of its own crept back in.
+#[test]
+fn busy_system_accounts_every_processor_and_every_pause() {
+    let _serial = chaos_lock();
+    let _disarm = Disarm;
+    timeline::reset();
+    timeline::set_enabled(true);
+    pauselog::clear();
+    // This thread runs the main interpreter: it is processor 0, and the
+    // supervised workers register processors 1..N themselves.
+    let _session = timeline::register(0);
+    let state = SystemState::MsBusy4;
+    let mut ms = MsSystem::new(MsConfig::for_state(state));
+    ms.enter_state(state);
+    let processors = ms.processor_roster().len() + 1;
+    // The window must lie wholly inside every processor's session.
+    assert!(
+        wait_until(5_000, || timeline::snapshot().len() >= processors),
+        "workers never registered timeline sessions"
+    );
+    let doit = ms
+        .prepare("Benchmark printClassDefinition")
+        .expect("benchmark compiles");
+
+    let t0 = mst_telemetry::now_ns();
+    let before = timeline::snapshot();
+    for round in 0..4 {
+        ms.run_prepared(&doit).expect("benchmark runs");
+        ms.collect_garbage();
+        if round % 2 == 1 {
+            ms.full_collect();
+        }
+    }
+    let after = timeline::snapshot();
+    let wall_ns = mst_telemetry::now_ns() - t0;
+
+    for proc in 0..processors {
+        let find = |snap: &[timeline::ProcTimeline]| {
+            snap.iter()
+                .find(|t| t.proc == proc)
+                .map(|t| t.total_ns())
+                .unwrap_or_else(|| panic!("p{proc} has no timeline session"))
+        };
+        let accounted = find(&after) - find(&before);
+        let drift_pct = accounted.abs_diff(wall_ns) as f64 * 100.0 / wall_ns as f64;
+        assert!(
+            drift_pct <= 1.0,
+            "p{proc} accounted {accounted} of {wall_ns} window ns ({drift_pct:.2}% drift)"
+        );
+    }
+    ms.shutdown();
+
+    let (pauses, _dropped) = pauselog::snapshot();
+    let kinds: std::collections::BTreeSet<_> = pauses.iter().map(|p| p.kind).collect();
+    assert!(
+        kinds.contains("scavenge") && kinds.contains("fullgc"),
+        "the window must record both kinds of pause, got {kinds:?}"
+    );
+    for p in &pauses {
+        assert!(
+            p.attributed_ns().abs_diff(p.total_ns) <= 1_000,
+            "{} pause at {} ns: phases sum to {} of {} ns",
+            p.kind,
+            p.start_ns,
+            p.attributed_ns(),
+            p.total_ns
         );
     }
 }
