@@ -25,7 +25,7 @@ use mst_interp::{
 };
 pub use mst_interp::{ProcessorInfo, SupervisorPolicy};
 pub use mst_objmem::SnapshotTemplate;
-use mst_objmem::{AllocPolicy, MemoryConfig, ObjectMemory, Oop, RootHandle, So};
+use mst_objmem::{AllocPolicy, MemoryConfig, ObjectMemory, Oop, RootHandle, SnapshotError, So};
 use mst_vkernel::{spawn_lightweight, LightweightHandle, Processor, SyncMode};
 
 pub mod env;
@@ -579,10 +579,7 @@ impl MsSystem {
     /// # Errors
     ///
     /// Propagates I/O failures from the writer.
-    pub fn save_snapshot(
-        &self,
-        w: &mut impl std::io::Write,
-    ) -> Result<u32, mst_objmem::SnapshotError> {
+    pub fn save_snapshot(&self, w: &mut impl std::io::Write) -> Result<u32, SnapshotError> {
         self.snapshot_world()?.mem().save_snapshot(w)
     }
 
@@ -590,31 +587,37 @@ impl MsSystem {
     /// `activeProcess` slot cleared. An eden whose survivors old space
     /// cannot absorb is the save's failure, not a panic while the world is
     /// held: nothing is written.
-    fn snapshot_world(&self) -> Result<StoppedWorld<'_>, mst_objmem::SnapshotError> {
-        use std::io::{Error, ErrorKind::OutOfMemory};
+    fn snapshot_world(&self) -> Result<StoppedWorld<'_>, SnapshotError> {
         let world = self.vm.stop_world();
         match world.snapshot_ready() {
             Ok(()) => Ok(world),
-            Err(e) => Err(mst_objmem::SnapshotError {
-                section: "scavenge",
-                offset: 0,
-                kind: mst_objmem::SnapshotErrorKind::Io(Error::new(OutOfMemory, e)),
-            }),
+            Err(e) => Err(SnapshotError::io(
+                "scavenge",
+                0,
+                std::io::Error::new(std::io::ErrorKind::OutOfMemory, e),
+            )),
         }
     }
 
-    /// Writes a crash-consistent snapshot to `path`: the image is staged
-    /// in a temp file, fsynced, and atomically renamed into place, so a
-    /// crash mid-save can never leave a torn image where a good one was.
+    /// Writes a crash-consistent snapshot to `path` through
+    /// [`write_atomic`](mst_vkernel::io::write_atomic): the image is staged
+    /// in `<path>.tmp`, fsynced, and atomically renamed into place, so a
+    /// crash mid-save can never leave a torn image where a good one was,
+    /// and a failed save leaves no temp file.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures as [`mst_objmem::SnapshotError`].
-    pub fn save_snapshot_file(
-        &self,
-        path: &std::path::Path,
-    ) -> Result<(), mst_objmem::SnapshotError> {
-        self.snapshot_world()?.mem().save_snapshot_to_path(path)
+    /// Propagates I/O failures as [`SnapshotError`].
+    pub fn save_snapshot_file(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
+        let world = self.snapshot_world()?;
+        mst_vkernel::io::write_atomic(path, |mut w| {
+            world
+                .mem()
+                .save_snapshot(&mut w)
+                .map_err(std::io::Error::other)
+        })
+        .map(drop)
+        .map_err(|e| SnapshotError::io("file", 0, std::io::Error::other(e)))
     }
 
     /// Boots a system from a snapshot file written by
@@ -622,14 +625,13 @@ impl MsSystem {
     ///
     /// # Errors
     ///
-    /// Propagates snapshot-format errors with section and byte offset.
+    /// Propagates snapshot-format errors with section and byte offset; a
+    /// file that cannot be opened is named in the error.
     pub fn from_snapshot_file(
         path: &std::path::Path,
         config: MsConfig,
-    ) -> Result<MsSystem, mst_objmem::SnapshotError> {
-        let mut f = std::fs::File::open(path)
-            .map_err(|e| mst_objmem::SnapshotError::open_failed(path, e))?;
-        MsSystem::from_snapshot(&mut f, config)
+    ) -> Result<MsSystem, SnapshotError> {
+        MsSystem::from_snapshot(&mut mst_objmem::open_snapshot(path)?, config)
     }
 
     /// A copy of the supervised-processor health roster (workers only).
@@ -651,9 +653,16 @@ impl MsSystem {
     pub fn from_snapshot(
         r: &mut impl std::io::Read,
         config: MsConfig,
-    ) -> Result<MsSystem, mst_objmem::SnapshotError> {
-        let mem = ObjectMemory::load_snapshot(r, config.memory_config())?;
-        Ok(MsSystem::boot(mem, config, RuntimeEnv::process()))
+    ) -> Result<MsSystem, SnapshotError> {
+        let (mem, ..) = ObjectMemory::load_snapshot(r, config.memory_config())?;
+        Ok(MsSystem::from_memory(mem, config))
+    }
+
+    /// Boots a system on an object memory already loaded from a snapshot
+    /// (`config.memory` must be the configuration it was loaded with) —
+    /// for a caller that checks what it loaded before the session boots.
+    pub fn from_memory(mem: ObjectMemory, config: MsConfig) -> MsSystem {
+        MsSystem::boot(mem, config, RuntimeEnv::process())
     }
 
     /// Reads and validates a snapshot file as a reusable
@@ -663,11 +672,12 @@ impl MsSystem {
     ///
     /// # Errors
     ///
-    /// Propagates snapshot-format errors.
+    /// Propagates snapshot-format errors; a file that cannot be opened is
+    /// named in the error.
     pub fn load_template(
         path: &std::path::Path,
         config: MsConfig,
-    ) -> Result<SnapshotTemplate, mst_objmem::SnapshotError> {
+    ) -> Result<SnapshotTemplate, SnapshotError> {
         SnapshotTemplate::from_path(path, config.memory_config())
     }
 
@@ -683,9 +693,8 @@ impl MsSystem {
     pub fn from_template(
         template: &SnapshotTemplate,
         config: MsConfig,
-    ) -> Result<MsSystem, mst_objmem::SnapshotError> {
-        let mem = template.instantiate()?;
-        Ok(MsSystem::boot(mem, config, RuntimeEnv::process()))
+    ) -> Result<MsSystem, SnapshotError> {
+        Ok(MsSystem::from_memory(template.instantiate()?, config))
     }
 
     /// Runs a [`Prepared`] doit under a wall-clock deadline: if the doit is

@@ -26,10 +26,12 @@
 //! `supervisor.recover` trace span; processor health is queryable through
 //! [`Vm::processor_roster`] / [`Vm::processors_online`].
 
+use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mst_telemetry as tel;
+use mst_vkernel::io::write_atomic;
 
 use crate::interp::Interpreter;
 use crate::vm::Vm;
@@ -135,8 +137,9 @@ pub fn supervise(vm: Arc<Vm>, processor: usize, policy: SupervisorPolicy) {
 
 /// Degrade-path last resort: when [`Vm::set_supervisor_checkpoint`] named a
 /// file, stop the world, empty eden, and write a crash-consistent snapshot
-/// there. Failures are counted, not just buried in the error log, and never
-/// raised: the main interpreter may still be running doits.
+/// there through [`write_atomic`]. Failures are counted, not just buried in
+/// the error log, and never raised: the main interpreter may still be
+/// running doits.
 fn checkpoint_if_configured(vm: &Vm) {
     let Some(file) = vm.supervisor_checkpoint.lock().clone() else {
         return;
@@ -158,15 +161,15 @@ fn checkpoint_if_configured(vm: &Vm) {
     // One bounded retry: this is the image's last chance before the
     // process winds down, and transient I/O (ENOSPC races, interrupted
     // writes) is exactly what the temp+rename save can survive a second
-    // attempt at.
-    let mut result = world.mem().save_snapshot_to_path(&file);
-    if let Err(first) = result {
-        failed("checkpoint", &first);
-        result = world.mem().save_snapshot_to_path(&file);
-    }
-    match result {
-        Ok(()) => tel::counter("supervisor.checkpoints").incr(),
-        Err(e) => failed("checkpoint retry", &e),
+    // attempt at. A failed attempt leaves no temp file behind.
+    let mem = world.mem();
+    for attempt in ["checkpoint", "checkpoint retry"] {
+        match write_atomic(&file, |mut w| {
+            mem.save_snapshot(&mut w).map_err(io::Error::other)
+        }) {
+            Ok(_) => return tel::counter("supervisor.checkpoints").incr(),
+            Err(e) => failed(attempt, &e),
+        }
     }
 }
 

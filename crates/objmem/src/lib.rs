@@ -51,6 +51,6 @@ pub use heap::{
 pub use method::MethodHeader;
 pub use oop::Oop;
 pub use scavenge::ScavengeOutcome;
-pub use snapshot::{SnapshotError, SnapshotErrorKind, SnapshotTemplate};
+pub use snapshot::{open_snapshot, SnapshotError, SnapshotErrorKind, SnapshotTemplate};
 pub use special::{So, SpecialObjects, SPECIAL_COUNT};
 pub use verify::HeapAudit;

@@ -29,23 +29,29 @@
 //! past     — the past survivor space up to its fill
 //! ```
 //!
-//! The loader re-checksums each section, bounds-checks every count, length
-//! and oop against the configured spaces, and finishes with a structural
-//! walk of old space — any corruption yields a [`SnapshotError`] naming
-//! the section and byte offset, never a panic. [`save_snapshot_to_path`]
-//! (ObjectMemory::save_snapshot_to_path) makes the file durable the
-//! classic way: write to a temp file, fsync, atomically rename over the
-//! target, fsync the directory — a torn write leaves the previous image
-//! intact.
+//! The loader reads each byte once: the heap regions stream straight into
+//! heap words in 4 KiB chunks, and every byte is checksummed once, into
+//! its section's CRC, which is folded into a whole-file CRC the way the
+//! writer folds it. It re-checks each section CRC, bounds-checks every
+//! count, length and oop against the configured spaces, and finishes with
+//! a structural walk of old space — any corruption yields a
+//! [`SnapshotError`] naming the section and byte offset, never a panic.
+//! The saver and the loader both answer the file's CRC-32 (the loader its
+//! length too), so a caller holding a record of both — the checkpoint
+//! store's `Commit` — catches what no section CRC can: trailing bytes, or
+//! a whole valid image of the wrong epoch.
+//!
+//! Files are made durable elsewhere, by `mst_vkernel::io::write_atomic`
+//! (temp file, fsync, rename, directory fsync), which callers hand
+//! [`save_snapshot`](ObjectMemory::save_snapshot) as the writer.
 
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
 use mst_vkernel::crc::Crc32;
-use mst_vkernel::fault;
 
 use crate::header::{Header, ObjFormat};
 use crate::heap::{MemoryConfig, ObjectMemory};
@@ -117,19 +123,20 @@ impl SnapshotError {
         SnapshotError::new(section, offset, SnapshotErrorKind::Corrupt(msg.into()))
     }
 
-    fn io(section: &'static str, offset: u64, e: io::Error) -> SnapshotError {
+    /// An I/O failure in `section` at byte `offset`.
+    pub fn io(section: &'static str, offset: u64, e: io::Error) -> SnapshotError {
         SnapshotError::new(section, offset, SnapshotErrorKind::Io(e))
     }
+}
 
-    /// Wraps a failure to open a snapshot file, for callers that manage
-    /// their own `File` handles around [`ObjectMemory::load_snapshot`].
-    pub fn open_failed(path: &Path, e: io::Error) -> SnapshotError {
-        SnapshotError::new(
-            "open",
-            0,
-            SnapshotErrorKind::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display()))),
-        )
-    }
+/// Opens a snapshot file for reading, buffered; a failure names the path.
+/// Every reader of a snapshot file opens it here.
+pub fn open_snapshot(path: &Path) -> Result<BufReader<File>, SnapshotError> {
+    let file = File::open(path).map_err(|e| {
+        let e = io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+        SnapshotError::io("open", 0, e)
+    })?;
+    Ok(BufReader::new(file))
 }
 
 impl fmt::Display for SnapshotError {
@@ -173,8 +180,8 @@ fn put_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-/// Words of a heap region staged per write: one CRC step and one
-/// `write_all` per 4 KiB instead of per word.
+/// Words of a heap region staged per write or read: one CRC step and one
+/// `write_all` / `read_exact` per 4 KiB instead of per word.
 const REGION_CHUNK_WORDS: usize = 512;
 
 /// Writes an image while folding the CRC-32 of every byte written, so the
@@ -224,40 +231,81 @@ impl<W: Write> ImageWriter<'_, W> {
 // ---------------------------------------------------------------------------
 // Reading
 
-/// Tracks the absolute byte offset of everything read, so errors can point
-/// at the exact position in the stream.
-struct CountingReader<R: Read> {
-    inner: R,
+/// Reads an image while folding the CRC-32 of every byte read, the mirror
+/// of [`ImageWriter`]: framing words (magic, lengths, CRC words) are
+/// digested directly, and each section payload's CRC, which the frame
+/// check computes anyway, is [combined](Crc32::append_crc) in. It tracks
+/// the absolute offset of everything read, so errors can point at the
+/// exact position in the stream.
+struct ImageReader<'a, R: Read> {
+    inner: &'a mut R,
     pos: u64,
+    file: Crc32,
 }
 
-impl<R: Read> CountingReader<R> {
-    fn new(inner: R) -> CountingReader<R> {
-        CountingReader { inner, pos: 0 }
-    }
-
+impl<R: Read> ImageReader<'_, R> {
+    /// Reads a framing word, digested straight into the file CRC.
     fn read_u64(&mut self, section: &'static str) -> Result<u64, SnapshotError> {
-        let at = self.pos;
         let mut buf = [0u8; 8];
-        self.inner
-            .read_exact(&mut buf)
-            .map_err(|e| SnapshotError::io(section, at, e))?;
-        self.pos += 8;
+        let mut file = self.file;
+        self.payload(section, &mut file, &mut buf)?;
+        self.file = file;
         Ok(u64::from_le_bytes(buf))
     }
 
-    fn read_exact(&mut self, section: &'static str, buf: &mut [u8]) -> Result<(), SnapshotError> {
+    /// Reads payload bytes of the open section, checksummed once into
+    /// `crc` only.
+    fn payload(
+        &mut self,
+        section: &'static str,
+        crc: &mut Crc32,
+        buf: &mut [u8],
+    ) -> Result<(), SnapshotError> {
         let at = self.pos;
         self.inner
             .read_exact(buf)
             .map_err(|e| SnapshotError::io(section, at, e))?;
         self.pos += buf.len() as u64;
+        crc.update(buf);
+        Ok(())
+    }
+
+    /// Closes a section whose `len`-byte payload, starting at `base`, was
+    /// checksummed into `crc`: folds it into the file CRC, then reads the
+    /// recorded CRC word and checks it.
+    fn end_section(
+        &mut self,
+        section: &'static str,
+        crc: Crc32,
+        base: u64,
+        len: u64,
+    ) -> Result<(), SnapshotError> {
+        let found = crc.finish();
+        self.file.append_crc(found, len);
+        let crc_at = self.pos;
+        let recorded = self.read_u64(section)?;
+        if recorded >> 32 != 0 {
+            return Err(SnapshotError::corrupt(
+                section,
+                crc_at,
+                format!("checksum word has nonzero high bits ({recorded:#x})"),
+            ));
+        }
+        let expected = recorded as u32;
+        if found != expected {
+            return Err(SnapshotError::new(
+                section,
+                base,
+                SnapshotErrorKind::Checksum { expected, found },
+            ));
+        }
         Ok(())
     }
 }
 
-/// A fully read, checksum-verified section payload plus its position in the
-/// stream, parsed via a bounds-checked cursor.
+/// A small section's checksum-verified payload plus its position in the
+/// stream, parsed via a bounds-checked cursor. (The heap regions never
+/// become one: they stream straight into the heap.)
 struct Section {
     name: &'static str,
     /// Absolute stream offset of the first payload byte.
@@ -270,7 +318,7 @@ impl Section {
     /// Reads the next section frame, enforcing `max_len` before allocating
     /// and verifying the trailing CRC-32.
     fn read(
-        r: &mut CountingReader<impl Read>,
+        r: &mut ImageReader<'_, impl Read>,
         name: &'static str,
         max_len: u64,
     ) -> Result<Section, SnapshotError> {
@@ -285,25 +333,9 @@ impl Section {
         }
         let base = r.pos;
         let mut data = vec![0u8; len as usize];
-        r.read_exact(name, &mut data)?;
-        let crc_at = r.pos;
-        let recorded = r.read_u64(name)?;
-        let expected = (recorded & 0xFFFF_FFFF) as u32;
-        if recorded >> 32 != 0 {
-            return Err(SnapshotError::corrupt(
-                name,
-                crc_at,
-                format!("checksum word has nonzero high bits ({recorded:#x})"),
-            ));
-        }
-        let found = mst_vkernel::crc::crc32(&data);
-        if found != expected {
-            return Err(SnapshotError::new(
-                name,
-                base,
-                SnapshotErrorKind::Checksum { expected, found },
-            ));
-        }
+        let mut crc = Crc32::new();
+        r.payload(name, &mut crc, &mut data)?;
+        r.end_section(name, crc, base, len)?;
         Ok(Section {
             name,
             base,
@@ -454,71 +486,12 @@ impl ObjectMemory {
         w.end_section(crc, len)
     }
 
-    /// Writes a snapshot durably to `path`: the image goes to a sibling
-    /// temp file first, is fsynced, then atomically renamed over `path`
-    /// (and the directory fsynced) — a crash or torn write at any point
-    /// leaves the previous image intact. Consults the
-    /// `snapshot.torn_write` chaos site, which simulates exactly that
-    /// crash: the temp file is truncated mid-image, the rename never
-    /// happens, and the save reports an error.
-    pub fn save_snapshot_to_path(&self, path: &Path) -> Result<(), SnapshotError> {
-        let mut tmp_name = path.as_os_str().to_owned();
-        tmp_name.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp_name);
-        let err = |e| SnapshotError::io("file", 0, e);
-
-        let file = File::create(&tmp).map_err(err)?;
-        let mut w = BufWriter::new(file);
-        let result = self.save_inner(&mut w).and_then(|_| w.flush());
-        let file = match w.into_inner() {
-            Ok(f) => f,
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                return Err(err(e.into_error()));
-            }
-        };
-        if let Err(e) = result {
-            let _ = fs::remove_file(&tmp);
-            return Err(err(e));
-        }
-        if fault::torn_write() {
-            // Simulated crash mid-write: leave a torn temp file behind and
-            // never publish it. The previous image at `path` survives.
-            let torn = file.metadata().map(|m| m.len() / 2).unwrap_or(0);
-            let _ = file.set_len(torn);
-            let _ = file.sync_all();
-            return Err(SnapshotError::io(
-                "file",
-                torn,
-                io::Error::other("torn write injected (snapshot.torn_write)"),
-            ));
-        }
-        file.sync_all().map_err(err)?;
-        drop(file);
-        fs::rename(&tmp, path).map_err(err)?;
-        // Make the rename itself durable. Directory fsync is best-effort:
-        // not every filesystem supports it.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    }
-
-    /// Loads a snapshot from `path` (see
-    /// [`load_snapshot`](ObjectMemory::load_snapshot)).
-    pub fn load_snapshot_from_path(
-        path: &Path,
-        config: MemoryConfig,
-    ) -> Result<ObjectMemory, SnapshotError> {
-        let file = File::open(path).map_err(|e| SnapshotError::open_failed(path, e))?;
-        ObjectMemory::load_snapshot(&mut BufReader::new(file), config)
-    }
-
     /// Loads a snapshot into a fresh memory using `config` for sync mode and
     /// allocation policy (sizes must match the snapshot's exactly — oops are
-    /// space-relative indices).
+    /// space-relative indices). Answers the memory with the length and
+    /// CRC-32 of the bytes read, folded from the section checksums as they
+    /// are read (no byte is read or checksummed twice); bytes after the
+    /// image are not read.
     ///
     /// The loader trusts nothing: every section is checksum-verified, every
     /// count, length and oop is bounds-checked, and old space gets a final
@@ -527,8 +500,12 @@ impl ObjectMemory {
     pub fn load_snapshot(
         r: &mut impl Read,
         config: MemoryConfig,
-    ) -> Result<ObjectMemory, SnapshotError> {
-        let r = &mut CountingReader::new(r);
+    ) -> Result<(ObjectMemory, u64, u32), SnapshotError> {
+        let r = &mut ImageReader {
+            inner: r,
+            pos: 0,
+            file: Crc32::new(),
+        };
         if r.read_u64("magic")? != MAGIC {
             return Err(SnapshotError::new("magic", 0, SnapshotErrorKind::BadMagic));
         }
@@ -741,30 +718,44 @@ impl ObjectMemory {
         // a header length, a pointer slot aimed at nothing) before the
         // interpreter ever dereferences it.
         mem.validate_old_space()?;
-        Ok(mem)
+        Ok((mem, r.pos, r.file.finish()))
     }
 
+    /// Streams one heap-region section straight into the words at `start`,
+    /// the mirror of `write_region_section`. Its length is fixed by the
+    /// (already validated) config section; any other is corruption.
     fn read_region_section(
         &self,
-        r: &mut CountingReader<impl Read>,
+        r: &mut ImageReader<'_, impl Read>,
         name: &'static str,
         start: usize,
         expected_words: usize,
     ) -> Result<(), SnapshotError> {
-        let mut s = Section::read(r, name, (8 + expected_words * 8) as u64)?;
-        let at = s.offset();
-        let words = s.u64()? as usize;
-        if words != expected_words {
+        let len_at = r.pos;
+        let len = r.read_u64(name)?;
+        let want = (8 + expected_words * 8) as u64;
+        if len != want {
             return Err(SnapshotError::corrupt(
                 name,
-                at,
-                format!("region holds {words} words but the config section says {expected_words}"),
+                len_at,
+                format!("region section is {len} bytes but the config section implies {want}"),
             ));
         }
-        for i in 0..words {
-            self.set_word(start + i, s.u64()?);
+        let base = r.pos;
+        let mut crc = Crc32::new();
+        let mut buf = [0u8; REGION_CHUNK_WORDS * 8];
+        // The word count repeats what the length says; the section CRC
+        // vouches for it like any payload byte.
+        r.payload(name, &mut crc, &mut buf[..8])?;
+        let end = start + expected_words;
+        for from in (start..end).step_by(REGION_CHUNK_WORDS) {
+            let chunk = &mut buf[..REGION_CHUNK_WORDS.min(end - from) * 8];
+            r.payload(name, &mut crc, chunk)?;
+            for (i, word) in chunk.chunks_exact(8).enumerate() {
+                self.set_word(from + i, u64::from_le_bytes(word.try_into().unwrap()));
+            }
         }
-        s.finish()
+        r.end_section(name, crc, base, len)
     }
 
     /// Walks old space checking structural invariants without panicking:
@@ -885,14 +876,17 @@ impl SnapshotTemplate {
 
     /// Reads and validates a snapshot file as a template.
     pub fn from_path(path: &Path, config: MemoryConfig) -> Result<SnapshotTemplate, SnapshotError> {
-        let bytes = fs::read(path).map_err(|e| SnapshotError::io("file", 0, e))?;
+        let mut bytes = Vec::new();
+        open_snapshot(path)?
+            .read_to_end(&mut bytes)
+            .map_err(|e| SnapshotError::io("file", 0, e))?;
         SnapshotTemplate::from_bytes(bytes, config)
     }
 
     /// Deserializes a fresh, fully independent [`ObjectMemory`] from the
     /// template.
     pub fn instantiate(&self) -> Result<ObjectMemory, SnapshotError> {
-        ObjectMemory::load_snapshot(&mut &self.bytes[..], self.config)
+        ObjectMemory::load_snapshot(&mut &self.bytes[..], self.config).map(|(mem, ..)| mem)
     }
 
     /// The memory configuration instantiated images use.
@@ -936,7 +930,16 @@ mod tests {
         let mut buf = Vec::new();
         let crc = mem.save_snapshot(&mut buf).unwrap();
         assert_eq!(crc, crc32(&buf), "folded file CRC equals a second pass");
-        let loaded = ObjectMemory::load_snapshot(&mut buf.as_slice(), small_config()).unwrap();
+        // Bytes after the image are not read: only a caller holding the
+        // file's recorded length can tell they are there.
+        let trailing = [&buf[..], b"trailing"].concat();
+        let (loaded, len, read_crc) =
+            ObjectMemory::load_snapshot(&mut trailing.as_slice(), small_config()).unwrap();
+        assert_eq!(
+            (len, read_crc),
+            (buf.len() as u64, crc),
+            "the loader folds the same file CRC the saver did"
+        );
         assert_eq!(
             loaded.str_value(loaded.specials().get(So::SmalltalkDict)),
             "persisted"
@@ -1044,7 +1047,7 @@ mod tests {
     }
 
     fn load(image: &[u8]) -> Result<ObjectMemory, SnapshotError> {
-        ObjectMemory::load_snapshot(&mut &image[..], small_config())
+        ObjectMemory::load_snapshot(&mut &image[..], small_config()).map(|(mem, ..)| mem)
     }
 
     #[test]
@@ -1105,8 +1108,11 @@ mod tests {
         let mut buf = Vec::new();
         // Every region non-empty, eden included: the folded CRC still
         // equals a second pass over the bytes.
-        assert_eq!(mem.save_snapshot(&mut buf).unwrap(), crc32(&buf));
-        let loaded = ObjectMemory::load_snapshot(&mut buf.as_slice(), small_config()).unwrap();
+        let crc = mem.save_snapshot(&mut buf).unwrap();
+        assert_eq!(crc, crc32(&buf));
+        let (loaded, len, read_crc) =
+            ObjectMemory::load_snapshot(&mut buf.as_slice(), small_config()).unwrap();
+        assert_eq!((len, read_crc), (buf.len() as u64, crc));
         let young2 = loaded.fetch(old, 0);
         assert_eq!(loaded.fetch(young2, 0).as_small_int(), 9);
         assert_eq!(loaded.entry_table_len(), 1);
@@ -1119,6 +1125,7 @@ mod tests {
 
     #[test]
     fn file_save_is_atomic_and_torn_writes_leave_the_old_image() {
+        use mst_vkernel::{fault, io::write_atomic, io::WriteError};
         struct Disarm;
         impl Drop for Disarm {
             fn drop(&mut self) {
@@ -1130,12 +1137,25 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mst-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("image.mss");
+        let save = |mem: &ObjectMemory| {
+            write_atomic(&path, |mut w| {
+                mem.save_snapshot(&mut w).map_err(io::Error::other)
+            })
+        };
+        let load_path = || {
+            let (mem, ..) =
+                ObjectMemory::load_snapshot(&mut open_snapshot(&path).unwrap(), small_config())
+                    .unwrap();
+            mem
+        };
 
         let mem = ObjectMemory::new(small_config());
         bootstrap_minimal(&mem);
         let s = mem.alloc_string_old("generation-one").unwrap();
         mem.specials().set(So::SmalltalkDict, s);
-        mem.save_snapshot_to_path(&path).unwrap();
+        let (crc, len) = save(&mem).unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
+        assert_eq!((crc, len), (crc32(&on_disk), on_disk.len() as u64));
         // No temp droppings on the happy path.
         assert!(!dir.join("image.mss.tmp").exists());
 
@@ -1146,20 +1166,22 @@ mod tests {
         fault::install(fault::ChaosConfig {
             seed: 1,
             rate: 1.0,
-            sites: fault::FaultSite::TornWrite.bit(),
+            sites: fault::FaultSite::CkptCrash.bit(),
         });
-        let err = mem.save_snapshot_to_path(&path).unwrap_err();
-        assert!(err.to_string().contains("torn write"), "{err}");
+        let err = save(&mem).unwrap_err();
+        assert!(matches!(err, WriteError::Torn { .. }), "{err}");
+        assert!(err.to_string().contains("torn"), "{err}");
         fault::disable();
 
-        let loaded = ObjectMemory::load_snapshot_from_path(&path, small_config()).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), on_disk);
+        let loaded = load_path();
         assert_eq!(
             loaded.str_value(loaded.specials().get(So::SmalltalkDict)),
             "generation-one"
         );
         // With chaos disarmed the save goes through and the new image wins.
-        mem.save_snapshot_to_path(&path).unwrap();
-        let loaded = ObjectMemory::load_snapshot_from_path(&path, small_config()).unwrap();
+        save(&mem).unwrap();
+        let loaded = load_path();
         assert_eq!(
             loaded.str_value(loaded.specials().get(So::SmalltalkDict)),
             "generation-two"

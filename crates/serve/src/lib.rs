@@ -694,15 +694,18 @@ impl Server {
         };
         if let Some(store) = &self.store {
             for commit in store.chain(t.id as u64) {
-                let loaded = store
-                    .read_image(&commit)
-                    .ok()
-                    .and_then(|bytes| MsSystem::from_snapshot(&mut &bytes[..], config).ok());
+                // One read of the file: the loader streams it into a fresh
+                // heap, and the length and CRC it read must match the
+                // record before the session boots.
+                let loaded = store.load(&commit, |mut r| {
+                    mst_objmem::ObjectMemory::load_snapshot(&mut r, config.memory_config())
+                        .map_err(std::io::Error::other)
+                });
                 match loaded {
-                    Some(ms) => return (ms, Some(commit)),
+                    Ok(mem) => return (MsSystem::from_memory(mem, config), Some(commit)),
                     // A corrupt or unloadable checkpoint must not wedge
                     // recovery: fall down the chain toward the template.
-                    None => tel::counter("serve.checkpoint_fallback").incr(),
+                    Err(_) => tel::counter("serve.checkpoint_fallback").incr(),
                 }
             }
         }

@@ -22,10 +22,12 @@
 //!
 //! A checkpoint exists only once its MANIFEST record is durable:
 //!
-//! 1. stream the image into `tenant{N}.e{E}.image.tmp` through a buffered
-//!    writer, fsync (the writer returns the image's CRC-32, folded from its
-//!    section checksums; debug builds re-read the file and assert it);
-//! 2. rename over `tenant{N}.e{E}.image`, fsync the directory;
+//! 1. stream the image through [`write_atomic`] into
+//!    `tenant{N}.e{E}.image.tmp`, fsync (the writer returns the image's
+//!    CRC-32, folded from its section checksums, and the writer counts the
+//!    length; debug builds re-read the file and assert both);
+//! 2. still inside [`write_atomic`]: rename over `tenant{N}.e{E}.image`,
+//!    fsync the directory;
 //! 3. append a CRC-framed [`Commit`] record to `MANIFEST`, fsync.
 //!
 //! A crash before step 3 leaves at worst a torn temp file or an orphan
@@ -33,6 +35,7 @@
 //! the next [`CheckpointStore::open`]. A crash *during* step 3 leaves a
 //! torn final record; the scan keeps the journal's valid prefix and drops
 //! the tail. Either way, every previously committed checkpoint survives.
+//! A write that fails without a crash removes its temp file.
 //!
 //! # Recovery scan
 //!
@@ -41,9 +44,11 @@
 //! first torn or corrupt frame (counted in `serve.ckpt.manifest_torn`),
 //! and never panics. Records replay into per-tenant chains, newest first;
 //! [`Prune`](Record::Prune) records drop what retention already deleted.
-//! Recovery then walks each chain newest → oldest (length- and
-//! CRC-verifying every image before trusting it) and falls back to the
-//! session template only when no committed checkpoint loads.
+//! Recovery then walks each chain newest → oldest, loading each image
+//! through [`CheckpointStore::load`]: the loader reads every byte once and
+//! answers the length and CRC-32 it read, and an image whose file size,
+//! read length or CRC disagrees with its record is not trusted. It falls
+//! back to the session template only when no committed checkpoint loads.
 //!
 //! # Retention
 //!
@@ -53,25 +58,26 @@
 //! retention still needs. Pruning never touches the newest committed
 //! entry (`retain` is clamped to ≥ 1). When the journal outgrows
 //! [`COMPACT_BYTES`] it is compacted — rewritten with only live records
-//! via the same temp + fsync + rename discipline.
+//! through the same [`write_atomic`].
 //!
-//! Chaos: the `ckpt.crash` and `ckpt.torn_manifest` fault sites
-//! ([`mst_vkernel::fault`]) tear step 1 (the written temp file is truncated
-//! to the boundary and fsynced, never renamed) or step 3 at a seeded byte
+//! Chaos: the `ckpt.crash` site tears any [`write_atomic`] (an image in
+//! step 1, a compacted journal) and `ckpt.torn_manifest` tears any journal
+//! append (a `Commit` in step 3, a `Prune`), each at a seeded byte
 //! boundary, leaving the directory exactly as a process death would;
-//! `ckpt.slow` stalls the write. `tests/serving.rs` recovers from seeded
-//! deaths at both sites.
+//! `ckpt.slow` stalls the commit. `tests/serving.rs` recovers from seeded
+//! deaths at both.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Seek, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use mst_telemetry as tel;
 use mst_vkernel::crc::crc32;
 use mst_vkernel::fault;
+use mst_vkernel::io::{write_atomic, WriteError};
 
 /// Journal header: identifies a checkpoint MANIFEST.
 const MANIFEST_MAGIC: &[u8; 8] = b"MSTCKPT1";
@@ -182,16 +188,19 @@ fn io_err(ctx: &'static str) -> impl FnOnce(io::Error) -> StoreError {
     move |source| StoreError::Io { ctx, source }
 }
 
-/// Runs an image writer over a buffered `file`, flushing it before handing
-/// the file back with the writer's CRC.
-fn stream_image(
-    file: File,
-    write: impl FnOnce(&mut dyn Write) -> io::Result<u32>,
-) -> io::Result<(File, u32)> {
-    let mut w = BufWriter::new(file);
-    let crc = write(&mut w)?;
-    let file = w.into_inner().map_err(|e| e.into_error())?;
-    Ok((file, crc))
+/// An injected death inside a commit, counted.
+fn injected(site: &'static str, boundary: u64) -> StoreError {
+    tel::counter("serve.ckpt.commit_failures").incr();
+    StoreError::Injected { site, boundary }
+}
+
+/// The store's reading of a failed [`write_atomic`] of `ctx`: a tear is
+/// the injected death it simulates.
+fn write_err(ctx: &'static str) -> impl FnOnce(WriteError) -> StoreError {
+    move |e| match e {
+        WriteError::Io(source) => StoreError::Io { ctx, source },
+        WriteError::Torn { boundary } => injected("ckpt.crash", boundary),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +282,7 @@ pub struct Scan {
 /// past what the checksums vouch for.
 pub fn scan_manifest(bytes: &[u8]) -> Scan {
     let mut scan = Scan::default();
-    if bytes.len() < MANIFEST_MAGIC.len() || &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
+    if !bytes.starts_with(MANIFEST_MAGIC) {
         scan.torn = !bytes.is_empty();
         return scan;
     }
@@ -398,8 +407,7 @@ impl CheckpointStore {
             tel::counter("serve.ckpt.manifest_torn").incr();
         }
         let chains = chains_from_records(&scan.records);
-        let fresh =
-            bytes.len() < MANIFEST_MAGIC.len() || &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC;
+        let fresh = !bytes.starts_with(MANIFEST_MAGIC);
         let mut manifest = OpenOptions::new()
             .create(true)
             .read(true)
@@ -469,13 +477,12 @@ impl CheckpointStore {
 
     /// Commits the image `write` produces as `tenant`'s checkpoint at
     /// `epoch`, returning the durable path. Applies the commit protocol
-    /// (temp + fsync + rename, then a fsynced MANIFEST append), then
-    /// retention.
+    /// ([`write_atomic`], then a fsynced MANIFEST append), then retention.
     ///
     /// `write` streams the image into the temp file and returns the CRC-32
     /// of every byte it wrote; that CRC is what the commit record stores
-    /// (debug builds re-read the file and assert it). The store counts the
-    /// length itself. No store lock is held while `write` runs.
+    /// (debug builds re-read the file and assert it). The writer counts the
+    /// length. No store lock is held while `write` runs.
     ///
     /// # Errors
     ///
@@ -499,73 +506,24 @@ impl CheckpointStore {
             file_len: 0,
             file_crc: 0,
         };
-        let final_path = self.dir.join(commit.file_name());
-        let tmp = self.dir.join(format!("{}.tmp", commit.file_name()));
-
-        // Step 1: durable image bytes under a temp name.
-        let file = File::create(&tmp).map_err(io_err("image create"))?;
-        let (mut file, crc) = match stream_image(file, write) {
-            Ok(written) => written,
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                return Err(StoreError::Io {
-                    ctx: "image write",
-                    source: e,
-                });
-            }
-        };
-        commit.file_len = file.stream_position().map_err(io_err("image write"))?;
-        commit.file_crc = crc;
-        if let Some(boundary) = fault::ckpt_crash(commit.file_len) {
-            // Simulated process death mid-write: persist exactly the torn
-            // prefix and stop — no rename, no record, no cleanup.
-            let _ = file.set_len(boundary);
-            let _ = file.sync_all();
-            tel::counter("serve.ckpt.commit_failures").incr();
-            return Err(StoreError::Injected {
-                site: "ckpt.crash",
-                boundary,
-            });
-        }
-        file.sync_all().map_err(io_err("image write"))?;
-        drop(file);
+        // Steps 1–2: the image is durable under its versioned name.
+        let path = self.dir.join(commit.file_name());
+        (commit.file_crc, commit.file_len) =
+            write_atomic(&path, write).map_err(write_err("image write"))?;
         #[cfg(debug_assertions)]
         {
-            let bytes = fs::read(&tmp).map_err(io_err("image re-read"))?;
-            assert_eq!(bytes.len() as u64, commit.file_len, "{}", tmp.display());
+            let bytes = fs::read(&path).map_err(io_err("image re-read"))?;
             assert_eq!(
-                crc32(&bytes),
-                commit.file_crc,
-                "{}: the writer's CRC disagrees with the bytes on disk",
-                tmp.display()
+                (bytes.len() as u64, crc32(&bytes)),
+                (commit.file_len, commit.file_crc),
+                "{}: the writer's length and CRC disagree with the bytes on disk",
+                path.display()
             );
         }
 
-        // Step 2: publish the image under its versioned name.
-        fs::rename(&tmp, &final_path).map_err(io_err("image rename"))?;
-        self.sync_dir();
-
         // Step 3: the commit point — a durable MANIFEST record.
-        let frame = encode_frame(&Record::Commit(commit));
         let mut inner = self.lock();
-        if let Some(boundary) = fault::ckpt_torn_manifest(frame.len() as u64) {
-            // Simulated process death mid-append: the journal gains a torn
-            // tail; the image file is an orphan no record names.
-            let _ = inner.manifest.write_all(&frame[..boundary as usize]);
-            let _ = inner.manifest.sync_all();
-            inner.manifest_len += boundary;
-            tel::counter("serve.ckpt.commit_failures").incr();
-            return Err(StoreError::Injected {
-                site: "ckpt.torn_manifest",
-                boundary,
-            });
-        }
-        inner
-            .manifest
-            .write_all(&frame)
-            .and_then(|()| inner.manifest.sync_all())
-            .map_err(io_err("manifest append"))?;
-        inner.manifest_len += frame.len() as u64;
+        self.append(&mut inner, &Record::Commit(commit))?;
         let chain = inner.chains.entry(tenant).or_default();
         chain.retain(|old| old.epoch != epoch);
         chain.push(commit);
@@ -577,7 +535,27 @@ impl CheckpointStore {
             self.compact_locked(&mut inner)?;
         }
         tel::histogram("serve.ckpt.commit_ns").record(tel::now_ns().saturating_sub(t0));
-        Ok(final_path)
+        Ok(path)
+    }
+
+    /// Appends `record` to the journal and fsyncs it: the one way a record
+    /// becomes durable. The `ckpt.torn_manifest` site tears the append at a
+    /// seeded byte boundary, as a death mid-append would: the torn prefix
+    /// is durable and the record is not.
+    fn append(&self, inner: &mut Inner, record: &Record) -> Result<(), StoreError> {
+        let frame = encode_frame(record);
+        let torn = fault::ckpt_torn_manifest(frame.len() as u64);
+        let n = torn.unwrap_or(frame.len() as u64);
+        inner
+            .manifest
+            .write_all(&frame[..n as usize])
+            .and_then(|()| inner.manifest.sync_all())
+            .map_err(io_err("manifest append"))?;
+        inner.manifest_len += n;
+        match torn {
+            Some(boundary) => Err(injected("ckpt.torn_manifest", boundary)),
+            None => Ok(()),
+        }
     }
 
     /// Deletes checkpoints beyond the newest `retain` for `tenant`. The
@@ -592,16 +570,11 @@ impl CheckpointStore {
         }
         let cutoff = chain[self.retain - 1].epoch;
         let doomed: Vec<Commit> = chain.iter().filter(|c| c.epoch < cutoff).copied().collect();
-        let frame = encode_frame(&Record::Prune {
+        let prune = Record::Prune {
             tenant,
             upto_epoch: cutoff,
-        });
-        inner
-            .manifest
-            .write_all(&frame)
-            .and_then(|()| inner.manifest.sync_all())
-            .map_err(io_err("prune append"))?;
-        inner.manifest_len += frame.len() as u64;
+        };
+        self.append(inner, &prune)?;
         for commit in &doomed {
             let _ = fs::remove_file(self.dir.join(commit.file_name()));
             tel::counter("serve.ckpt.pruned").incr();
@@ -614,9 +587,9 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Rewrites MANIFEST with only the live commit records (same temp,
-    /// fsync, rename discipline), bounding journal growth. Exposed for
-    /// tests; commits trigger it automatically past [`COMPACT_BYTES`].
+    /// Rewrites MANIFEST with only the live commit records (through
+    /// [`write_atomic`]), bounding journal growth. Exposed for tests;
+    /// commits trigger it automatically past [`COMPACT_BYTES`].
     ///
     /// # Errors
     ///
@@ -627,71 +600,58 @@ impl CheckpointStore {
     }
 
     fn compact_locked(&self, inner: &mut Inner) -> Result<(), StoreError> {
-        let mut bytes = MANIFEST_MAGIC.to_vec();
-        // Oldest→newest per tenant, so a rescan replays to the same chains.
-        for chain in inner.chains.values() {
-            for commit in chain.iter().rev() {
-                bytes.extend_from_slice(&encode_frame(&Record::Commit(*commit)));
-            }
-        }
         let path = self.dir.join("MANIFEST");
-        let tmp = self.dir.join("MANIFEST.tmp");
-        let mut file = File::create(&tmp).map_err(io_err("manifest compact create"))?;
-        file.write_all(&bytes)
-            .and_then(|()| file.sync_all())
-            .map_err(io_err("manifest compact write"))?;
-        drop(file);
-        fs::rename(&tmp, &path).map_err(io_err("manifest compact rename"))?;
-        self.sync_dir();
+        let ((), len) = write_atomic(&path, |w| {
+            w.write_all(MANIFEST_MAGIC)?;
+            // Oldest→newest per tenant, so a rescan replays to the same chains.
+            for commit in inner.chains.values().flat_map(|c| c.iter().rev()) {
+                w.write_all(&encode_frame(&Record::Commit(*commit)))?;
+            }
+            Ok(())
+        })
+        .map_err(write_err("manifest compact"))?;
         inner.manifest = OpenOptions::new()
             .append(true)
             .open(&path)
             .map_err(io_err("manifest reopen"))?;
-        inner.manifest_len = bytes.len() as u64;
+        inner.manifest_len = len;
         tel::counter("serve.ckpt.compactions").incr();
         Ok(())
     }
 
-    /// Reads and verifies a committed checkpoint's image bytes: the file
-    /// must match the record's recorded length and CRC-32 exactly before
-    /// a single byte is trusted.
+    /// Loads a committed checkpoint through `load`, which reads the image
+    /// once and answers what it built with the length and CRC-32 of the
+    /// bytes it consumed. The result is trusted only when the file's size,
+    /// that length and that CRC all match the record: that catches what no
+    /// check inside the image can — trailing bytes, or a whole valid image
+    /// of another epoch.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the file is unreadable;
-    /// [`StoreError::ImageMismatch`] when it disagrees with its record
-    /// (post-commit corruption) — callers fall back down the chain.
-    pub fn read_image(&self, commit: &Commit) -> Result<Vec<u8>, StoreError> {
+    /// [`StoreError::Io`] when the file cannot be opened or `load` fails;
+    /// [`StoreError::ImageMismatch`] when the file disagrees with the
+    /// record (post-commit corruption) — callers fall back down the chain.
+    pub fn load<T>(
+        &self,
+        commit: &Commit,
+        load: impl FnOnce(&mut dyn Read) -> io::Result<(T, u64, u32)>,
+    ) -> Result<T, StoreError> {
         let path = self.dir.join(commit.file_name());
-        let bytes = fs::read(&path).map_err(io_err("image read"))?;
-        if bytes.len() as u64 != commit.file_len {
+        let file = File::open(&path).map_err(io_err("image open"))?;
+        let size = file.metadata().map_err(io_err("image open"))?.len();
+        let (value, len, crc) = load(&mut BufReader::new(file)).map_err(io_err("image load"))?;
+        let want = (commit.file_len, commit.file_crc);
+        if size != want.0 || (len, crc) != want {
             return Err(StoreError::ImageMismatch {
                 path,
                 detail: format!(
-                    "{} bytes on disk, record says {}",
-                    bytes.len(),
-                    commit.file_len
+                    "read {len} of {size} bytes with CRC {crc:#010x}, record says {} bytes \
+                     with CRC {:#010x}",
+                    want.0, want.1
                 ),
             });
         }
-        let found = crc32(&bytes);
-        if found != commit.file_crc {
-            return Err(StoreError::ImageMismatch {
-                path,
-                detail: format!(
-                    "CRC {found:#010x} on disk, record says {:#010x}",
-                    commit.file_crc
-                ),
-            });
-        }
-        Ok(bytes)
-    }
-
-    /// Best-effort directory fsync (not every filesystem supports it).
-    fn sync_dir(&self) {
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        Ok(value)
     }
 }
 
@@ -731,6 +691,24 @@ mod tests {
         (0..len).map(|i| (i as u8).wrapping_mul(tag)).collect()
     }
 
+    /// Loads a committed image's bytes through [`CheckpointStore::load`],
+    /// with a loader that reads the whole file.
+    fn read(store: &CheckpointStore, commit: &Commit) -> Result<Vec<u8>, StoreError> {
+        store.load(commit, |r| {
+            let mut bytes = Vec::new();
+            r.read_to_end(&mut bytes)?;
+            let (len, crc) = (bytes.len() as u64, crc32(&bytes));
+            Ok((bytes, len, crc))
+        })
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    }
+
     #[test]
     fn commit_read_and_reopen_round_trip() {
         let (dir, store, _alone) = temp_store("roundtrip", 4);
@@ -744,11 +722,11 @@ mod tests {
 
         let newest = store.newest(0).expect("chain exists");
         assert_eq!((newest.epoch, newest.restarts), (2, 1));
-        assert_eq!(store.read_image(&newest).unwrap(), img2);
+        assert_eq!(read(&store, &newest).unwrap(), img2);
         let chain = store.chain(0);
         assert_eq!(chain.len(), 2);
         assert_eq!(chain[1].epoch, 1);
-        assert_eq!(store.read_image(&chain[1]).unwrap(), img1);
+        assert_eq!(read(&store, &chain[1]).unwrap(), img1);
 
         // Reopen: the journal replays to identical chains.
         drop(store);
@@ -796,10 +774,10 @@ mod tests {
         store.commit(0, 1, 0, image(&img)).unwrap();
         let chain = store.chain(0);
         assert_eq!(chain.len(), 1, "same-epoch re-commit supersedes");
-        assert_eq!(store.read_image(&chain[0]).unwrap(), img);
+        assert_eq!(read(&store, &chain[0]).unwrap(), img);
         drop(store);
         let store = CheckpointStore::open(&dir, 4).expect("reopen");
-        assert_eq!(store.read_image(&store.newest(0).unwrap()).unwrap(), img);
+        assert_eq!(read(&store, &store.newest(0).unwrap()).unwrap(), img);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -824,38 +802,97 @@ mod tests {
             ),
             "{err}"
         );
-        let names: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
+        let names = file_names(&dir);
         assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
         let chain = store.chain(0);
         assert_eq!(chain.len(), 1, "the failed commit left no record");
-        assert_eq!(store.read_image(&chain[0]).unwrap(), img);
+        assert_eq!(read(&store, &chain[0]).unwrap(), img);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: a rename that fails (a non-empty directory holds the
+    /// final name) used to leave `tenant0.e2.image.tmp` behind.
+    #[test]
+    fn failed_rename_leaves_no_temp_file_and_no_record() {
+        let (dir, store, _alone) = temp_store("renamefail", 4);
+        let img = fake_image(1, 64);
+        store.commit(0, 1, 0, image(&img)).unwrap();
+        let manifest_before = fs::read(dir.join("MANIFEST")).unwrap();
+        fs::create_dir_all(dir.join("tenant0.e2.image").join("occupied")).unwrap();
+        let err = store
+            .commit(0, 2, 0, image(&fake_image(2, 64)))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::Io {
+                    ctx: "image write",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let names = file_names(&dir);
+        assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
+        assert_eq!(
+            fs::read(dir.join("MANIFEST")).unwrap(),
+            manifest_before,
+            "no MANIFEST record was added"
+        );
+        let chain = store.chain(0);
+        assert_eq!(chain.iter().map(|c| c.epoch).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(read(&store, &chain[0]).unwrap(), img);
+        drop(store);
+        let store = CheckpointStore::open(&dir, 4).expect("reopen");
+        assert_eq!(read(&store, &store.newest(0).unwrap()).unwrap(), img);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_image_is_detected_by_length_and_crc() {
         let (dir, store, _alone) = temp_store("imgcorrupt", 4);
-        store.commit(0, 1, 0, image(&fake_image(1, 128))).unwrap();
+        let img = fake_image(1, 128);
+        store.commit(0, 1, 0, image(&img)).unwrap();
         let newest = store.newest(0).unwrap();
         let path = dir.join(newest.file_name());
+        let mismatch = |store: &CheckpointStore| {
+            matches!(read(store, &newest), Err(StoreError::ImageMismatch { .. }))
+        };
 
         // Bit flip: same length, wrong CRC.
-        let mut bytes = fs::read(&path).unwrap();
+        let mut bytes = img.clone();
         bytes[64] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            store.read_image(&newest),
-            Err(StoreError::ImageMismatch { .. })
-        ));
+        assert!(mismatch(&store));
 
-        // Truncation: wrong length.
-        fs::write(&path, &bytes[..100]).unwrap();
+        // Truncation and trailing bytes: wrong length.
+        fs::write(&path, &img[..100]).unwrap();
+        assert!(mismatch(&store));
+        fs::write(&path, [&img[..], b"tail"].concat()).unwrap();
+        assert!(mismatch(&store));
+
+        // A loader that stops short of the record's length is not trusted
+        // either, even though every byte it read is good.
+        fs::write(&path, &img).unwrap();
+        assert_eq!(read(&store, &newest).unwrap(), img);
+        let short = store.load(&newest, |r| {
+            let mut head = [0u8; 100];
+            r.read_exact(&mut head)?;
+            Ok(((), 100, crc32(&head)))
+        });
+        assert!(
+            matches!(short, Err(StoreError::ImageMismatch { .. })),
+            "{short:?}"
+        );
+
+        // A missing file is an I/O error, not a mismatch.
+        fs::remove_file(&path).unwrap();
         assert!(matches!(
-            store.read_image(&newest),
-            Err(StoreError::ImageMismatch { .. })
+            read(&store, &newest),
+            Err(StoreError::Io {
+                ctx: "image open",
+                ..
+            })
         ));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1063,7 +1100,7 @@ mod tests {
             "exactly the committed prefix survives"
         );
         assert_eq!(
-            store.read_image(&store.newest(0).unwrap()).unwrap(),
+            read(&store, &store.newest(0).unwrap()).unwrap(),
             fake_image(1, 200)
         );
         // The torn tail was truncated on open: appends work again.

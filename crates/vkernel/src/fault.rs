@@ -27,18 +27,16 @@
 //!   its next safepoint, exercising the processor supervisor's recovery
 //!   path. Bounded by a kill budget ([`set_kill_budget`]) so a soak run
 //!   loses a planned number of processors, not all of them.
-//! * [`torn_write`] — tells the snapshot writer to tear the image file
-//!   mid-write (truncate the temp file and skip the atomic rename),
-//!   exercising the crash-consistent save path.
 //! * [`gc_helper_panic`] — panics a GC helper slot mid-collection,
 //!   exercising the rendezvous' helper-panic unwinding (shares the kill
 //!   budget with `thread.panic`).
 //! * [`serve_drop`] / [`serve_slow`] / [`serve_panic`] — serving-layer
 //!   faults consulted by `mst-serve`: drop a request before execution,
 //!   stall a tenant, or panic a tenant session mid-doit (kill-budgeted).
-//! * [`ckpt_crash`] / [`ckpt_torn_manifest`] / [`ckpt_slow`] — durable
-//!   checkpoint-store faults: abandon an image write or tear a MANIFEST
-//!   append at a seeded byte boundary (simulated process death, both
+//! * [`ckpt_crash`] / [`ckpt_torn_manifest`] / [`ckpt_slow`] — durable-file
+//!   faults: tear any [`write_atomic`](crate::io::write_atomic) (a snapshot
+//!   file, a checkpoint image, a compacted MANIFEST) or a MANIFEST append
+//!   at a seeded byte boundary (simulated process death, both
 //!   kill-budgeted), or stall checkpoint I/O.
 //!
 //! Disabled (the default), every injection point is a single branch on one
@@ -70,45 +68,42 @@ pub enum FaultSite {
     /// Panic a supervised interpreter thread at its next safepoint.
     /// Destructive: opt-in, never part of [`ALL_SITES`].
     ThreadPanic = 4,
-    /// Tear a snapshot write (truncate the temp file, skip the rename).
-    /// Destructive: opt-in, never part of [`ALL_SITES`].
-    TornWrite = 5,
     /// Panic a GC helper slot mid-collection (parallel scavenge or full-GC
     /// mark), exercising the rendezvous' helper-panic unwinding.
     /// Destructive: opt-in, never part of [`ALL_SITES`].
-    GcHelperPanic = 6,
+    GcHelperPanic = 5,
     /// Drop a serving-layer request before execution (client sees an error
     /// and retries). Destructive: opt-in, never part of [`ALL_SITES`].
-    ServeDrop = 7,
+    ServeDrop = 6,
     /// Stall a serving-layer request inside its tenant session, simulating
     /// a slow tenant. Opt-in, never part of [`ALL_SITES`].
-    ServeSlow = 8,
+    ServeSlow = 7,
     /// Panic a tenant session mid-doit at a safepoint, exercising the
     /// server's crash-only session recovery. Destructive: opt-in, never
     /// part of [`ALL_SITES`].
-    ServePanic = 9,
-    /// Abandon a checkpoint image write at a seeded byte boundary,
-    /// simulating process death mid-write (torn temp file, no rename, no
-    /// manifest commit). Destructive: opt-in, never part of [`ALL_SITES`].
-    CkptCrash = 10,
+    ServePanic = 8,
+    /// Abandon a durable file write ([`write_atomic`](crate::io::write_atomic))
+    /// at a seeded byte boundary, simulating process death mid-write (torn
+    /// temp file, no rename). Destructive: opt-in, never part of
+    /// [`ALL_SITES`].
+    CkptCrash = 9,
     /// Tear a checkpoint MANIFEST append at a seeded byte boundary,
     /// simulating process death mid-append (the journal keeps its valid
     /// prefix). Destructive: opt-in, never part of [`ALL_SITES`].
-    CkptTornManifest = 11,
+    CkptTornManifest = 10,
     /// Stall a checkpoint write (slow disk), proving checkpoints only ever
     /// block their own tenant. Opt-in, never part of [`ALL_SITES`].
-    CkptSlow = 12,
+    CkptSlow = 11,
 }
 
 impl FaultSite {
     /// All sites, in bit order.
-    pub const ALL: [FaultSite; 13] = [
+    pub const ALL: [FaultSite; 12] = [
         FaultSite::LockAcquire,
         FaultSite::SafepointPoll,
         FaultSite::SpuriousWake,
         FaultSite::AllocFail,
         FaultSite::ThreadPanic,
-        FaultSite::TornWrite,
         FaultSite::GcHelperPanic,
         FaultSite::ServeDrop,
         FaultSite::ServeSlow,
@@ -126,7 +121,6 @@ impl FaultSite {
             FaultSite::SpuriousWake => "spurious_wake",
             FaultSite::AllocFail => "alloc_fail",
             FaultSite::ThreadPanic => "thread.panic",
-            FaultSite::TornWrite => "snapshot.torn_write",
             FaultSite::GcHelperPanic => "gc_helper.panic",
             FaultSite::ServeDrop => "serve.drop",
             FaultSite::ServeSlow => "serve.slow",
@@ -144,10 +138,10 @@ impl FaultSite {
 }
 
 /// Bitmask enabling every *semantically legal* injection site. The
-/// destructive sites ([`FaultSite::ThreadPanic`], [`FaultSite::TornWrite`])
-/// are deliberately excluded: a blanket `ChaosConfig::new` soak must perturb
-/// timing, never kill processors or tear images, unless those sites are
-/// named explicitly.
+/// destructive sites ([`FaultSite::ThreadPanic`], [`FaultSite::CkptCrash`],
+/// …) are deliberately excluded: a blanket `ChaosConfig::new` soak must
+/// perturb timing, never kill processors or tear files, unless those sites
+/// are named explicitly.
 pub const ALL_SITES: u32 = 0b1111;
 
 /// Chaos configuration, mirrored by `MsConfig.chaos` at the system layer.
@@ -222,8 +216,8 @@ thread_local! {
     static RNG: Cell<(u64, SplitMix64)> = const { Cell::new((0, SplitMix64::new(0))) };
 }
 
-fn counters() -> &'static [&'static tel::Counter; 13] {
-    static C: OnceLock<[&'static tel::Counter; 13]> = OnceLock::new();
+fn counters() -> &'static [&'static tel::Counter; 12] {
+    static C: OnceLock<[&'static tel::Counter; 12]> = OnceLock::new();
     C.get_or_init(|| {
         [
             tel::counter("chaos.lock_delay"),
@@ -231,7 +225,6 @@ fn counters() -> &'static [&'static tel::Counter; 13] {
             tel::counter("chaos.spurious_wake"),
             tel::counter("chaos.alloc_fail"),
             tel::counter("chaos.thread_panic"),
-            tel::counter("chaos.torn_write"),
             tel::counter("chaos.gc_helper_panic"),
             tel::counter("chaos.serve_drop"),
             tel::counter("chaos.serve_slow"),
@@ -414,13 +407,6 @@ pub fn serve_panic() -> bool {
     ENABLED.load(Ordering::Relaxed) && budgeted_kill(FaultSite::ServePanic)
 }
 
-/// Injection point: the snapshot file writer. Returns `true` when the
-/// write should be torn (temp file truncated, atomic rename skipped).
-#[inline]
-pub fn torn_write() -> bool {
-    ENABLED.load(Ordering::Relaxed) && roll(FaultSite::TornWrite)
-}
-
 /// Draws one more value from the calling thread's (already seeded) fault
 /// stream — used by sites that need a fault *position*, not just a firing.
 #[cold]
@@ -433,10 +419,10 @@ fn extra_draw() -> u64 {
     })
 }
 
-/// Injection point: a checkpoint image write of `len` bytes. When the
-/// fault fires, returns the seeded byte boundary at which the write should
-/// be abandoned (torn temp file, no rename, no manifest commit —
-/// simulated process death mid-checkpoint). Shares the kill budget with
+/// Injection point: a durable file write of `len` bytes
+/// ([`write_atomic`](crate::io::write_atomic)). When the fault fires,
+/// returns the seeded byte boundary at which the write should be abandoned
+/// (torn temp file, no rename — simulated process death mid-write). Shares the kill budget with
 /// [`thread_panic`], so a harness injects a planned number of crashes.
 #[inline]
 pub fn ckpt_crash(len: u64) -> Option<u64> {
@@ -514,7 +500,6 @@ mod tests {
         // kills threads or tears writes.
         install(ChaosConfig::new(42, 1.0));
         assert!(!thread_panic());
-        assert!(!torn_write());
         assert!(!gc_helper_panic());
         assert!(!serve_drop());
         assert!(!serve_slow());
@@ -563,10 +548,9 @@ mod tests {
         install(ChaosConfig {
             seed: 42,
             rate: 1.0,
-            sites: FaultSite::ThreadPanic.bit() | FaultSite::TornWrite.bit(),
+            sites: FaultSite::ThreadPanic.bit(),
         });
         assert!(thread_panic());
-        assert!(torn_write());
         // ...and thread.panic respects its kill budget.
         set_kill_budget(2);
         assert!(thread_panic());
@@ -595,10 +579,11 @@ mod tests {
         );
 
         // Destructive sites parse by their dotted names.
-        let c = ChaosConfig::parse("9:0.01:thread.panic,snapshot.torn_write").unwrap();
-        assert_eq!(
-            c.sites,
-            FaultSite::ThreadPanic.bit() | FaultSite::TornWrite.bit()
+        let c = ChaosConfig::parse("9:0.01:thread.panic").unwrap();
+        assert_eq!(c.sites, FaultSite::ThreadPanic.bit());
+        assert!(
+            ChaosConfig::parse("9:0.01:snapshot.torn_write").is_none(),
+            "ckpt.crash is the one tear site"
         );
         let c =
             ChaosConfig::parse("9:0.01:gc_helper.panic,serve.drop,serve.slow,serve.panic").unwrap();

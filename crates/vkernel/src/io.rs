@@ -10,10 +10,20 @@
 //! events and [`Display`] — a display controller with a serialized command
 //! queue feeding a small monochrome BitBlt framebuffer. The paper's *busy*
 //! background Process "contends for the display" by pushing commands here.
+//!
+//! The image's own device is the disk. [`write_atomic`] is the one way a
+//! file becomes durable — snapshot files, the supervisor's last-resort
+//! checkpoint, checkpoint-store images and the compacted MANIFEST all go
+//! through it — and the one place the `ckpt.crash` fault site tears a
+//! write.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Seek, Write};
+use std::path::{Path, PathBuf};
 
+use crate::fault;
 use crate::spinlock::{LockStats, SpinMutex, SyncMode};
 
 /// One input event (keystroke, mouse motion, button).
@@ -337,6 +347,93 @@ impl Display {
     }
 }
 
+/// Why [`write_atomic`] published nothing.
+#[derive(Debug)]
+pub enum WriteError {
+    /// An I/O step failed, or the caller's writer did. The temp file is
+    /// removed and the file at the path is untouched.
+    Io(io::Error),
+    /// The `ckpt.crash` fault site tore the temp file at `boundary` bytes,
+    /// as a process death would: the torn prefix is durable under the temp
+    /// name, nothing was renamed, and the temp file stays (the next write
+    /// to the path replaces it).
+    Torn {
+        /// Bytes of the temp file that survived the tear.
+        boundary: u64,
+    },
+}
+
+impl From<io::Error> for WriteError {
+    fn from(e: io::Error) -> WriteError {
+        WriteError::Io(e)
+    }
+}
+
+impl fmt::Display for WriteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WriteError::Io(e) => write!(f, "{e}"),
+            WriteError::Torn { boundary } => {
+                write!(f, "write torn at byte {boundary} (ckpt.crash injected)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WriteError {}
+
+/// Makes `path` hold exactly what `write` writes, or leaves it as it was.
+/// The bytes stream through a buffer into `<path>.tmp`; the temp file is
+/// fsynced, renamed over `path`, and the directory fsynced (best-effort:
+/// not every filesystem supports it). Answers `write`'s value and the
+/// number of bytes written.
+///
+/// # Errors
+///
+/// [`WriteError::Io`] when any step or `write` itself fails (the temp file
+/// is removed); [`WriteError::Torn`] when the `ckpt.crash` site fired.
+pub fn write_atomic<T>(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<T>,
+) -> Result<(T, u64), WriteError> {
+    write_atomic_torn_by(path, write, fault::ckpt_crash)
+}
+
+/// [`write_atomic`] with the tear site as a parameter: `tear(len)` answers
+/// the byte boundary at which a `len`-byte write dies, if it does.
+fn write_atomic_torn_by<T>(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<T>,
+    tear: impl FnOnce(u64) -> Option<u64>,
+) -> Result<(T, u64), WriteError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let publish = || -> Result<(T, u64), WriteError> {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        let value = write(&mut w)?;
+        let mut file = w.into_inner().map_err(|e| e.into_error())?;
+        let len = file.stream_position()?;
+        if let Some(boundary) = tear(len) {
+            let _ = file.set_len(boundary).and_then(|()| file.sync_all());
+            return Err(WriteError::Torn { boundary });
+        }
+        file.sync_all()?;
+        drop(file);
+        fs::rename(&tmp, path)?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        if let Some(Ok(dir)) = dir.map(File::open) {
+            let _ = dir.sync_all();
+        }
+        Ok((value, len))
+    };
+    let written = publish();
+    if let Err(WriteError::Io(_)) = written {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,5 +633,112 @@ mod tests {
         }
         d.flush();
         assert_eq!(d.commands_applied(), 4000);
+    }
+
+    /// A fresh directory per test, removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let dir =
+                std::env::temp_dir().join(format!("mst_write_atomic_{tag}_{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn bytes(b: &[u8]) -> impl FnOnce(&mut dyn Write) -> io::Result<()> + '_ {
+        move |w| w.write_all(b)
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn write_atomic_publishes_and_reports_the_length() {
+        let dir = TempDir::new("publish");
+        let path = dir.0.join("image");
+        let ((), len) = write_atomic_torn_by(&path, bytes(b"first"), |_| None).unwrap();
+        assert_eq!((fs::read(&path).unwrap(), len), (b"first".to_vec(), 5));
+        let (value, len) = write_atomic_torn_by(
+            &path,
+            |w| {
+                w.write_all(b"second!")?;
+                Ok(42)
+            },
+            |_| None,
+        )
+        .unwrap();
+        assert_eq!((value, len), (42, 7));
+        assert_eq!(fs::read(&path).unwrap(), b"second!");
+        assert_eq!(names(&dir.0), ["image"], "no temp file on the happy path");
+    }
+
+    #[test]
+    fn a_tear_at_any_boundary_leaves_the_previous_file_byte_identical() {
+        let dir = TempDir::new("tear");
+        let path = dir.0.join("image");
+        let previous: Vec<u8> = (0..100u8).collect();
+        write_atomic_torn_by(&path, bytes(&previous), |_| None).unwrap();
+        let next = vec![0xA5u8; 64];
+        for boundary in [0, 1, 32, 63] {
+            let err = write_atomic_torn_by(&path, bytes(&next), |len| {
+                assert_eq!(len, 64, "the tear site sees the whole length");
+                Some(boundary)
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err, WriteError::Torn { boundary: b } if b == boundary),
+                "{err}"
+            );
+            assert_eq!(fs::read(&path).unwrap(), previous, "boundary {boundary}");
+            // The torn prefix stays behind, as a crash would leave it.
+            let tmp = fs::read(dir.0.join("image.tmp")).unwrap();
+            assert_eq!(tmp, next[..boundary as usize], "boundary {boundary}");
+        }
+    }
+
+    #[test]
+    fn a_failing_writer_leaves_no_temp_file() {
+        let dir = TempDir::new("writerfail");
+        let path = dir.0.join("image");
+        write_atomic_torn_by(&path, bytes(b"kept"), |_| None).unwrap();
+        let err = write_atomic_torn_by(
+            &path,
+            |w| {
+                w.write_all(&[7; 10_000])?;
+                Err::<(), _>(io::Error::other("serializer failed"))
+            },
+            |_| panic!("a failed write never reaches the tear site"),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("serializer failed"), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), b"kept");
+        assert_eq!(names(&dir.0), ["image"]);
+    }
+
+    #[test]
+    fn a_failed_rename_leaves_no_temp_file() {
+        let dir = TempDir::new("renamefail");
+        // A non-empty directory at the final name: the rename must fail.
+        let path = dir.0.join("image");
+        fs::create_dir_all(path.join("occupied")).unwrap();
+        let err = write_atomic_torn_by(&path, bytes(b"never published"), |_| None).unwrap_err();
+        assert!(matches!(err, WriteError::Io(_)), "{err}");
+        assert_eq!(names(&dir.0), ["image"]);
+        assert!(path.is_dir());
     }
 }

@@ -22,7 +22,8 @@
 //!   to serialize scavenging.
 //! * [`io`] — the serialized input-event queue and display-controller
 //!   command queue (with a small BitBlt framebuffer) that the busy
-//!   background Process contends for.
+//!   background Process contends for, and [`io::write_atomic`], the one
+//!   temp + fsync + rename writer every durable file goes through.
 //! * [`SplitMix64`] — a deterministic in-tree PRNG for synthetic workloads
 //!   and the property-test harness, part of the hermetic-build policy
 //!   (no external crates anywhere in the workspace).

@@ -175,6 +175,48 @@ fn saved_snapshot_reports_the_crc_of_its_bytes() {
     assert_eq!(crc, mst_vkernel::crc::crc32(&churned), "after GC churn");
 }
 
+/// Regression: a snapshot save whose rename fails (a non-empty directory
+/// holds the final name) used to leave `<path>.tmp` behind, and nothing
+/// reclaims a stray temp file outside a checkpoint store.
+#[test]
+fn a_failed_snapshot_save_leaves_no_temp_file() {
+    let dir = std::env::temp_dir().join(format!("mst_edge_renamefail_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let occupied = dir.join("image");
+    std::fs::create_dir_all(occupied.join("occupied")).unwrap();
+    let previous = dir.join("previous.image");
+    let mut ms = system();
+    eval(&mut ms, "Benchmark class compile: 'kept ^7'");
+    ms.save_snapshot_file(&previous).expect("a free name saves");
+    let err = ms.save_snapshot_file(&occupied).unwrap_err();
+    assert_eq!(err.section, "file", "{err}");
+    ms.shutdown();
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["image", "previous.image"], "no temp file remains");
+    let mut restored = MsSystem::from_snapshot_file(&previous, MsConfig::default())
+        .expect("the earlier save still loads");
+    assert_eq!(eval(&mut restored, "Benchmark kept"), Value::Int(7));
+    restored.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both ways of reading a snapshot file open it the same way, so both name
+/// a file that is not there.
+#[test]
+fn a_missing_snapshot_file_is_named_by_every_reader() {
+    let path = std::env::temp_dir().join("mst_edge_no_such.image");
+    let config = MsConfig::default();
+    let template = MsSystem::load_template(&path, config).unwrap_err();
+    let boot = MsSystem::from_snapshot_file(&path, config).unwrap_err();
+    for err in [template.to_string(), boot.to_string()] {
+        assert!(err.contains(&*path.to_string_lossy()), "{err}");
+    }
+}
+
 #[test]
 fn snapshot_round_trip_preserves_runtime_state() {
     let config = MsConfig {

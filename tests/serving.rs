@@ -16,7 +16,7 @@ use mst_core::{
     prop_assert, prop_assert_eq, EvalError, MsConfig, MsSystem, SnapshotTemplate, SupervisorPolicy,
     Value,
 };
-use mst_objmem::MemoryConfig;
+use mst_objmem::{MemoryConfig, ObjectMemory};
 use mst_serve::{
     chains_from_records, scan_manifest, Backoff, CheckpointPolicy, RecoverySource, ServeConfig,
     ServeError, Server,
@@ -31,6 +31,16 @@ static CHAOS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
     CHAOS_LOCK
+        .lock()
+        .unwrap_or_else(|poison| poison.into_inner())
+}
+
+/// Tests that assert exact `serve.checkpoint_fallback` deltas (a
+/// process-global counter) take turns.
+static FALLBACK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn fallback_lock() -> std::sync::MutexGuard<'static, ()> {
+    FALLBACK_LOCK
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
 }
@@ -719,6 +729,7 @@ fn recover_restores_epochs_restarts_and_sessions_after_process_death() {
 /// fall to the template one epoch above everything committed.
 #[test]
 fn checkpoint_fallback_walks_the_chain_past_corruption() {
+    let _counter = fallback_lock();
     let dir = temp_dir("fallback_chain");
     let ckpt_dir = dir.join("ckpts");
     let config = small_config();
@@ -798,11 +809,65 @@ fn checkpoint_fallback_walks_the_chain_past_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What only the commit record catches: an image whose every section CRC
+/// is good but whose length or whole-file CRC is not the committed one —
+/// trailing bytes appended, or a valid image of another epoch copied over
+/// the newest. Either loads on its own; recovery must not boot from it,
+/// and falls down the chain instead, counting the fallback.
+#[test]
+fn recovery_falls_back_past_images_only_the_record_catches() {
+    let _counter = fallback_lock();
+    let dir = temp_dir("record_only");
+    let ckpt_dir = dir.join("ckpts");
+    let config = small_config();
+    let template = make_template(&dir, config);
+    let cfg = ServeConfig {
+        processors: 2,
+        checkpoint_dir: Some(ckpt_dir.clone()),
+        retain: 4,
+        ..ServeConfig::default()
+    };
+    // A two-epoch chain, as in the corruption test above.
+    for (epoch, doit) in [(1, "3 + 4"), (2, "4 + 5")] {
+        let server = Server::new(template.clone(), config, cfg.clone(), 1);
+        server.request(0, doit).expect("doit");
+        assert_eq!(server.epoch(0), epoch);
+        server.checkpoint(0).expect("commit");
+    }
+    let newest = ckpt_dir.join("tenant0.e2.image");
+    let pristine = std::fs::read(&newest).expect("newest checkpoint exists");
+    let older = std::fs::read(ckpt_dir.join("tenant0.e1.image")).expect("older exists");
+    assert_ne!(older, pristine, "the two epochs' images differ");
+
+    let fallbacks = mst_telemetry::counter("serve.checkpoint_fallback");
+    for (what, image) in [
+        ("trailing bytes", [&pristine[..], b"trailing"].concat()),
+        ("the epoch-1 image", older),
+    ] {
+        assert!(
+            ObjectMemory::load_snapshot(&mut &image[..], config.memory_config()).is_ok(),
+            "{what}: every section checks out"
+        );
+        std::fs::write(&newest, &image).expect("replace the newest image");
+        let before = fallbacks.get();
+        let (server, report) = Server::recover(template.clone(), config, cfg.clone(), 1);
+        assert_eq!(
+            report.tenants[0].source,
+            RecoverySource::Checkpoint { epoch: 1 },
+            "{what}: recovery resumes from the older entry"
+        );
+        assert_eq!(fallbacks.get(), before + 1, "{what}: one fallback");
+        assert_eq!(server.request(0, "6 * 7").unwrap().value, Value::Int(42));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A cold spawn against an empty checkpoint store is "never checkpointed",
 /// not a fallback: it goes straight to the template and counts no
 /// `serve.checkpoint_fallback`.
 #[test]
 fn cold_spawn_with_empty_store_counts_no_fallback() {
+    let _counter = fallback_lock();
     let dir = temp_dir("cold_spawn");
     let config = small_config();
     let template = make_template(&dir, config);
