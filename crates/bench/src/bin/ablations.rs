@@ -142,6 +142,8 @@ fn alloc_ablation() {
 fn scavenge_ablation() {
     println!("\nA4. Scavenge cost is proportional to surviving data (paper §3.1)");
     let mut ms = MsSystem::new(MsConfig::default());
+    // Each scavenge's pause record feeds this histogram.
+    let pauses = mst_telemetry::histogram!("gc.pause.scavenge.total_ns");
     for keep in [0usize, 200, 800, 3200, 12800] {
         // Build a retained graph of `keep` arrays (rooted from Rust), then
         // fill eden with garbage and time a forced scavenge.
@@ -157,14 +159,15 @@ fn scavenge_ablation() {
         // One timed scavenge after warming.
         ms.run_prepared(&prepared).unwrap();
         let s0 = ms.mem().gc_stats();
+        let p0 = pauses.snapshot();
         let cpu0 = thread_cpu_ns();
         ms.run_prepared(&prepared).unwrap();
         let cpu = thread_cpu_ns() - cpu0;
         let s1 = ms.mem().gc_stats();
+        let p1 = pauses.snapshot();
         let scavenges = s1.scavenges - s0.scavenges;
         let survived = s1.words_survived - s0.words_survived;
-        let pause_us =
-            (s1.scavenge_nanos - s0.scavenge_nanos) as f64 / scavenges.max(1) as f64 / 1e3;
+        let pause_us = (p1.sum - p0.sum) as f64 / (p1.count - p0.count).max(1) as f64 / 1e3;
         println!(
             "  retained {keep:>6} arrays: {scavenges} scavenge(s), {survived:>8} words survived, \
              mean pause {pause_us:>8.1} µs  (run cpu {:.2} ms)",

@@ -1,12 +1,21 @@
 //! Regenerates **Table 3** ("Applications of the three strategies") by
 //! introspecting the live configuration rather than printing static prose:
 //! each row names the mechanism in this codebase that realizes it, and the
-//! serialized resources print their actual lock-contention counters from a
-//! short contended run.
+//! serialized resources print their contended acquisitions during a short
+//! contended run, read as deltas of their `lock.<name>.contended` rows in
+//! the telemetry registry (the one place a lock records contention).
 
 use mst_core::{MsConfig, MsSystem, SystemState};
+use mst_telemetry::{counter, Counter};
 
 fn main() {
+    let locks = [
+        counter!("lock.eden_next.contended"),
+        counter!("lock.entry_table.contended"),
+        counter!("lock.sched.contended"),
+        counter!("lock.display_queue.contended"),
+    ];
+    let before = locks.map(Counter::get);
     let mut ms = MsSystem::new(MsConfig::for_state(SystemState::MsBusy4));
     ms.enter_state(SystemState::MsBusy4);
     // Drive enough contended work that the serialization rows have live
@@ -14,26 +23,23 @@ fn main() {
     // scheduler churn, all against the four busy competitors. Deterministic:
     // instead of sleeping a fixed wall-clock amount per round, keep working
     // until the instruments show the rows are populated — at least three
-    // scavenges recorded in the telemetry registry and ten rounds of work —
-    // bounded so a mis-sized heap cannot loop forever.
-    let scavenge_pauses = mst_telemetry::histogram("gc.scavenge_pause_ns");
-    let safepoint_stops = mst_telemetry::counter("safepoint.stops");
+    // scavenges, three safepoint stops and ten rounds of work — bounded so
+    // a mis-sized heap cannot loop forever.
+    let safepoint_stops = counter!("safepoint.stops");
     let mut rounds = 0u32;
     loop {
         ms.evaluate("Benchmark createInspectorView").unwrap();
         ms.evaluate("Benchmark allocHeavy: 100000").unwrap();
         rounds += 1;
         let warmed =
-            rounds >= 10 && scavenge_pauses.snapshot().count >= 3 && safepoint_stops.get() >= 3;
+            rounds >= 10 && ms.mem().gc_stats().scavenges >= 3 && safepoint_stops.get() >= 3;
         if warmed || rounds >= 200 {
             break;
         }
     }
 
-    let alloc = ms.mem().alloc_lock_stats();
-    let entry = ms.mem().entry_table_lock_stats();
-    let sched = ms.vm().sched_lock_stats();
-    let display = ms.vm().display.queue_lock_stats();
+    let [alloc, entry, sched, display]: [u64; 4] =
+        std::array::from_fn(|i| locks[i].get() - before[i]);
     let counters = ms.vm().counters();
     let strategies = ms.config().strategies;
 
@@ -41,7 +47,7 @@ fn main() {
     println!("Serialization");
     println!(
         "  allocation          eden bump-pointer lock        ({} contended acquisitions)",
-        alloc.contended
+        alloc
     );
     println!(
         "  garbage collection  stop-the-world rendezvous     ({} scavenges)",
@@ -49,15 +55,15 @@ fn main() {
     );
     println!(
         "  entry tables        remembered-set lock           ({} contended acquisitions)",
-        entry.contended
+        entry
     );
     println!(
         "  scheduling          single ready-queue lock       ({} contended acquisitions)",
-        sched.contended
+        sched
     );
     println!(
         "  I/O                 display/input queue locks     ({} contended acquisitions)",
-        display.contended
+        display
     );
     println!("\nReplication");
     println!(
@@ -85,8 +91,5 @@ fn main() {
     println!(
         "                      live check: Processor canRun: Processor thisProcess = {this_is_that}"
     );
-    // The same serialization rows, regenerated from the unified registry:
-    // every named lock publishes `lock.<name>.contended` / `.spin_iters`.
-    println!("\n{}", mst_telemetry::report::text_report());
     ms.shutdown();
 }

@@ -95,7 +95,7 @@ pub fn supervise(vm: Arc<Vm>, processor: usize, policy: SupervisorPolicy) {
             Err(payload) => payload,
         };
         let fault = panic_message(payload.as_ref());
-        tel::counter("supervisor.panics").incr();
+        tel::counter!("supervisor.panics").incr();
         {
             let _span = tel::span("supervisor.recover", "supervisor");
             interp.recover_after_panic();
@@ -107,12 +107,12 @@ pub fn supervise(vm: Arc<Vm>, processor: usize, policy: SupervisorPolicy) {
         // `vm.error_log`, which holds failures Processes raised themselves.
         match policy {
             SupervisorPolicy::Panic => {
-                tel::counter("supervisor.rethrown").incr();
+                tel::counter!("supervisor.rethrown").incr();
                 vm.roster_offline(processor, Some(fault));
                 panic::resume_unwind(payload);
             }
             SupervisorPolicy::Restart => {
-                tel::counter("supervisor.restarts").incr();
+                tel::counter!("supervisor.restarts").incr();
                 vm.roster_restarted(processor, fault);
                 // Respawn in place: a fresh interpreter identity on the
                 // same processor, same thread.
@@ -120,7 +120,7 @@ pub fn supervise(vm: Arc<Vm>, processor: usize, policy: SupervisorPolicy) {
                 interp.set_panic_injectable(true);
             }
             SupervisorPolicy::Degrade => {
-                tel::counter("supervisor.degraded").incr();
+                tel::counter!("supervisor.degraded").incr();
                 vm.roster_offline(processor, Some(fault));
                 if vm.processors_online() == 0 {
                     // Last supervised processor gone: checkpoint the image
@@ -147,7 +147,7 @@ fn checkpoint_if_configured(vm: &Vm) {
     let path = file.display();
     let _span = tel::span("supervisor.checkpoint", "supervisor");
     let failed = |what: &str, e: &dyn std::fmt::Display| {
-        tel::counter("supervisor.checkpoint_failures").incr();
+        tel::counter!("supervisor.checkpoint_failures").incr();
         vm.error_log
             .lock()
             .push(format!("supervisor: {what} to {path} failed: {e}"));
@@ -167,7 +167,7 @@ fn checkpoint_if_configured(vm: &Vm) {
         match write_atomic(&file, |mut w| {
             mem.save_snapshot(&mut w).map_err(io::Error::other)
         }) {
-            Ok(_) => return tel::counter("supervisor.checkpoints").incr(),
+            Ok(_) => return tel::counter!("supervisor.checkpoints").incr(),
             Err(e) => failed(attempt, &e),
         }
     }

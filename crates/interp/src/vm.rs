@@ -256,28 +256,6 @@ impl Vm {
         }
     }
 
-    /// Resets the aggregated counters (between benchmark runs).
-    pub fn reset_counters(&self) {
-        let c = &self.counters;
-        for a in [
-            &c.bytecodes,
-            &c.sends,
-            &c.cache_hits,
-            &c.cache_misses,
-            &c.primitives,
-            &c.contexts_recycled,
-            &c.contexts_allocated,
-            &c.process_switches,
-        ] {
-            a.reset();
-        }
-    }
-
-    /// Contention statistics of the scheduler lock.
-    pub fn sched_lock_stats(&self) -> mst_vkernel::LockStats {
-        self.sched_lock.stats()
-    }
-
     /// Current cache-invalidation epoch.
     pub fn cache_epoch(&self) -> u64 {
         self.cache_epoch.load(Ordering::Relaxed)

@@ -57,7 +57,7 @@
 //! honors the same precondition as a deliberate one.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::header::ObjFormat;
@@ -82,32 +82,6 @@ const BLOCK_WORDS: usize = u64::BITS as usize;
 /// Dangling-reference diagnostics recorded per collection; counting
 /// continues past the cap (mirrors `HeapAudit`'s error cap).
 const MAX_DANGLING: usize = 16;
-
-/// Telemetry for the full collector (`gc.full*`).
-struct FullGcInstruments {
-    pause_ns: &'static mst_telemetry::Histogram,
-    parallel_collections: &'static mst_telemetry::Counter,
-    parallel_steals: &'static mst_telemetry::Counter,
-    parallel_helpers: &'static mst_telemetry::Histogram,
-    helper_marked_words: &'static mst_telemetry::Histogram,
-    dangling_refs: &'static mst_telemetry::Counter,
-    parallel_compactions: &'static mst_telemetry::Counter,
-    aborted: &'static mst_telemetry::Counter,
-}
-
-fn instruments() -> &'static FullGcInstruments {
-    static I: OnceLock<FullGcInstruments> = OnceLock::new();
-    I.get_or_init(|| FullGcInstruments {
-        pause_ns: mst_telemetry::histogram("gc.full_pause_ns"),
-        parallel_collections: mst_telemetry::counter("gc.full.parallel.collections"),
-        parallel_steals: mst_telemetry::counter("gc.full.parallel.steals"),
-        parallel_helpers: mst_telemetry::histogram("gc.full.parallel.helpers"),
-        helper_marked_words: mst_telemetry::histogram("gc.full.parallel.helper_marked_words"),
-        dangling_refs: mst_telemetry::counter("gc.full.dangling_refs"),
-        parallel_compactions: mst_telemetry::counter("gc.full.parallel.compactions"),
-        aborted: mst_telemetry::counter("gc.full.aborted"),
-    })
-}
 
 /// Where a dangling old-space reference was found during the update phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -545,7 +519,7 @@ impl<'m> Relocator<'m> {
         slot: DanglingSlot,
         target: Oop,
     ) -> Oop {
-        instruments().dangling_refs.incr();
+        mst_telemetry::counter!("gc.full.dangling_refs").incr();
         sink.record(DanglingRef {
             referrer,
             slot,
@@ -663,19 +637,8 @@ impl ObjectMemory {
             self.verify_heap().assert_clean();
         }
         self.stats.full_gcs.incr();
-        self.stats.full_gc_nanos.add(pause_ns);
-        let instr = instruments();
-        instr.pause_ns.record(pause_ns);
-        instr.parallel_collections.incr();
-        instr.parallel_steals.add(m.steals);
-        instr.parallel_helpers.record(m.entered as u64);
-        for &w in &m.per_helper_words {
-            instr.helper_marked_words.record(w);
-        }
-        let (min_w, max_w) = m
-            .per_helper_words
-            .iter()
-            .fold((u64::MAX, 0u64), |(lo, hi), &w| (lo.min(w), hi.max(w)));
+        // The pause record owns the pause's duration, phases and helpers.
+        let balance_pct = mst_telemetry::GcPause::balance_pct(&m.per_helper_words);
         mst_telemetry::pauselog::record(mst_telemetry::GcPause {
             kind: "fullgc",
             start_ns: pause_start_ns,
@@ -684,7 +647,7 @@ impl ObjectMemory {
             helpers: m.entered,
             per_helper_work: m.per_helper_words,
             steals: m.steals,
-            imbalance_pct: min_w.saturating_mul(100).checked_div(max_w).unwrap_or(100) as u32,
+            imbalance_pct: balance_pct,
         });
         self.publish_fullgc_report(&report);
         trace_span.set_arg("reclaimed_words", reclaimed as u64);
@@ -836,7 +799,7 @@ impl ObjectMemory {
         self.set_old_next(rel.old_start + rel.live_words);
         mst_telemetry::trace::counter_event("gc.phase", "gc", "fullgc_phase", 0);
 
-        instruments().parallel_compactions.incr();
+        mst_telemetry::counter!("gc.full.compactions").incr();
         (old_used_before - rel.live_words, report, entered)
     }
 
@@ -844,7 +807,7 @@ impl ObjectMemory {
     /// the error log (the containment surface), and keeps the counter hot.
     fn publish_fullgc_report(&self, report: &FullGcReport) {
         if report.aborted.is_some() {
-            instruments().aborted.incr();
+            mst_telemetry::counter!("gc.full.aborted").incr();
         }
         if !report.is_clean() {
             let mut sink = self.fullgc_dangling.lock();

@@ -221,9 +221,7 @@ pub(crate) struct GcCounters {
     pub scavenges: tel::Counter,
     pub words_survived: tel::Counter,
     pub words_tenured: tel::Counter,
-    pub scavenge_nanos: tel::Counter,
     pub full_gcs: tel::Counter,
-    pub full_gc_nanos: tel::Counter,
 }
 
 impl GcCounters {
@@ -232,14 +230,14 @@ impl GcCounters {
             scavenges: self.scavenges.get(),
             words_survived: self.words_survived.get(),
             words_tenured: self.words_tenured.get(),
-            scavenge_nanos: self.scavenge_nanos.get(),
             full_gcs: self.full_gcs.get(),
-            full_gc_nanos: self.full_gc_nanos.get(),
         }
     }
 }
 
-/// Counters accumulated across collections.
+/// Generation counts accumulated across collections. Pause durations are
+/// not here: each collection's [`GcPause`](mst_telemetry::GcPause) record
+/// owns them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
     /// Number of scavenges performed.
@@ -248,12 +246,8 @@ pub struct GcStats {
     pub words_survived: u64,
     /// Words tenured into old space, summed over all scavenges.
     pub words_tenured: u64,
-    /// Total nanoseconds spent scavenging.
-    pub scavenge_nanos: u64,
     /// Number of mark-compact full collections.
     pub full_gcs: u64,
-    /// Total nanoseconds spent in full collections.
-    pub full_gc_nanos: u64,
 }
 
 /// The shared object memory. See the module docs for the safety model.
@@ -1173,23 +1167,6 @@ impl ObjectMemory {
 
     pub(crate) fn set_old_next(&self, v: usize) {
         *self.old_next.lock() = v;
-    }
-
-    /// Contention statistics of the eden-allocation lock (instrumentation).
-    pub fn alloc_lock_stats(&self) -> mst_vkernel::LockStats {
-        self.eden_next.stats()
-    }
-
-    /// Contention statistics of the entry-table lock.
-    pub fn entry_table_lock_stats(&self) -> mst_vkernel::LockStats {
-        self.entry_table.stats()
-    }
-
-    /// Resets lock instrumentation (between benchmark runs).
-    pub fn reset_lock_stats(&self) {
-        self.eden_next.reset_stats();
-        self.entry_table.reset_stats();
-        self.old_next.reset_stats();
     }
 }
 

@@ -27,7 +27,7 @@
 //! succeeds first try and the work list is its private stack.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::header::{Header, ObjFormat, MAX_AGE, PAD_WORD};
@@ -49,12 +49,6 @@ pub struct ScavengeOutcome {
     pub nanos: u64,
     /// Whether a full mark-compact collection was needed first.
     pub full_gc_ran: bool,
-}
-
-/// Process-wide scavenge pause distribution (Table 2's GC column).
-fn scavenge_pause_hist() -> &'static mst_telemetry::Histogram {
-    static H: OnceLock<&'static mst_telemetry::Histogram> = OnceLock::new();
-    H.get_or_init(|| mst_telemetry::histogram("gc.scavenge_pause_ns"))
 }
 
 impl ObjectMemory {
@@ -200,31 +194,15 @@ impl ObjectMemory {
         self.stats.scavenges.incr();
         self.stats.words_survived.add(outcome.words_survived);
         self.stats.words_tenured.add(outcome.words_tenured);
-        self.stats.scavenge_nanos.add(outcome.nanos);
-        scavenge_pause_hist().record(outcome.nanos);
 
-        let instr = helper_instruments();
-        instr.scavenges.incr();
-        instr.steals.add(m.steals);
-        instr.helpers.record(ran as u64);
-        let mut min_copied = u64::MAX;
-        let mut max_copied = 0u64;
-        for &w in &m.per_helper_copied {
-            instr.helper_words.record(w);
-            min_copied = min_copied.min(w);
-            max_copied = max_copied.max(w);
-        }
-        let balance_pct = min_copied
-            .saturating_mul(100)
-            .checked_div(max_copied)
-            .unwrap_or(100);
-        instr.balance_pct.record(balance_pct);
-
-        // Pause attribution: the leader (slot 0) spans the whole helper
+        // The pause record is the one owner of this pause's duration, phase
+        // split and helper statistics (a solo scavenge is one helper, no
+        // steals, 100% balance). The leader (slot 0) spans the whole helper
         // region, so its roots/copy/termination split attributes that
         // region; "drain" is the leftover the leader spent off-region
         // (helper scheduling skew). The remaining phases are gaps between
         // the boundary timestamps above, so the record sums to the total.
+        let balance_pct = mst_telemetry::GcPause::balance_pct(&m.per_helper_copied);
         let leader_ns = m.leader_roots_ns + m.leader_copy_ns + m.leader_term_ns;
         mst_telemetry::pauselog::record(mst_telemetry::GcPause {
             kind: "scavenge",
@@ -243,7 +221,7 @@ impl ObjectMemory {
             helpers: ran,
             per_helper_work: m.per_helper_copied,
             steals: m.steals,
-            imbalance_pct: balance_pct as u32,
+            imbalance_pct: balance_pct,
         });
 
         trace_span.set_arg("words_survived", outcome.words_survived);
@@ -301,27 +279,6 @@ const HELPER_BUF_WORDS: usize = 1024;
 /// Root cells / entry-table objects claimed per cursor bump.
 const ROOT_CHUNK: usize = 32;
 const ENTRY_CHUNK: usize = 32;
-
-/// Per-scavenge helper telemetry (`gc.parallel.*`; a solo scavenge records
-/// one helper, no steals, 100% balance).
-struct HelperInstruments {
-    scavenges: &'static mst_telemetry::Counter,
-    steals: &'static mst_telemetry::Counter,
-    helpers: &'static mst_telemetry::Histogram,
-    helper_words: &'static mst_telemetry::Histogram,
-    balance_pct: &'static mst_telemetry::Histogram,
-}
-
-fn helper_instruments() -> &'static HelperInstruments {
-    static I: OnceLock<HelperInstruments> = OnceLock::new();
-    I.get_or_init(|| HelperInstruments {
-        scavenges: mst_telemetry::counter("gc.parallel.scavenges"),
-        steals: mst_telemetry::counter("gc.parallel.steals"),
-        helpers: mst_telemetry::histogram("gc.parallel.helpers"),
-        helper_words: mst_telemetry::histogram("gc.parallel.helper_copied_words"),
-        balance_pct: mst_telemetry::histogram("gc.parallel.balance_pct"),
-    })
-}
 
 /// Shared state for one scavenge. Borrowed (`Sync`) by every helper; all
 /// mutation goes through atomics or the merge mutex.

@@ -365,7 +365,7 @@ impl Server {
             let tt0 = tel::now_ns();
             let source = server.recover_tenant(t);
             let duration_ns = tel::now_ns().saturating_sub(tt0);
-            tel::histogram("serve.ckpt.tenant_recovery_ns").record(duration_ns);
+            tel::histogram!("serve.ckpt.tenant_recovery_ns").record(duration_ns);
             report.tenants.push(TenantRecovery {
                 tenant: t.id,
                 source,
@@ -373,7 +373,7 @@ impl Server {
             });
         }
         report.total_ns = tel::now_ns().saturating_sub(t0);
-        tel::histogram("serve.ckpt.recovery_ns").record(report.total_ns);
+        tel::histogram!("serve.ckpt.recovery_ns").record(report.total_ns);
         (server, report)
     }
 
@@ -391,7 +391,7 @@ impl Server {
             Some(commit) => {
                 t.epoch.store(commit.epoch, Ordering::Relaxed);
                 t.restarts.store(commit.restarts, Ordering::Relaxed);
-                tel::counter("serve.ckpt.recovered").incr();
+                tel::counter!("serve.ckpt.recovered").incr();
                 RecoverySource::Checkpoint {
                     epoch: commit.epoch,
                 }
@@ -455,7 +455,7 @@ impl Server {
             .get(tenant)
             .ok_or(ServeError::NoSuchTenant(tenant))?;
         let start = Instant::now();
-        tel::counter("serve.requests").incr();
+        tel::counter!("serve.requests").incr();
 
         // Admission: bounded queue. The effective cap halves while the
         // session is degraded (load shedding).
@@ -467,7 +467,7 @@ impl Server {
             self.cfg.queue_cap
         };
         if queued > cap {
-            tel::counter("serve.rejected").incr();
+            tel::counter!("serve.rejected").incr();
             return Err(ServeError::Rejected(Reject::QueueFull {
                 queued: queued - 1,
                 cap,
@@ -480,9 +480,9 @@ impl Server {
         // it would only push the collapse onto the requests behind it.
         let mut slot = lock_slot(&t.slot);
         let waited = start.elapsed();
-        tel::histogram("serve.queue_wait_ns").record(waited.as_nanos() as u64);
+        tel::histogram!("serve.queue_wait_ns").record(waited.as_nanos() as u64);
         if waited > self.cfg.queue_wait_limit {
-            tel::counter("serve.rejected").incr();
+            tel::counter!("serve.rejected").incr();
             return Err(ServeError::Rejected(Reject::QueueDelay {
                 waited,
                 limit: self.cfg.queue_wait_limit,
@@ -492,7 +492,7 @@ impl Server {
         let is_victim = self.victim.load(Ordering::Relaxed) == t.id;
         // Chaos: drop the request before it touches the session.
         if is_victim && fault::serve_drop() {
-            tel::counter("serve.dropped").incr();
+            tel::counter!("serve.dropped").incr();
             return Err(ServeError::Dropped);
         }
 
@@ -510,12 +510,12 @@ impl Server {
         let shrunk = ms.processors_online() < self.cfg.processors.saturating_sub(1);
         if (pressure || shrunk) && t.degraded.swap(1, Ordering::Relaxed) == 0 {
             ms.set_eden_budget(self.cfg.degraded_eden_words);
-            tel::counter("serve.degraded").incr();
+            tel::counter!("serve.degraded").incr();
             // Policy: capture the session while it is still consistent —
             // degradation means it may be about to get worse. Quiescent
             // (no doit is running) and only this tenant's lock is held.
             if self.cfg.checkpoint.on_degrade && self.store.is_some() {
-                tel::counter("serve.ckpt.auto").incr();
+                tel::counter!("serve.ckpt.auto").incr();
                 let _ = self.commit_session(t, ms);
             }
         }
@@ -523,7 +523,7 @@ impl Server {
         // must keep making progress for space to recover) but concurrent
         // load is shed.
         if pressure && queued > 1 {
-            tel::counter("serve.rejected").incr();
+            tel::counter!("serve.rejected").incr();
             return Err(ServeError::Rejected(Reject::MemoryPressure));
         }
 
@@ -547,10 +547,8 @@ impl Server {
         match outcome {
             Ok(Ok(value)) => {
                 let latency = start.elapsed();
-                let ns = latency.as_nanos() as u64;
-                tel::histogram("serve.request.latency_ns").record(ns);
-                tel::histogram(&format!("serve.tenant{}.latency_ns", t.id)).record(ns);
-                tel::counter("serve.ok").incr();
+                tel::histogram!("serve.request.latency_ns").record(latency.as_nanos() as u64);
+                tel::counter!("serve.ok").incr();
                 self.maybe_auto_checkpoint(t, &slot);
                 drop(queue);
                 Ok(Response {
@@ -560,7 +558,7 @@ impl Server {
                 })
             }
             Ok(Err(EvalError::Runtime(msg))) if msg.starts_with("deadlineExpired") => {
-                tel::counter("serve.deadline_expired").incr();
+                tel::counter!("serve.deadline_expired").incr();
                 Err(ServeError::DeadlineExpired)
             }
             Ok(Err(e)) => Err(ServeError::Runtime(e.to_string())),
@@ -569,7 +567,7 @@ impl Server {
                 // it (shutting down and joining its workers), respawn from
                 // checkpoint/template, bump the epoch. Only this tenant's
                 // lock is held throughout — the blast radius is one tenant.
-                tel::counter("serve.session_crashes").incr();
+                tel::counter!("serve.session_crashes").incr();
                 slot.ms = None;
                 t.restarts.fetch_add(1, Ordering::Relaxed);
                 slot.ms = Some(self.spawn_session(t));
@@ -600,7 +598,7 @@ impl Server {
         let Some(ms) = slot.ms.as_ref() else {
             return Err(ServeError::Runtime("tenant is cold".into()));
         };
-        tel::counter("serve.ckpt.on_demand").incr();
+        tel::counter!("serve.ckpt.on_demand").incr();
         self.commit_session(t, ms)
     }
 
@@ -643,9 +641,9 @@ impl Server {
         match &result {
             Ok(_) => {
                 t.since_ckpt.store(0, Ordering::Relaxed);
-                tel::histogram("serve.ckpt.save_ns").record(tel::now_ns().saturating_sub(t0));
+                tel::histogram!("serve.ckpt.save_ns").record(tel::now_ns().saturating_sub(t0));
             }
-            Err(_) => tel::counter("serve.ckpt.failures").incr(),
+            Err(_) => tel::counter!("serve.ckpt.failures").incr(),
         }
         result
     }
@@ -671,7 +669,7 @@ impl Server {
         // failing store (a full disk) is retried after another `n`
         // requests, not on every request.
         t.since_ckpt.store(0, Ordering::Relaxed);
-        tel::counter("serve.ckpt.auto").incr();
+        tel::counter!("serve.ckpt.auto").incr();
         let _ = self.commit_session(t, ms);
     }
 
@@ -705,7 +703,7 @@ impl Server {
                     Ok(mem) => return (MsSystem::from_memory(mem, config), Some(commit)),
                     // A corrupt or unloadable checkpoint must not wedge
                     // recovery: fall down the chain toward the template.
-                    Err(_) => tel::counter("serve.checkpoint_fallback").incr(),
+                    Err(_) => tel::counter!("serve.checkpoint_fallback").incr(),
                 }
             }
         }

@@ -190,7 +190,7 @@ fn io_err(ctx: &'static str) -> impl FnOnce(io::Error) -> StoreError {
 
 /// An injected death inside a commit, counted.
 fn injected(site: &'static str, boundary: u64) -> StoreError {
-    tel::counter("serve.ckpt.commit_failures").incr();
+    tel::counter!("serve.ckpt.commit_failures").incr();
     StoreError::Injected { site, boundary }
 }
 
@@ -404,7 +404,7 @@ impl CheckpointStore {
         let bytes = fs::read(&path).unwrap_or_default();
         let scan = scan_manifest(&bytes);
         if scan.torn {
-            tel::counter("serve.ckpt.manifest_torn").incr();
+            tel::counter!("serve.ckpt.manifest_torn").incr();
         }
         let chains = chains_from_records(&scan.records);
         let fresh = !bytes.starts_with(MANIFEST_MAGIC);
@@ -528,13 +528,13 @@ impl CheckpointStore {
         chain.retain(|old| old.epoch != epoch);
         chain.push(commit);
         chain.sort_by_key(|c| std::cmp::Reverse(c.epoch));
-        tel::counter("serve.ckpt.commits").incr();
+        tel::counter!("serve.ckpt.commits").incr();
 
         self.apply_retention(&mut inner, tenant)?;
         if inner.manifest_len > COMPACT_BYTES {
             self.compact_locked(&mut inner)?;
         }
-        tel::histogram("serve.ckpt.commit_ns").record(tel::now_ns().saturating_sub(t0));
+        tel::histogram!("serve.ckpt.commit_ns").record(tel::now_ns().saturating_sub(t0));
         Ok(path)
     }
 
@@ -577,7 +577,7 @@ impl CheckpointStore {
         self.append(inner, &prune)?;
         for commit in &doomed {
             let _ = fs::remove_file(self.dir.join(commit.file_name()));
-            tel::counter("serve.ckpt.pruned").incr();
+            tel::counter!("serve.ckpt.pruned").incr();
         }
         inner
             .chains
@@ -615,7 +615,7 @@ impl CheckpointStore {
             .open(&path)
             .map_err(io_err("manifest reopen"))?;
         inner.manifest_len = len;
-        tel::counter("serve.ckpt.compactions").incr();
+        tel::counter!("serve.ckpt.compactions").incr();
         Ok(())
     }
 

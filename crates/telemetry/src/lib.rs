@@ -11,8 +11,9 @@
 //!   their own cache line; the shards are merged (lock-free) at read time.
 //! * [`Histogram`] — log₂-bucketed distribution (pause tails, spin
 //!   durations, time-to-safepoint) with percentile estimates.
-//! * [`registry`] — process-wide named metrics: `counter("gc.scavenges")`
-//!   hands back a `&'static Counter`, creating it on first use.
+//! * [`registry`] — process-wide named metrics: `counter!("safepoint.stops")`
+//!   hands back a `&'static Counter`, creating it on first use and
+//!   resolving it once per call site.
 //! * [`trace`] — a per-thread ring buffer of timestamped begin/end events
 //!   (scavenge, safepoint request→world-stopped, contended lock acquire,
 //!   method-cache miss, primitive dispatch, doit evaluate), recorded only
@@ -33,14 +34,29 @@
 //! * [`json`] — a minimal JSON parser so exported traces can be validated
 //!   in-tree by tests without external dependencies.
 //!
+//! # One owner per signal
+//!
+//! Each signal is recorded once, by one owner; every other view of it
+//! (the benchmark's per-layer rows, `table3`, the watchdog dump) reads
+//! that owner.
+//!
+//! | signal | owner | written by |
+//! |---|---|---|
+//! | lock contention | registry `lock.contended`, `lock.spin_iters`, `lock.spin_wait_ns`, and `lock.<name>.{contended,spin_iters}` per named lock | `SpinLock`'s slow path |
+//! | GC pause: total, phases, helpers, steals, balance | the [`GcPause`] record, plus the `gc.pause.<kind>.total_ns` / `gc.phase.<kind>.<phase>_ns` histograms [`pauselog::record`] derives from it | the scavenger and the full collector |
+//! | safepoint stops and waits | registry `safepoint.stops`, `safepoint.time_to_stop_ns`, `safepoint.park_ns` | the rendezvous |
+//! | execution (bytecodes, sends, cache hits, ...) | `Vm::counters` | the interpreters |
+//! | generation counts (scavenges, words survived/tenured, full GCs) | `ObjectMemory::gc_stats` | the collectors |
+//! | processor time per state | [`timeline`] | each processor thread |
+//!
 //! # Example
 //!
 //! ```
 //! use mst_telemetry as tel;
 //!
 //! tel::set_enabled(true);
-//! tel::counter("example.widgets").add(3);
-//! tel::histogram("example.latency_ns").record(1500);
+//! tel::counter!("example.widgets").add(3);
+//! tel::histogram!("example.latency_ns").record(1500);
 //! {
 //!     let _span = tel::span("example.phase", "demo");
 //!     // ... traced work ...

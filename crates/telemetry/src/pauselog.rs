@@ -38,12 +38,20 @@ pub struct GcPause {
     pub per_helper_work: Vec<u64>,
     /// Work-stealing steals across all helpers.
     pub steals: u64,
-    /// `min * 100 / max` over per-helper work; 100 = perfectly balanced,
-    /// 0 = some helper did nothing (or no helper data).
+    /// `min * 100 / max` over per-helper work; 100 = perfectly balanced
+    /// (or no helper data), 0 = some helper did nothing.
     pub imbalance_pct: u32,
 }
 
 impl GcPause {
+    /// The [`imbalance_pct`](Self::imbalance_pct) of `per_helper_work`.
+    pub fn balance_pct(per_helper_work: &[u64]) -> u32 {
+        let (lo, hi) = per_helper_work
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &w| (lo.min(w), hi.max(w)));
+        lo.saturating_mul(100).checked_div(hi).unwrap_or(100) as u32
+    }
+
     /// Nanoseconds attributed to named phases.
     pub fn attributed_ns(&self) -> u64 {
         self.phases.iter().map(|&(_, ns)| ns).sum()

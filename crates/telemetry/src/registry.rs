@@ -2,8 +2,11 @@
 //!
 //! Instruments are created on first use and live for the life of the
 //! process (they are leaked — a metric is by definition process-lifetime
-//! state). Handles are `&'static`, so call sites can cache them in a
-//! `OnceLock` and pay nothing but the instrument write afterwards.
+//! state). Handles are `&'static`: a call site with a literal name writes
+//! [`counter!`](crate::counter!) / [`histogram!`](crate::histogram!), which
+//! resolve the entry once into a static and pay nothing but the instrument
+//! write afterwards. [`counter`] and [`histogram`] take the registry lock
+//! on every call; they are for names built at run time, and for tests.
 //!
 //! Per-VM instruments (e.g. one `Vm`'s bytecode counters) embed [`Counter`]
 //! values directly instead of registering here; the registry is for metrics
@@ -50,6 +53,35 @@ pub fn histogram(name: &str) -> &'static Histogram {
     let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
     reg.histograms.insert(name.to_string(), h);
     h
+}
+
+/// The counter named by a string literal, resolved from the registry once
+/// per call site (the first call takes the registry lock; later ones are
+/// one load).
+///
+/// ```
+/// let c = mst_telemetry::counter!("doc.counter_macro");
+/// c.incr();
+/// assert!(std::ptr::eq(c, mst_telemetry::counter("doc.counter_macro")));
+/// ```
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {{
+        static INSTRUMENT: ::std::sync::OnceLock<&'static $crate::Counter> =
+            ::std::sync::OnceLock::new();
+        *INSTRUMENT.get_or_init(|| $crate::registry::counter($name))
+    }};
+}
+
+/// The histogram named by a string literal, resolved once per call site
+/// (see [`counter!`](crate::counter!)).
+#[macro_export]
+macro_rules! histogram {
+    ($name:literal) => {{
+        static INSTRUMENT: ::std::sync::OnceLock<&'static $crate::Histogram> =
+            ::std::sync::OnceLock::new();
+        *INSTRUMENT.get_or_init(|| $crate::registry::histogram($name))
+    }};
 }
 
 /// Snapshot of every registered counter, sorted by name.
@@ -108,5 +140,25 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn macros_resolve_to_the_registry_entry() {
+        let (c1, c2) = (
+            crate::counter!("test.registry.macro_c"),
+            crate::counter!("test.registry.macro_c"),
+        );
+        assert!(std::ptr::eq(c1, c2), "two call sites, one counter");
+        assert!(std::ptr::eq(c1, counter("test.registry.macro_c")));
+        let (h1, h2) = (
+            crate::histogram!("test.registry.macro_h"),
+            crate::histogram!("test.registry.macro_h"),
+        );
+        assert!(std::ptr::eq(h1, h2), "two call sites, one histogram");
+        assert!(std::ptr::eq(h1, histogram("test.registry.macro_h")));
+        // A call site re-entered resolves to the same static again.
+        let again = || crate::counter!("test.registry.macro_c");
+        assert!(std::ptr::eq(again(), again()));
+        assert!(std::ptr::eq(again(), c1));
     }
 }

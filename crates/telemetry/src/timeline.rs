@@ -15,7 +15,9 @@
 //! * **Off means off.** When the timeline is disabled (the default) every
 //!   entry point is one relaxed atomic load. No `Instant::now()`, no TLS
 //!   write.
-//! * **Owner-writes.** Only the registered thread writes its slot, so all
+//! * **Owner-writes.** A slot has one owning thread at a time: [`register`]
+//!   claims it, and a second thread registering the same processor id
+//!   gets the next free slot. Only the owner writes its slot, so all
 //!   accumulator traffic is uncontended and `Relaxed`. [`snapshot`] reads
 //!   cross-thread and additionally folds in the currently-open interval
 //!   (the `cur`/`since` mirror exists solely for that), so a live snapshot
@@ -28,12 +30,16 @@
 //!   supervisor restart cannot leak wall-time into a dead state.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicBool, AtomicU64, AtomicUsize,
+    Ordering::{Acquire, Relaxed, Release},
+};
 
 use crate::trace::now_ns;
 
-/// Upper bound on distinct processor ids the timeline tracks (slots are
-/// statically allocated; ids at or above this are silently untracked).
+/// Number of timeline slots, and the upper bound on processor ids the
+/// timeline tracks (slots are statically allocated; ids at or above this
+/// are silently untracked).
 pub const MAX_PROCS: usize = 64;
 
 /// Number of distinct [`ProcState`]s.
@@ -100,6 +106,8 @@ struct ProcSlot {
     closed: AtomicU64,
     /// Number of `register` calls that hit this slot.
     sessions: AtomicU64,
+    /// Whether a thread holds an open session on this slot.
+    owned: AtomicBool,
 }
 
 impl ProcSlot {
@@ -111,6 +119,7 @@ impl ProcSlot {
             opened: AtomicU64::new(0),
             closed: AtomicU64::new(0),
             sessions: AtomicU64::new(0),
+            owned: AtomicBool::new(false),
         }
     }
 }
@@ -154,12 +163,22 @@ fn do_transition(proc: usize, to: usize) {
 
 /// Registers the current thread as processor `proc` and opens its timeline
 /// session in [`ProcState::Idle`]. Returns an RAII session that closes the
-/// open interval on drop (including panic unwinds). Inert when the timeline
-/// is disabled or `proc >= MAX_PROCS`.
+/// open interval on drop (including panic unwinds). If another thread holds
+/// `proc`'s slot, the session claims the next free one (see
+/// [`ProcSession::proc`]). Inert when the timeline is disabled,
+/// `proc >= MAX_PROCS`, or every slot is taken.
 pub fn register(proc: usize) -> ProcSession {
     if !enabled() || proc >= MAX_PROCS {
         return ProcSession { proc: NO_PROC };
     }
+    // Acquire pairs with the Release in `ProcSession::drop`: the new owner
+    // sees the previous owner's last writes to the slot.
+    let claimed = (proc..MAX_PROCS)
+        .chain(0..proc)
+        .find(|&p| !SLOTS[p].owned.swap(true, Acquire));
+    let Some(proc) = claimed else {
+        return ProcSession { proc: NO_PROC };
+    };
     let slot = &SLOTS[proc];
     let now = now_ns();
     if slot.sessions.fetch_add(1, Relaxed) == 0 {
@@ -181,7 +200,8 @@ pub struct ProcSession {
 }
 
 impl ProcSession {
-    /// The processor id this session accounts to (`MAX_PROCS` when inert).
+    /// The slot this session accounts to: the processor id it registered,
+    /// or the next free slot if that one was taken (`MAX_PROCS` when inert).
     pub fn proc(&self) -> usize {
         self.proc
     }
@@ -192,19 +212,19 @@ impl Drop for ProcSession {
         if self.proc >= MAX_PROCS {
             return;
         }
-        let (cur_proc, cur) = CUR.get();
-        if cur_proc != self.proc {
-            return;
-        }
         let slot = &SLOTS[self.proc];
-        let now = now_ns();
-        let since = slot.since.swap(now, Relaxed);
-        if cur < NSTATES && since > 0 {
-            slot.ns[cur].fetch_add(now.saturating_sub(since), Relaxed);
+        let (cur_proc, cur) = CUR.get();
+        if cur_proc == self.proc {
+            let now = now_ns();
+            let since = slot.since.swap(now, Relaxed);
+            if cur < NSTATES && since > 0 {
+                slot.ns[cur].fetch_add(now.saturating_sub(since), Relaxed);
+            }
+            slot.cur.store(NO_STATE, Relaxed);
+            slot.closed.store(now, Relaxed);
+            CUR.set((NO_PROC, NO_STATE));
         }
-        slot.cur.store(NO_STATE, Relaxed);
-        slot.closed.store(now, Relaxed);
-        CUR.set((NO_PROC, NO_STATE));
+        slot.owned.store(false, Release);
     }
 }
 
@@ -473,6 +493,57 @@ mod tests {
             snapshot().iter().all(|t| t.proc != proc),
             "no slot was touched while disabled"
         );
+    }
+
+    #[test]
+    fn threads_registering_one_processor_get_a_slot_each() {
+        let _l = serial();
+        set_enabled(true);
+        let before = snapshot();
+        let start = std::sync::Barrier::new(2);
+        let lifetimes = [20u64, 40];
+        let slots: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = lifetimes
+                .iter()
+                .map(|&ms| {
+                    let start = &start;
+                    s.spawn(move || {
+                        let session = register(1);
+                        start.wait();
+                        transition(ProcState::Mutator);
+                        std::thread::sleep(std::time::Duration::from_millis(ms));
+                        session.proc()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let after = snapshot();
+        let gained = |proc: usize| {
+            let total = |snap: &[ProcTimeline]| {
+                snap.iter()
+                    .find(|t| t.proc == proc)
+                    .map_or(0, ProcTimeline::total_ns)
+            };
+            total(&after) - total(&before)
+        };
+        let mut distinct = slots.clone();
+        distinct.dedup();
+        let covered: u64 = distinct.iter().map(|&proc| gained(proc)).sum();
+        let lived: u64 = lifetimes.iter().sum();
+        assert!(
+            covered >= lived * 1_000_000,
+            "slots {distinct:?} account {covered} ns of the threads' {lived} ms"
+        );
+        assert_ne!(slots[0], slots[1], "each thread owns its own slot");
+        for (&proc, &ms) in slots.iter().zip(&lifetimes) {
+            assert!(
+                gained(proc) >= ms * 1_000_000,
+                "slot {proc} covers its thread's {ms} ms"
+            );
+        }
+        let t = after.iter().find(|t| t.proc == slots[1]).unwrap();
+        assert_eq!(t.total_ns(), t.closed_ns - t.opened_ns);
     }
 
     #[test]

@@ -216,24 +216,25 @@ thread_local! {
     static RNG: Cell<(u64, SplitMix64)> = const { Cell::new((0, SplitMix64::new(0))) };
 }
 
+/// Registry name of each site's firing counter, indexed by `FaultSite`.
+const COUNTER_NAMES: [&str; 12] = [
+    "chaos.lock_delay",
+    "chaos.poll_stall",
+    "chaos.spurious_wake",
+    "chaos.alloc_fail",
+    "chaos.thread_panic",
+    "chaos.gc_helper_panic",
+    "chaos.serve_drop",
+    "chaos.serve_slow",
+    "chaos.serve_panic",
+    "chaos.ckpt_crash",
+    "chaos.ckpt_torn_manifest",
+    "chaos.ckpt_slow",
+];
+
 fn counters() -> &'static [&'static tel::Counter; 12] {
     static C: OnceLock<[&'static tel::Counter; 12]> = OnceLock::new();
-    C.get_or_init(|| {
-        [
-            tel::counter("chaos.lock_delay"),
-            tel::counter("chaos.poll_stall"),
-            tel::counter("chaos.spurious_wake"),
-            tel::counter("chaos.alloc_fail"),
-            tel::counter("chaos.thread_panic"),
-            tel::counter("chaos.gc_helper_panic"),
-            tel::counter("chaos.serve_drop"),
-            tel::counter("chaos.serve_slow"),
-            tel::counter("chaos.serve_panic"),
-            tel::counter("chaos.ckpt_crash"),
-            tel::counter("chaos.ckpt_torn_manifest"),
-            tel::counter("chaos.ckpt_slow"),
-        ]
-    })
+    C.get_or_init(|| COUNTER_NAMES.map(tel::counter))
 }
 
 /// Arms the sites in `config.sites` at `config.rate`: faults fire with

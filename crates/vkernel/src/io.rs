@@ -24,7 +24,7 @@ use std::io::{self, BufWriter, Seek, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault;
-use crate::spinlock::{LockStats, SpinMutex, SyncMode};
+use crate::spinlock::{SpinMutex, SyncMode};
 
 /// One input event (keystroke, mouse motion, button).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,11 +76,6 @@ impl InputQueue {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Contention statistics of the queue lock.
-    pub fn lock_stats(&self) -> LockStats {
-        self.queue.stats()
     }
 }
 
@@ -339,11 +334,6 @@ impl Display {
     pub fn commands_applied(&self) -> u64 {
         self.commands_applied
             .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Contention statistics of the command-queue lock.
-    pub fn queue_lock_stats(&self) -> LockStats {
-        self.queue.stats()
     }
 }
 

@@ -54,4 +54,4 @@ mod spinlock;
 pub use prng::SplitMix64;
 pub use process::{delay, spawn_lightweight, LightweightHandle, Processor, ProcessorSet};
 pub use rendezvous::{Participant, ParticipantId, Rendezvous, RendezvousGuard, WatchdogPolicy};
-pub use spinlock::{LockStats, SpinGuard, SpinLock, SpinMutex, SpinMutexGuard, SyncMode};
+pub use spinlock::{SpinGuard, SpinLock, SpinMutex, SpinMutexGuard, SyncMode};

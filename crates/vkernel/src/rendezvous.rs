@@ -25,7 +25,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use mst_telemetry as tel;
@@ -34,28 +34,6 @@ use mst_telemetry::trace::record;
 use mst_telemetry::{TraceEvent, TracePhase};
 
 use crate::fault;
-
-/// Registry instruments for safepoint traffic, resolved once per process.
-/// Time-to-stop is the latency the paper's users feel: from a thread
-/// claiming leadership of a stop to the last mutator parked.
-fn instruments() -> (
-    &'static tel::Counter,
-    &'static tel::Histogram,
-    &'static tel::Histogram,
-) {
-    static INSTR: OnceLock<(
-        &'static tel::Counter,
-        &'static tel::Histogram,
-        &'static tel::Histogram,
-    )> = OnceLock::new();
-    *INSTR.get_or_init(|| {
-        (
-            tel::counter("safepoint.stops"),
-            tel::histogram("safepoint.time_to_stop_ns"),
-            tel::histogram("safepoint.park_ns"),
-        )
-    })
-}
 
 /// Identity handed out by [`Rendezvous::register`]; names the participant in
 /// watchdog diagnostics and must be passed back to `park`/`stop_world`/
@@ -309,7 +287,7 @@ impl Rendezvous {
         let start_ns = tel::now_ns();
         drop(self.park_while_requested(inner, id));
         let parked_ns = tel::now_ns() - start_ns;
-        instruments().2.record(parked_ns);
+        tel::histogram!("safepoint.park_ns").record(parked_ns);
         if tel::enabled() {
             record(TraceEvent {
                 name: "safepoint.park",
@@ -418,9 +396,10 @@ impl Rendezvous {
             let stopped_ns = tel::now_ns() - start_ns;
             let waiting_for = inner.parked as u64;
             drop(inner);
-            let (stops, time_to_stop, _) = instruments();
-            stops.incr();
-            time_to_stop.record(stopped_ns);
+            // Time-to-stop is the latency the paper's users feel: from a
+            // thread claiming leadership of a stop to the last mutator parked.
+            tel::counter!("safepoint.stops").incr();
+            tel::histogram!("safepoint.time_to_stop_ns").record(stopped_ns);
             if tel::enabled() {
                 record(TraceEvent {
                     name: "safepoint.stop",

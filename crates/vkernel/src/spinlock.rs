@@ -14,7 +14,7 @@
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use mst_telemetry as tel;
@@ -22,27 +22,6 @@ use mst_telemetry::trace::record;
 use mst_telemetry::{TraceEvent, TracePhase};
 
 use crate::process::delay;
-
-/// Aggregate slow-path instruments, shared by every lock in the process and
-/// resolved from the registry once.
-fn aggregate() -> (
-    &'static tel::Counter,
-    &'static tel::Histogram,
-    &'static tel::Histogram,
-) {
-    static AGG: OnceLock<(
-        &'static tel::Counter,
-        &'static tel::Histogram,
-        &'static tel::Histogram,
-    )> = OnceLock::new();
-    *AGG.get_or_init(|| {
-        (
-            tel::counter("lock.contended"),
-            tel::histogram("lock.spin_iters"),
-            tel::histogram("lock.spin_wait_ns"),
-        )
-    })
-}
 
 /// Whether synchronization operations are real or compiled away.
 ///
@@ -67,20 +46,13 @@ impl SyncMode {
     }
 }
 
-/// Counters describing how often a lock was taken and how often the
-/// test-and-set failed (i.e. the lock was contended).
-///
-/// Contention is only counted on the slow path so the uncontended fast path
-/// stays a single interlocked operation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Number of acquisitions that found the lock already held.
-    pub contended: u64,
-    /// Total spin iterations across all contended acquisitions.
-    pub spins: u64,
-}
-
 /// A raw test-and-set spin-lock (no protected data).
+///
+/// Contention is counted only on the slow path, so the uncontended fast
+/// path stays a single interlocked operation, and only in the telemetry
+/// registry: every lock adds to `lock.contended`, `lock.spin_iters` and
+/// `lock.spin_wait_ns`, and a [named](SpinLock::named) one also to
+/// `lock.<name>.contended` and `lock.<name>.spin_iters`.
 ///
 /// Most callers want [`SpinMutex`], which pairs the lock with the data it
 /// guards. `SpinLock` exists for the cases in the VM where the guarded state
@@ -91,8 +63,6 @@ pub struct SpinLock {
     /// Registry name of the serialized resource ("" for anonymous locks).
     name: &'static str,
     flag: AtomicBool,
-    contended: AtomicU64,
-    spins: AtomicU64,
     /// Per-lock registry instruments, resolved on first contention.
     instruments: OnceLock<(&'static tel::Counter, &'static tel::Histogram)>,
 }
@@ -119,8 +89,6 @@ impl SpinLock {
             mode,
             name,
             flag: AtomicBool::new(false),
-            contended: AtomicU64::new(0),
-            spins: AtomicU64::new(0),
             instruments: OnceLock::new(),
         }
     }
@@ -154,7 +122,6 @@ impl SpinLock {
 
     #[cold]
     fn acquire_slow(&self) {
-        self.contended.fetch_add(1, Ordering::Relaxed);
         let _spin_state = tel::timeline::enter_state(tel::ProcState::LockSpin);
         let start_ns = tel::now_ns();
         let mut iter = 0u32;
@@ -171,12 +138,10 @@ impl SpinLock {
                 break;
             }
         }
-        self.spins.fetch_add(spins, Ordering::Relaxed);
         let waited_ns = tel::now_ns() - start_ns;
-        let (agg_contended, agg_iters, agg_wait) = aggregate();
-        agg_contended.incr();
-        agg_iters.record(spins);
-        agg_wait.record(waited_ns);
+        tel::counter!("lock.contended").incr();
+        tel::histogram!("lock.spin_iters").record(spins);
+        tel::histogram!("lock.spin_wait_ns").record(waited_ns);
         if !self.name.is_empty() {
             let (contended, iters) = *self.instruments.get_or_init(|| {
                 (
@@ -220,20 +185,6 @@ impl SpinLock {
     /// Whether the lock is currently held (racy; for diagnostics only).
     pub fn is_held(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the contention counters.
-    pub fn stats(&self) -> LockStats {
-        LockStats {
-            contended: self.contended.load(Ordering::Relaxed),
-            spins: self.spins.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets the contention counters (between benchmark runs).
-    pub fn reset_stats(&self) {
-        self.contended.store(0, Ordering::Relaxed);
-        self.spins.store(0, Ordering::Relaxed);
     }
 
     #[inline]
@@ -332,16 +283,6 @@ impl<T> SpinMutex<T> {
         })
     }
 
-    /// Contention statistics of the underlying lock.
-    pub fn stats(&self) -> LockStats {
-        self.lock.stats()
-    }
-
-    /// Resets the contention statistics.
-    pub fn reset_stats(&self) {
-        self.lock.reset_stats();
-    }
-
     /// Consumes the mutex and returns the protected value.
     pub fn into_inner(self) -> T {
         self.value.into_inner()
@@ -384,7 +325,9 @@ mod tests {
 
     #[test]
     fn uncontended_acquire_release() {
-        let lock = SpinLock::new(SyncMode::Multiprocessor);
+        let lock = SpinLock::named(SyncMode::Multiprocessor, "test_spinlock_uncontended");
+        let contended = tel::counter!("lock.test_spinlock_uncontended.contended");
+        let before = contended.get();
         {
             let _g = lock.acquire();
             assert!(lock.is_held());
@@ -392,7 +335,7 @@ mod tests {
         }
         assert!(!lock.is_held());
         assert!(lock.try_acquire().is_some());
-        assert_eq!(lock.stats(), LockStats::default());
+        assert_eq!(contended.get() - before, 0, "the fast path counts nothing");
     }
 
     #[test]
@@ -425,6 +368,11 @@ mod tests {
 
     #[test]
     fn contention_is_counted() {
+        // An anonymous lock has no per-lock instruments; its contention
+        // reaches the aggregate ones every lock adds to.
+        let contended = tel::counter!("lock.contended");
+        let spin_iters = tel::histogram!("lock.spin_iters");
+        let before = (contended.get(), spin_iters.snapshot().count);
         let m = Arc::new(SpinMutex::new(SyncMode::Multiprocessor, ()));
         let m2 = Arc::clone(&m);
         let g = m.lock();
@@ -435,9 +383,8 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         drop(g);
         t.join().unwrap();
-        assert!(m.stats().contended >= 1);
-        m.reset_stats();
-        assert_eq!(m.stats(), LockStats::default());
+        assert!(contended.get() - before.0 >= 1);
+        assert!(spin_iters.snapshot().count - before.1 >= 1);
     }
 
     #[test]
@@ -448,20 +395,21 @@ mod tests {
             (),
         ));
         assert_eq!(m.name(), "test_spinlock_named");
+        let contended = tel::counter!("lock.test_spinlock_named.contended");
+        let before = contended.get();
         let m2 = Arc::clone(&m);
         let g = m.lock();
         let t = std::thread::spawn(move || {
             let _g = m2.lock();
         });
+        // Give the other thread time to hit the contended path.
         std::thread::sleep(std::time::Duration::from_millis(20));
         drop(g);
         t.join().unwrap();
-        let contended = tel::registry::counters()
-            .into_iter()
-            .find(|(k, _)| k == "lock.test_spinlock_named.contended")
-            .map(|(_, v)| v)
-            .unwrap_or(0);
-        assert!(contended >= 1, "registry row missing for named lock");
+        assert!(
+            contended.get() - before >= 1,
+            "the contended acquisition reached the registry"
+        );
         let hists = tel::registry::histograms();
         assert!(hists
             .iter()

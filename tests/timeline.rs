@@ -1,8 +1,9 @@
 //! Integration: telemetry v2 under chaos — panic-safe per-processor state
 //! accounting across supervisor restarts, exact accounting of a busy
-//! system's processors and GC pauses over a measured window, and exact
-//! merging of the sharded counters / log₂ histograms under concurrent
-//! writers with the chaos scheduler perturbing interleavings.
+//! system's processors and GC pauses over a measured window, one record
+//! per collection, and exact merging of the sharded counters / log₂
+//! histograms under concurrent writers with the chaos scheduler perturbing
+//! interleavings.
 //!
 //! The restart test arms the *destructive* `thread.panic` site, so this
 //! file is its own test binary (one process per integration-test file) and
@@ -199,6 +200,49 @@ fn busy_system_accounts_every_processor_and_every_pause() {
             p.total_ns
         );
     }
+}
+
+/// Each collection is recorded once, by its owners: one `GcPause` record
+/// (plus the `gc.pause.<kind>.total_ns` sample `pauselog::record` derives
+/// from it) and one generation count. So `k` scavenges and one full
+/// collection add exactly `k` and 1 of each, and nothing else keeps a
+/// second copy of the pause to drift from them.
+#[test]
+fn each_collection_is_recorded_once() {
+    let _serial = chaos_lock();
+    let ms = MsSystem::new(MsConfig {
+        processors: 1,
+        ..MsConfig::default()
+    });
+    let k = 3;
+    let samples = |kind: &str| {
+        mst_telemetry::histogram(&format!("gc.pause.{kind}.total_ns"))
+            .snapshot()
+            .count
+    };
+    let records = |kind: &str| {
+        let (log, dropped) = pauselog::snapshot();
+        assert_eq!(dropped, 0, "the pause log kept every record");
+        log.iter().filter(|p| p.kind == kind).count() as u64
+    };
+    pauselog::clear();
+    let (scavenges, full_gcs) = (samples("scavenge"), samples("fullgc"));
+    let stats = ms.mem().gc_stats();
+    {
+        let world = ms.vm().stop_world();
+        for _ in 0..k {
+            let outcome = world.scavenge().expect("old space has room");
+            assert!(!outcome.full_gc_ran, "a roomy old space needs no full GC");
+        }
+        world.full_collect();
+    }
+    assert_eq!(samples("scavenge") - scavenges, k);
+    assert_eq!(samples("fullgc") - full_gcs, 1);
+    assert_eq!(records("scavenge"), k);
+    assert_eq!(records("fullgc"), 1);
+    let after = ms.mem().gc_stats();
+    assert_eq!(after.scavenges - stats.scavenges, k);
+    assert_eq!(after.full_gcs - stats.full_gcs, 1);
 }
 
 /// Tiny deterministic PRNG (splitmix64) for the concurrency properties.
