@@ -340,6 +340,10 @@ impl Interpreter {
     // Running processes
     // ------------------------------------------------------------------
 
+    /// Rounds of the `delay` ladder (16 spin hints, then yields) an idle
+    /// interpreter polls for work before it blocks in the idle wait.
+    const IDLE_SPIN_ROUNDS: u32 = 64;
+
     /// Scheduler loop: claim ready Processes and run them until shutdown —
     /// or, when `watched` is given, until that process terminates. Returns
     /// the outcome; a watched process's result lands in the Process's
@@ -355,7 +359,11 @@ impl Interpreter {
         // rendezvous instead of waiting forever on a dead participant.
         let participant = self.rdv().participant();
         self.rdv_id = Some(participant.id());
+        let mut idle_rounds = 0;
         let outcome = loop {
+            // Read before looking for work, so a wake that lands after the
+            // look releases the idle wait below.
+            let seen = self.rdv().idle_generation();
             if !self.vm.running() {
                 break RunOutcome::Shutdown;
             }
@@ -380,6 +388,7 @@ impl Interpreter {
             };
             match claimed {
                 Some(p) => {
+                    idle_rounds = 0;
                     tel::timeline::transition(tel::ProcState::Mutator);
                     self.n_switches += 1;
                     self.load_process(p);
@@ -393,11 +402,20 @@ impl Interpreter {
                     }
                 }
                 None => {
-                    // Idle: no claimable process. Keep polling the GC flag —
-                    // parked idle interpreters must not block a scavenge.
+                    // Idle: no claimable process. Spin briefly (new work
+                    // often follows at once), polling the GC flag so a
+                    // stop never waits for us; then block. The idle wait
+                    // counts as parked, so it cannot delay a stop either.
                     tel::timeline::transition(tel::ProcState::Idle);
-                    self.park_if_requested();
-                    mst_vkernel::delay(24);
+                    if idle_rounds < Self::IDLE_SPIN_ROUNDS {
+                        self.park_if_requested();
+                        mst_vkernel::delay(idle_rounds);
+                        idle_rounds += 1;
+                    } else {
+                        // A stop may size a scavenge while we sleep.
+                        self.mem().retire_token(&self.token);
+                        self.rdv().idle_wait(self.rdv_id(), seen);
+                    }
                 }
             }
         };
@@ -443,8 +461,10 @@ impl Interpreter {
         // A scavenge may be mid-flight from before we registered: park
         // until it releases, *before* touching the heap. After this, any
         // new stopper must wait for us to unregister (`me` drops below).
+        // Without helping: a helper slot that panicked here would escape
+        // the supervisor, whose catch this recovery runs outside of.
         if rdv.poll() {
-            me.park();
+            me.park_without_helping();
         }
         let p = self.proc_root.get();
         if p != Oop::ZERO {
@@ -490,14 +510,7 @@ impl Interpreter {
         let p = self.proc_root.get();
         let finished = match ev {
             Event::Terminated => {
-                sched::retire(&self.vm, p);
-                // Stash the result in the Process itself (so any watcher —
-                // possibly on another interpreter — can read it), then mark
-                // termination with a nil suspended context.
-                let v = self.last_value;
-                self.mem().store(p, process::RESULT, v);
-                let nil = self.mem().nil();
-                self.mem().store(p, process::SUSPENDED_CONTEXT, nil);
+                sched::terminate(&self.vm, p, self.last_value);
                 self.watched.as_ref().is_some_and(|w| w.get() == p)
             }
             Event::Blocked => false, // already off the ready queue
@@ -719,8 +732,9 @@ impl Interpreter {
     }
 
     /// Parks while another thread holds the world, if one asks for it;
-    /// whether it parked. The one place an interpreter parks, idle or at a
-    /// safepoint: a loaded Process's registers must already be in the heap.
+    /// whether it parked. Where an interpreter parks at a safepoint or while
+    /// it spins idle (a blocked idle one is parked inside `idle_wait`): a
+    /// loaded Process's registers must already be in the heap.
     fn park_if_requested(&mut self) -> bool {
         let requested = self.vm.rendezvous.poll();
         if requested {

@@ -12,6 +12,11 @@
 //! in the Process ([`process::RUNNING`]) — not queue membership — records
 //! which interpreter runs what, and the `activeProcess` slot of the
 //! ProcessorScheduler is ignored at run time.
+//!
+//! Every transition that can give an idle interpreter work — a Process made
+//! ready, released or terminated — ends with one
+//! [`Rendezvous::wake_idle`](mst_vkernel::Rendezvous::wake_idle), made
+//! after the scheduler lock is released.
 
 use mst_objmem::layout::{linked_list, process, scheduler, semaphore};
 use mst_objmem::{AllocToken, ObjFormat, ObjectMemory, Oop, So};
@@ -161,11 +166,13 @@ fn reserved_oop(vm: &Vm) -> Option<Oop> {
 
 /// Adds a process to the ready queue (it keeps running state false).
 pub fn add_ready(vm: &Vm, proc_oop: Oop) {
-    let _g = vm.sched_lock.acquire();
+    let g = vm.sched_lock.acquire();
     let mem = &vm.mem;
     let pri = mem.fetch(proc_oop, process::PRIORITY).as_small_int();
     list_append(mem, ready_list(mem, pri), linked_list::FIRST_LINK, proc_oop);
     refresh_hint(vm);
+    drop(g);
+    vm.rendezvous.wake_idle();
 }
 
 /// Claims the highest-priority ready, unclaimed process for an interpreter.
@@ -214,9 +221,11 @@ pub fn claim_reserved(vm: &Vm, proc_oop: Oop) -> bool {
 /// Releases a claimed process back to ready-but-not-running (preemption,
 /// yield).
 pub fn unclaim(vm: &Vm, proc_oop: Oop) {
-    let _g = vm.sched_lock.acquire();
+    let g = vm.sched_lock.acquire();
     set_running(&vm.mem, proc_oop, false);
     refresh_hint(vm);
+    drop(g);
+    vm.rendezvous.wake_idle();
 }
 
 /// Removes a process from the ready queue entirely (termination, or about
@@ -230,10 +239,22 @@ pub fn retire(vm: &Vm, proc_oop: Oop) {
     refresh_hint(vm);
 }
 
+/// Ends a process's life: off the ready queue, its result stashed in the
+/// Process itself (so any watcher — possibly on another interpreter — can
+/// read it), then termination marked with a nil suspended context, which
+/// is what a watcher waits for.
+pub fn terminate(vm: &Vm, proc_oop: Oop, result: Oop) {
+    retire(vm, proc_oop);
+    let mem = &vm.mem;
+    mem.store(proc_oop, process::RESULT, result);
+    mem.store(proc_oop, process::SUSPENDED_CONTEXT, mem.nil());
+    vm.rendezvous.wake_idle();
+}
+
 /// `resume` primitive: (re)schedules a suspended process.
 /// Answers `false` if the process was already on a list (no-op).
 pub fn resume(vm: &Vm, proc_oop: Oop) -> bool {
-    let _g = vm.sched_lock.acquire();
+    let g = vm.sched_lock.acquire();
     let mem = &vm.mem;
     if mem.fetch(proc_oop, process::MY_LIST) != mem.nil() || is_running(mem, proc_oop) {
         return false;
@@ -241,6 +262,8 @@ pub fn resume(vm: &Vm, proc_oop: Oop) -> bool {
     let pri = mem.fetch(proc_oop, process::PRIORITY).as_small_int();
     list_append(mem, ready_list(mem, pri), linked_list::FIRST_LINK, proc_oop);
     refresh_hint(vm);
+    drop(g);
+    vm.rendezvous.wake_idle();
     true
 }
 
@@ -276,13 +299,15 @@ pub fn semaphore_wait(vm: &Vm, sem: Oop, proc_oop: Oop) -> WaitOutcome {
 
 /// `signal` primitive body. Returns the awakened process, if any.
 pub fn semaphore_signal(vm: &Vm, sem: Oop) -> Option<Oop> {
-    let _g = vm.sched_lock.acquire();
+    let g = vm.sched_lock.acquire();
     let mem = &vm.mem;
     match list_pop(mem, sem, semaphore::FIRST_LINK) {
         Some(p) => {
             let pri = mem.fetch(p, process::PRIORITY).as_small_int();
             list_append(mem, ready_list(mem, pri), linked_list::FIRST_LINK, p);
             refresh_hint(vm);
+            drop(g);
+            vm.rendezvous.wake_idle();
             Some(p)
         }
         None => {
@@ -528,6 +553,46 @@ mod tests {
         add_ready(&vm, p);
         let claimed = claim_next(&vm).unwrap();
         assert!(!suspend_other(&vm, claimed));
+    }
+
+    #[test]
+    fn every_transition_that_can_give_work_wakes_the_idle() {
+        // The idle wait has no timeout, so a transition that forgets to
+        // wake leaves an idle interpreter asleep beside claimable work.
+        let vm = test_vm();
+        let sem = semaphore(&vm);
+        let p = proc_at(&vm, 4);
+        let woke = |what: &str, f: &dyn Fn()| {
+            let before = vm.rendezvous.idle_generation();
+            f();
+            assert_ne!(
+                vm.rendezvous.idle_generation(),
+                before,
+                "{what} did not wake"
+            );
+        };
+        let slept = |what: &str, f: &dyn Fn()| {
+            let before = vm.rendezvous.idle_generation();
+            f();
+            assert_eq!(vm.rendezvous.idle_generation(), before, "{what} woke");
+        };
+        woke("add_ready", &|| add_ready(&vm, p));
+        slept("claim_next", &|| assert_eq!(claim_next(&vm), Some(p)));
+        woke("unclaim", &|| unclaim(&vm, p));
+        assert_eq!(claim_next(&vm), Some(p));
+        slept("semaphore_wait", &|| {
+            assert_eq!(semaphore_wait(&vm, sem, p), WaitOutcome::Blocked)
+        });
+        woke("a readying signal", &|| {
+            assert_eq!(semaphore_signal(&vm, sem), Some(p))
+        });
+        slept("a signal nobody waits for", &|| {
+            assert_eq!(semaphore_signal(&vm, sem), None)
+        });
+        assert_eq!(claim_next(&vm), Some(p));
+        woke("terminate", &|| terminate(&vm, p, vm.mem.nil()));
+        woke("resume", &|| assert!(resume(&vm, p)));
+        woke("shutdown", &|| vm.shutdown());
     }
 
     #[test]

@@ -350,9 +350,11 @@ impl Vm {
         self.doit_panic.swap(false, Ordering::Relaxed)
     }
 
-    /// Asks every interpreter to stop at its next safepoint.
+    /// Asks every interpreter to stop at its next safepoint, waking the
+    /// idle ones to see it.
     pub fn shutdown(&self) {
         self.run_flag.store(false, Ordering::Relaxed);
+        self.rendezvous.wake_idle();
     }
 
     /// Whether the system is still running.

@@ -10,12 +10,16 @@
 //! requests a stop ([`Rendezvous::stop_world`]) the others park until the
 //! requester drops the returned [`RendezvousGuard`].
 //!
-//! Two robustness layers sit on top of the protocol:
+//! Three layers sit on top of the protocol:
 //!
 //! * **Participant guard.** [`Rendezvous::participant`] returns a
 //!   [`Participant`] that unregisters on drop, so a mutator that panics
 //!   mid-bytecode still leaves the roster and a stopper waiting on it
 //!   recounts instead of hanging the world forever.
+//! * **Idle wait.** An interpreter with nothing to run blocks in
+//!   [`Rendezvous::idle_wait`] instead of polling. It counts as parked
+//!   there, so a stop never waits for it and can still draft it as a GC
+//!   helper; [`Rendezvous::wake_idle`] releases it when work may exist.
 //! * **Safepoint watchdog.** A leader waiting for mutators to park gives up
 //!   waiting *silently* after a deadline ([`Rendezvous::set_watchdog`]):
 //!   it dumps a diagnostic report — per-participant
@@ -24,7 +28,7 @@
 //!   according to the configured [`WatchdogPolicy`].
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -103,6 +107,56 @@ impl std::fmt::Debug for HelperJob {
     }
 }
 
+/// A participant's parked accounting (and, for an idle waiter, its
+/// sleeper count), entered under `inner`. [`leave`](Self::leave) restores
+/// it under the same lock that observed the stop released; if a helper
+/// slot panics instead, the guard's drop restores it during the unwind,
+/// so the leader's `parked` count never keeps a dead thread.
+struct Parked<'a> {
+    rdv: &'a Rendezvous,
+    id: ParticipantId,
+    idle: bool,
+}
+
+impl<'a> Parked<'a> {
+    fn enter(rdv: &'a Rendezvous, inner: &mut Inner, id: ParticipantId, idle: bool) -> Self {
+        inner.parked += 1;
+        if let Some(e) = inner.roster_entry(id) {
+            e.parked = true;
+        }
+        if idle {
+            rdv.idle_sleepers.fetch_add(1, Ordering::SeqCst);
+        }
+        if inner.requested {
+            // The leader may be waiting for this park.
+            rdv.cv.notify_all();
+        }
+        Parked { rdv, id, idle }
+    }
+
+    fn leave(self, inner: &mut Inner) {
+        self.restore(inner);
+        std::mem::forget(self);
+    }
+
+    fn restore(&self, inner: &mut Inner) {
+        inner.parked -= 1;
+        if let Some(e) = inner.roster_entry(self.id) {
+            e.parked = false;
+        }
+        if self.idle {
+            self.rdv.idle_sleepers.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Drop for Parked<'_> {
+    /// Reached only by unwinding: the normal path is [`Parked::leave`].
+    fn drop(&mut self) {
+        self.restore(&mut self.rdv.lock_inner());
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     /// Whether a stop is requested (authoritative copy; `flag` mirrors it).
@@ -150,6 +204,14 @@ pub struct Rendezvous {
     cv: Condvar,
     /// Participant-id dispenser.
     next_id: AtomicU64,
+    /// The idle eventcount: bumped by every [`wake_idle`](Self::wake_idle).
+    idle_gen: AtomicU64,
+    /// Threads inside [`idle_wait`](Self::idle_wait). Changed under `inner`,
+    /// read by wakers without it.
+    idle_sleepers: AtomicUsize,
+    /// Where idle waiters block while no stop is in flight; `cv` carries
+    /// everything else.
+    idle_cv: Condvar,
     /// Watchdog deadline in milliseconds (0 disables the watchdog).
     watchdog_ms: AtomicU64,
     /// `true` ⇒ [`WatchdogPolicy::Panic`].
@@ -180,6 +242,9 @@ impl Rendezvous {
             inner: Mutex::new(Inner::default()),
             cv: Condvar::new(),
             next_id: AtomicU64::new(1),
+            idle_gen: AtomicU64::new(0),
+            idle_sleepers: AtomicUsize::new(0),
+            idle_cv: Condvar::new(),
             watchdog_ms: AtomicU64::new(Self::DEFAULT_WATCHDOG_MS),
             watchdog_panics: AtomicBool::new(false),
         }
@@ -280,12 +345,23 @@ impl Rendezvous {
     /// Parks the calling participant until the pending stop — if any — is
     /// released. Call upon observing [`poll`](Self::poll) return `true`.
     pub fn park(&self, id: ParticipantId) {
+        self.park_helping(id, true);
+    }
+
+    /// [`park`](Self::park) without running the leader's helper job: for a
+    /// thread that must not execute collector code while it waits, such as
+    /// one recovering from a panic outside its supervisor's catch.
+    pub fn park_without_helping(&self, id: ParticipantId) {
+        self.park_helping(id, false);
+    }
+
+    fn park_helping(&self, id: ParticipantId, help: bool) {
         let inner = self.lock_inner();
         if !inner.requested {
             return; // raced with the release
         }
         let start_ns = tel::now_ns();
-        drop(self.park_while_requested(inner, id));
+        drop(self.park_while_requested(inner, id, help));
         let parked_ns = tel::now_ns() - start_ns;
         tel::histogram!("safepoint.park_ns").record(parked_ns);
         if tel::enabled() {
@@ -301,33 +377,119 @@ impl Rendezvous {
         }
     }
 
-    /// The one park loop: counts `id` as parked and waits out the pending
-    /// stop, running the leader's helper job whenever a slot is open.
-    /// Returns with the lock held, the request released and the parked
-    /// accounting restored.
+    /// Counts `id` as parked and waits out the pending stop. Returns with
+    /// the lock held, the request released and the parked accounting
+    /// restored.
     fn park_while_requested<'a>(
         &'a self,
         mut inner: MutexGuard<'a, Inner>,
         id: ParticipantId,
+        help: bool,
+    ) -> MutexGuard<'a, Inner> {
+        let parked = Parked::enter(self, &mut inner, id, false);
+        inner = self.wait_out_stop(inner, help);
+        parked.leave(&mut inner);
+        inner
+    }
+
+    /// The one park loop, for a caller already counted as parked: waits
+    /// until the pending stop is released, running the leader's helper job
+    /// whenever a slot is open and `help` allows.
+    fn wait_out_stop<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, Inner>,
+        help: bool,
     ) -> MutexGuard<'a, Inner> {
         let _wait_state = timeline::enter_state(ProcState::SafepointWait);
-        inner.parked += 1;
-        if let Some(e) = inner.roster_entry(id) {
-            e.parked = true;
-        }
-        self.cv.notify_all();
         while inner.requested {
-            let (guard, helped) = self.try_help(inner, id);
-            inner = guard;
+            let helped = if help {
+                let (guard, helped) = self.try_help(inner);
+                inner = guard;
+                helped
+            } else {
+                false
+            };
             if !helped {
-                inner = self.wait(inner);
+                inner = self.wait(&self.cv, inner);
             }
         }
-        inner.parked -= 1;
-        if let Some(e) = inner.roster_entry(id) {
-            e.parked = false;
-        }
         inner
+    }
+
+    /// The idle eventcount's generation. An idle participant reads it
+    /// *before* it looks for work and passes it to
+    /// [`idle_wait`](Self::idle_wait), so a [`wake_idle`](Self::wake_idle)
+    /// that lands between the look and the wait is not lost.
+    pub fn idle_generation(&self) -> u64 {
+        self.idle_gen.load(Ordering::SeqCst)
+    }
+
+    /// Number of participants blocked in [`idle_wait`](Self::idle_wait)
+    /// (racy, like [`parked`](Self::parked)).
+    pub fn idle_sleepers(&self) -> usize {
+        self.idle_sleepers.load(Ordering::SeqCst)
+    }
+
+    /// Blocks an idle participant until [`wake_idle`](Self::wake_idle)
+    /// moves the generation past `seen` (at once if it already has).
+    ///
+    /// The waiter counts as parked throughout, so
+    /// [`stop_world`](Self::stop_world) quiesces it without waking it; it
+    /// still runs the leader's helper job, so
+    /// [`RendezvousGuard::run_stopped`] can draft it; and it never returns
+    /// while a stop is in flight. There is no timeout: every transition
+    /// that can give an idle participant work must call `wake_idle`.
+    pub fn idle_wait(&self, id: ParticipantId, seen: u64) {
+        let start_ns = tel::enabled().then(tel::now_ns);
+        let mut inner = self.lock_inner();
+        let parked = Parked::enter(self, &mut inner, id, true);
+        loop {
+            if inner.requested {
+                inner = self.wait_out_stop(inner, true);
+            }
+            // Sleeper half of the Dekker pair (waker half in `wake_idle`):
+            // `Parked::enter` incremented `idle_sleepers` (SeqCst) before
+            // this SeqCst load. If the load misses a waker's bump, the bump
+            // follows the increment in the single SeqCst order, so the
+            // waker's load of `idle_sleepers` sees this sleeper and it
+            // notifies under `inner`, which we hold until `wait` releases
+            // it. No wake-up is lost between this check and the wait.
+            if self.idle_gen.load(Ordering::SeqCst) != seen {
+                break;
+            }
+            inner = self.wait(&self.idle_cv, inner);
+        }
+        parked.leave(&mut inner);
+        drop(inner);
+        // The span shows when a processor slept and how late its wake came.
+        if let Some(start_ns) = start_ns {
+            record(TraceEvent {
+                name: "idle.wait",
+                cat: "idle",
+                phase: TracePhase::Complete,
+                start_ns,
+                dur_ns: tel::now_ns() - start_ns,
+                arg_name: "",
+                arg: 0,
+            });
+        }
+    }
+
+    /// Releases every [`idle_wait`](Self::idle_wait)er: call after any
+    /// change that may give an idle participant work, once the change is
+    /// visible. Costs two atomics when nobody is idle.
+    pub fn wake_idle(&self) {
+        // Waker half of the Dekker pair (sleeper half in `idle_wait`): the
+        // SeqCst bump precedes the SeqCst load of `idle_sleepers`. Either
+        // that load sees a sleeper's increment, and we notify it, or the
+        // increment follows the bump and the sleeper's generation check
+        // sees the bump. Taking `inner` orders the notify after a sleeper
+        // that has checked but not yet blocked.
+        self.idle_gen.fetch_add(1, Ordering::SeqCst);
+        if self.idle_sleepers.load(Ordering::SeqCst) > 0 {
+            let _inner = self.lock_inner();
+            self.idle_cv.notify_all();
+        }
     }
 
     /// Stops the world: sets the global flag and waits until every other
@@ -347,7 +509,7 @@ impl Rendezvous {
                 // Somebody else is leading a stop: behave as a parker, then
                 // go around again — another woken would-be leader may have
                 // claimed the next stop while we were rescheduled.
-                inner = self.park_while_requested(inner, id);
+                inner = self.park_while_requested(inner, id, true);
                 continue;
             }
             inner.requested = true;
@@ -358,13 +520,13 @@ impl Rendezvous {
             // Wait for everyone else to park.
             while inner.parked < inner.participants.saturating_sub(1) {
                 if deadline_ms == 0 || dumped {
-                    inner = self.wait(inner);
+                    inner = self.wait(&self.cv, inner);
                     continue;
                 }
                 let waited_ms = (tel::now_ns() - start_ns) / 1_000_000;
                 if waited_ms < deadline_ms {
                     let remaining = Duration::from_millis(deadline_ms - waited_ms);
-                    inner = self.wait_timeout(inner, remaining);
+                    inner = Self::wait_timeout(&self.cv, inner, remaining);
                     continue;
                 }
                 // Deadline expired with stragglers outstanding: dump the
@@ -423,13 +585,10 @@ impl Rendezvous {
     /// park loop. Returns the (re-acquired) guard and whether a slot ran.
     ///
     /// A panic inside the closure still decrements the job's active count —
-    /// so the leader never hangs on a dead helper — and restores the
-    /// parked accounting this parker owns before propagating.
-    fn try_help<'a>(
-        &'a self,
-        mut inner: MutexGuard<'a, Inner>,
-        id: ParticipantId,
-    ) -> (MutexGuard<'a, Inner>, bool) {
+    /// so the leader never hangs on a dead helper — before propagating with
+    /// the lock released; the caller's [`Parked`] guard restores its
+    /// parked accounting on the way out.
+    fn try_help<'a>(&'a self, mut inner: MutexGuard<'a, Inner>) -> (MutexGuard<'a, Inner>, bool) {
         let (func, slot) = match inner.job.as_mut() {
             Some(job) if !job.closed && job.next_slot < job.max_slots => {
                 let slot = job.next_slot;
@@ -457,10 +616,6 @@ impl Rendezvous {
         }
         self.cv.notify_all();
         if let Err(payload) = result {
-            inner.parked -= 1;
-            if let Some(e) = inner.roster_entry(id) {
-                e.parked = false;
-            }
             drop(inner);
             std::panic::resume_unwind(payload);
         }
@@ -494,6 +649,10 @@ impl Rendezvous {
             closed: false,
         });
         self.cv.notify_all();
+        // Idle waiters count among `parked` too: draft them.
+        if self.idle_sleepers() > 0 {
+            self.idle_cv.notify_all();
+        }
         drop(inner);
         // The leader always runs slot 0 itself. Even if it panics, it must
         // first close the job and drain active helpers — they hold a pointer
@@ -513,7 +672,7 @@ impl Rendezvous {
             None => unreachable!("helper job vanished while the leader held the world"),
         };
         while inner.job.as_ref().is_some_and(|j| j.active > 0) {
-            inner = self.wait(inner);
+            inner = self.wait(&self.cv, inner);
         }
         inner.job = None;
         drop(inner);
@@ -527,23 +686,21 @@ impl Rendezvous {
     /// poison, same argument as [`lock_inner`](Self::lock_inner)). Under
     /// chaos, a forced spurious wakeup turns the wait into a short timed
     /// wait — callers' predicate loops absorb the early return.
-    fn wait<'a>(&self, guard: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
+    fn wait<'a>(&self, cv: &Condvar, guard: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
         if fault::spurious_wake() {
-            return self.wait_timeout(guard, Duration::from_micros(50));
+            return Self::wait_timeout(cv, guard, Duration::from_micros(50));
         }
-        self.cv
-            .wait(guard)
+        cv.wait(guard)
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Timed variant of [`wait`](Self::wait); used by the watchdog.
     fn wait_timeout<'a>(
-        &self,
+        cv: &Condvar,
         guard: MutexGuard<'a, Inner>,
         dur: Duration,
     ) -> MutexGuard<'a, Inner> {
-        self.cv
-            .wait_timeout(guard, dur)
+        cv.wait_timeout(guard, dur)
             .map(|(g, _)| g)
             .unwrap_or_else(|poisoned| poisoned.into_inner().0)
     }
@@ -676,6 +833,12 @@ impl Participant<'_> {
     /// Parks this participant; see [`Rendezvous::park`].
     pub fn park(&self) {
         self.rdv.park(self.id);
+    }
+
+    /// Parks this participant without helping; see
+    /// [`Rendezvous::park_without_helping`].
+    pub fn park_without_helping(&self) {
+        self.rdv.park_without_helping(self.id);
     }
 
     /// Stops the world as this participant; see [`Rendezvous::stop_world`].
@@ -1128,5 +1291,150 @@ mod tests {
             h.join().unwrap();
         }
         rdv.unregister(me);
+    }
+
+    #[test]
+    fn a_participant_parked_without_helping_never_runs_the_job() {
+        // The leader's side is built by hand: a requested stop with an open
+        // job that has a free slot. `Parked::enter` and the park loop's
+        // first claim attempt run in one critical section, so once the
+        // parker is counted under the lock, a helping parker has already
+        // claimed the slot and a non-helping one never will.
+        static RAN: AtomicU64 = AtomicU64::new(0);
+        fn count(_slot: usize) {
+            RAN.fetch_add(1, Ordering::SeqCst);
+        }
+        for help in [true, false] {
+            let rdv = Arc::new(Rendezvous::new());
+            let other = rdv.register();
+            {
+                let mut inner = rdv.lock_inner();
+                inner.requested = true;
+                rdv.flag.store(true, Ordering::Relaxed);
+                inner.job = Some(HelperJob {
+                    func: &count,
+                    next_slot: 1,
+                    max_slots: 2,
+                    active: 0,
+                    closed: false,
+                });
+            }
+            let rdv2 = Arc::clone(&rdv);
+            let parker = std::thread::spawn(move || {
+                if help {
+                    rdv2.park(other);
+                } else {
+                    rdv2.park_without_helping(other);
+                }
+            });
+            let claimed = loop {
+                let inner = rdv.lock_inner();
+                let job = inner.job.as_ref().expect("job stays open");
+                if inner.parked == 1 && job.active == 0 {
+                    break job.next_slot - 1;
+                }
+                drop(inner);
+                std::thread::yield_now();
+            };
+            assert_eq!(claimed, usize::from(help), "help = {help}");
+            {
+                let mut inner = rdv.lock_inner();
+                inner.job = None;
+                inner.requested = false;
+                rdv.flag.store(false, Ordering::Relaxed);
+                rdv.cv.notify_all();
+            }
+            parker.join().unwrap();
+            rdv.unregister(other);
+            assert_eq!(rdv.parked(), 0);
+        }
+        assert_eq!(
+            RAN.load(Ordering::SeqCst),
+            1,
+            "only the helping parker ran the job"
+        );
+    }
+
+    /// Spawns a thread that idle-waits once as a fresh participant from the
+    /// current generation, and waits until it sleeps.
+    fn spawn_idle_waiter(rdv: &Arc<Rendezvous>) -> std::thread::JoinHandle<()> {
+        let id = rdv.register();
+        let seen = rdv.idle_generation();
+        let rdv2 = Arc::clone(rdv);
+        let h = std::thread::spawn(move || {
+            let _unregister = Participant { rdv: &rdv2, id };
+            rdv2.idle_wait(id, seen);
+        });
+        while rdv.idle_sleepers() == 0 {
+            std::thread::yield_now();
+        }
+        h
+    }
+
+    #[test]
+    fn idle_wait_returns_at_once_or_on_wake_idle() {
+        let rdv = Arc::new(Rendezvous::new());
+        let me = rdv.register();
+        let seen = rdv.idle_generation();
+        rdv.wake_idle();
+        rdv.idle_wait(me, seen); // the generation already moved
+        let waiter = spawn_idle_waiter(&rdv);
+        assert_eq!(rdv.parked(), 1, "an idle waiter counts as parked");
+        rdv.wake_idle();
+        waiter.join().unwrap();
+        assert_eq!((rdv.parked(), rdv.idle_sleepers()), (0, 0));
+        rdv.unregister(me);
+    }
+
+    #[test]
+    fn an_idle_waiter_is_stopped_without_waking_and_drafted_as_a_helper() {
+        let rdv = Arc::new(Rendezvous::new());
+        let waiter = spawn_idle_waiter(&rdv);
+        let me = rdv.register();
+        let guard = rdv.stop_world(me);
+        // Woken inside the stop, the waiter stays parked: it must still be
+        // there to claim slot 1, which slot 0 waits for.
+        rdv.wake_idle();
+        let entered = AtomicU64::new(0);
+        let slots = guard.run_stopped(2, &|_slot| {
+            entered.fetch_add(1, Ordering::SeqCst);
+            while entered.load(Ordering::SeqCst) < 2 {
+                std::hint::spin_loop();
+            }
+        });
+        assert_eq!(slots, 2);
+        assert_eq!(rdv.parked(), 1, "the helper went back to its idle wait");
+        drop(guard);
+        waiter.join().unwrap(); // the wake inside the stop releases it now
+        rdv.unregister(me);
+        assert_eq!((rdv.parked(), rdv.idle_sleepers()), (0, 0));
+    }
+
+    #[test]
+    fn a_helper_slot_panicking_in_an_idle_wait_restores_its_accounting() {
+        let rdv = Arc::new(Rendezvous::new());
+        let waiter = spawn_idle_waiter(&rdv);
+        let me = rdv.register();
+        let guard = rdv.stop_world(me);
+        let entered = AtomicU64::new(0);
+        let slots = guard.run_stopped(2, &|slot| {
+            entered.fetch_add(1, Ordering::SeqCst);
+            if slot != 0 {
+                panic!("injected helper death");
+            }
+            while entered.load(Ordering::SeqCst) < 2 {
+                std::hint::spin_loop();
+            }
+        });
+        assert_eq!(slots, 2);
+        assert!(waiter.join().is_err(), "the idle helper died of the panic");
+        // Neither its park nor its sleep outlives it, and its participant
+        // guard left the roster: the next stop needs nobody.
+        assert_eq!((rdv.parked(), rdv.idle_sleepers()), (0, 0));
+        drop(guard);
+        assert_eq!(rdv.participants(), 1);
+        drop(rdv.stop_world(me));
+        rdv.unregister(me);
+        assert_eq!(rdv.parked(), 0);
     }
 }
