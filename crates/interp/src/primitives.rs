@@ -228,7 +228,9 @@ impl Interpreter {
                     return PrimOutcome::Fail;
                 }
                 let fmt = ClassFormat::decode(mem.fetch(rcvr, cls::FORMAT).as_small_int());
-                if !fmt.indexable {
+                // An instance no collection could make room for fails here,
+                // before the allocator's size precondition.
+                if !fmt.indexable || !mem.could_instantiate(rcvr, n as usize) {
                     return PrimOutcome::Fail;
                 }
                 match mem.instantiate(self.token(), rcvr, n as usize) {

@@ -842,19 +842,30 @@ impl ObjectMemory {
     /// `Err`-like `None` also if the class forbids indexing and `extra > 0`
     /// (callers validate beforehand via [`ClassFormat`]).
     pub fn instantiate(&self, token: &AllocToken, class: Oop, extra: usize) -> Option<Oop> {
+        let (format, words, odd) = self.instance_shape(class, extra);
+        self.allocate(token, class, format, words, odd)
+    }
+
+    /// Whether an instance of `class` with `extra` indexable slots/bytes
+    /// could ever be allocated: its body fits the header's size field and
+    /// the whole of old space. A `new:` beyond it fails as a primitive; no
+    /// collection could make room for it.
+    pub fn could_instantiate(&self, class: Oop, extra: usize) -> bool {
+        let (_, words, _) = self.instance_shape(class, extra);
+        words <= MAX_BODY_WORDS
+            && words.saturating_add(2) <= self.spaces.old_end - self.spaces.old_start
+    }
+
+    /// The format, body words and odd bytes of an instance of `class` with
+    /// `extra` indexable slots/bytes.
+    fn instance_shape(&self, class: Oop, extra: usize) -> (ObjFormat, usize, u8) {
         let fmt = ClassFormat::decode(self.fetch(class, layout::class::FORMAT).as_small_int());
         if fmt.bytes {
             let words = extra.div_ceil(8);
-            let odd = (words * 8 - extra) as u8;
-            self.allocate(token, class, ObjFormat::Bytes, words, odd)
+            (ObjFormat::Bytes, words, (words * 8 - extra) as u8)
         } else {
-            self.allocate(
-                token,
-                class,
-                ObjFormat::Pointers,
-                fmt.inst_size as usize + extra,
-                0,
-            )
+            let words = (fmt.inst_size as usize).saturating_add(extra);
+            (ObjFormat::Pointers, words, 0)
         }
     }
 

@@ -147,6 +147,29 @@ fn byte_array_and_string_element_rules() {
     );
 }
 
+/// A `new:` no heap could ever hold — past the header's size field, or
+/// past the whole of old space — fails as a primitive (a Smalltalk error),
+/// not as the allocator's size assertion, and leaves a clean heap.
+#[test]
+fn new_beyond_any_heap_fails_as_a_primitive() {
+    let mut ms = system();
+    for src in [
+        "Array new: 100000000",
+        "Array new: 1073741824",
+        "String new: 1073741824",
+    ] {
+        let err = ms.evaluate(src).expect_err(src);
+        assert!(
+            err.to_string().contains("cannot create indexed instances"),
+            "{src}: {err}"
+        );
+        let audit = ms.audit_heap();
+        assert!(audit.is_clean(), "{src}: dirty heap:\n{audit}");
+    }
+    assert_eq!(eval(&mut ms, "(Array new: 1000) size"), Value::Int(1000));
+    ms.shutdown();
+}
+
 #[test]
 fn non_boolean_loop_condition_is_reported() {
     let mut ms = system();
