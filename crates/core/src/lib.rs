@@ -238,6 +238,11 @@ pub enum EvalError {
     Compile(CompileError),
     /// The doit's process died with an `error:` report.
     Runtime(String),
+    /// The doit's Process was terminated (by itself or by another Process)
+    /// before it answered a value.
+    Terminated,
+    /// The doit outlived its deadline and was terminated.
+    DeadlineExpired,
 }
 
 impl fmt::Display for EvalError {
@@ -245,6 +250,8 @@ impl fmt::Display for EvalError {
         match self {
             EvalError::Compile(e) => write!(f, "{e}"),
             EvalError::Runtime(msg) => write!(f, "Smalltalk error: {msg}"),
+            EvalError::Terminated => f.write_str("the doit's Process was terminated"),
+            EvalError::DeadlineExpired => f.write_str("deadlineExpired: request budget exhausted"),
         }
     }
 }
@@ -383,7 +390,8 @@ impl MsSystem {
     /// # Errors
     ///
     /// [`EvalError::Compile`] for syntax errors; [`EvalError::Runtime`] if
-    /// the Process terminated through `error:`.
+    /// the Process terminated through `error:`; [`EvalError::Terminated`]
+    /// if it was terminated without a value.
     pub fn evaluate(&mut self, source: &str) -> Result<Value, EvalError> {
         let prepared = self.prepare(source)?;
         self.run_prepared(&prepared)
@@ -406,7 +414,8 @@ impl MsSystem {
     ///
     /// # Errors
     ///
-    /// [`EvalError::Runtime`] if the Process terminated through `error:`.
+    /// [`EvalError::Runtime`] if the Process terminated through `error:`;
+    /// [`EvalError::Terminated`] if it was terminated without a value.
     pub fn run_prepared(&mut self, prepared: &Prepared) -> Result<Value, EvalError> {
         self.run_doit(prepared, Self::value_in)
     }
@@ -430,7 +439,6 @@ impl MsSystem {
         prepared: &Prepared,
         read: impl FnOnce(&ObjectMemory, Oop) -> R,
     ) -> Result<R, EvalError> {
-        self.main.take_doit_error(); // nothing stale from an abandoned run
         let process = {
             let world = self.vm.stop_world();
             let (vm, mem) = (world.vm(), world.mem());
@@ -444,7 +452,7 @@ impl MsSystem {
                     // not claim it.
                     let root = mem.new_root(p);
                     vm.set_reserved(Some(root.clone()));
-                    scheduler::add_ready(vm, p);
+                    scheduler::transition(vm, p, scheduler::State::Ready);
                     break root;
                 }
                 // Eden is full; collect while we hold the world. A
@@ -460,22 +468,19 @@ impl MsSystem {
         let outcome = self.main.run(Some(process.clone()));
         drop(doit_span);
         self.vm.set_reserved(None);
+        // Only the doit's own end decides: a forked Process that died
+        // meanwhile is in the error log, not in this result.
         match outcome {
-            RunOutcome::WatchedTerminated => {}
+            RunOutcome::Returned => {}
+            RunOutcome::Failed(e) => return Err(EvalError::Runtime(e)),
+            RunOutcome::DeadlineExpired => return Err(EvalError::DeadlineExpired),
+            RunOutcome::Terminated => return Err(EvalError::Terminated),
             RunOutcome::Shutdown => return Err(EvalError::Runtime("VM shut down".into())),
         }
-        // The terminating interpreter (possibly a worker) left the value in
-        // the Process's result slot.
+        // The watcher left the value in the Process's result slot.
         let world = self.vm.stop_world();
         let slot = mst_objmem::layout::process::RESULT;
-        let result = read(world.mem(), world.mem().fetch(process.get(), slot));
-        drop(world);
-        // Only the doit's own failure fails it: a forked Process that died
-        // meanwhile is in the error log, not in this result.
-        match self.main.take_doit_error() {
-            Some(e) => Err(EvalError::Runtime(e)),
-            None => Ok(result),
-        }
+        Ok(read(world.mem(), world.mem().fetch(process.get(), slot)))
     }
 
     /// Like [`evaluate`](Self::evaluate), but returns a GC-tracked root for
@@ -697,17 +702,16 @@ impl MsSystem {
         Ok(MsSystem::from_memory(template.instantiate()?, config))
     }
 
-    /// Runs a [`Prepared`] doit under a wall-clock deadline: if the doit is
-    /// still running when the budget expires, it is terminated at its next
-    /// safepoint through the same containment route as `outOfMemory` — the
-    /// session stays consistent (the heap passes `audit_heap`) and the
-    /// expiry surfaces as an [`EvalError::Runtime`] naming
-    /// `deadlineExpired`.
+    /// Runs a [`Prepared`] doit under a wall-clock deadline: if the doit has
+    /// not ended when the budget expires, its watcher terminates it — at its
+    /// next safepoint if it runs, at the deadline if it blocked or suspended
+    /// itself. The session stays consistent (the heap passes `audit_heap`)
+    /// and the expiry surfaces as [`EvalError::DeadlineExpired`].
     ///
     /// # Errors
     ///
-    /// As [`run_prepared`](Self::run_prepared), plus `deadlineExpired` on
-    /// budget expiry.
+    /// As [`run_prepared`](Self::run_prepared), plus
+    /// [`EvalError::DeadlineExpired`] on budget expiry.
     pub fn run_prepared_with_deadline(
         &mut self,
         prepared: &Prepared,

@@ -24,30 +24,42 @@ use mst_telemetry as tel;
 use crate::cache::{CacheEntry, LocalCache};
 use crate::contexts::{reinit_block_ctx, reinit_method_ctx, CtxKind, FreeLists};
 use crate::dicts::method_dict_at;
-use crate::scheduler as sched;
+use crate::scheduler::{self as sched, State, Subject};
 use crate::vm::{CachePolicy, FreeListPolicy, Vm};
 
-/// Why `run` returned.
+/// Why `run` returned: how the watched Process ended, or shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
-    /// The watched process terminated; its result is in the Process's
+    /// The watched Process returned; its value is in the Process's
     /// `result` slot ([`mst_objmem::layout::process::RESULT`]).
-    WatchedTerminated,
+    Returned,
+    /// The watched Process failed (`error:`, `outOfMemory`); the report, as
+    /// `vm.error_log` holds it.
+    Failed(String),
+    /// The watched Process outlived its deadline and was terminated.
+    DeadlineExpired,
+    /// The watched Process was terminated without a value.
+    Terminated,
     /// The VM was shut down.
     Shutdown,
 }
 
-/// Internal event ending the execution of one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// Bottom context returned; payload is on `last_value`.
-    Terminated,
-    /// The process blocked (semaphore wait or suspend) — already dequeued.
-    Blocked,
-    /// The process yielded or was preempted — still ready, unclaimed.
-    Yielded,
-    /// Shutdown requested.
-    Shutdown,
+/// Proof that the loaded Process's registers are in the heap, so a
+/// [`transition`](sched::transition) may publish it to other interpreters.
+/// Only [`Interpreter::flush_registers`] makes one.
+pub struct Flushed(Oop);
+
+impl Flushed {
+    /// The Process whose registers were flushed.
+    pub(crate) fn process(&self) -> Oop {
+        self.0
+    }
+
+    /// A witness for a Process that has no registers to flush.
+    #[cfg(test)]
+    pub(crate) fn assumed(p: Oop) -> Flushed {
+        Flushed(p)
+    }
 }
 
 /// Result of executing one bytecode step (or a primitive).
@@ -56,7 +68,9 @@ enum Step {
     Continue,
     /// Allocation failed; restart the current bytecode after a scavenge.
     NeedGc,
-    Event(Event),
+    /// The Process left this interpreter (it blocked, was suspended,
+    /// yielded or ended); its transition is made.
+    Switch,
 }
 
 /// Outcome of a primitive attempt.
@@ -67,8 +81,8 @@ pub(crate) enum PrimOutcome {
     Fail,
     /// Allocation failed.
     NeedGc,
-    /// The send completed *and* ended this process's turn.
-    Event2(u8),
+    /// The send completed *and* the Process left this interpreter.
+    Switch,
 }
 
 /// One interpreter (one virtual processor's worth of execution).
@@ -91,10 +105,12 @@ pub struct Interpreter {
     ///
     /// [`run`]: Interpreter::run
     watched: Option<RootHandle>,
-    /// The failure the watched doit raised, if any: the same message as its
+    /// How the watched doit ended, as far as this interpreter saw it: its
+    /// return, or the failure it raised (the same message as its
     /// `vm.error_log` entry, attributed to the Process rather than inferred
-    /// from the log growing while it ran.
-    doit_error: Option<String>,
+    /// from the log growing while it ran). A doit that ended with neither
+    /// was terminated.
+    doit_end: Option<RunOutcome>,
     /// Rendezvous identity while inside [`run`] (None outside it).
     ///
     /// [`run`]: Interpreter::run
@@ -126,8 +142,6 @@ pub struct Interpreter {
     n_recycled: u64,
     n_ctx_alloc: u64,
     n_switches: u64,
-    /// Value produced by the last terminated process.
-    last_value: Oop,
 }
 
 impl Interpreter {
@@ -164,7 +178,7 @@ impl Interpreter {
             sels_epoch: u64::MAX,
             proc_root,
             watched: None,
-            doit_error: None,
+            doit_end: None,
             rdv_id: None,
             gc_streak: 0,
             panic_injectable: false,
@@ -186,7 +200,6 @@ impl Interpreter {
             n_recycled: 0,
             n_ctx_alloc: 0,
             n_switches: 0,
-            last_value: Oop::ZERO,
         };
         it.refresh_special_selectors();
         it
@@ -230,11 +243,6 @@ impl Interpreter {
     }
 
     #[inline]
-    pub(crate) fn vm_arc(&self) -> &Vm {
-        &self.vm
-    }
-
-    #[inline]
     pub(crate) fn token(&self) -> &AllocToken {
         &self.token
     }
@@ -250,24 +258,9 @@ impl Interpreter {
     }
 
     #[inline]
-    pub(crate) fn peek_at(&self, slot: usize) -> Oop {
-        self.stack_at(slot)
-    }
-
-    #[inline]
-    pub(crate) fn poke_at(&mut self, slot: usize, v: Oop) {
-        self.stack_at_put(slot, v);
-    }
-
-    #[inline]
     pub(crate) fn poke_top(&mut self, v: Oop) {
         let sp = self.sp;
         self.stack_at_put(sp, v);
-    }
-
-    #[inline]
-    pub(crate) fn push_raw(&mut self, v: Oop) {
-        self.push(v);
     }
 
     #[inline]
@@ -278,15 +271,6 @@ impl Interpreter {
     #[inline]
     pub(crate) fn priority(&self) -> i64 {
         self.priority
-    }
-
-    pub(crate) fn set_last_value(&mut self, v: Oop) {
-        self.last_value = v;
-    }
-
-    /// Flushes registers before a process switch (primitives 86/88/89/130).
-    pub(crate) fn flush_for_switch(&mut self) {
-        self.flush_registers();
     }
 
     /// Primitive 99: a deliberate scavenge. The send has already completed,
@@ -315,10 +299,7 @@ impl Interpreter {
         match self.send(pc0, selector, nargs, false) {
             Step::Continue => PrimOutcome::Done,
             Step::NeedGc => PrimOutcome::NeedGc,
-            Step::Event(Event::Blocked) => PrimOutcome::Event2(0),
-            Step::Event(Event::Yielded) => PrimOutcome::Event2(1),
-            Step::Event(Event::Terminated) => PrimOutcome::Event2(2),
-            Step::Event(Event::Shutdown) => PrimOutcome::Event2(1),
+            Step::Switch => PrimOutcome::Switch,
         }
     }
 
@@ -345,15 +326,16 @@ impl Interpreter {
     const IDLE_SPIN_ROUNDS: u32 = 64;
 
     /// Scheduler loop: claim ready Processes and run them until shutdown —
-    /// or, when `watched` is given, until that process terminates. Returns
-    /// the outcome; a watched process's result lands in the Process's
-    /// `result` slot.
+    /// or, when `watched` is given, until that process ends. Returns how it
+    /// ended; a watched process's value lands in the Process's `result`
+    /// slot.
     ///
     /// The watched process is passed as a [`RootHandle`] so the reference
     /// stays valid across collections that happen before this interpreter
     /// joins the rendezvous.
     pub fn run(&mut self, watched: Option<RootHandle>) -> RunOutcome {
         self.watched = watched;
+        self.doit_end = None;
         // RAII registration: if this thread panics mid-run, the guard's
         // Drop unregisters us so surviving interpreters can still reach a
         // rendezvous instead of waiting forever on a dead participant.
@@ -364,47 +346,48 @@ impl Interpreter {
             // Read before looking for work, so a wake that lands after the
             // look releases the idle wait below.
             let seen = self.rdv().idle_generation();
+            let watched = self.watched.as_ref().map(RootHandle::get);
+            if let Some(w) = watched {
+                // The watched doit ran only here (workers skip it), so it
+                // ended here — unless a Process elsewhere terminated it.
+                if self.ended(w) {
+                    break self.doit_end.take().unwrap_or(RunOutcome::Terminated);
+                }
+                // Its deadline is enforced here, wherever it stands: a doit
+                // running past it comes back from its safepoint, and one that
+                // blocked or suspended itself reaches no safepoint. Like
+                // `outOfMemory`, the heap stays audit-clean.
+                if self.deadline_passed()
+                    && sched::transition(&self.vm, w, State::Terminated).is_some()
+                {
+                    self.vm.error_log.lock().push(
+                        "deadlineExpired: request budget exhausted; process terminated".into(),
+                    );
+                    break RunOutcome::DeadlineExpired;
+                }
+            }
             if !self.vm.running() {
                 break RunOutcome::Shutdown;
             }
-            // The watched process may have been claimed and finished by a
-            // *worker* interpreter (any interpreter runs any ready Process).
-            if let Some(w) = &self.watched {
-                if self.watched_done(w) {
-                    break RunOutcome::WatchedTerminated;
-                }
-            }
-            // Prefer the watched (reserved) process; workers skip it.
-            let claimed = match &self.watched {
-                Some(w) => {
-                    let wp = w.get();
-                    if sched::claim_reserved(&self.vm, wp) {
-                        Some(wp)
-                    } else {
-                        sched::claim_next(&self.vm)
-                    }
-                }
-                None => sched::claim_next(&self.vm),
-            };
-            match claimed {
+            match sched::transition(&self.vm, Subject::Claimable(watched), State::Running) {
                 Some(p) => {
                     idle_rounds = 0;
                     tel::timeline::transition(tel::ProcState::Mutator);
                     self.n_switches += 1;
                     self.load_process(p);
-                    let ev = self.execute();
-                    let finished = self.unload_process(ev);
-                    if finished {
-                        break RunOutcome::WatchedTerminated;
-                    }
-                    if ev == Event::Shutdown {
-                        break RunOutcome::Shutdown;
-                    }
+                    self.execute();
+                    // Drop the claim reference: the process may be claimed
+                    // by another interpreter the moment it left this one,
+                    // and a stale root here would make panic recovery
+                    // release it out from under that interpreter (double
+                    // execution).
+                    self.proc_root.set(Oop::ZERO);
                 }
                 None => {
                     // Idle: no claimable process. Spin briefly (new work
                     // often follows at once), polling the GC flag so a
-                    // stop never waits for us; then block. The idle wait
+                    // stop never waits for us; then block, until the
+                    // watched doit's deadline at most. The idle wait
                     // counts as parked, so it cannot delay a stop either.
                     tel::timeline::transition(tel::ProcState::Idle);
                     if idle_rounds < Self::IDLE_SPIN_ROUNDS {
@@ -414,7 +397,8 @@ impl Interpreter {
                     } else {
                         // A stop may size a scavenge while we sleep.
                         self.mem().retire_token(&self.token);
-                        self.rdv().idle_wait(self.rdv_id(), seen);
+                        let deadline = watched.map(|_| self.vm.deadline_ns()).filter(|&d| d != 0);
+                        self.rdv().idle_wait(self.rdv_id(), seen, deadline);
                     }
                 }
             }
@@ -467,8 +451,12 @@ impl Interpreter {
             me.park_without_helping();
         }
         let p = self.proc_root.get();
-        if p != Oop::ZERO {
-            sched::unclaim(&self.vm, p);
+        if p != Oop::ZERO && !self.ended(p) {
+            // The panic site flushed the registers (a safepoint flushes on
+            // entry), so the heap says where the Process stands; flushing
+            // what the heap says proves it without writing anything new.
+            self.reload_registers();
+            self.release();
             self.proc_root.set(Oop::ZERO);
         }
         let epoch = self.mem().gc_epoch();
@@ -487,11 +475,9 @@ impl Interpreter {
         self.gc_streak = 0;
     }
 
-    fn watched_done(&self, w: &RootHandle) -> bool {
-        // The watched process is done when it is running nowhere and on no
-        // list with a nil suspended context (terminated marker).
+    /// Whether `p` has terminated (its suspended context is nil).
+    fn ended(&self, p: Oop) -> bool {
         let mem = self.mem();
-        let p = w.get();
         mem.fetch(p, process::SUSPENDED_CONTEXT) == mem.nil()
     }
 
@@ -504,32 +490,13 @@ impl Interpreter {
         self.gc_streak = 0;
     }
 
-    /// Handles the end of a process's turn; returns whether the watched
-    /// process terminated.
-    fn unload_process(&mut self, ev: Event) -> bool {
+    /// Ends the loaded Process with `result` in its result slot: its bottom
+    /// context returned, or it failed or ran out of memory.
+    pub(crate) fn end_process(&mut self, result: Oop) {
         let p = self.proc_root.get();
-        let finished = match ev {
-            Event::Terminated => {
-                sched::terminate(&self.vm, p, self.last_value);
-                self.watched.as_ref().is_some_and(|w| w.get() == p)
-            }
-            Event::Blocked => false, // already off the ready queue
-            Event::Yielded => {
-                sched::unclaim(&self.vm, p);
-                false
-            }
-            Event::Shutdown => {
-                self.flush_registers();
-                sched::unclaim(&self.vm, p);
-                false
-            }
-        };
-        // Drop the claim reference: the process may be claimed by another
-        // interpreter the moment it is unclaimed above, and a stale root
-        // here would make panic recovery unclaim it out from under that
-        // interpreter (double execution).
-        self.proc_root.set(Oop::ZERO);
-        finished
+        self.mem().store(p, process::RESULT, result);
+        let flushed = self.flush_registers();
+        sched::transition(&self.vm, flushed, State::Terminated);
     }
 
     // ------------------------------------------------------------------
@@ -552,7 +519,10 @@ impl Interpreter {
         self.sp = mem.fetch(ctx, method_ctx::STACKP).as_small_int() as usize;
     }
 
-    fn flush_registers(&mut self) {
+    /// Writes the registers back into the active context and the context
+    /// into the Process: the heap then says where the Process stands, as a
+    /// collector or another interpreter must see it.
+    pub(crate) fn flush_registers(&mut self) -> Flushed {
         let mem = self.mem();
         mem.store_nocheck(
             self.ctx,
@@ -566,6 +536,7 @@ impl Interpreter {
         );
         let p = self.proc_root.get();
         mem.store(p, process::SUSPENDED_CONTEXT, self.ctx);
+        Flushed(p)
     }
 
     fn reload_registers(&mut self) {
@@ -599,7 +570,7 @@ impl Interpreter {
     // ------------------------------------------------------------------
 
     #[inline]
-    fn push(&mut self, v: Oop) {
+    pub(crate) fn push(&mut self, v: Oop) {
         self.sp += 1;
         self.mem().store(self.ctx, self.sp, v);
     }
@@ -617,12 +588,12 @@ impl Interpreter {
     }
 
     #[inline]
-    fn stack_at(&self, slot: usize) -> Oop {
+    pub(crate) fn stack_at(&self, slot: usize) -> Oop {
         self.mem().fetch(self.ctx, slot)
     }
 
     #[inline]
-    fn stack_at_put(&mut self, slot: usize, v: Oop) {
+    pub(crate) fn stack_at_put(&mut self, slot: usize, v: Oop) {
         self.mem().store(self.ctx, slot, v);
     }
 
@@ -666,11 +637,9 @@ impl Interpreter {
         // An allocation-bound doit can burn its whole budget between
         // safepoints in scavenge-and-retry cycles; check the deadline here
         // too so expiry costs at most one collection, not a quantum of them.
-        if self.watching_claimed() {
-            let deadline = self.vm.deadline_ns.load(Ordering::Relaxed);
-            if deadline != 0 && tel::now_ns() >= deadline {
-                return self.deadline_expired();
-            }
+        if self.doit_due() {
+            self.release();
+            return Step::Switch;
         }
         if self.gc_streak > Self::FUTILE_GC_LIMIT {
             // Repeated scavenges made no progress (e.g. a large tenured
@@ -719,9 +688,8 @@ impl Interpreter {
             "outOfMemory: old space exhausted ({free} words free); process terminated"
         ));
         sched::signal_low_space(&self.vm);
-        let nil = self.mem().nil();
-        self.last_value = nil;
-        Step::Event(Event::Terminated)
+        self.end_process(self.mem().nil());
+        Step::Switch
     }
 
     fn after_gc(&mut self) {
@@ -781,32 +749,31 @@ impl Interpreter {
         if self.park_if_requested() || self.sels_epoch != self.mem().gc_epoch() {
             self.after_gc();
         }
-        if !self.vm.running() {
-            return Step::Event(Event::Shutdown);
-        }
-        if self.vm.preempt_hint.load(Ordering::Relaxed) > self.priority {
-            return Step::Event(Event::Yielded);
-        }
-        // Deadline enforcement: a watched doit runs under an optional
-        // per-request budget (armed by the serving layer). Expiry takes the
-        // same containment route as `outOfMemory` — the process terminates
-        // cleanly, the heap stays consistent, and the failure surfaces
-        // through the error log.
-        if self.watching_claimed() {
-            let deadline = self.vm.deadline_ns.load(Ordering::Relaxed);
-            if deadline != 0 && tel::now_ns() >= deadline {
-                return self.deadline_expired();
-            }
-        }
-        // If the process we are watching finished on another interpreter,
-        // stop executing whatever we claimed (it stays ready).
-        if let Some(w) = &self.watched {
-            let w = w.clone();
-            if self.watched_done(&w) {
-                return Step::Event(Event::Yielded);
-            }
+        // Back to ready, and to the run loop: to wind down, to let a
+        // higher-priority Process run, or to see to the watched doit.
+        if !self.vm.running()
+            || self.vm.preempt_hint.load(Ordering::Relaxed) > self.priority
+            || self.doit_due()
+        {
+            self.release();
+            return Step::Switch;
         }
         Step::Continue
+    }
+
+    /// Whether the run loop must see to the watched doit: its deadline (a
+    /// per-request budget the serving layer arms) passed, or a Process
+    /// elsewhere terminated it.
+    fn doit_due(&self) -> bool {
+        self.watched
+            .as_ref()
+            .is_some_and(|w| self.deadline_passed() || self.ended(w.get()))
+    }
+
+    /// Releases the loaded Process's claim: it goes back to ready.
+    pub(crate) fn release(&mut self) {
+        let flushed = self.flush_registers();
+        sched::transition(&self.vm, flushed, State::Ready);
     }
 
     /// Whether the currently loaded process is the watched (reserved) doit.
@@ -821,46 +788,27 @@ impl Interpreter {
     /// so a forked Process that dies while the doit runs cannot fail it.
     pub(crate) fn report_error(&mut self, msg: String) {
         if self.watching_claimed() {
-            self.doit_error = Some(msg.clone());
+            self.doit_end = Some(RunOutcome::Failed(msg.clone()));
         }
         self.vm.error_log.lock().push(msg);
     }
 
-    /// Takes the failure the watched doit raised since the last call, if
-    /// any. Errors of other Processes (forked competitors, background work)
-    /// are in `vm.error_log` only.
-    pub fn take_doit_error(&mut self) -> Option<String> {
-        self.doit_error.take()
-    }
-
-    /// Terminates the watched doit because its request deadline passed.
-    /// Mirrors [`out_of_memory`](Self::out_of_memory): the report goes to
-    /// the error log, the process retires through the ordinary
-    /// `Terminated` unload (result stored, suspended context nilled), and
-    /// the heap stays audit-clean.
-    fn deadline_expired(&mut self) -> Step {
-        self.flush_registers();
-        self.gc_streak = 0;
-        self.vm.deadline_ns.store(0, Ordering::Relaxed);
-        self.report_error(
-            "deadlineExpired: request budget exhausted; process terminated".to_string(),
-        );
-        let nil = self.mem().nil();
-        self.last_value = nil;
-        Step::Event(Event::Terminated)
+    /// Whether the watched doit's deadline is armed and past.
+    fn deadline_passed(&self) -> bool {
+        let deadline = self.vm.deadline_ns();
+        deadline != 0 && tel::now_ns() >= deadline
     }
 
     // ------------------------------------------------------------------
     // The bytecode loop
     // ------------------------------------------------------------------
 
-    fn execute(&mut self) -> Event {
+    fn execute(&mut self) {
         use mst_compiler::bytecode as bc;
         loop {
-            if self.counter == 0 || self.vm.rendezvous.poll() {
-                if let Step::Event(e) = self.safepoint() {
-                    return e;
-                }
+            if (self.counter == 0 || self.vm.rendezvous.poll()) && self.safepoint() == Step::Switch
+            {
+                return;
             }
             self.counter = self.counter.saturating_sub(1);
             self.n_bytecodes += 1;
@@ -1042,11 +990,11 @@ impl Interpreter {
                 }
                 Step::NeedGc => {
                     self.gc_streak += 1;
-                    if let Step::Event(e) = self.gc_scavenge(pc0) {
-                        return e;
+                    if self.gc_scavenge(pc0) == Step::Switch {
+                        return;
                     }
                 }
-                Step::Event(e) => return e,
+                Step::Switch => return,
             }
         }
     }
@@ -1156,14 +1104,9 @@ impl Interpreter {
                     return Step::Continue;
                 }
                 PrimOutcome::NeedGc => return Step::NeedGc,
-                PrimOutcome::Event2(code) => {
+                PrimOutcome::Switch => {
                     self.n_prims += 1;
-                    return Step::Event(match code {
-                        0 => Event::Blocked,
-                        1 => Event::Yielded,
-                        2 => Event::Terminated,
-                        _ => unreachable!(),
-                    });
+                    return Step::Switch;
                 }
                 PrimOutcome::Fail => {}
             }
@@ -1427,9 +1370,13 @@ impl Interpreter {
     fn return_to(&mut self, target: Oop, value: Oop) -> Step {
         let mem = self.mem();
         if target == mem.nil() {
-            self.last_value = value;
-            // Root the value so watchers can read it after GC.
-            return Step::Event(Event::Terminated);
+            if self.watching_claimed() {
+                self.doit_end.get_or_insert(RunOutcome::Returned);
+            }
+            // The result slot roots the value so watchers can read it
+            // after GC.
+            self.end_process(value);
+            return Step::Switch;
         }
         self.load_ctx(target);
         self.push(value);
@@ -1574,10 +1521,9 @@ impl Interpreter {
 }
 
 /// Creates a suspended Process whose bottom context activates `method` on
-/// `receiver`. The caller schedules it with [`scheduler::add_ready`] (or the
-/// image's `resume`).
-///
-/// [`scheduler::add_ready`]: crate::scheduler::add_ready
+/// `receiver`. The caller schedules it with a
+/// [`transition`](crate::scheduler::transition) to ready, as the image's
+/// `resume` does.
 pub fn spawn_method_process(
     vm: &Vm,
     token: &AllocToken,

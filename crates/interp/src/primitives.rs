@@ -18,12 +18,7 @@ use mst_vkernel::io::{CombinationRule, DisplayCommand};
 use crate::classes::compile_and_install;
 use crate::dicts::method_dict_at;
 use crate::interp::{Interpreter, PrimOutcome};
-use crate::scheduler as sched;
-
-/// Event codes for [`PrimOutcome::Event2`].
-pub(crate) const EV_BLOCKED: u8 = 0;
-pub(crate) const EV_YIELDED: u8 = 1;
-pub(crate) const EV_TERMINATED: u8 = 2;
+use crate::scheduler::{self as sched, State, Subject};
 
 impl Interpreter {
     fn t(&self) -> Oop {
@@ -50,11 +45,11 @@ impl Interpreter {
     }
 
     fn arg(&self, nargs: usize, i: usize) -> Oop {
-        self.peek_at(self.sp() - nargs + 1 + i)
+        self.stack_at(self.sp() - nargs + 1 + i)
     }
 
     fn prim_receiver(&self, nargs: usize) -> Oop {
-        self.peek_at(self.sp() - nargs)
+        self.stack_at(self.sp() - nargs)
     }
 
     pub(crate) fn dispatch_primitive(
@@ -295,7 +290,7 @@ impl Interpreter {
             // --- Processes & semaphores (85..=93) --------------------------
             85 => {
                 // Semaphore>>signal
-                sched::semaphore_signal(self.vm_arc(), rcvr);
+                sched::transition(self.vm(), Subject::FirstWaiter(rcvr), State::Ready);
                 self.prim_done(nargs, rcvr)
             }
             86 => {
@@ -303,40 +298,44 @@ impl Interpreter {
                 // wait: once the Process sits on the Semaphore, a signal on
                 // another interpreter makes it ready, and whichever
                 // interpreter claims it resumes it from its suspended context.
-                let me = self.current_process();
                 self.prim_done(nargs, rcvr);
-                self.flush_for_switch();
-                match sched::semaphore_wait(self.vm_arc(), rcvr, me) {
-                    sched::WaitOutcome::Acquired => PrimOutcome::Done,
-                    sched::WaitOutcome::Blocked => PrimOutcome::Event2(EV_BLOCKED),
+                let flushed = self.flush_registers();
+                match sched::transition(self.vm(), flushed, State::Waiting(rcvr)) {
+                    Some(_) => PrimOutcome::Switch,
+                    None => PrimOutcome::Done, // a banked signal
                 }
             }
             87 => {
                 // Process>>resume
-                sched::resume(self.vm_arc(), rcvr);
+                sched::transition(self.vm(), rcvr, State::Ready);
                 self.prim_done(nargs, rcvr)
             }
-            88 => {
-                // Process>>suspend
-                let me = self.current_process();
-                if rcvr == me {
-                    // Flushed before the retire, for the reason `wait` is: a
-                    // `resume` on another interpreter may follow at once.
+            88 | 91 => {
+                // Process>>suspend, Process>>terminate
+                let to = if index == 88 {
+                    State::Suspended
+                } else {
+                    State::Terminated
+                };
+                if rcvr == self.current_process() {
+                    // Flushed first, for the reason `wait` is: a `resume`
+                    // on another interpreter may follow at once.
                     self.prim_done(nargs, rcvr);
-                    self.flush_for_switch();
-                    sched::retire(self.vm_arc(), me);
-                    PrimOutcome::Event2(EV_BLOCKED)
-                } else if sched::suspend_other(self.vm_arc(), rcvr) {
+                    let flushed = self.flush_registers();
+                    sched::transition(self.vm(), flushed, to);
+                    PrimOutcome::Switch
+                } else if sched::transition(self.vm(), rcvr, to).is_some() {
                     self.prim_done(nargs, rcvr)
                 } else {
+                    // It runs on another processor (§3.3), or has ended.
                     PrimOutcome::Fail
                 }
             }
             89 => {
                 // Processor yield (receiver ignored)
                 self.prim_done(nargs, rcvr);
-                self.flush_for_switch();
-                PrimOutcome::Event2(EV_YIELDED)
+                self.release();
+                PrimOutcome::Switch
             }
             90 => {
                 // BlockContext>>newProcess
@@ -382,7 +381,7 @@ impl Interpreter {
                 if !arg.is_object() {
                     return PrimOutcome::Fail;
                 }
-                let b = self.boolean(sched::can_run(self.vm_arc(), arg));
+                let b = self.boolean(sched::can_run(self.vm(), arg));
                 self.prim_done(nargs, b)
             }
             // --- System (99..) ---------------------------------------------
@@ -465,10 +464,9 @@ impl Interpreter {
                     format!("{arg:?}")
                 };
                 self.report_error(msg);
-                self.set_last_value(arg);
                 self.prim_done(nargs, rcvr);
-                self.flush_for_switch();
-                PrimOutcome::Event2(EV_TERMINATED)
+                self.end_process(arg);
+                PrimOutcome::Switch
             }
             132 => {
                 // Transcript output
@@ -658,7 +656,7 @@ impl Interpreter {
         self.set_sp(self.sp() - 1); // drop the array (values copied below)
         for i in 0..n {
             let v = mem.fetch(array, i);
-            self.push_raw(v);
+            self.push(v);
         }
         self.block_value(n)
     }
@@ -683,8 +681,8 @@ impl Interpreter {
         let k = nargs - 1;
         let base = self.sp() - nargs + 1;
         for i in 0..k {
-            let v = self.peek_at(base + 1 + i);
-            self.poke_at(base + i, v);
+            let v = self.stack_at(base + 1 + i);
+            self.stack_at_put(base + i, v);
         }
         self.set_sp(self.sp() - 1);
         self.send_for_prim(pc0, selector, k)
@@ -712,7 +710,7 @@ impl Interpreter {
         self.set_sp(self.sp() - 2);
         for i in 0..n {
             let v = mem.fetch(array, i);
-            self.push_raw(v);
+            self.push(v);
         }
         self.send_for_prim(pc0, selector, n)
     }

@@ -13,15 +13,22 @@
 //! which interpreter runs what, and the `activeProcess` slot of the
 //! ProcessorScheduler is ignored at run time.
 //!
-//! Every transition that can give an idle interpreter work — a Process made
-//! ready, released or terminated — ends with one
-//! [`Rendezvous::wake_idle`](mst_vkernel::Rendezvous::wake_idle), made
-//! after the scheduler lock is released.
+//! A Process stands in one of five [`State`]s, and [`transition`] is the one
+//! place that moves it: the only writer of its list links, its claim flag
+//! and its terminal nil suspended context. A move of the caller's own
+//! Process takes the [`Flushed`] witness that only a register flush
+//! returns, so a Process is never published before its registers are in
+//! the heap. After it drops the scheduler lock, a transition wakes the idle
+//! interpreters ([`Rendezvous::wake_idle`](mst_vkernel::Rendezvous::wake_idle))
+//! exactly when the move lets an interpreter other than the caller claim a
+//! Process: a non-reserved Process became ready, or the reserved doit
+//! became ready or ended on a thread other than its watcher's.
 
 use mst_objmem::layout::{linked_list, process, scheduler, semaphore};
 use mst_objmem::{AllocToken, ObjFormat, ObjectMemory, Oop, So};
 use std::sync::atomic::Ordering;
 
+use crate::interp::Flushed;
 use crate::vm::Vm;
 
 /// Creates the ProcessorScheduler instance with empty ready queues and
@@ -62,69 +69,243 @@ pub fn create_process(
     Some(p)
 }
 
+/// Where a Process stands (paper §3.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum State {
+    /// On its priority's ready queue, claimed by no interpreter.
+    Ready,
+    /// On its ready queue and claimed: an interpreter runs it.
+    Running,
+    /// On the FIFO of the given Semaphore.
+    Waiting(Oop),
+    /// On no list; a `resume` makes it ready again.
+    Suspended,
+    /// On no list, with a nil suspended context: it never runs again.
+    Terminated,
+}
+
+/// The Process a [`transition`] moves.
+pub enum Subject {
+    /// The caller's own Process, its registers in the heap.
+    Current(Flushed),
+    /// A Process the caller names. Refused while an interpreter runs it:
+    /// only that interpreter moves it, as its `Current` (§3.3).
+    Named(Oop),
+    /// The first Process waiting on the given Semaphore; with none waiting,
+    /// a move to `Ready` banks the signal instead.
+    FirstWaiter(Oop),
+    /// The ready Process the caller may claim: the given watched doit if it
+    /// is ready, else the first other one by priority (the reserved doit is
+    /// its watcher's alone).
+    Claimable(Option<Oop>),
+}
+
+impl From<Oop> for Subject {
+    fn from(p: Oop) -> Subject {
+        Subject::Named(p)
+    }
+}
+
+impl From<Flushed> for Subject {
+    fn from(flushed: Flushed) -> Subject {
+        Subject::Current(flushed)
+    }
+}
+
+/// Moves a Process to `to` and answers it if it now stands there; `None`
+/// when the move is refused, when a claim or a signal finds nobody, or
+/// when a wait takes a banked signal instead of blocking.
+///
+/// The legal moves are the paper's state machine: a claim (ready →
+/// running) and its release (running → ready), a wait (running → waiting),
+/// a signal (waiting → ready), a resume (suspended → ready, a fresh Process
+/// included), and from every live state a suspend or a terminate.
+pub fn transition(vm: &Vm, who: impl Into<Subject>, to: State) -> Option<Oop> {
+    let mem = &vm.mem;
+    let g = vm.sched_lock.acquire();
+    let reserved = vm.reserved.lock().as_ref().map(|(p, t)| (p.get(), *t));
+    let doit = reserved.map(|(p, _)| p);
+    let (p, from) = match who.into() {
+        Subject::Claimable(watched) => {
+            debug_assert_eq!(to, State::Running);
+            // A claim gives nobody work, so it wakes nobody.
+            let mine = watched.filter(|&w| state(mem, w) == State::Ready);
+            if let Some(w) = mine {
+                set_running(mem, w, true);
+            }
+            let next = scan(vm, doit, mine.is_none());
+            return mine.or(next);
+        }
+        Subject::Current(flushed) => (flushed.process(), State::Running),
+        Subject::Named(p) => match state(mem, p) {
+            State::Running => return None,
+            // Only a signal readies a waiting Process.
+            State::Waiting(_) if to == State::Ready => return None,
+            from => (p, from),
+        },
+        Subject::FirstWaiter(sem) => {
+            let first = mem.fetch(sem, semaphore::FIRST_LINK);
+            if first == mem.nil() {
+                add_excess_signals(mem, sem, 1);
+                return None;
+            }
+            (first, State::Waiting(sem))
+        }
+    };
+    match (from, to) {
+        _ if from == to => return Some(p),
+        (State::Terminated, _) | (_, State::Running) => return None,
+        // A wait takes a banked signal instead of blocking.
+        (State::Running, State::Waiting(sem))
+            if mem.fetch(sem, semaphore::EXCESS_SIGNALS).as_small_int() > 0 =>
+        {
+            add_excess_signals(mem, sem, -1);
+            return None;
+        }
+        (State::Running, State::Waiting(_)) => {}
+        (_, State::Waiting(_)) => return None,
+        _ => {}
+    }
+    if from == State::Running {
+        set_running(mem, p, false);
+    }
+    // A released claim stays queued where it was; every other move leaves
+    // its list and joins the one `to` names.
+    if (from, to) != (State::Running, State::Ready) {
+        unlink(mem, p);
+        match to {
+            State::Ready => {
+                let pri = mem.fetch(p, process::PRIORITY).as_small_int();
+                append(mem, ready_list(mem, pri), p);
+            }
+            State::Waiting(sem) => append(mem, sem, p),
+            State::Terminated => mem.store(p, process::SUSPENDED_CONTEXT, mem.nil()),
+            State::Suspended | State::Running => {}
+        }
+    }
+    scan(vm, doit, false);
+    drop(g);
+    let claimable_by_others = match reserved {
+        Some((doit, watcher)) if doit == p => {
+            matches!(to, State::Ready | State::Terminated) && std::thread::current().id() != watcher
+        }
+        _ => to == State::Ready,
+    };
+    if claimable_by_others {
+        vm.rendezvous.wake_idle();
+    }
+    Some(p)
+}
+
+/// Where `p` stands. Under the scheduler lock for a stable answer.
+fn state(mem: &ObjectMemory, p: Oop) -> State {
+    let list = mem.fetch(p, process::MY_LIST);
+    if is_running(mem, p) {
+        State::Running
+    } else if list != mem.nil() {
+        if is_semaphore(mem, list) {
+            State::Waiting(list)
+        } else {
+            State::Ready
+        }
+    } else if mem.fetch(p, process::SUSPENDED_CONTEXT) == mem.nil() {
+        State::Terminated
+    } else {
+        State::Suspended
+    }
+}
+
+/// The one pass over the ready queues, highest priority first. With
+/// `claim`, claims the first ready Process any interpreter may run (the
+/// reserved doit `doit` is its watcher's alone); then sets the preemption
+/// hint to the priority of the first such Process left, or 0. Under the
+/// scheduler lock.
+fn scan(vm: &Vm, doit: Option<Oop>, mut claim: bool) -> Option<Oop> {
+    let mem = &vm.mem;
+    let mut claimed = None;
+    let mut hint = 0;
+    'queues: for pri in (1..=scheduler::PRIORITIES as i64).rev() {
+        let mut cur = mem.fetch(ready_list(mem, pri), linked_list::FIRST_LINK);
+        while cur != mem.nil() {
+            if !is_running(mem, cur) && Some(cur) != doit {
+                if !claim {
+                    hint = pri;
+                    break 'queues;
+                }
+                set_running(mem, cur, true);
+                claimed = Some(cur);
+                claim = false;
+            }
+            cur = mem.fetch(cur, process::NEXT_LINK);
+        }
+    }
+    vm.preempt_hint.store(hint, Ordering::Relaxed);
+    claimed
+}
+
 fn ready_list(mem: &ObjectMemory, priority: i64) -> Oop {
     let sched = mem.specials().get(So::Scheduler);
     let queues = mem.fetch(sched, scheduler::READY_QUEUES);
     mem.fetch(queues, (priority - 1) as usize)
 }
 
-/// Appends a process to a FIFO (ready list or semaphore).
-fn list_append(mem: &ObjectMemory, list: Oop, first_slot: usize, proc_oop: Oop) {
-    let last_slot = first_slot + 1;
-    let nil = mem.nil();
-    mem.store(proc_oop, process::NEXT_LINK, nil);
-    mem.store(proc_oop, process::MY_LIST, list);
-    let last = mem.fetch(list, last_slot);
-    if last == nil {
-        mem.store(list, first_slot, proc_oop);
+fn is_semaphore(mem: &ObjectMemory, list: Oop) -> bool {
+    mem.class_of(list) == mem.specials().get(So::ClassSemaphore)
+}
+
+/// The slot of `list`'s first link; its last link follows it.
+fn first_link(mem: &ObjectMemory, list: Oop) -> usize {
+    if is_semaphore(mem, list) {
+        semaphore::FIRST_LINK
     } else {
-        mem.store(last, process::NEXT_LINK, proc_oop);
+        linked_list::FIRST_LINK
     }
-    mem.store(list, last_slot, proc_oop);
 }
 
-/// Pops the first process from a FIFO.
-fn list_pop(mem: &ObjectMemory, list: Oop, first_slot: usize) -> Option<Oop> {
+/// Appends `p` to a FIFO (a ready queue or a Semaphore).
+fn append(mem: &ObjectMemory, list: Oop, p: Oop) {
+    let first_slot = first_link(mem, list);
     let nil = mem.nil();
-    let first = mem.fetch(list, first_slot);
-    if first == nil {
-        return None;
+    mem.store(p, process::NEXT_LINK, nil);
+    mem.store(p, process::MY_LIST, list);
+    let last = mem.fetch(list, first_slot + 1);
+    if last == nil {
+        mem.store(list, first_slot, p);
+    } else {
+        mem.store(last, process::NEXT_LINK, p);
     }
-    let next = mem.fetch(first, process::NEXT_LINK);
-    mem.store(list, first_slot, next);
-    if next == nil {
-        mem.store(list, first_slot + 1, nil);
-    }
-    mem.store(first, process::NEXT_LINK, nil);
-    mem.store(first, process::MY_LIST, nil);
-    Some(first)
+    mem.store(list, first_slot + 1, p);
 }
 
-/// Unlinks a specific process from a FIFO; returns whether it was present.
-fn list_remove(mem: &ObjectMemory, list: Oop, first_slot: usize, proc_oop: Oop) -> bool {
+/// Unlinks `p` from the list it is on, if any.
+fn unlink(mem: &ObjectMemory, p: Oop) {
     let nil = mem.nil();
+    let list = mem.fetch(p, process::MY_LIST);
+    if list == nil {
+        return;
+    }
+    let first_slot = first_link(mem, list);
     let mut prev = nil;
     let mut cur = mem.fetch(list, first_slot);
-    while cur != nil {
-        if cur == proc_oop {
-            let next = mem.fetch(cur, process::NEXT_LINK);
-            if prev == nil {
-                mem.store(list, first_slot, next);
-            } else {
-                mem.store(prev, process::NEXT_LINK, next);
-            }
-            if next == nil {
-                let last_slot = first_slot + 1;
-                mem.store(list, last_slot, prev);
-            }
-            mem.store(cur, process::NEXT_LINK, nil);
-            mem.store(cur, process::MY_LIST, nil);
-            return true;
+    while cur != p {
+        debug_assert_ne!(cur, nil, "a Process is missing from the list it names");
+        if cur == nil {
+            return;
         }
         prev = cur;
         cur = mem.fetch(cur, process::NEXT_LINK);
     }
-    false
+    let next = mem.fetch(p, process::NEXT_LINK);
+    if prev == nil {
+        mem.store(list, first_slot, next);
+    } else {
+        mem.store(prev, process::NEXT_LINK, next);
+    }
+    if next == nil {
+        mem.store(list, first_slot + 1, prev);
+    }
+    mem.store(p, process::NEXT_LINK, nil);
+    mem.store(p, process::MY_LIST, nil);
 }
 
 fn is_running(mem: &ObjectMemory, p: Oop) -> bool {
@@ -135,191 +316,13 @@ fn set_running(mem: &ObjectMemory, p: Oop, on: bool) {
     mem.store_nocheck(p, process::RUNNING, Oop::from_small_int(on as i64));
 }
 
-/// Recomputes the preemption hint: the highest priority with a ready,
-/// unclaimed process. Must be called with the scheduler lock held.
-fn refresh_hint(vm: &Vm) {
-    let mem = &vm.mem;
-    let reserved = reserved_oop(vm);
-    let mut hint = 0;
-    for pri in (1..=scheduler::PRIORITIES as i64).rev() {
-        let list = ready_list(mem, pri);
-        let mut cur = mem.fetch(list, linked_list::FIRST_LINK);
-        while cur != mem.nil() {
-            if !is_running(mem, cur) && Some(cur) != reserved {
-                hint = pri;
-                break;
-            }
-            cur = mem.fetch(cur, process::NEXT_LINK);
-        }
-        if hint != 0 {
-            break;
-        }
-    }
-    vm.preempt_hint.store(hint, Ordering::Relaxed);
-}
-
-/// The currently reserved process, if any (caller should hold the
-/// scheduler lock for a stable answer).
-fn reserved_oop(vm: &Vm) -> Option<Oop> {
-    vm.reserved.lock().as_ref().map(|r| r.get())
-}
-
-/// Adds a process to the ready queue (it keeps running state false).
-pub fn add_ready(vm: &Vm, proc_oop: Oop) {
-    let g = vm.sched_lock.acquire();
-    let mem = &vm.mem;
-    let pri = mem.fetch(proc_oop, process::PRIORITY).as_small_int();
-    list_append(mem, ready_list(mem, pri), linked_list::FIRST_LINK, proc_oop);
-    refresh_hint(vm);
-    drop(g);
-    vm.rendezvous.wake_idle();
-}
-
-/// Claims the highest-priority ready, unclaimed process for an interpreter.
-/// The process *stays in the ready queue* (paper §3.3).
-pub fn claim_next(vm: &Vm) -> Option<Oop> {
-    let _g = vm.sched_lock.acquire();
-    let mem = &vm.mem;
-    let reserved = reserved_oop(vm);
-    for pri in (1..=scheduler::PRIORITIES as i64).rev() {
-        let list = ready_list(mem, pri);
-        let mut cur = mem.fetch(list, linked_list::FIRST_LINK);
-        while cur != mem.nil() {
-            if !is_running(mem, cur) && Some(cur) != reserved {
-                set_running(mem, cur, true);
-                refresh_hint(vm);
-                return Some(cur);
-            }
-            cur = mem.fetch(cur, process::NEXT_LINK);
-        }
-    }
-    None
-}
-
-/// Claims a *specific* ready process (the reserved one) if it is currently
-/// ready and unclaimed. Used by the interpreter that watches it.
-pub fn claim_reserved(vm: &Vm, proc_oop: Oop) -> bool {
-    let _g = vm.sched_lock.acquire();
-    let mem = &vm.mem;
-    if is_running(mem, proc_oop) {
-        return false;
-    }
-    let pri = mem.fetch(proc_oop, process::PRIORITY).as_small_int();
-    let list = ready_list(mem, pri);
-    let mut cur = mem.fetch(list, linked_list::FIRST_LINK);
-    while cur != mem.nil() {
-        if cur == proc_oop {
-            set_running(mem, cur, true);
-            refresh_hint(vm);
-            return true;
-        }
-        cur = mem.fetch(cur, process::NEXT_LINK);
-    }
-    false
-}
-
-/// Releases a claimed process back to ready-but-not-running (preemption,
-/// yield).
-pub fn unclaim(vm: &Vm, proc_oop: Oop) {
-    let g = vm.sched_lock.acquire();
-    set_running(&vm.mem, proc_oop, false);
-    refresh_hint(vm);
-    drop(g);
-    vm.rendezvous.wake_idle();
-}
-
-/// Removes a process from the ready queue entirely (termination, or about
-/// to block on a semaphore).
-pub fn retire(vm: &Vm, proc_oop: Oop) {
-    let _g = vm.sched_lock.acquire();
-    let mem = &vm.mem;
-    let pri = mem.fetch(proc_oop, process::PRIORITY).as_small_int();
-    list_remove(mem, ready_list(mem, pri), linked_list::FIRST_LINK, proc_oop);
-    set_running(mem, proc_oop, false);
-    refresh_hint(vm);
-}
-
-/// Ends a process's life: off the ready queue, its result stashed in the
-/// Process itself (so any watcher — possibly on another interpreter — can
-/// read it), then termination marked with a nil suspended context, which
-/// is what a watcher waits for.
-pub fn terminate(vm: &Vm, proc_oop: Oop, result: Oop) {
-    retire(vm, proc_oop);
-    let mem = &vm.mem;
-    mem.store(proc_oop, process::RESULT, result);
-    mem.store(proc_oop, process::SUSPENDED_CONTEXT, mem.nil());
-    vm.rendezvous.wake_idle();
-}
-
-/// `resume` primitive: (re)schedules a suspended process.
-/// Answers `false` if the process was already on a list (no-op).
-pub fn resume(vm: &Vm, proc_oop: Oop) -> bool {
-    let g = vm.sched_lock.acquire();
-    let mem = &vm.mem;
-    if mem.fetch(proc_oop, process::MY_LIST) != mem.nil() || is_running(mem, proc_oop) {
-        return false;
-    }
-    let pri = mem.fetch(proc_oop, process::PRIORITY).as_small_int();
-    list_append(mem, ready_list(mem, pri), linked_list::FIRST_LINK, proc_oop);
-    refresh_hint(vm);
-    drop(g);
-    vm.rendezvous.wake_idle();
-    true
-}
-
-/// Result of a semaphore wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitOutcome {
-    /// A signal was available; the process continues.
-    Acquired,
-    /// The process was moved from the ready queue to the semaphore's FIFO.
-    Blocked,
-}
-
-/// `wait` primitive body.
-pub fn semaphore_wait(vm: &Vm, sem: Oop, proc_oop: Oop) -> WaitOutcome {
-    let _g = vm.sched_lock.acquire();
-    let mem = &vm.mem;
+fn add_excess_signals(mem: &ObjectMemory, sem: Oop, delta: i64) {
     let excess = mem.fetch(sem, semaphore::EXCESS_SIGNALS).as_small_int();
-    if excess > 0 {
-        mem.store_nocheck(
-            sem,
-            semaphore::EXCESS_SIGNALS,
-            Oop::from_small_int(excess - 1),
-        );
-        return WaitOutcome::Acquired;
-    }
-    let pri = mem.fetch(proc_oop, process::PRIORITY).as_small_int();
-    list_remove(mem, ready_list(mem, pri), linked_list::FIRST_LINK, proc_oop);
-    set_running(mem, proc_oop, false);
-    list_append(mem, sem, semaphore::FIRST_LINK, proc_oop);
-    refresh_hint(vm);
-    WaitOutcome::Blocked
-}
-
-/// `signal` primitive body. Returns the awakened process, if any.
-pub fn semaphore_signal(vm: &Vm, sem: Oop) -> Option<Oop> {
-    let g = vm.sched_lock.acquire();
-    let mem = &vm.mem;
-    match list_pop(mem, sem, semaphore::FIRST_LINK) {
-        Some(p) => {
-            let pri = mem.fetch(p, process::PRIORITY).as_small_int();
-            list_append(mem, ready_list(mem, pri), linked_list::FIRST_LINK, p);
-            refresh_hint(vm);
-            drop(g);
-            vm.rendezvous.wake_idle();
-            Some(p)
-        }
-        None => {
-            let excess = mem.fetch(sem, semaphore::EXCESS_SIGNALS).as_small_int();
-            mem.store_nocheck(
-                sem,
-                semaphore::EXCESS_SIGNALS,
-                Oop::from_small_int(excess + 1),
-            );
-            None
-        }
-    }
+    mem.store_nocheck(
+        sem,
+        semaphore::EXCESS_SIGNALS,
+        Oop::from_small_int(excess + delta),
+    );
 }
 
 /// Signals the image's low-space semaphore (Blue Book `LowSpaceSemaphore`),
@@ -329,33 +332,8 @@ pub fn semaphore_signal(vm: &Vm, sem: Oop) -> Option<Oop> {
 pub fn signal_low_space(vm: &Vm) {
     let sem = vm.mem.specials().get(So::LowSpaceSemaphore);
     if sem != Oop::ZERO && sem != vm.mem.nil() {
-        semaphore_signal(vm, sem);
+        transition(vm, Subject::FirstWaiter(sem), State::Ready);
     }
-}
-
-/// Suspends a process that is *not* running: unlinks it from whatever list
-/// it is on (ready queue or semaphore). Returns `false` — primitive failure
-/// — if it is currently running on some interpreter: exactly the embedded
-/// "that other Process is not active" assumption the paper's reorganization
-/// section calls out (§3.3).
-pub fn suspend_other(vm: &Vm, proc_oop: Oop) -> bool {
-    let _g = vm.sched_lock.acquire();
-    let mem = &vm.mem;
-    if is_running(mem, proc_oop) {
-        return false;
-    }
-    let list = mem.fetch(proc_oop, process::MY_LIST);
-    if list == mem.nil() {
-        return true; // already suspended
-    }
-    let first_slot = if mem.class_of(list) == mem.specials().get(So::ClassSemaphore) {
-        semaphore::FIRST_LINK
-    } else {
-        linked_list::FIRST_LINK
-    };
-    list_remove(mem, list, first_slot, proc_oop);
-    refresh_hint(vm);
-    true
 }
 
 /// Whether a process is ready or running — the paper's `canRun:` query,
@@ -363,18 +341,7 @@ pub fn suspend_other(vm: &Vm, proc_oop: Oop) -> bool {
 /// process which is currently running and one which is ready to run" (§3.3).
 pub fn can_run(vm: &Vm, proc_oop: Oop) -> bool {
     let _g = vm.sched_lock.acquire();
-    let mem = &vm.mem;
-    if is_running(mem, proc_oop) {
-        return true;
-    }
-    let list = mem.fetch(proc_oop, process::MY_LIST);
-    if list == mem.nil() {
-        return false;
-    }
-    // On some list: ready if it's one of the scheduler's queues.
-    let sched = mem.specials().get(So::Scheduler);
-    let queues = mem.fetch(sched, scheduler::READY_QUEUES);
-    (0..scheduler::PRIORITIES).any(|i| mem.fetch(queues, i) == list)
+    matches!(state(&vm.mem, proc_oop), State::Ready | State::Running)
 }
 
 /// Fills the pre-reorganization `activeProcess` slot around a snapshot
@@ -422,9 +389,12 @@ mod tests {
         vm
     }
 
+    /// A suspended Process. It never runs, so any non-nil object serves as
+    /// its context (a nil one would mark it terminated).
     fn proc_at(vm: &Vm, priority: i64) -> Oop {
         let tok = vm.mem.new_token();
-        create_process(&vm.mem, &tok, vm.mem.nil(), priority, vm.mem.nil()).unwrap()
+        let ctx = vm.mem.specials().get(So::ClassProcess);
+        create_process(&vm.mem, &tok, ctx, priority, vm.mem.nil()).unwrap()
     }
 
     fn semaphore(vm: &Vm) -> Oop {
@@ -439,18 +409,31 @@ mod tests {
         sem
     }
 
+    fn claim(vm: &Vm) -> Option<Oop> {
+        transition(vm, Subject::Claimable(None), State::Running)
+    }
+
+    fn signal(vm: &Vm, sem: Oop) -> Option<Oop> {
+        transition(vm, Subject::FirstWaiter(sem), State::Ready)
+    }
+
+    /// `p` as the claiming interpreter's own Process.
+    fn current(p: Oop) -> Flushed {
+        Flushed::assumed(p)
+    }
+
     #[test]
     fn claim_prefers_higher_priority_and_keeps_in_queue() {
         let vm = test_vm();
         let low = proc_at(&vm, 2);
         let high = proc_at(&vm, 5);
-        add_ready(&vm, low);
-        add_ready(&vm, high);
-        assert_eq!(claim_next(&vm), Some(high));
+        transition(&vm, low, State::Ready);
+        transition(&vm, high, State::Ready);
+        assert_eq!(claim(&vm), Some(high));
         // Reorganization: the claimed process is still queued, just marked.
         assert!(can_run(&vm, high));
-        assert_eq!(claim_next(&vm), Some(low));
-        assert_eq!(claim_next(&vm), None);
+        assert_eq!(claim(&vm), Some(low));
+        assert_eq!(claim(&vm), None);
     }
 
     #[test]
@@ -458,44 +441,58 @@ mod tests {
         let vm = test_vm();
         let a = proc_at(&vm, 4);
         let b = proc_at(&vm, 4);
-        add_ready(&vm, a);
-        add_ready(&vm, b);
-        assert_eq!(claim_next(&vm), Some(a));
-        assert_eq!(claim_next(&vm), Some(b));
+        transition(&vm, a, State::Ready);
+        transition(&vm, b, State::Ready);
+        assert_eq!(claim(&vm), Some(a));
+        assert_eq!(claim(&vm), Some(b));
     }
 
     #[test]
     fn unclaim_allows_reclaim_and_hint_tracks() {
         let vm = test_vm();
         let p = proc_at(&vm, 3);
-        add_ready(&vm, p);
+        transition(&vm, p, State::Ready);
         assert_eq!(vm.preempt_hint.load(Ordering::Relaxed), 3);
-        let got = claim_next(&vm).unwrap();
+        let got = claim(&vm).unwrap();
         assert_eq!(vm.preempt_hint.load(Ordering::Relaxed), 0);
-        unclaim(&vm, got);
+        assert_eq!(transition(&vm, current(got), State::Ready), Some(p));
         assert_eq!(vm.preempt_hint.load(Ordering::Relaxed), 3);
-        assert_eq!(claim_next(&vm), Some(p));
+        assert_eq!(claim(&vm), Some(p));
     }
 
     #[test]
     fn retire_removes_from_queue() {
+        // Suspending or ending a ready Process unlinks it through MY_LIST.
         let vm = test_vm();
-        let p = proc_at(&vm, 3);
-        add_ready(&vm, p);
-        retire(&vm, p);
-        assert_eq!(claim_next(&vm), None);
-        assert!(!can_run(&vm, p));
+        let (a, b, c) = (proc_at(&vm, 3), proc_at(&vm, 3), proc_at(&vm, 3));
+        for p in [a, b, c] {
+            transition(&vm, p, State::Ready);
+        }
+        assert_eq!(transition(&vm, b, State::Suspended), Some(b));
+        assert_eq!(transition(&vm, c, State::Terminated), Some(c));
+        assert!(!can_run(&vm, b) && !can_run(&vm, c));
+        assert_eq!(claim(&vm), Some(a));
+        assert_eq!(claim(&vm), None);
+        // A terminated Process stays terminated; a suspended one resumes.
+        assert_eq!(transition(&vm, c, State::Ready), None);
+        assert_eq!(transition(&vm, b, State::Ready), Some(b));
+        assert_eq!(claim(&vm), Some(b));
     }
 
     #[test]
     fn resume_is_idempotent_for_queued_processes() {
         let vm = test_vm();
         let p = proc_at(&vm, 3);
-        assert!(resume(&vm, p));
-        assert!(!resume(&vm, p), "second resume is a no-op");
-        assert_eq!(claim_next(&vm), Some(p));
-        // Running: still not resumable.
-        assert!(!resume(&vm, p));
+        assert_eq!(transition(&vm, p, State::Ready), Some(p));
+        assert_eq!(
+            transition(&vm, p, State::Ready),
+            Some(p),
+            "a second resume leaves it ready"
+        );
+        assert_eq!(claim(&vm), Some(p));
+        assert_eq!(claim(&vm), None, "and queued once");
+        // Running: a resume by name is refused.
+        assert_eq!(transition(&vm, p, State::Ready), None);
     }
 
     #[test]
@@ -503,24 +500,30 @@ mod tests {
         let vm = test_vm();
         let sem = semaphore(&vm);
         let p = proc_at(&vm, 4);
-        add_ready(&vm, p);
-        let claimed = claim_next(&vm).unwrap();
-        assert_eq!(claimed, p);
+        transition(&vm, p, State::Ready);
+        assert_eq!(claim(&vm), Some(p));
         // No signal pending: blocks and leaves the ready queue.
-        assert_eq!(semaphore_wait(&vm, sem, p), WaitOutcome::Blocked);
+        assert_eq!(transition(&vm, current(p), State::Waiting(sem)), Some(p));
         assert!(!can_run(&vm, p));
-        assert_eq!(claim_next(&vm), None);
-        // Signal wakes it.
-        assert_eq!(semaphore_signal(&vm, sem), Some(p));
+        assert_eq!(claim(&vm), None);
+        // Only a signal readies a waiting Process.
+        assert_eq!(transition(&vm, p, State::Ready), None);
+        assert_eq!(signal(&vm, sem), Some(p));
         assert!(can_run(&vm, p));
-        assert_eq!(claim_next(&vm), Some(p));
+        assert_eq!(claim(&vm), Some(p));
         // Signal with no waiters accumulates.
-        assert_eq!(semaphore_signal(&vm, sem), None);
+        assert_eq!(signal(&vm, sem), None);
         assert_eq!(
             vm.mem.fetch(sem, semaphore::EXCESS_SIGNALS).as_small_int(),
             1
         );
-        assert_eq!(semaphore_wait(&vm, sem, p), WaitOutcome::Acquired);
+        // And a wait takes the banked signal instead of blocking.
+        assert_eq!(transition(&vm, current(p), State::Waiting(sem)), None);
+        assert!(can_run(&vm, p));
+        assert_eq!(
+            vm.mem.fetch(sem, semaphore::EXCESS_SIGNALS).as_small_int(),
+            0
+        );
     }
 
     #[test]
@@ -529,10 +532,13 @@ mod tests {
         let sem = semaphore(&vm);
         let a = proc_at(&vm, 4);
         let b = proc_at(&vm, 4);
-        semaphore_wait(&vm, sem, a);
-        semaphore_wait(&vm, sem, b);
-        assert_eq!(semaphore_signal(&vm, sem), Some(a));
-        assert_eq!(semaphore_signal(&vm, sem), Some(b));
+        for p in [a, b] {
+            transition(&vm, p, State::Ready);
+            assert_eq!(claim(&vm), Some(p));
+            transition(&vm, current(p), State::Waiting(sem));
+        }
+        assert_eq!(signal(&vm, sem), Some(a));
+        assert_eq!(signal(&vm, sem), Some(b));
     }
 
     #[test]
@@ -540,25 +546,32 @@ mod tests {
         let vm = test_vm();
         let sem = semaphore(&vm);
         let p = proc_at(&vm, 4);
-        semaphore_wait(&vm, sem, p);
-        assert!(suspend_other(&vm, p));
+        transition(&vm, p, State::Ready);
+        assert_eq!(claim(&vm), Some(p));
+        transition(&vm, current(p), State::Waiting(sem));
+        assert_eq!(transition(&vm, p, State::Suspended), Some(p));
         // No longer wakeable through the semaphore.
-        assert_eq!(semaphore_signal(&vm, sem), None);
+        assert_eq!(signal(&vm, sem), None);
+        assert!(!can_run(&vm, p));
     }
 
     #[test]
     fn suspend_other_refuses_running_processes() {
         let vm = test_vm();
         let p = proc_at(&vm, 4);
-        add_ready(&vm, p);
-        let claimed = claim_next(&vm).unwrap();
-        assert!(!suspend_other(&vm, claimed));
+        transition(&vm, p, State::Ready);
+        let claimed = claim(&vm).unwrap();
+        assert_eq!(transition(&vm, claimed, State::Suspended), None);
+        assert_eq!(transition(&vm, claimed, State::Terminated), None);
+        assert!(can_run(&vm, claimed));
     }
 
     #[test]
     fn every_transition_that_can_give_work_wakes_the_idle() {
-        // The idle wait has no timeout, so a transition that forgets to
-        // wake leaves an idle interpreter asleep beside claimable work.
+        // An idle wait without a deadline has no timeout, so a transition
+        // that lets another interpreter claim a Process must wake; one that
+        // does not must not, or every request wakes idle workers for
+        // nothing.
         let vm = test_vm();
         let sem = semaphore(&vm);
         let p = proc_at(&vm, 4);
@@ -576,22 +589,53 @@ mod tests {
             f();
             assert_eq!(vm.rendezvous.idle_generation(), before, "{what} woke");
         };
-        woke("add_ready", &|| add_ready(&vm, p));
-        slept("claim_next", &|| assert_eq!(claim_next(&vm), Some(p)));
-        woke("unclaim", &|| unclaim(&vm, p));
-        assert_eq!(claim_next(&vm), Some(p));
-        slept("semaphore_wait", &|| {
-            assert_eq!(semaphore_wait(&vm, sem, p), WaitOutcome::Blocked)
+        woke("resume", &|| {
+            assert_eq!(transition(&vm, p, State::Ready), Some(p))
+        });
+        slept("claim", &|| assert_eq!(claim(&vm), Some(p)));
+        woke("unclaim", &|| {
+            assert_eq!(transition(&vm, current(p), State::Ready), Some(p))
+        });
+        assert_eq!(claim(&vm), Some(p));
+        slept("wait", &|| {
+            assert_eq!(transition(&vm, current(p), State::Waiting(sem)), Some(p))
         });
         woke("a readying signal", &|| {
-            assert_eq!(semaphore_signal(&vm, sem), Some(p))
+            assert_eq!(signal(&vm, sem), Some(p))
         });
         slept("a signal nobody waits for", &|| {
-            assert_eq!(semaphore_signal(&vm, sem), None)
+            assert_eq!(signal(&vm, sem), None)
         });
-        assert_eq!(claim_next(&vm), Some(p));
-        woke("terminate", &|| terminate(&vm, p, vm.mem.nil()));
-        woke("resume", &|| assert!(resume(&vm, p)));
+        assert_eq!(claim(&vm), Some(p));
+        slept("terminate", &|| {
+            assert_eq!(transition(&vm, current(p), State::Terminated), Some(p))
+        });
+
+        // The reserved doit: this thread is its watcher.
+        let doit = proc_at(&vm, 5);
+        vm.set_reserved(Some(vm.mem.new_root(doit)));
+        slept("the watcher spawning its doit", &|| {
+            assert_eq!(transition(&vm, doit, State::Ready), Some(doit))
+        });
+        slept("a worker's claim", &|| assert_eq!(claim(&vm), None));
+        let watched = Subject::Claimable(Some(doit));
+        assert_eq!(transition(&vm, watched, State::Running), Some(doit));
+        slept("the watcher ending its doit", &|| {
+            assert_eq!(
+                transition(&vm, current(doit), State::Terminated),
+                Some(doit)
+            )
+        });
+        let doit = proc_at(&vm, 5);
+        vm.set_reserved(Some(vm.mem.new_root(doit)));
+        let elsewhere = |to| std::thread::scope(|s| s.spawn(|| transition(&vm, doit, to)).join());
+        woke("another thread readying the doit", &|| {
+            assert_eq!(elsewhere(State::Ready).unwrap(), Some(doit))
+        });
+        woke("another thread ending the doit", &|| {
+            assert_eq!(elsewhere(State::Terminated).unwrap(), Some(doit))
+        });
+        vm.set_reserved(None);
         woke("shutdown", &|| vm.shutdown());
     }
 

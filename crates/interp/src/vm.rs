@@ -152,9 +152,10 @@ pub struct Vm {
     /// the recycling chains (see [`crate::contexts::FreeLists::sever`])
     /// without holding a reference into the `Vm` itself.
     pub(crate) shared_free: Arc<SpinMutex<crate::contexts::FreeLists>>,
-    /// A Process only its watcher may claim (measurement pinning; see
-    /// `scheduler::claim_next` and `Interpreter::run`).
-    pub(crate) reserved: SpinMutex<Option<mst_objmem::RootHandle>>,
+    /// A Process only its watcher may claim, and the watcher's thread
+    /// (measurement pinning; see `scheduler::transition` and
+    /// `Interpreter::run`).
+    pub(crate) reserved: SpinMutex<Option<(mst_objmem::RootHandle, std::thread::ThreadId)>>,
     /// Edge-trigger latch for the low-space signal: set when a collection
     /// leaves old space nearly full (so the semaphore fires once, not at
     /// every subsequent scavenge), cleared once space recovers.
@@ -164,9 +165,9 @@ pub struct Vm {
     /// Supervised-processor health rows (see [`ProcessorInfo`]).
     pub(crate) roster: SpinMutex<Vec<ProcessorInfo>>,
     /// Absolute `tel::now_ns()` deadline for the watched (reserved) doit,
-    /// or 0 when none is armed. Checked at the watcher's safepoints; on
-    /// expiry the doit is terminated through the same containment route as
-    /// `outOfMemory` (see `Interpreter::deadline_expired`).
+    /// or 0 when none is armed. Checked at the watcher's safepoints and in
+    /// its run loop, whose idle wait ends at it; on expiry the watcher
+    /// terminates the doit wherever it stands (see `Interpreter::run`).
     pub(crate) deadline_ns: AtomicU64,
     /// One-shot chaos flag: when set, the watcher panics at its next
     /// safepoint *inside* the watched doit (the serving layer's
@@ -266,11 +267,11 @@ impl Vm {
         self.cache_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reserves a Process so only the interpreter watching it will claim
-    /// it (pass `None` to clear). Used to pin measured doits to the
-    /// measuring thread.
+    /// Reserves a Process so only the interpreter watching it, on the
+    /// calling thread, will claim it (pass `None` to clear). Used to pin
+    /// measured doits to the measuring thread.
     pub fn set_reserved(&self, process: Option<mst_objmem::RootHandle>) {
-        *self.reserved.lock() = process;
+        *self.reserved.lock() = process.map(|p| (p, std::thread::current().id()));
     }
 
     /// A copy of the supervised-processor roster (workers only; the main
@@ -327,10 +328,10 @@ impl Vm {
     }
 
     /// Arms a deadline for the watched (reserved) doit: an absolute
-    /// `tel::now_ns()` instant after which the doit is terminated at the
-    /// watcher's next safepoint. Pass 0 to disarm. Checked only by the
-    /// interpreter running the watched process, so worker interpreters and
-    /// unrelated processes are unaffected.
+    /// `tel::now_ns()` instant after which its watcher terminates it,
+    /// running, blocked or suspended. Pass 0 to disarm. Checked only by the
+    /// watcher, so worker interpreters and unrelated processes are
+    /// unaffected.
     pub fn set_deadline_ns(&self, abs_ns: u64) {
         self.deadline_ns.store(abs_ns, Ordering::Relaxed);
     }

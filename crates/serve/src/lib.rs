@@ -568,7 +568,7 @@ impl Server {
                     epoch,
                 })
             }
-            Ok(Err(EvalError::Runtime(msg))) if msg.starts_with("deadlineExpired") => {
+            Ok(Err(EvalError::DeadlineExpired)) => {
                 tel::counter!("serve.deadline_expired").incr();
                 Err(ServeError::DeadlineExpired)
             }

@@ -431,15 +431,17 @@ impl Rendezvous {
     }
 
     /// Blocks an idle participant until [`wake_idle`](Self::wake_idle)
-    /// moves the generation past `seen` (at once if it already has).
+    /// moves the generation past `seen` (at once if it already has), or
+    /// until `deadline_ns` (a [`tel::now_ns`] instant) if one is given.
     ///
     /// The waiter counts as parked throughout, so
     /// [`stop_world`](Self::stop_world) quiesces it without waking it; it
     /// still runs the leader's helper job, so
     /// [`RendezvousGuard::run_stopped`] can draft it; and it never returns
-    /// while a stop is in flight. There is no timeout: every transition
-    /// that can give an idle participant work must call `wake_idle`.
-    pub fn idle_wait(&self, id: ParticipantId, seen: u64) {
+    /// while a stop is in flight. Without a deadline there is no timeout:
+    /// every transition that can give an idle participant work must call
+    /// `wake_idle`.
+    pub fn idle_wait(&self, id: ParticipantId, seen: u64, deadline_ns: Option<u64>) {
         let start_ns = tel::enabled().then(tel::now_ns);
         let mut inner = self.lock_inner();
         let parked = Parked::enter(self, &mut inner, id, true);
@@ -457,7 +459,17 @@ impl Rendezvous {
             if self.idle_gen.load(Ordering::SeqCst) != seen {
                 break;
             }
-            inner = self.wait(&self.idle_cv, inner);
+            inner = match deadline_ns {
+                None => self.wait(&self.idle_cv, inner),
+                Some(deadline) => {
+                    let now = tel::now_ns();
+                    if now >= deadline {
+                        break;
+                    }
+                    let left = Duration::from_nanos(deadline - now);
+                    Self::wait_timeout(&self.idle_cv, inner, left)
+                }
+            };
         }
         parked.leave(&mut inner);
         drop(inner);
@@ -694,7 +706,8 @@ impl Rendezvous {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Timed variant of [`wait`](Self::wait); used by the watchdog.
+    /// Timed variant of [`wait`](Self::wait); used by the watchdog and a
+    /// deadline's idle wait.
     fn wait_timeout<'a>(
         cv: &Condvar,
         guard: MutexGuard<'a, Inner>,
@@ -1363,7 +1376,7 @@ mod tests {
         let rdv2 = Arc::clone(rdv);
         let h = std::thread::spawn(move || {
             let _unregister = Participant { rdv: &rdv2, id };
-            rdv2.idle_wait(id, seen);
+            rdv2.idle_wait(id, seen, None);
         });
         while rdv.idle_sleepers() == 0 {
             std::thread::yield_now();
@@ -1377,11 +1390,26 @@ mod tests {
         let me = rdv.register();
         let seen = rdv.idle_generation();
         rdv.wake_idle();
-        rdv.idle_wait(me, seen); // the generation already moved
+        rdv.idle_wait(me, seen, None); // the generation already moved
         let waiter = spawn_idle_waiter(&rdv);
         assert_eq!(rdv.parked(), 1, "an idle waiter counts as parked");
         rdv.wake_idle();
         waiter.join().unwrap();
+        assert_eq!((rdv.parked(), rdv.idle_sleepers()), (0, 0));
+        rdv.unregister(me);
+    }
+
+    #[test]
+    fn idle_wait_returns_at_its_deadline_without_a_wake() {
+        let rdv = Rendezvous::new();
+        let me = rdv.register();
+        let seen = rdv.idle_generation();
+        let start = std::time::Instant::now();
+        let budget = Duration::from_millis(20);
+        rdv.idle_wait(me, seen, Some(tel::now_ns() + budget.as_nanos() as u64));
+        let waited = start.elapsed();
+        assert!(waited >= budget, "returned after {waited:?}");
+        assert_eq!(rdv.idle_generation(), seen, "nobody woke it");
         assert_eq!((rdv.parked(), rdv.idle_sleepers()), (0, 0));
         rdv.unregister(me);
     }

@@ -148,18 +148,29 @@ fn this_process_and_can_run_reorganization() {
 
 #[test]
 fn suspend_and_terminate() {
+    // The Process is suspended or terminated once it blocks on a Semaphore:
+    // no interpreter can claim it then, so the `suspend` cannot race a
+    // claim (§3.3: a Process running on another processor cannot be
+    // suspended). A signal afterwards finds no waiter to ready.
     let mut ms = system();
-    assert_eq!(
-        eval(
-            &mut ms,
-            "| p | p := [[true] whileTrue] newProcess.
-             p priority: 1.
-             p resume.
-             p suspend.
-             Processor canRun: p"
-        ),
-        Value::Bool(false)
-    );
+    for verb in ["suspend", "terminate"] {
+        assert_eq!(
+            eval(
+                &mut ms,
+                &format!(
+                    "| s p | s := Semaphore new.
+                     p := [s wait] newProcess.
+                     p resume.
+                     [Processor canRun: p] whileTrue: [Processor yield].
+                     p {verb}.
+                     s signal.
+                     Processor canRun: p"
+                )
+            ),
+            Value::Bool(false),
+            "{verb}"
+        );
+    }
 }
 
 #[test]

@@ -128,6 +128,22 @@ fn doit_answers_promptly(name: &str, setup: &'static str, source: &'static str, 
 }
 
 #[test]
+fn a_doit_wakes_no_idle_worker() {
+    let _serial = serial();
+    // The reserved doit is its caller's alone: readying it and ending it on
+    // the caller's thread give no idle worker anything to claim.
+    let mut ms = idle_system();
+    await_idle(&ms);
+    let before = ms.vm().rendezvous.idle_generation();
+    for _ in 0..100 {
+        assert_eq!(ms.evaluate("3 + 4").unwrap(), Value::Int(7));
+    }
+    let wakes = ms.vm().rendezvous.idle_generation() - before;
+    ms.shutdown();
+    assert_eq!(wakes, 0, "100 doits woke the idle workers {wakes} times");
+}
+
+#[test]
 fn a_signal_from_a_forked_process_wakes_the_waiting_doit() {
     let _serial = serial();
     // The forked Process computes long enough for the doit's interpreter

@@ -110,14 +110,29 @@ const SPIN: &str = "[true] whileTrue";
 const ALLOC_SPIN: &str = "[true] whileTrue: [Array new: 20000]";
 
 fn assert_deadline_error(err: &EvalError) {
-    match err {
-        EvalError::Runtime(msg) => {
-            assert!(
-                msg.contains("deadlineExpired"),
-                "expected a deadline termination, got: {msg}"
-            )
+    assert!(
+        matches!(err, EvalError::DeadlineExpired),
+        "expected a deadline termination, got: {err}"
+    );
+}
+
+/// Runs `body` on a thread of its own and fails if it has not finished
+/// within `limit`, so a doit that never answers fails the test instead of
+/// hanging the binary.
+fn within(limit: Duration, what: &str, body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(()) => runner.join().expect("the body finished"),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("the body panicked"))
         }
-        other => panic!("expected a runtime deadline error, got: {other}"),
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what}: no answer after {limit:?}")
+        }
     }
 }
 
@@ -149,6 +164,78 @@ fn deadline_terminates_runaway_doits_cleanly() {
         assert_eq!(ms.evaluate("3 + 4").unwrap(), Value::Int(7));
     }
     ms.shutdown();
+}
+
+/// A watched doit that blocks on a Semaphore or suspends itself runs
+/// nowhere, so no safepoint sees its deadline: its watcher ends it there.
+/// One that terminates itself answers at once. Either way the tenant keeps
+/// serving on the same epoch with a clean heap.
+#[test]
+fn a_doit_that_blocks_suspends_or_terminates_itself_answers() {
+    within(Duration::from_secs(60), "self-blocking doits", || {
+        let dir = temp_dir("self_blocking");
+        let config = small_config();
+        let template = make_template(&dir, config);
+        let deadline = Duration::from_millis(200);
+        let serve = ServeConfig {
+            processors: 2,
+            deadline,
+            ..ServeConfig::default()
+        };
+        let server = Server::new(template, config, serve, 1);
+        server.request(0, "3 + 4").expect("warmup");
+        let epoch = server.epoch(0);
+        for (src, expires) in [
+            ("Semaphore new wait. 3", true),
+            ("Processor activeProcess suspend. 3", true),
+            ("Processor activeProcess terminate. 3", false),
+        ] {
+            let t0 = Instant::now();
+            let err = server.request(0, src).expect_err(src);
+            let elapsed = t0.elapsed();
+            if expires {
+                assert!(matches!(err, ServeError::DeadlineExpired), "{src}: {err}");
+            } else {
+                assert!(
+                    matches!(&err, ServeError::Runtime(msg) if msg.contains("terminated")),
+                    "{src}: {err}"
+                );
+            }
+            assert!(
+                elapsed < deadline + Duration::from_secs(1),
+                "{src}: answered after {elapsed:?}"
+            );
+            let next = server.request(0, "3 + 4").expect("the next request");
+            assert_eq!(next.value, Value::Int(7), "{src}");
+            assert_eq!(server.epoch(0), epoch, "{src}: the tenant was respawned");
+            let audit = server.audit(0).expect("a warm tenant");
+            assert!(audit.is_clean(), "{src}: dirty heap:\n{audit}");
+        }
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// A doit's end is typed: terminated by itself or by another Process, it
+/// answers `Terminated`. (A doit blocked with no deadline keeps waiting
+/// for the Process that signals it; `tests/idle.rs` covers that.)
+#[test]
+fn a_terminated_doit_answers_terminated() {
+    within(Duration::from_secs(60), "terminated doits", || {
+        let mut ms = MsSystem::new(small_config());
+        for src in [
+            "Processor activeProcess terminate. 3",
+            "| p | p := Processor activeProcess.
+             [[Processor canRun: p] whileTrue: [Processor yield]. p terminate] fork.
+             Semaphore new wait. 3",
+        ] {
+            let err = ms.evaluate(src).expect_err(src);
+            assert!(matches!(err, EvalError::Terminated), "{src}: {err}");
+            assert_eq!(ms.evaluate("3 + 4").unwrap(), Value::Int(7), "{src}");
+            assert!(ms.audit_heap().is_clean(), "{src}");
+        }
+        ms.shutdown();
+    });
 }
 
 /// A doit that finishes inside its budget is unaffected by the deadline
