@@ -3,9 +3,11 @@
 //! Compiles a parsed [`MethodNode`] into a [`CompiledMethodSpec`]: the
 //! neutral form the image layer converts into a CompiledMethod object.
 //! Control-flow selectors (`ifTrue:`, `and:`, `whileTrue:`, …) applied to
-//! literal blocks are inlined into jumps, as in every Smalltalk-80 compiler;
-//! other blocks become [`PUSH_BLOCK`]-created BlockContexts that share the
-//! home method's temporary frame (Smalltalk-80 blocks are not closures).
+//! literal blocks are inlined into jumps, as in every Smalltalk-80 compiler,
+//! and so are `to:do:` and `to:by:do:` loops whose inlining is exact (see
+//! `Gen::inline_to_do`); other blocks become [`PUSH_BLOCK`]-created
+//! BlockContexts that share the home method's temporary frame (Smalltalk-80
+//! blocks are not closures).
 
 use crate::ast::{Expr, Literal, Message, MethodNode, Pseudo, Stmt};
 use crate::bytecode::*;
@@ -81,13 +83,37 @@ struct Gen<'a> {
     ctx: &'a CompileContext<'a>,
     code: Vec<u8>,
     literals: Vec<LitEntry>,
-    /// All temp names in slot order (args first).
-    temps: Vec<String>,
+    /// Temp slots allocated so far (args first).
+    num_temps: usize,
     /// Currently visible temps: (name, slot).
     visible: Vec<(String, u8)>,
     depth: usize,
     max_depth: usize,
     uses_super: bool,
+    /// Real blocks enclosing the code being generated.
+    block_depth: usize,
+    /// The loop variables of the counted loops being inlined, innermost last.
+    loop_vars: Vec<LoopVar>,
+}
+
+/// The loop variable of a `to:do:` being inlined, and whether the body has
+/// used it in a way that only the real block keeps exact.
+struct LoopVar {
+    slot: u8,
+    broken: bool,
+}
+
+/// Everything [`Gen::rewind`] restores to abandon an inlining attempt.
+struct Mark {
+    code: usize,
+    literals: usize,
+    temps: usize,
+    visible: usize,
+    depth: usize,
+    max_depth: usize,
+    uses_super: bool,
+    block_depth: usize,
+    loop_vars: usize,
 }
 
 impl<'a> Gen<'a> {
@@ -96,12 +122,40 @@ impl<'a> Gen<'a> {
             ctx,
             code: Vec::new(),
             literals: Vec::new(),
-            temps: Vec::new(),
+            num_temps: 0,
             visible: Vec::new(),
             depth: 0,
             max_depth: 0,
             uses_super: false,
+            block_depth: 0,
+            loop_vars: Vec::new(),
         }
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            code: self.code.len(),
+            literals: self.literals.len(),
+            temps: self.num_temps,
+            visible: self.visible.len(),
+            depth: self.depth,
+            max_depth: self.max_depth,
+            uses_super: self.uses_super,
+            block_depth: self.block_depth,
+            loop_vars: self.loop_vars.len(),
+        }
+    }
+
+    fn rewind(&mut self, m: Mark) {
+        self.code.truncate(m.code);
+        self.literals.truncate(m.literals);
+        self.num_temps = m.temps;
+        self.visible.truncate(m.visible);
+        self.depth = m.depth;
+        self.max_depth = m.max_depth;
+        self.uses_super = m.uses_super;
+        self.block_depth = m.block_depth;
+        self.loop_vars.truncate(m.loop_vars);
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, CompileError> {
@@ -109,13 +163,27 @@ impl<'a> Gen<'a> {
     }
 
     fn define_temp(&mut self, name: &str) -> Result<u8, CompileError> {
-        if self.temps.len() >= 63 {
-            return self.err("too many temporaries (max 63)");
-        }
-        let slot = self.temps.len() as u8;
-        self.temps.push(name.to_string());
+        let slot = self.define_hidden_temp()?;
         self.visible.push((name.to_string(), slot));
         Ok(slot)
+    }
+
+    /// Allocates a temp slot that no source name refers to.
+    fn define_hidden_temp(&mut self) -> Result<u8, CompileError> {
+        if self.num_temps >= 63 {
+            return self.err("too many temporaries (max 63)");
+        }
+        self.num_temps += 1;
+        Ok((self.num_temps - 1) as u8)
+    }
+
+    /// Records a source reference to a temp for the inlined loops' guards:
+    /// a loop variable must not be assigned, nor read from a real block.
+    fn note_temp_use(&mut self, slot: u8, store: bool) {
+        let in_block = self.block_depth > 0;
+        for lv in self.loop_vars.iter_mut().filter(|lv| lv.slot == slot) {
+            lv.broken |= store || in_block;
+        }
     }
 
     fn lookup_temp(&self, name: &str) -> Option<u8> {
@@ -210,15 +278,25 @@ impl<'a> Gen<'a> {
         Ok(())
     }
 
+    /// Emits a store (optionally popping) to a temp slot.
+    fn emit_store_temp(&mut self, slot: u8, pop: bool) {
+        if pop && slot < 8 {
+            self.emit(STORE_POP_TEMP + slot);
+        } else {
+            self.emit(if pop { EXT_STORE_POP } else { EXT_STORE });
+            self.emit(0b0100_0000 | slot);
+        }
+        if pop {
+            self.note_pop(1);
+        }
+    }
+
     /// Emits a store (optionally popping) to a resolved variable.
     fn emit_store(&mut self, name: &str, pop: bool) -> Result<(), CompileError> {
         if let Some(slot) = self.lookup_temp(name) {
-            if pop && slot < 8 {
-                self.emit(STORE_POP_TEMP + slot);
-            } else {
-                self.emit(if pop { EXT_STORE_POP } else { EXT_STORE });
-                self.emit(0b0100_0000 | slot);
-            }
+            self.note_temp_use(slot, true);
+            self.emit_store_temp(slot, pop);
+            return Ok(());
         } else if let Some(slot) = self.lookup_ivar(name) {
             if pop && slot < 8 {
                 self.emit(STORE_POP_RCVR_VAR + slot);
@@ -286,6 +364,7 @@ impl<'a> Gen<'a> {
                     return self.err("`super` may only be a message receiver");
                 }
                 if let Some(slot) = self.lookup_temp(name) {
+                    self.note_temp_use(slot, false);
                     self.emit_push_temp(slot);
                 } else if let Some(slot) = self.lookup_ivar(name) {
                     self.emit_push_ivar(slot)?;
@@ -456,17 +535,11 @@ impl<'a> Gen<'a> {
         // Body runs on the block's own stack; track depth separately.
         let saved_depth = self.depth;
         self.depth = 0;
+        self.block_depth += 1;
         // Prologue: pop the pushed arguments into home temps, last first.
         for &slot in arg_slots.iter().rev() {
-            self.depth += 1; // value: pushed them
-            self.max_depth = self.max_depth.max(self.depth);
-            if slot < 8 {
-                self.emit(STORE_POP_TEMP + slot);
-            } else {
-                self.emit(EXT_STORE_POP);
-                self.emit(0b0100_0000 | slot);
-            }
-            self.note_pop(1);
+            self.note_push(); // value: pushed them
+            self.emit_store_temp(slot, true);
         }
         match body.split_last() {
             None => {
@@ -494,6 +567,7 @@ impl<'a> Gen<'a> {
             }
         }
         self.depth = saved_depth;
+        self.block_depth -= 1;
         let len = self.code.len() - (len_at + 2);
         if len > u16::MAX as usize {
             return self.err("block body too large");
@@ -604,6 +678,10 @@ impl<'a> Gen<'a> {
             ("whileFalse:", [body]) => self.inline_while(receiver, Some(body), false),
             ("whileTrue", []) => self.inline_while(receiver, None, true),
             ("whileFalse", []) => self.inline_while(receiver, None, false),
+            ("to:do:", [stop, body]) => self.inline_to_do(receiver, stop, 1, body),
+            ("to:by:do:", [stop, Expr::Literal(Literal::Int(step)), body]) if *step != 0 => {
+                self.inline_to_do(receiver, stop, *step, body)
+            }
             _ => Ok(false),
         }
     }
@@ -715,6 +793,105 @@ impl<'a> Gen<'a> {
         Ok(true)
     }
 
+    /// Inlines `start to: stop [by: step] do: [:i | body]` as a counted loop
+    /// when that is exact; otherwise leaves it to the real send.
+    ///
+    /// The loop keeps `start` on the stack as the expression's value (what
+    /// `Number>>to:do:` answers) and `stop`, evaluated once, in a hidden
+    /// temp allocated right after `i`:
+    ///
+    /// ```text
+    ///       <start> <stop> storePop limit  store i
+    /// head: push i  push limit  <= (>= for a negative step)  jumpFalse exit
+    ///       <body statements, each popped>
+    ///       push i  push step  +  storePop i  jump head
+    /// exit:
+    /// ```
+    ///
+    /// Blocks share their home's temp slots, so the loop is exact only
+    /// where no other activation can see `i` or the limit:
+    ///
+    /// - the block is a literal with one argument;
+    /// - the body never assigns `i`;
+    /// - no block in the body that stays real mentions `i` (after the loop
+    ///   it would see `limit + step`, not the last index);
+    /// - the loop is not itself inside a real block. Two BlockContexts of
+    ///   one home (say, forked Processes) would share the counter and the
+    ///   limit, where `Number>>to:do:` gives each activation its own.
+    ///
+    /// The body is generated first and rewound if it breaks a guard (or
+    /// cannot be inlined at all, e.g. a jump too far).
+    fn inline_to_do(
+        &mut self,
+        start: &Expr,
+        stop: &Expr,
+        step: i64,
+        block: &Expr,
+    ) -> Result<bool, CompileError> {
+        let Expr::Block { args, temps, body } = block else {
+            return Ok(false);
+        };
+        let [var] = args.as_slice() else {
+            return Ok(false);
+        };
+        if self.block_depth > 0 {
+            return Ok(false);
+        }
+        let mark = self.mark();
+        match self.counted_loop(start, stop, step, var, temps, body) {
+            Ok(true) => Ok(true),
+            Ok(false) | Err(_) => {
+                self.rewind(mark);
+                Ok(false)
+            }
+        }
+    }
+
+    /// Emits the loop of [`Gen::inline_to_do`]; answers whether the body
+    /// kept its guards.
+    fn counted_loop(
+        &mut self,
+        start: &Expr,
+        stop: &Expr,
+        step: i64,
+        var: &str,
+        temps: &[String],
+        body: &[Stmt],
+    ) -> Result<bool, CompileError> {
+        self.gen_expr(start)?;
+        self.gen_expr(stop)?;
+        let scope_mark = self.visible.len();
+        let i = self.define_temp(var)?;
+        let limit = self.define_hidden_temp()?;
+        self.emit_store_temp(limit, true);
+        self.emit_store_temp(i, false);
+        for t in temps {
+            self.define_temp(t)?;
+        }
+        self.loop_vars.push(LoopVar {
+            slot: i,
+            broken: false,
+        });
+        let head = self.code.len();
+        self.emit_push_temp(i);
+        self.emit_push_temp(limit);
+        self.emit_send_op(if step > 0 { "<=" } else { ">=" }, 1, false)?;
+        let jexit = self.emit_jump_placeholder(LONG_JUMP_FALSE);
+        self.note_pop(1);
+        for s in body {
+            self.gen_stmt_effect(s)?;
+        }
+        self.emit_push_temp(i);
+        self.gen_literal(&Literal::Int(step))?;
+        self.emit_send_op("+", 1, false)?;
+        self.emit_store_temp(i, true);
+        self.emit_jump_back(head)?;
+        self.patch_jump(jexit)?;
+        self.visible.truncate(scope_mark);
+        let lv = self.loop_vars.pop().expect("pushed above");
+        Ok(!lv.broken)
+    }
+
     // --- finish --------------------------------------------------------------
 
     fn finish(mut self, node: &MethodNode) -> Result<CompiledMethodSpec, CompileError> {
@@ -729,7 +906,7 @@ impl<'a> Gen<'a> {
                 return self.err("too many literals (max 255)");
             }
         }
-        let frame_needed = self.temps.len() + self.max_depth;
+        let frame_needed = self.num_temps + self.max_depth;
         let large_context = frame_needed > SMALL_FRAME;
         if frame_needed > LARGE_FRAME {
             return self.err(format!(
@@ -739,7 +916,7 @@ impl<'a> Gen<'a> {
         Ok(CompiledMethodSpec {
             selector: node.selector.clone(),
             num_args: node.args.len() as u8,
-            num_temps: self.temps.len() as u8,
+            num_temps: self.num_temps as u8,
             primitive: node.primitive,
             large_context,
             literals: self.literals,
@@ -1049,6 +1226,115 @@ mod tests {
         assert!(is.contains(&Instr::ReturnTop));
         // Falls through to ^2 when x is false.
         assert_eq!(*is.last().unwrap(), Instr::ReturnTop);
+    }
+
+    fn sends(spec: &CompiledMethodSpec, selector: &str) -> bool {
+        spec.literals
+            .contains(&LitEntry::Value(Literal::Symbol(selector.into())))
+    }
+
+    #[test]
+    fn to_do_over_a_literal_block_is_a_counted_loop() {
+        let m = compile_src("m | s | s := 0. 1 to: 10 do: [:i | s := s + i]. ^s");
+        assert!(!sends(&m, "to:do:"), "{:?}", m.literals);
+        // s, i, then the hidden limit.
+        assert_eq!(m.num_temps, 3);
+        let is = instrs(&m);
+        assert_eq!(
+            is[2..15],
+            [
+                Instr::PushInt(1),
+                Instr::PushLitConst(0),
+                Instr::StoreTemp(2, true),
+                Instr::StoreTemp(1, false),
+                Instr::PushTemp(1),
+                Instr::PushTemp(2),
+                Instr::SpecialSend(4), // <=
+                Instr::JumpFalse(10),
+                Instr::PushTemp(0),
+                Instr::PushTemp(1),
+                Instr::SpecialSend(0),
+                Instr::StoreTemp(0, true),
+                Instr::PushTemp(1),
+            ]
+        );
+        assert_eq!(is[15], Instr::PushInt(1));
+        assert_eq!(is[16], Instr::SpecialSend(0)); // +
+        assert_eq!(is[17], Instr::StoreTemp(1, true));
+        assert!(matches!(is[18], Instr::Jump(d) if d < 0));
+        // The loop's value (its receiver) is what the statement pops.
+        assert_eq!(is[19], Instr::Pop);
+    }
+
+    #[test]
+    fn to_by_do_with_a_negative_literal_step_counts_down() {
+        let m = compile_src("m: n n to: 1 by: -2 do: [:i | self foo: i]");
+        assert!(!sends(&m, "to:by:do:"));
+        let is = instrs(&m);
+        assert!(is.contains(&Instr::SpecialSend(5)), "{is:?}"); // >=
+        assert!(is.contains(&Instr::PushLitConst(1)), "{is:?}"); // -2
+        assert_eq!(m.literals[1], LitEntry::Value(Literal::Int(-2)));
+    }
+
+    #[test]
+    fn to_do_stays_a_send_when_inlining_would_not_be_exact() {
+        for src in [
+            // the body assigns the loop variable
+            "m 1 to: 10 do: [:i | i := i + 1]",
+            // a real block in the body captures it
+            "m | b | 1 to: 10 do: [:i | b := [i]]. ^b",
+            "m 1 to: 10 do: [:i | self do: [:e | e + i]]",
+            // a nested loop that stays a send reads it from its block
+            "m 1 to: 3 do: [:i | 1 to: 3 do: [:j | j := i]]",
+            // not a one-argument literal block
+            "m: b 1 to: 10 do: b",
+            "m 1 to: 10 do: [self foo]",
+            "m 1 to: 10 do: [:a :b | a]",
+        ] {
+            let m = compile_src(src);
+            assert!(sends(&m, "to:do:"), "{src} was inlined");
+        }
+        for src in [
+            "m: s 1 to: 10 by: s do: [:i | self foo: i]",
+            "m 1 to: 10 by: 0 do: [:i | self foo: i]",
+            "m 1 to: 10 by: 1.5 do: [:i | self foo: i]",
+        ] {
+            let m = compile_src(src);
+            assert!(sends(&m, "to:by:do:"), "{src} was inlined");
+        }
+    }
+
+    #[test]
+    fn to_do_guards_are_per_loop_and_by_slot() {
+        // The inner loop's variable escapes, so it stays a send; the outer
+        // loop's does not, so it is inlined.
+        let m = compile_src("m | b | 1 to: 3 do: [:i | i to: 5 do: [:j | b := [j]]]. ^b");
+        assert!(sends(&m, "to:do:"));
+        assert_eq!(
+            instrs(&m)
+                .iter()
+                .filter(|i| matches!(i, Instr::PushBlock { .. }))
+                .count(),
+            2
+        );
+        // A block argument that shadows the loop variable is another slot.
+        let m = compile_src("m 1 to: 3 do: [:i | self do: [:i | i]]");
+        assert!(!sends(&m, "to:do:"));
+        // A loop inside a real block keeps its counter in the Process's
+        // own `Number>>to:do:` activation.
+        let m = compile_src("m ^[1 to: 3 do: [:i | self foo: i]]");
+        assert!(sends(&m, "to:do:"));
+        // A ^ in the body returns from the method either way.
+        let m = compile_src("m 1 to: 3 do: [:i | i > 1 ifTrue: [^i]]");
+        assert!(!sends(&m, "to:do:"));
+    }
+
+    #[test]
+    fn to_do_with_a_body_too_long_to_jump_over_stays_a_send() {
+        let body = vec!["self foo: i"; 300].join(". ");
+        let m = compile_src(&format!("m 1 to: 10 do: [:i | {body}]"));
+        assert!(sends(&m, "to:do:"));
+        assert_eq!(m.num_temps, 1, "the abandoned attempt's slots are rewound");
     }
 
     #[test]

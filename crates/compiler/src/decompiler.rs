@@ -5,8 +5,10 @@
 //! exactly that. The decompiler runs a symbolic evaluator over the bytecode:
 //! a simulation stack of expressions, with the jump patterns produced by our
 //! own code generator recognized and folded back into `ifTrue:`, `and:`,
-//! `whileTrue:` and friends. Temporaries are given canonical names
-//! (`t1`, `t2`, …) since names are not retained in compiled methods.
+//! `whileTrue:`, `to:do:` and friends. Temporaries are given canonical names
+//! (`t1`, `t2`, …) since names are not retained in compiled methods; the
+//! hidden limit slot of an inlined `to:do:` gets no name and no number, so
+//! such a loop prints exactly as its real-block form does.
 //!
 //! Round-trip guarantee (tested): for a method without blocks,
 //! `compile(print(decompile(m)))` reproduces `m`'s bytecodes exactly; with
@@ -42,18 +44,19 @@ pub fn decompile(
         literals,
         ivars,
         block_arg_slots: BTreeSet::new(),
+        limit_slots: BTreeSet::new(),
     };
+    d.limit_slots = d.find_limit_slots();
     let (stmts, value) = d.region(0, code.len(), RegionKind::Method)?;
-    let mut body: Vec<Stmt> = stmts.into_iter().map(|(s, _)| s).collect();
+    let body: Vec<Stmt> = stmts.into_iter().map(|(s, _)| s).collect();
     debug_assert!(value.is_none(), "method region leaves no value");
     // Drop a trailing explicit `^self` only if it was the implicit one
     // (RETURN_SELF); region() already encodes that by not emitting it.
-    let args: Vec<String> = (0..num_args).map(temp_name).collect();
+    let args: Vec<String> = (0..num_args).map(|s| d.temp_name(s)).collect();
     let temps: Vec<String> = (num_args..num_temps)
-        .filter(|s| !d.block_arg_slots.contains(s))
-        .map(temp_name)
+        .filter(|s| !d.block_arg_slots.contains(s) && !d.limit_slots.contains(s))
+        .map(|s| d.temp_name(s))
         .collect();
-    let _ = &mut body;
     Ok(MethodNode {
         selector: selector.to_string(),
         args,
@@ -63,8 +66,17 @@ pub fn decompile(
     })
 }
 
-fn temp_name(slot: u8) -> String {
-    format!("t{}", slot + 1)
+/// An inlined `start to: stop [by: step] do: [:var | body]`, in the shape
+/// the code generator's `inline_to_do` emits.
+struct CountedLoop {
+    var: u8,
+    limit: u8,
+    step: i64,
+    /// The body statements: `[body, increment)`.
+    body: usize,
+    increment: usize,
+    /// Where the loop exits, with `start` on the stack as its value.
+    exit: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -92,6 +104,8 @@ struct Decomp<'a> {
     literals: &'a [LitEntry],
     ivars: &'a [String],
     block_arg_slots: BTreeSet<u8>,
+    /// The hidden limit slots of inlined `to:do:` loops.
+    limit_slots: BTreeSet<u8>,
 }
 
 type Stmts = Vec<(Stmt, usize)>;
@@ -99,6 +113,96 @@ type Stmts = Vec<(Stmt, usize)>;
 impl Decomp<'_> {
     fn err<T>(&self, pc: usize, msg: impl Into<String>) -> Result<T, CompileError> {
         Err(CompileError::new(pc, format!("decompile: {}", msg.into())))
+    }
+
+    /// The canonical name of a temp slot: `t` and its number, counting
+    /// every slot below it except the hidden loop limits.
+    fn temp_name(&self, slot: u8) -> String {
+        let hidden = self.limit_slots.range(..slot).count();
+        format!("t{}", slot as usize + 1 - hidden)
+    }
+
+    fn instr_at(&self, pc: usize) -> Option<(Instr, usize)> {
+        (pc < self.code.len()).then(|| decode(self.code, pc))
+    }
+
+    /// The limit slots of every inlined loop in the method, blocks included.
+    fn find_limit_slots(&self) -> BTreeSet<u8> {
+        let mut slots = BTreeSet::new();
+        let mut pc = 0;
+        while pc < self.code.len() {
+            let (instr, next) = decode(self.code, pc);
+            if let Instr::StoreTemp(_, true) = instr {
+                slots.extend(self.counted_loop(pc).map(|l| l.limit));
+            }
+            pc = next;
+        }
+        slots
+    }
+
+    /// Recognises an inlined `to:do:` starting at `at` (its `storePop
+    /// limit`). Our code generator emits `storePop` then a non-popping
+    /// `store` back to back only there.
+    fn counted_loop(&self, at: usize) -> Option<CountedLoop> {
+        let (Instr::StoreTemp(limit, true), pc) = self.instr_at(at)? else {
+            return None;
+        };
+        let (Instr::StoreTemp(var, false), head) = self.instr_at(pc)? else {
+            return None;
+        };
+        let (Instr::PushTemp(v), pc) = self.instr_at(head)? else {
+            return None;
+        };
+        let (Instr::PushTemp(l), pc) = self.instr_at(pc)? else {
+            return None;
+        };
+        let (Instr::SpecialSend(cmp @ (4 | 5)), pc) = self.instr_at(pc)? else {
+            return None;
+        };
+        let (Instr::JumpFalse(d), body) = self.instr_at(pc)? else {
+            return None;
+        };
+        let exit = body + usize::try_from(d).ok()?;
+        if v != var || l != limit || var == limit || exit > self.code.len() {
+            return None;
+        }
+        // The body ends with `push var, push step, +, storePop var, jump head`.
+        let mut tail = [0usize; 5];
+        let mut pc = body;
+        let mut seen = 0;
+        while pc < exit {
+            tail.rotate_left(1);
+            tail[4] = pc;
+            pc = decode(self.code, pc).1;
+            seen += 1;
+        }
+        if pc != exit || seen < tail.len() {
+            return None;
+        }
+        let [increment, step_at, plus, store, jump] = tail;
+        let step = match decode(self.code, step_at).0 {
+            Instr::PushInt(k) => k,
+            Instr::PushLitConst(n) => match self.literals.get(n as usize) {
+                Some(LitEntry::Value(Literal::Int(k))) => *k,
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let shape_holds = decode(self.code, increment).0 == Instr::PushTemp(var)
+            && decode(self.code, plus).0 == Instr::SpecialSend(0)
+            && decode(self.code, store).0 == Instr::StoreTemp(var, true)
+            && matches!(decode(self.code, jump).0,
+                Instr::Jump(back) if exit as isize + back as isize == head as isize)
+            && step != 0
+            && (step > 0) == (cmp == 4);
+        shape_holds.then_some(CountedLoop {
+            var,
+            limit,
+            step,
+            body,
+            increment,
+            exit,
+        })
     }
 
     fn ivar_name(&self, slot: u8) -> String {
@@ -149,7 +253,7 @@ impl Decomp<'_> {
                     is_dup: false,
                 }),
                 Instr::PushTemp(n) => stack.push(Entry {
-                    expr: Expr::Var(temp_name(n)),
+                    expr: Expr::Var(self.temp_name(n)),
                     start: at,
                     cascade: vec![],
                     is_dup: false,
@@ -210,7 +314,11 @@ impl Decomp<'_> {
                     self.apply_store(&mut stack, &mut stmts, name, pop, at)?;
                 }
                 Instr::StoreTemp(n, pop) => {
-                    let name = temp_name(n);
+                    if let Some(l) = pop.then(|| self.counted_loop(at)).flatten() {
+                        pc = self.apply_counted_loop(&mut stack, l, at)?;
+                        continue;
+                    }
+                    let name = self.temp_name(n);
                     self.apply_store(&mut stack, &mut stmts, name, pop, at)?;
                 }
                 Instr::Send {
@@ -413,6 +521,46 @@ impl Decomp<'_> {
         Ok(pc)
     }
 
+    /// Folds an inlined loop back into `start to: stop [by: step] do:
+    /// [:var | body]`, consuming `start` and `stop` from the stack; returns
+    /// the loop's exit pc.
+    fn apply_counted_loop(
+        &mut self,
+        stack: &mut Vec<Entry>,
+        l: CountedLoop,
+        at: usize,
+    ) -> Result<usize, CompileError> {
+        let (Some(stop), Some(start)) = (stack.pop(), stack.pop()) else {
+            return self.err(at, "counted loop without start and stop on the stack");
+        };
+        self.block_arg_slots.insert(l.var);
+        let (body, _) = self.region(l.body, l.increment, RegionKind::Statements)?;
+        let block = Expr::Block {
+            args: vec![self.temp_name(l.var)],
+            temps: vec![],
+            body: body.into_iter().map(|(s, _)| s).collect(),
+        };
+        let (selector, args) = if l.step == 1 {
+            ("to:do:", vec![self.finish_entry(stop), block])
+        } else {
+            let step = Expr::Literal(Literal::Int(l.step));
+            ("to:by:do:", vec![self.finish_entry(stop), step, block])
+        };
+        let start_pc = start.start;
+        stack.push(Entry {
+            expr: Expr::Send {
+                receiver: Box::new(self.finish_entry(start)),
+                selector: selector.to_string(),
+                args,
+                is_super: false,
+            },
+            start: start_pc,
+            cascade: vec![],
+            is_dup: false,
+        });
+        Ok(l.exit)
+    }
+
     /// Scans `[from, to)` and returns the pc of its final instruction.
     fn last_instr_pc(&self, from: usize, to: usize) -> Result<usize, CompileError> {
         let mut pc = from;
@@ -571,7 +719,7 @@ impl Decomp<'_> {
         for &s in &slots {
             self.block_arg_slots.insert(s);
         }
-        let args: Vec<String> = slots.iter().map(|&s| temp_name(s)).collect();
+        let args: Vec<String> = slots.iter().map(|&s| self.temp_name(s)).collect();
         // Body: either ends in BLOCK_RETURN_TOP (value) or RETURN_TOP.
         let last = self.last_instr_pc(pc, end)?;
         let (last_instr, _) = decode(self.code, last);
@@ -721,6 +869,47 @@ mod tests {
             "m | i s | i := 0. s := 0. [i < 9] whileTrue: [s := s + i. i := i + 1]. ^s",
             &[],
         );
+    }
+
+    #[test]
+    fn counted_loops() {
+        assert_exact_round_trip("m | s | s := 0. 1 to: 10 do: [:i | s := s + i]. ^s");
+        assert_exact_round_trip("m: n n to: 1 by: -1 do: [:i | self foo: i]");
+        assert_exact_round_trip("m: n ^1 to: n by: 300 do: [:i | self foo: i]");
+        assert_exact_round_trip("m ^(1 to: 3 do: [:i | ]) + 1");
+        assert_exact_round_trip("m 1 to: 3 do: [:i | 1 to: i do: [:j | self foo: i bar: j]]");
+        assert_exact_round_trip("m 1 to: 3 do: [:i | i > 1 ifTrue: [^i]]. ^0");
+        assert_exact_round_trip("m [self done] whileFalse: [1 to: self size do: [:i | self tick]]");
+        // A loop that stays a send decompiles as one.
+        assert_round_trip("m | b | 1 to: 3 do: [:i | b := [:x | x + i]]. ^b", &[]);
+        assert_round_trip("m ^[1 to: 3 do: [:i | self foo: i]]", &[]);
+    }
+
+    #[test]
+    fn counted_loop_prints_as_its_source() {
+        let print = |src| print_method(&decompile_spec(&compile_src(src), &[]));
+        assert_eq!(
+            print("m: n 1 to: n by: 1 do: [:i | self foo: i]"),
+            print("m: n 1 to: n do: [:i | self foo: i]")
+        );
+        let text = print("m: n n to: 1 by: -2 do: [:i | self foo: i]");
+        assert!(
+            text.contains("t1 to: 1 by: -2 do: [:t2 | self foo: t2]"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn limit_slots_take_no_name_or_number() {
+        // Slots: a, i, the hidden limit, x. The limit is skipped, so x is
+        // t3, as it is when the loop is a real block.
+        let spec = compile_src("m | a | 1 to: 3 do: [:i | a := i]. ^[:x | x + a]");
+        assert_eq!(spec.num_temps, 4);
+        let node = decompile_spec(&spec, &[]);
+        assert_eq!(node.temps, vec!["t1"]);
+        let text = print_method(&node);
+        assert!(text.contains("1 to: 3 do: [:t2 | t1 := t2]"), "{text}");
+        assert!(text.contains("[:t3 | t3 + t1]"), "{text}");
     }
 
     #[test]

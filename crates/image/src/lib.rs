@@ -52,6 +52,7 @@ pub fn compile_doit(mem: &ObjectMemory, source: &str) -> Result<Oop, CompileErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mst_compiler::ast::{Expr, Literal, Stmt};
     use mst_interp::dicts::global_get;
     use mst_objmem::layout::class as cls;
     use mst_objmem::{MemoryConfig, So};
@@ -147,6 +148,128 @@ mod tests {
             "doit temps allowed"
         );
         assert!(compile_doit(&mem, "3 +").is_err());
+    }
+
+    /// Whether any expression of the method satisfies `pred`.
+    fn any_expr(node: &MethodNode, pred: &dyn Fn(&Expr) -> bool) -> bool {
+        fn stmt(s: &Stmt, pred: &dyn Fn(&Expr) -> bool) -> bool {
+            match s {
+                Stmt::Expr(e) | Stmt::Return(e) => expr(e, pred),
+            }
+        }
+        fn expr(e: &Expr, pred: &dyn Fn(&Expr) -> bool) -> bool {
+            pred(e)
+                || match e {
+                    Expr::Block { body, .. } => body.iter().any(|s| stmt(s, pred)),
+                    Expr::Assign(_, v) => expr(v, pred),
+                    Expr::Send { receiver, args, .. } => {
+                        expr(receiver, pred) || args.iter().any(|a| expr(a, pred))
+                    }
+                    Expr::Cascade { receiver, messages } => {
+                        expr(receiver, pred)
+                            || messages.iter().flat_map(|m| &m.args).any(|a| expr(a, pred))
+                    }
+                    Expr::Var(_) | Expr::Pseudo(_) | Expr::Literal(_) => false,
+                }
+        }
+        node.body.iter().any(|s| stmt(s, pred))
+    }
+
+    /// Every method the bootstrap installs, instance and class side, goes
+    /// through decompile → print → compile under the round-trip rule of the
+    /// decompiler's own tests: a method without real blocks (and without
+    /// block-declared temps) comes back as identical bytecodes; any other
+    /// is stable after one normalisation round.
+    #[test]
+    fn every_image_method_round_trips_through_the_decompiler() {
+        use mst_compiler::bytecode::{decode, Instr};
+        use mst_compiler::{
+            compile, decompile, parse_chunks, parse_method, print_method, ChunkEvent,
+            CompiledMethodSpec, LitEntry,
+        };
+        use mst_interp::install::all_instance_var_names;
+
+        let mem = ObjectMemory::new(MemoryConfig::default());
+        let installed = build_image(&mem).unwrap();
+        let (mut checked, mut exact, mut inlined_loops) = (0, 0, 0);
+        for (file, text) in SOURCES {
+            for event in parse_chunks(text).unwrap() {
+                let ChunkEvent::Methods {
+                    class_name,
+                    meta,
+                    sources,
+                    ..
+                } = event
+                else {
+                    continue;
+                };
+                let class = global_get(&mem, &class_name);
+                let target = if meta { mem.class_of(class) } else { class };
+                let ivars = all_instance_var_names(&mem, target);
+                let ctx = CompileContext {
+                    instance_vars: &ivars,
+                };
+                let round = |spec: &CompiledMethodSpec| {
+                    let node = decompile(
+                        &spec.selector,
+                        spec.num_args,
+                        spec.num_temps,
+                        spec.primitive,
+                        &spec.literals,
+                        &spec.bytecodes,
+                        &ivars,
+                    )
+                    .unwrap_or_else(|e| panic!("{file} {class_name}: {e}"));
+                    let text = print_method(&node);
+                    let again = compile(&text, &ctx)
+                        .unwrap_or_else(|e| panic!("{file} {class_name}: {e}\n{text}"));
+                    (again, text)
+                };
+                for source in sources {
+                    let first = compile(&source, &ctx).unwrap();
+                    let mut pc = 0;
+                    let mut has_block = false;
+                    while pc < first.bytecodes.len() {
+                        let (instr, next) = decode(&first.bytecodes, pc);
+                        has_block |= matches!(instr, Instr::PushBlock { .. });
+                        pc = next;
+                    }
+                    let node = parse_method(&source).unwrap();
+                    let to_do = Literal::Symbol("to:do:".into());
+                    if any_expr(
+                        &node,
+                        &|e| matches!(e, Expr::Send { selector, .. } if selector == "to:do:"),
+                    ) && !first.literals.contains(&LitEntry::Value(to_do))
+                    {
+                        inlined_loops += 1;
+                    }
+                    // The decompiler lists temps declared in a block among
+                    // the method's, so recompiling may move their slots.
+                    let block_temps = any_expr(
+                        &node,
+                        &|e| matches!(e, Expr::Block { temps, .. } if !temps.is_empty()),
+                    );
+                    let (second, text) = round(&first);
+                    let where_ = format!("{file} {class_name} (meta {meta})\n{source}\n--\n{text}");
+                    if !has_block && !block_temps {
+                        assert_eq!(first.bytecodes, second.bytecodes, "{where_}");
+                        assert_eq!(first.literals, second.literals, "{where_}");
+                        assert_eq!(first.num_temps, second.num_temps, "{where_}");
+                        exact += 1;
+                    } else {
+                        let (third, text2) = round(&second);
+                        let where_ = format!("{where_}\n--\n{text2}");
+                        assert_eq!(second.bytecodes, third.bytecodes, "{where_}");
+                        assert_eq!(second.literals, third.literals, "{where_}");
+                        assert_eq!(second.num_temps, third.num_temps, "{where_}");
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, installed, "every installed method is checked");
+        assert!(exact * 2 > checked, "{exact} of {checked} exact");
+        assert!(inlined_loops > 30, "only {inlined_loops} inlined loops");
     }
 
     #[test]

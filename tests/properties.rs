@@ -14,7 +14,7 @@ use std::sync::{Mutex, OnceLock};
 use mst_core::testing::{
     constant, int_range, lowercase_string, one_of, recursive, tuple2, vec_of, Gen, Runner,
 };
-use mst_core::{prop_assert_eq, MsConfig, MsSystem, Value};
+use mst_core::{prop_assert, prop_assert_eq, MsConfig, MsSystem, Value};
 
 fn shared() -> &'static Mutex<MsSystem> {
     static SYS: OnceLock<Mutex<MsSystem>> = OnceLock::new();
@@ -270,6 +270,212 @@ fn interval_sum_matches_rust() {
         prop_assert_eq!(got, Value::Int(expected));
         Ok(())
     });
+}
+
+// ---------------------------------------------------------------------
+// Inlined counted loops against the real send and a Rust loop
+// ---------------------------------------------------------------------
+
+/// The SmallInteger range (63-bit tagged).
+const SMALL_MIN: i64 = -(1 << 62);
+const SMALL_MAX: i64 = (1 << 62) - 1;
+
+/// `start to: stop by: step do:` (plain `to:do:` when `step` is 1).
+#[derive(Debug, Clone, Copy)]
+struct CountedLoop {
+    start: i64,
+    stop: i64,
+    step: i64,
+}
+
+/// What the loop's body and its `stop` expression leave in `LoopProbe`:
+/// the sum of `i \\ 1009`, the iteration count, the last index (or nil) and
+/// how often `stop` was evaluated.
+#[derive(Debug, Clone, PartialEq)]
+struct LoopEffects {
+    sum: Value,
+    count: Value,
+    last: Value,
+    stops: Value,
+}
+
+/// Ranges of up to 40 indices around 0 and both SmallInteger bounds, with
+/// steps of either sign; many are empty.
+fn counted_loops() -> Gen<CountedLoop> {
+    let anchor = one_of(vec![constant(0), constant(SMALL_MAX), constant(SMALL_MIN)]);
+    let step = one_of(vec![
+        constant(1),
+        int_range(-5, 5).map(|s| if s == 0 { 1 } else { s }),
+    ]);
+    tuple2(
+        tuple2(anchor, step),
+        tuple2(int_range(-40, 41), int_range(-40, 41)),
+    )
+    .map(|((anchor, step), (a, b))| {
+        let at = |d: i64| anchor.saturating_add(d).clamp(SMALL_MIN, SMALL_MAX);
+        CountedLoop {
+            start: at(a),
+            stop: at(b),
+            step,
+        }
+    })
+}
+
+impl CountedLoop {
+    /// The loop as a doit. With `inline` its block is a literal, which the
+    /// compiler inlines; otherwise the block is bound to a temp first, so
+    /// the doit sends `to:do:` to `Number`.
+    fn doit(&self, inline: bool) -> String {
+        let CountedLoop { start, stop, step } = *self;
+        let body = "[:i | h at: 1 put: (h at: 1) + (i \\\\ 1009). \
+                    h at: 2 put: (h at: 2) + 1. h at: 3 put: i]";
+        let stop = format!("((h at: 4 put: (h at: 4) + 1) * 0 + ({stop}))");
+        let by = if step == 1 {
+            String::new()
+        } else {
+            format!(" by: {step}")
+        };
+        let block = if inline { body } else { "b" };
+        format!(
+            "| h b | h := LoopProbe. \
+             h at: 1 put: 0; at: 2 put: 0; at: 3 put: nil; at: 4 put: 0. \
+             b := {body}. \
+             ({start}) to: {stop}{by} do: {block}"
+        )
+    }
+
+    /// The Rust loop: the expression's value (`start`, or an error when the
+    /// index steps past a SmallInteger bound) and the body's effects.
+    fn oracle(&self) -> (Option<i64>, LoopEffects) {
+        let CountedLoop { start, stop, step } = *self;
+        let (mut sum, mut count, mut last) = (0, 0, None);
+        let mut i = start;
+        let value = loop {
+            if !(if step > 0 { i <= stop } else { i >= stop }) {
+                break Some(start);
+            }
+            sum += i.rem_euclid(1009);
+            count += 1;
+            last = Some(i);
+            match i.checked_add(step) {
+                Some(next) if (SMALL_MIN..=SMALL_MAX).contains(&next) => i = next,
+                _ => break None,
+            }
+        };
+        let effects = LoopEffects {
+            sum: Value::Int(sum),
+            count: Value::Int(count),
+            last: last.map_or(Value::Nil, Value::Int),
+            stops: Value::Int(1),
+        };
+        (value, effects)
+    }
+}
+
+/// Runs a doit that fills `LoopProbe`; answers its value (or error text)
+/// and the effects it left.
+fn run_probed(ms: &mut MsSystem, doit: &str) -> (Result<Value, String>, LoopEffects) {
+    // Naming the global in the doit creates its binding before it runs.
+    ms.evaluate(
+        "(Smalltalk associationAt: #LoopProbe ifAbsent: [nil]) value: (Array new: 4). LoopProbe",
+    )
+    .unwrap();
+    let value = ms.evaluate(doit).map_err(|e| e.to_string());
+    let mut probe = |k| ms.evaluate(&format!("LoopProbe at: {k}")).unwrap();
+    let effects = LoopEffects {
+        sum: probe(1),
+        count: probe(2),
+        last: probe(3),
+        stops: probe(4),
+    };
+    (value, effects)
+}
+
+#[test]
+fn inlined_to_do_matches_the_send_and_a_rust_loop() {
+    Runner::with_cases(48).run(
+        "inlined_to_do_matches_the_send_and_a_rust_loop",
+        &counted_loops(),
+        |lp| {
+            // The two doits differ in the one thing under test: only the
+            // first names no loop selector in its literal frame.
+            for (inline, expect_send) in [(true, false), (false, true)] {
+                let method = format!("doIt {}", lp.doit(inline));
+                let spec = mst_compiler::compile(&method, &Default::default()).unwrap();
+                let sends = ["to:do:", "to:by:do:"].iter().any(|sel| {
+                    let sym = mst_compiler::ast::Literal::Symbol(sel.to_string());
+                    spec.literals.contains(&mst_compiler::LitEntry::Value(sym))
+                });
+                prop_assert_eq!(sends, expect_send);
+            }
+            let mut ms = shared().lock().unwrap();
+            let inlined = run_probed(&mut ms, &lp.doit(true));
+            let sent = run_probed(&mut ms, &lp.doit(false));
+            prop_assert_eq!(inlined, sent);
+            let (value, effects) = lp.oracle();
+            prop_assert_eq!(inlined.1, effects);
+            match value {
+                Some(start) => prop_assert_eq!(inlined.0, Ok(Value::Int(start))),
+                None => prop_assert!(inlined.0.is_err(), "{:?} should overflow", inlined.0),
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The guard cases: a loop whose inlining would not be exact stays a send
+/// and keeps the send's answer.
+#[test]
+fn inlined_to_do_guards_keep_the_send_semantics() {
+    let mut ms = shared().lock().unwrap();
+    // The body assigns its argument: that changes only the argument, not
+    // the iteration.
+    let v = ms
+        .evaluate("| n | n := 0. 1 to: 5 do: [:i | i := i + 1. n := n + 1]. n")
+        .unwrap();
+    assert_eq!(v, Value::Int(5));
+    // Escaping blocks share the home's slot for `i`; after the loop it
+    // holds the last index, not the limit + 1.
+    let v = ms
+        .evaluate(
+            "| bs | bs := Array new: 3. \
+             1 to: 3 do: [:i | bs at: i put: [i]]. \
+             (bs at: 1) value",
+        )
+        .unwrap();
+    assert_eq!(v, Value::Int(3));
+    // Two BlockContexts of one block literal share their home's frame; a
+    // loop inside them keeps one counter per activation, so the nested
+    // run of `b2` does not end `b1`'s loop early (3 + 3 iterations).
+    let v = ms
+        .evaluate(
+            "| n nested mk b1 b2 | n := 0. nested := true. \
+             mk := [[1 to: 3 do: [:i | \
+                 n := n + 1. \
+                 nested ifTrue: [nested := false. b2 value]]]]. \
+             b1 := mk value. b2 := mk value. \
+             b1 value. \
+             n",
+        )
+        .unwrap();
+    assert_eq!(v, Value::Int(6));
+    // A ^ in the body returns from the doit, inlined or not.
+    for (doit, answer) in [
+        ("1 to: 10 do: [:i | i = 4 ifTrue: [^i * 10]]. 0", 40),
+        (
+            "| b | b := [:i | i = 4 ifTrue: [^i * 10]]. 1 to: 10 do: b. 0",
+            40,
+        ),
+        ("10 to: 1 by: -3 do: [:i | i < 5 ifTrue: [^i]]. 0", 4),
+    ] {
+        assert_eq!(ms.evaluate(doit).unwrap(), Value::Int(answer), "{doit}");
+    }
+    // A block that is not a literal is sent `value:` by `Number>>to:do:`,
+    // which answers its receiver.
+    let v = ms
+        .evaluate("| n b | n := 0. b := [:i | n := n + i]. (3 to: 4 do: b) * 100 + n")
+        .unwrap();
+    assert_eq!(v, Value::Int(307));
 }
 
 // ---------------------------------------------------------------------
