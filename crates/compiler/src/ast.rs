@@ -1,10 +1,18 @@
 //! Abstract syntax for Smalltalk-80 methods.
 
+/// Smallest SmallInteger value (−2⁶²), the same bound as the object
+/// memory's `Oop::MIN_SMALL_INT`.
+pub const MIN_SMALL_INT: i64 = -(1 << 62);
+/// Largest SmallInteger value (2⁶² − 1), the same bound as the object
+/// memory's `Oop::MAX_SMALL_INT`.
+pub const MAX_SMALL_INT: i64 = (1 << 62) - 1;
+
 /// A literal value, in compiler-neutral form (no object memory involved —
 /// the image layer converts literals to oops at installation time).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
-    /// SmallInteger.
+    /// SmallInteger, in `MIN_SMALL_INT..=MAX_SMALL_INT` (the parser rejects
+    /// a literal outside it: there are no LargeIntegers to compile it to).
     Int(i64),
     /// Float.
     Float(f64),

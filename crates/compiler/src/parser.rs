@@ -1,6 +1,6 @@
 //! Recursive-descent parser for Smalltalk-80 methods and expressions.
 
-use crate::ast::{Expr, Literal, Message, MethodNode, Pseudo, Stmt};
+use crate::ast::{Expr, Literal, Message, MethodNode, Pseudo, Stmt, MAX_SMALL_INT, MIN_SMALL_INT};
 use crate::error::CompileError;
 use crate::token::{lex, SpannedTok, Tok};
 
@@ -340,6 +340,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, CompileError> {
+        let at = self.offset();
         match self.bump() {
             Tok::Ident(name) => Ok(match name.as_str() {
                 "self" => Expr::Pseudo(Pseudo::SelfVar),
@@ -349,7 +350,7 @@ impl Parser {
                 "thisContext" => Expr::Pseudo(Pseudo::ThisContext),
                 _ => Expr::Var(name),
             }),
-            Tok::IntLit(v) => Ok(Expr::Literal(Literal::Int(v))),
+            Tok::IntLit(v) => small_int(at, v).map(Expr::Literal),
             Tok::FloatLit(v) => Ok(Expr::Literal(Literal::Float(v))),
             Tok::CharLit(c) => Ok(Expr::Literal(Literal::Char(c))),
             Tok::StrLit(s) => Ok(Expr::Literal(Literal::Str(s))),
@@ -357,7 +358,7 @@ impl Parser {
             Tok::BinOp(op) if op == "-" => {
                 // Negative numeric literal.
                 match self.bump() {
-                    Tok::IntLit(v) => Ok(Expr::Literal(Literal::Int(-v))),
+                    Tok::IntLit(v) => small_int(at, -v).map(Expr::Literal),
                     Tok::FloatLit(v) => Ok(Expr::Literal(Literal::Float(-v))),
                     _ => self.err("expected a number after unary minus"),
                 }
@@ -437,9 +438,10 @@ impl Parser {
     fn literal_array(&mut self) -> Result<Literal, CompileError> {
         let mut items = Vec::new();
         loop {
+            let at = self.offset();
             match self.bump() {
                 Tok::RParen => break,
-                Tok::IntLit(v) => items.push(Literal::Int(v)),
+                Tok::IntLit(v) => items.push(small_int(at, v)?),
                 Tok::FloatLit(v) => items.push(Literal::Float(v)),
                 Tok::CharLit(c) => items.push(Literal::Char(c)),
                 Tok::StrLit(s) => items.push(Literal::Str(s)),
@@ -462,7 +464,7 @@ impl Parser {
                 Tok::BinOp(op) => {
                     if op == "-" {
                         match self.bump() {
-                            Tok::IntLit(v) => items.push(Literal::Int(-v)),
+                            Tok::IntLit(v) => items.push(small_int(at, -v)?),
                             Tok::FloatLit(v) => items.push(Literal::Float(-v)),
                             _ => return self.err("expected a number after - in array"),
                         }
@@ -492,6 +494,20 @@ impl Parser {
             }
         }
         Ok(Literal::Array(items))
+    }
+}
+
+/// `Literal::Int(v)` when `v` (already negated, so `-2⁶²` is legal) is a
+/// SmallInteger; otherwise an error at `at`, since there is no
+/// LargeInteger to compile the literal to.
+fn small_int(at: usize, v: i64) -> Result<Literal, CompileError> {
+    if (MIN_SMALL_INT..=MAX_SMALL_INT).contains(&v) {
+        Ok(Literal::Int(v))
+    } else {
+        Err(CompileError::new(
+            at,
+            format!("integer literal {v} is outside the SmallInteger range"),
+        ))
     }
 }
 
@@ -608,6 +624,53 @@ mod tests {
         };
         assert_eq!(**receiver, Expr::Literal(Literal::Int(-3)));
         assert_eq!(args[0], Expr::Literal(Literal::Float(-2.5)));
+    }
+
+    #[test]
+    fn integer_literals_stop_at_the_small_integer_bounds() {
+        let parses = |src: &str| parse_doit(src).map(|(_, body)| body);
+        let value = |src: &str| match &parses(src).unwrap()[..] {
+            [Stmt::Return(Expr::Literal(lit))] => lit.clone(),
+            other => panic!("{src}: {other:?}"),
+        };
+        // Decimal, radix and negated forms of both bounds.
+        for (src, v) in [
+            ("4611686018427387903", MAX_SMALL_INT),
+            ("-4611686018427387904", MIN_SMALL_INT),
+            ("16r3FFFFFFFFFFFFFFF", MAX_SMALL_INT),
+            ("-16r4000000000000000", MIN_SMALL_INT),
+            (
+                "2r11111111111111111111111111111111111111111111111111111111111111",
+                MAX_SMALL_INT,
+            ),
+        ] {
+            assert_eq!(value(src), Literal::Int(v), "{src}");
+        }
+        assert_eq!(
+            value("#(4611686018427387903 -4611686018427387904)"),
+            Literal::Array(vec![
+                Literal::Int(MAX_SMALL_INT),
+                Literal::Int(MIN_SMALL_INT)
+            ])
+        );
+        // One past each bound, in every form and inside literal arrays.
+        for src in [
+            "4611686018427387904",
+            "-4611686018427387905",
+            "16r4000000000000000",
+            "-16r4000000000000001",
+            "2r100000000000000000000000000000000000000000000000000000000000000",
+            "#(4611686018427387904)",
+            "#(-4611686018427387905)",
+            "#(1 (16r4000000000000000))",
+            "3 + 4611686018427387904",
+        ] {
+            let err = parses(src).expect_err(src);
+            assert!(
+                err.to_string().contains("SmallInteger range"),
+                "{src}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ const PATH: &str = "<path>";
 /// Every runtime variable: `(name, grammar, what a set value does)`. One
 /// rule sits above the grammars: an empty value is an unset variable.
 #[rustfmt::skip] // a table: one row per variable
-pub const VARIABLES: [(&str, &str, &str); 9] = [
+pub const VARIABLES: [(&str, &str, &str); 8] = [
     ("MST_TRACE", BOOL, "switches trace-event recording on for the process"),
     ("MST_TIMELINE", BOOL, "switches per-processor state timelines on for the process"),
     ("MST_CHAOS", "<seed>:<rate 0..=1>[:<site,...>]", "arms fault injection for the process"),
@@ -29,7 +29,6 @@ pub const VARIABLES: [(&str, &str, &str); 9] = [
     ("MST_WATCHDOG_POLICY", "log|panic", "what a stop_world leader does after the watchdog dump"),
     ("MST_WATCHDOG_DUMP", PATH, "file the watchdog report goes to (default watchdog-dump.txt)"),
     ("MST_SUPERVISOR_POLICY", "restart|degrade|panic", "overrides MsConfig.supervisor"),
-    ("MST_SUPERVISOR_CHECKPOINT", PATH, "image file written when the last worker degrades"),
     ("MST_GC_THREADS", "<usize> (0 means 1)", "overrides MemoryConfig.gc_helpers"),
 ];
 
@@ -71,8 +70,6 @@ pub struct RuntimeEnv {
     pub watchdog_dump: Option<PathBuf>,
     /// `MST_SUPERVISOR_POLICY`.
     pub supervisor_policy: Option<SupervisorPolicy>,
-    /// `MST_SUPERVISOR_CHECKPOINT`.
-    pub supervisor_checkpoint: Option<PathBuf>,
     /// `MST_GC_THREADS`.
     pub gc_threads: Option<usize>,
 }
@@ -124,7 +121,6 @@ impl RuntimeEnv {
             })?,
             watchdog_dump: var(l, "MST_WATCHDOG_DUMP", |s| Some(s.into()))?,
             supervisor_policy: var(l, "MST_SUPERVISOR_POLICY", |s| s.parse().ok())?,
-            supervisor_checkpoint: var(l, "MST_SUPERVISOR_CHECKPOINT", |s| Some(s.into()))?,
             gc_threads: var(l, "MST_GC_THREADS", |s| {
                 s.parse().ok().map(|n: usize| n.max(1))
             })?,
@@ -195,7 +191,7 @@ mod tests {
     #[test]
     fn every_accepted_form_parses() {
         type Set = fn(&mut RuntimeEnv);
-        let cases: [(&str, &str, Set); 25] = [
+        let cases: [(&str, &str, Set); 24] = [
             // One boolean grammar for both switches.
             ("MST_TRACE", "1", |e| e.trace = true),
             ("MST_TRACE", "true", |e| e.trace = true),
@@ -234,9 +230,6 @@ mod tests {
             }),
             ("MST_SUPERVISOR_POLICY", "panic", |e| {
                 e.supervisor_policy = Some(SupervisorPolicy::Panic);
-            }),
-            ("MST_SUPERVISOR_CHECKPOINT", "ckpt.image", |e| {
-                e.supervisor_checkpoint = Some("ckpt.image".into());
             }),
             ("MST_GC_THREADS", "4", |e| e.gc_threads = Some(4)),
             ("MST_GC_THREADS", "0", |e| e.gc_threads = Some(1)),
@@ -331,7 +324,7 @@ mod tests {
         let rows = readme.lines().filter(|l| l.starts_with("| `MST_")).count();
         assert_eq!(rows, VARIABLES.len() + HARNESS_VARIABLES.len());
         let count = match VARIABLES.len() {
-            9 => "nine",
+            8 => "eight",
             n => panic!("spell {n} here, as the README does"),
         };
         assert!(

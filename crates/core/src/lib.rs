@@ -334,9 +334,6 @@ impl MsSystem {
         if let Some(path) = &env.watchdog_dump {
             vm.rendezvous.set_watchdog_dump(path);
         }
-        if let Some(path) = &env.supervisor_checkpoint {
-            vm.set_supervisor_checkpoint(path);
-        }
         let mut system = MsSystem {
             main: Interpreter::new(Arc::clone(&vm)),
             vm,

@@ -17,21 +17,21 @@
 //! * **restart** — respawn the interpreter in place on the same virtual
 //!   processor and keep going;
 //! * **degrade** (default) — take the processor offline and continue on
-//!   N−1 processors; when the *last* supervised processor degrades, a
-//!   checkpoint snapshot is written to the file named by
-//!   [`Vm::set_supervisor_checkpoint`] (if any) as the restart path;
+//!   N−1 processors (down to none: the main interpreter carries on alone);
 //! * **panic** — rethrow, failing fast (for harnesses that want a crash).
 //!
 //! Every recovery emits `supervisor.*` telemetry counters and a
 //! `supervisor.recover` trace span; processor health is queryable through
-//! [`Vm::processor_roster`] / [`Vm::processors_online`].
+//! [`Vm::processor_roster`] / [`Vm::processors_online`]. The supervisor's
+//! job ends at that roster: it never stops the world and never writes the
+//! image. Saving is the job of whoever owns the system — the serving layer
+//! checkpoints a degraded session through its store (`on_degrade`), and
+//! the caller of a bare `MsSystem` saves the image itself.
 
-use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mst_telemetry as tel;
-use mst_vkernel::io::write_atomic;
 
 use crate::interp::Interpreter;
 use crate::vm::Vm;
@@ -122,53 +122,8 @@ pub fn supervise(vm: Arc<Vm>, processor: usize, policy: SupervisorPolicy) {
             SupervisorPolicy::Degrade => {
                 tel::counter!("supervisor.degraded").incr();
                 vm.roster_offline(processor, Some(fault));
-                if vm.processors_online() == 0 {
-                    // Last supervised processor gone: checkpoint the image
-                    // as the restart path before this thread exits. The
-                    // main interpreter may still be running doits, so the
-                    // world is stopped for the save.
-                    checkpoint_if_configured(&vm);
-                }
                 return;
             }
-        }
-    }
-}
-
-/// Degrade-path last resort: when [`Vm::set_supervisor_checkpoint`] named a
-/// file, stop the world, empty eden, and write a crash-consistent snapshot
-/// there through [`write_atomic`]. Failures are counted, not just buried in
-/// the error log, and never raised: the main interpreter may still be
-/// running doits.
-fn checkpoint_if_configured(vm: &Vm) {
-    let Some(file) = vm.supervisor_checkpoint.lock().clone() else {
-        return;
-    };
-    let path = file.display();
-    let _span = tel::span("supervisor.checkpoint", "supervisor");
-    let failed = |what: &str, e: &dyn std::fmt::Display| {
-        tel::counter!("supervisor.checkpoint_failures").incr();
-        vm.error_log
-            .lock()
-            .push(format!("supervisor: {what} to {path} failed: {e}"));
-    };
-    let world = vm.stop_world();
-    if let Err(e) = world.snapshot_ready() {
-        // Old space cannot absorb eden's survivors: there is no consistent
-        // image to write, and a retry would change nothing.
-        return failed("checkpoint", &e);
-    }
-    // One bounded retry: this is the image's last chance before the
-    // process winds down, and transient I/O (ENOSPC races, interrupted
-    // writes) is exactly what the temp+rename save can survive a second
-    // attempt at. A failed attempt leaves no temp file behind.
-    let mem = world.mem();
-    for attempt in ["checkpoint", "checkpoint retry"] {
-        match write_atomic(&file, |mut w| {
-            mem.save_snapshot(&mut w).map_err(io::Error::other)
-        }) {
-            Ok(_) => return tel::counter!("supervisor.checkpoints").incr(),
-            Err(e) => failed(attempt, &e),
         }
     }
 }

@@ -5,7 +5,6 @@
 //! serialized devices, and the policy knobs corresponding to the paper's
 //! three adaptation strategies.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -173,9 +172,6 @@ pub struct Vm {
     /// safepoint *inside* the watched doit (the serving layer's
     /// `serve.panic` mid-doit fault).
     pub(crate) doit_panic: AtomicBool,
-    /// Where the supervisor's degrade path checkpoints the image, if
-    /// anywhere (see `supervisor::checkpoint_if_configured`).
-    pub(crate) supervisor_checkpoint: SpinMutex<Option<PathBuf>>,
 }
 
 impl std::fmt::Debug for Vm {
@@ -231,14 +227,7 @@ impl Vm {
             roster: SpinMutex::new(sync, Vec::new()),
             deadline_ns: AtomicU64::new(0),
             doit_panic: AtomicBool::new(false),
-            supervisor_checkpoint: SpinMutex::new(sync, None),
         }
-    }
-
-    /// Names the file the supervisor checkpoints the image to when the
-    /// last supervised processor degrades (none by default).
-    pub fn set_supervisor_checkpoint(&self, path: impl Into<PathBuf>) {
-        *self.supervisor_checkpoint.lock() = Some(path.into());
     }
 
     /// Snapshot of the aggregated execution counters (merged across the

@@ -524,10 +524,7 @@ impl Server {
             // degradation means it may be about to get worse. Quiescent
             // (no doit is running) and only this tenant's lock is held.
             if self.cfg.checkpoint.on_degrade && self.store.is_some() {
-                tel::counter!("serve.ckpt.auto").incr();
-                let _ = self
-                    .stage_session(t, ms)
-                    .and_then(|ticket| ticket.wait().map_err(checkpoint_err));
+                self.auto_checkpoint(t, ms);
             }
         }
         // Admission: memory pressure. One request may proceed (the tenant
@@ -683,9 +680,14 @@ impl Server {
         // failing store (a full disk) is retried after another `n`
         // requests, not on every request.
         t.since_ckpt.store(0, Ordering::Relaxed);
+        self.auto_checkpoint(t, ms);
+    }
+
+    /// The one automatic checkpoint, taken by either policy: staged, not
+    /// waited for, so the committer makes it durable after the session
+    /// lock is released. A failure is counted by the store.
+    fn auto_checkpoint(&self, t: &Tenant, ms: &MsSystem) {
         tel::counter!("serve.ckpt.auto").incr();
-        // Staged, not waited for: the committer makes it durable after the
-        // session lock is released.
         let _ = self.stage_session(t, ms);
     }
 

@@ -15,10 +15,10 @@
 //! steps, both here: [`write_temp`] streams it into a temp file (the one
 //! place the `ckpt.crash` fault site tears a write) and
 //! [`TempFile::persist`] fsyncs and renames it; [`sync_dir`] then makes the
-//! rename durable. [`write_atomic`] is the three in a row — snapshot files,
-//! the supervisor's last-resort checkpoint and the compacted MANIFEST go
-//! through it — while the checkpoint store runs the first step on the
-//! request's thread and the rest on its committer.
+//! rename durable. [`write_atomic`] is the three in a row — snapshot files
+//! and the compacted MANIFEST go through it — while the checkpoint store
+//! runs the first step on the request's thread and the rest on its
+//! committer.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -3,8 +3,8 @@
 //! snapshots, and primitive-failure fallbacks.
 
 use mst_core::testing::{Gen, Runner};
-use mst_core::{MsConfig, MsSystem, Value};
-use mst_objmem::ObjectMemory;
+use mst_core::{EvalError, MsConfig, MsSystem, Value};
+use mst_objmem::{ObjectMemory, Oop};
 
 fn system() -> MsSystem {
     MsSystem::new(MsConfig {
@@ -72,6 +72,40 @@ fn small_integer_overflow_is_an_error_not_wraparound() {
     assert_eq!(
         eval(&mut ms, &format!("{big} - 1 + {big}")),
         Value::Int((1i64 << 62) - 1)
+    );
+}
+
+/// An integer literal outside the SmallInteger range is a compile error,
+/// not a wrapped value; the bounds themselves compile to themselves.
+#[test]
+fn integer_literals_outside_the_small_integer_range_do_not_compile() {
+    let mut ms = system();
+    for v in [Oop::MAX_SMALL_INT, Oop::MIN_SMALL_INT] {
+        assert_eq!(eval(&mut ms, &v.to_string()), Value::Int(v));
+    }
+    for src in [
+        "4611686018427387904",
+        "-4611686018427387905",
+        "16r4000000000000000",
+        "#(4611686018427387904) first",
+    ] {
+        let answer = ms.evaluate(src);
+        assert!(
+            matches!(answer, Err(EvalError::Compile(_))),
+            "{src} answered {answer:?}"
+        );
+    }
+    assert_eq!(eval(&mut ms, "3 + 4"), Value::Int(7));
+}
+
+/// The compiler has no object memory to ask, so it keeps its own copy of
+/// the SmallInteger range; the two must not drift.
+#[test]
+fn the_compilers_small_integer_bounds_are_the_object_memorys() {
+    use mst_compiler::ast::{MAX_SMALL_INT, MIN_SMALL_INT};
+    assert_eq!(
+        (MIN_SMALL_INT, MAX_SMALL_INT),
+        (Oop::MIN_SMALL_INT, Oop::MAX_SMALL_INT)
     );
 }
 

@@ -2,12 +2,13 @@
 //! injected interpreter panics.
 //!
 //! These tests arm the *destructive* `thread.panic` fault site, which kills
-//! any panic-injectable worker in the process — so they live in their own
-//! test binary (one process per integration-test file) and serialize on
-//! [`CHAOS_LOCK`], keeping the kills away from the unrelated systems the
-//! other test binaries build concurrently.
+//! any panic-injectable worker in the process, a serve tenant's included —
+//! so they live in their own test binary (one process per integration-test
+//! file) and serialize on [`CHAOS_LOCK`], keeping the kills away from the
+//! unrelated systems the other test binaries build concurrently.
 
 use mst_core::{MsConfig, MsSystem, SupervisorPolicy, SystemState, Value};
+use mst_serve::{CheckpointPolicy, RecoverySource, ServeConfig, Server};
 use mst_vkernel::fault::{self, ChaosConfig, FaultSite};
 use mst_vkernel::WatchdogPolicy;
 
@@ -60,8 +61,7 @@ fn supervisor_degrades_killed_processors_and_checkpoints() {
     // Arm only the destructive thread.panic site, before the workers spawn
     // (`MsConfig.chaos` stays None so `new` does not re-install and reset
     // the budget). Rate 1.0: a worker dies at its first safepoint. The
-    // budget exceeds the worker count so *every* worker degrades, which is
-    // what triggers the last-resort checkpoint.
+    // budget exceeds the worker count so *every* worker degrades.
     fault::install(ChaosConfig {
         seed: 0xD15_EA5E,
         rate: 1.0,
@@ -73,9 +73,8 @@ fn supervisor_degrades_killed_processors_and_checkpoints() {
         supervisor: SupervisorPolicy::Degrade,
         ..MsConfig::default()
     });
-    // Idle workers never execute bytecodes, so none has died yet: name the
-    // checkpoint file, then give them something to run.
-    ms.vm().set_supervisor_checkpoint(&ckpt);
+    // Idle workers never execute bytecodes, so none has died yet: give
+    // them something to run.
     ms.spawn_competitors(2, false);
     assert!(
         wait_until(10_000, || ms.processors_online() == 0),
@@ -111,17 +110,102 @@ fn supervisor_degrades_killed_processors_and_checkpoints() {
     let audit = ms.audit_heap();
     assert!(audit.is_clean(), "heap dirty after degradation:\n{audit}");
 
-    // The last degrading worker wrote a crash-consistent checkpoint, and it
-    // boots.
-    assert!(
-        wait_until(5_000, || ckpt.exists()),
-        "degrade last resort must write the configured checkpoint"
-    );
+    // The supervisor saves nothing; the system's owner does. A degraded
+    // system still writes a crash-consistent image, and it boots.
+    ms.save_snapshot_file(&ckpt)
+        .expect("a system degraded to its main interpreter saves");
     let mut restored = MsSystem::from_snapshot_file(&ckpt, MsConfig::default())
         .expect("the checkpoint must load cleanly");
     assert_eq!(restored.evaluate("3 + 4").unwrap(), Value::Int(7));
     restored.shutdown();
     ms.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The degrade path's owner is the serving layer: with
+/// `CheckpointPolicy::on_degrade`, the request that finds a tenant's only
+/// worker killed stages a checkpoint through the store, and recovery
+/// after a process death restores that epoch.
+#[test]
+fn serve_checkpoints_a_tenant_when_its_worker_degrades() {
+    let _serial = chaos_lock();
+    let _disarm = DisarmChaos;
+    let dir = std::env::temp_dir().join(format!("mst-degrade-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    let config = MsConfig {
+        processors: 2,
+        ..MsConfig::default()
+    };
+    let template = dir.join("template.image");
+    let ms = MsSystem::new(config);
+    ms.save_snapshot_file(&template).expect("template saves");
+    ms.shutdown();
+    let template = MsSystem::load_template(&template, config).expect("template loads");
+    let cfg = ServeConfig {
+        processors: 2, // one supervised worker
+        checkpoint_dir: Some(dir.join("ckpts")),
+        checkpoint: CheckpointPolicy {
+            every_requests: None,
+            on_degrade: true,
+        },
+        ..ServeConfig::default()
+    };
+    let server = Server::new(template.clone(), config, cfg.clone(), 1);
+    let degraded = mst_telemetry::counter("supervisor.degraded");
+    let auto = mst_telemetry::counter("serve.ckpt.auto");
+    let (degraded_before, auto_before) = (degraded.get(), auto.get());
+
+    // The session's worker dies at its first safepoint inside the forked
+    // loop; the main interpreter answers the doit that forked it.
+    fault::install(ChaosConfig {
+        seed: 0xDE6_4ADE,
+        rate: 1.0,
+        sites: FaultSite::ThreadPanic.bit(),
+    });
+    fault::set_kill_budget(1);
+    let forked = server
+        .request(0, "[1 to: 100000 do: [:i | i + 1]] fork. 3 + 4")
+        .expect("the doit that forks answers");
+    assert_eq!(forked.value, Value::Int(7));
+    assert!(
+        wait_until(10_000, || degraded.get() > degraded_before),
+        "the worker should have been killed and degraded"
+    );
+    fault::disable();
+
+    // The counter moves just before the roster does, so poll with
+    // requests: the one that sees the roster shrunk degrades the tenant
+    // and stages its checkpoint.
+    assert!(
+        wait_until(10_000, || {
+            let answer = server
+                .request(0, "6 * 7")
+                .expect("the main interpreter serves");
+            assert_eq!(answer.value, Value::Int(42));
+            server.degraded(0)
+        }),
+        "a request must see the tenant degraded"
+    );
+    assert_eq!(auto.get() - auto_before, 1, "one automatic checkpoint");
+    let chain = server.store().expect("a store").chain(0);
+    assert_eq!(
+        chain.len(),
+        1,
+        "the degrade checkpoint committed: {chain:?}"
+    );
+    assert_eq!((chain[0].tenant, chain[0].epoch), (0, 1));
+
+    // Process death: nothing survives but the checkpoint directory.
+    drop(server);
+    let (server, report) = Server::recover(template, config, cfg, 1);
+    assert_eq!(
+        report.tenants[0].source,
+        RecoverySource::Checkpoint { epoch: 1 }
+    );
+    let audit = server.audit(0).expect("the recovered tenant is live");
+    assert!(audit.is_clean(), "recovered heap dirty:\n{audit}");
+    assert_eq!(server.request(0, "3 + 4").unwrap().value, Value::Int(7));
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
 
