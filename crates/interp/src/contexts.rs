@@ -5,9 +5,10 @@
 //! unused stack frames, because it is more efficient to reuse one than to
 //! allocate and initialize a new one." (paper §3.2.)
 //!
-//! A free list holds oops of dead contexts chained through their `sender`
-//! slot. The lists are *cleared* (not traced) at every collection — dead
-//! contexts are garbage by definition — via the GC-epoch stamp.
+//! A free list holds the oops of dead contexts in a vector owned by its
+//! interpreter (or, under the serialized policy, by the VM). The lists are
+//! *cleared* (not traced) at every collection — dead contexts are garbage
+//! by definition — via the GC-epoch stamp.
 
 use mst_objmem::layout::{block_ctx, ctx_size, method_ctx};
 use mst_objmem::{ObjectMemory, Oop};
@@ -46,135 +47,59 @@ impl CtxKind {
     }
 }
 
-/// Four LIFO lists of recyclable contexts, chained through slot 0
-/// (`sender`/`caller`).
+/// Four LIFO lists of recyclable contexts, one per [`CtxKind`].
+///
+/// The lists are plain vectors of oops: pushing writes nothing into the
+/// context (a returning frame's `sender` is already nil) and popping reads
+/// nothing from the heap, so a recycled context is linked to nothing and a
+/// stale reference to one keeps only that context alive.
 #[derive(Debug, Default)]
 pub struct FreeLists {
-    heads: [Option<Oop>; 4],
+    lists: [Vec<Oop>; 4],
     /// GC epoch the list contents are valid for.
     pub epoch: u64,
-    /// How many contexts were handed out from the lists (instrumentation).
-    pub recycled: u64,
 }
 
 impl FreeLists {
-    /// Empties every list and stamps a new epoch.
+    /// Empties every list and stamps a new epoch. Capacity is kept, so a
+    /// warm list does not reallocate after a collection.
     pub fn clear(&mut self, epoch: u64) {
-        self.heads = [None; 4];
+        for list in &mut self.lists {
+            list.clear();
+        }
         self.epoch = epoch;
+    }
+
+    /// The lists as valid for GC epoch `epoch`: emptied and restamped first
+    /// if they hold contexts from before a collection.
+    #[inline]
+    pub fn valid_at(&mut self, epoch: u64) -> &mut FreeLists {
+        if self.epoch != epoch {
+            self.clear(epoch);
+        }
+        self
     }
 
     /// Pops a context of the given kind, if one is available.
     #[inline]
-    pub fn pop(&mut self, mem: &ObjectMemory, kind: CtxKind) -> Option<Oop> {
-        let head = self.heads[kind.index()]?;
-        let next = mem.fetch(head, method_ctx::SENDER);
-        self.heads[kind.index()] = if next == mem.nil() { None } else { Some(next) };
-        self.recycled += 1;
-        Some(head)
+    pub fn pop(&mut self, kind: CtxKind) -> Option<Oop> {
+        self.lists[kind.index()].pop()
     }
 
     /// Pushes a dead context for reuse.
     #[inline]
-    pub fn push(&mut self, mem: &ObjectMemory, kind: CtxKind, ctx: Oop) {
-        let old_head = self.heads[kind.index()].unwrap_or(mem.nil());
-        mem.store(ctx, method_ctx::SENDER, old_head);
-        self.heads[kind.index()] = Some(ctx);
+    pub fn push(&mut self, kind: CtxKind, ctx: Oop) {
+        self.lists[kind.index()].push(ctx);
     }
 
     /// Number of contexts currently on the given list.
-    pub fn len(&self, mem: &ObjectMemory, kind: CtxKind) -> usize {
-        let mut n = 0;
-        let mut cur = self.heads[kind.index()];
-        while let Some(c) = cur {
-            n += 1;
-            let next = mem.fetch(c, method_ctx::SENDER);
-            cur = if next == mem.nil() { None } else { Some(next) };
-        }
-        n
+    pub fn len(&self, kind: CtxKind) -> usize {
+        self.lists[kind.index()].len()
     }
 
     /// Whether every list is empty.
     pub fn is_empty(&self) -> bool {
-        self.heads.iter().all(|h| h.is_none())
-    }
-
-    /// Severs the recycling chains before a full collection: every link
-    /// (the `sender` slot threading dead contexts together) is nilled, and
-    /// the lists are emptied.
-    ///
-    /// Without this, a scavenge-triggered full GC leaks: the chained
-    /// contexts are garbage, but any stale reference to *one* of them — say
-    /// a dead slot above a live context's stack pointer, which the collector
-    /// conservatively traces — retains the **entire chain** through the
-    /// sender links. Severing costs one nil store per recycled context and
-    /// restores the invariant that a dead context keeps nothing else alive.
-    ///
-    /// The chains are only walked when the list is valid for the current GC
-    /// epoch (`epoch == mem.gc_epoch()`); a stale list holds pre-collection
-    /// oops that must not be dereferenced, and its heads are simply dropped.
-    pub fn sever(&mut self, mem: &ObjectMemory) {
-        if self.epoch == mem.gc_epoch() {
-            for head in self.heads.iter().flatten() {
-                let mut cur = *head;
-                loop {
-                    let next = mem.fetch(cur, method_ctx::SENDER);
-                    if next == mem.nil() {
-                        break;
-                    }
-                    // nil is old: no store check needed.
-                    mem.store_nocheck(cur, method_ctx::SENDER, mem.nil());
-                    cur = next;
-                }
-            }
-        }
-        self.heads = [None; 4];
-    }
-
-    /// Splices every context from `other` onto this list's chains, leaving
-    /// `other` empty. Used by the processor supervisor to donate a dead
-    /// interpreter's replicated lists back to the shared pool. Both lists
-    /// must be valid for the same GC epoch (the caller checks).
-    pub fn absorb(&mut self, mem: &ObjectMemory, other: &mut FreeLists) {
-        for i in 0..self.heads.len() {
-            let Some(donated) = other.heads[i] else {
-                continue;
-            };
-            let mut tail = donated;
-            loop {
-                let next = mem.fetch(tail, method_ctx::SENDER);
-                if next == mem.nil() {
-                    break;
-                }
-                tail = next;
-            }
-            let old_head = self.heads[i].unwrap_or(mem.nil());
-            mem.store(tail, method_ctx::SENDER, old_head);
-            self.heads[i] = Some(donated);
-        }
-        other.heads = [None; 4];
-    }
-}
-
-/// Classifies a context object for recycling given its size and class.
-pub fn kind_of(mem: &ObjectMemory, ctx: Oop) -> Option<CtxKind> {
-    use mst_objmem::So;
-    let class = mem.class_of(ctx);
-    let body = mem.header(ctx).body_words();
-    if class == mem.specials().get(So::ClassMethodContext) {
-        match body {
-            ctx_size::SMALL_METHOD_CTX => Some(CtxKind::MethodSmall),
-            ctx_size::LARGE_METHOD_CTX => Some(CtxKind::MethodLarge),
-            _ => None,
-        }
-    } else if class == mem.specials().get(So::ClassBlockContext) {
-        match body {
-            ctx_size::SMALL_BLOCK_CTX => Some(CtxKind::BlockSmall),
-            ctx_size::LARGE_BLOCK_CTX => Some(CtxKind::BlockLarge),
-            _ => None,
-        }
-    } else {
-        None
+        self.lists.iter().all(Vec::is_empty)
     }
 }
 
@@ -269,13 +194,13 @@ mod tests {
         let mut fl = FreeLists::default();
         let a = new_ctx(&mem, CtxKind::MethodSmall);
         let b = new_ctx(&mem, CtxKind::MethodSmall);
-        fl.push(&mem, CtxKind::MethodSmall, a);
-        fl.push(&mem, CtxKind::MethodSmall, b);
-        assert_eq!(fl.len(&mem, CtxKind::MethodSmall), 2);
-        assert_eq!(fl.pop(&mem, CtxKind::MethodSmall), Some(b));
-        assert_eq!(fl.pop(&mem, CtxKind::MethodSmall), Some(a));
-        assert_eq!(fl.pop(&mem, CtxKind::MethodSmall), None);
-        assert_eq!(fl.recycled, 2);
+        fl.push(CtxKind::MethodSmall, a);
+        fl.push(CtxKind::MethodSmall, b);
+        assert_eq!(fl.len(CtxKind::MethodSmall), 2);
+        assert_eq!(fl.pop(CtxKind::MethodSmall), Some(b));
+        assert_eq!(fl.pop(CtxKind::MethodSmall), Some(a));
+        assert_eq!(fl.pop(CtxKind::MethodSmall), None);
+        assert_eq!(fl.len(CtxKind::MethodSmall), 0, "both were handed out");
     }
 
     #[test]
@@ -283,11 +208,11 @@ mod tests {
         let mem = mem_with_ctx_classes();
         let mut fl = FreeLists::default();
         let m = new_ctx(&mem, CtxKind::MethodSmall);
-        fl.push(&mem, CtxKind::MethodSmall, m);
-        assert_eq!(fl.pop(&mem, CtxKind::BlockSmall), None);
-        assert_eq!(fl.pop(&mem, CtxKind::MethodLarge), None);
+        fl.push(CtxKind::MethodSmall, m);
+        assert_eq!(fl.pop(CtxKind::BlockSmall), None);
+        assert_eq!(fl.pop(CtxKind::MethodLarge), None);
         assert!(!fl.is_empty());
-        assert_eq!(fl.pop(&mem, CtxKind::MethodSmall), Some(m));
+        assert_eq!(fl.pop(CtxKind::MethodSmall), Some(m));
         assert!(fl.is_empty());
     }
 
@@ -295,131 +220,59 @@ mod tests {
     fn clear_resets_epoch_and_contents() {
         let mem = mem_with_ctx_classes();
         let mut fl = FreeLists::default();
-        fl.push(
-            &mem,
-            CtxKind::BlockLarge,
-            new_ctx(&mem, CtxKind::BlockLarge),
-        );
+        fl.push(CtxKind::BlockLarge, new_ctx(&mem, CtxKind::BlockLarge));
         fl.clear(5);
         assert!(fl.is_empty());
         assert_eq!(fl.epoch, 5);
     }
 
-    #[test]
-    fn kind_classification() {
-        let mem = mem_with_ctx_classes();
-        for kind in [
-            CtxKind::MethodSmall,
-            CtxKind::MethodLarge,
-            CtxKind::BlockSmall,
-            CtxKind::BlockLarge,
-        ] {
-            let c = new_ctx(&mem, kind);
-            assert_eq!(kind_of(&mem, c), Some(kind));
-        }
-        let tok = mem.new_token();
-        let arr = mem
-            .allocate(&tok, Oop::ZERO, ObjFormat::Pointers, 3, 0)
-            .unwrap();
-        assert_eq!(kind_of(&mem, arr), None);
-    }
-
-    #[test]
-    fn sever_breaks_chains_and_empties_lists() {
-        let mem = mem_with_ctx_classes();
-        let mut fl = FreeLists::default();
-        fl.clear(mem.gc_epoch());
-        let a = new_ctx(&mem, CtxKind::MethodSmall);
-        let b = new_ctx(&mem, CtxKind::MethodSmall);
-        let c = new_ctx(&mem, CtxKind::MethodSmall);
-        for ctx in [a, b, c] {
-            fl.push(&mem, CtxKind::MethodSmall, ctx);
-        }
-        // Chained: c -> b -> a -> nil.
-        assert_eq!(mem.fetch(c, method_ctx::SENDER), b);
-        assert_eq!(mem.fetch(b, method_ctx::SENDER), a);
-        fl.sever(&mem);
-        assert!(fl.is_empty());
-        for ctx in [a, b, c] {
-            assert_eq!(mem.fetch(ctx, method_ctx::SENDER), mem.nil());
-        }
-    }
-
-    #[test]
-    fn sever_does_not_dereference_a_stale_list() {
-        let mem = mem_with_ctx_classes();
-        let mut fl = FreeLists::default();
-        fl.clear(mem.gc_epoch());
-        let a = new_ctx(&mem, CtxKind::BlockSmall);
-        let b = new_ctx(&mem, CtxKind::BlockSmall);
-        fl.push(&mem, CtxKind::BlockSmall, a);
-        fl.push(&mem, CtxKind::BlockSmall, b);
-        // A collection happened: the chained oops are no longer valid, so a
-        // sever must drop the heads without walking (b -> a stays linked in
-        // the heap image, which is fine — both are dead post-GC).
-        mem.scavenge();
-        assert_ne!(fl.epoch, mem.gc_epoch());
-        fl.sever(&mem);
-        assert!(fl.is_empty());
-    }
-
-    /// The leak `sever` exists to stop: contexts recycled onto a free list
-    /// in **old space** are garbage, yet one stale reference into the chain
-    /// retains every context on it through the sender links.
+    /// Contexts recycled onto a free list in **old space** are garbage once
+    /// the list is dropped, and one stale reference to one of them (say a
+    /// dead slot above a live context's stack pointer, which the collector
+    /// traces conservatively) must keep only that context alive: the list
+    /// links nothing through the heap.
     #[test]
     fn severed_free_list_chains_are_reclaimed_by_full_gc() {
         let mem = mem_with_ctx_classes();
-
-        // Builds a chain of 8 recycled contexts and returns its *head* (the
-        // last pushed context — the sender links run head → tail), plus the
-        // chain's total footprint in words.
-        let build_chain = |fl: &mut FreeLists| -> (Oop, usize) {
-            fl.clear(mem.gc_epoch());
-            let mut head = Oop::ZERO;
-            for _ in 0..8 {
-                let class = mem.specials().get(So::ClassMethodContext);
-                head = mem
-                    .allocate_old(
-                        class,
-                        ObjFormat::Pointers,
-                        CtxKind::MethodSmall.body_slots(),
-                        0,
-                    )
-                    .unwrap();
-                fl.push(&mem, CtxKind::MethodSmall, head);
-            }
-            (head, 8 * (2 + CtxKind::MethodSmall.body_slots()))
-        };
-
-        // A live old object holds a stale reference to the *first* recycled
-        // context (modeling a dead stack slot the collector traces
-        // conservatively). Compaction moves it, so re-fetch via the root
-        // handle after every collection.
+        let ctx_words = 2 + CtxKind::MethodSmall.body_slots();
+        // A live old object that will hold the stale reference. Compaction
+        // moves it, so re-fetch it through the root handle.
         let root = mem.new_root(mem.alloc_array_old(1).unwrap());
-
-        // Unsevered: the stale reference retains the whole chain.
-        let mut fl = FreeLists::default();
-        let (first, chain_words) = build_chain(&mut fl);
-        mem.store_nocheck(root.get(), 0, first);
-        mem.full_gc();
-        let used_leaky = mem.old_used();
-        mem.store_nocheck(root.get(), 0, mem.nil());
         mem.full_gc();
         let used_baseline = mem.old_used();
-        assert!(
-            used_leaky >= used_baseline + chain_words - (2 + CtxKind::MethodSmall.body_slots()),
-            "unsevered chain should have been retained (leak): {used_leaky} vs {used_baseline}"
-        );
 
-        // Severed: only the directly referenced context survives.
-        let (first2, _) = build_chain(&mut fl);
-        mem.store_nocheck(root.get(), 0, first2);
-        fl.sever(&mem);
+        let mut fl = FreeLists::default();
+        fl.clear(mem.gc_epoch());
+        let class = mem.specials().get(So::ClassMethodContext);
+        let mut pushed = Vec::new();
+        for _ in 0..8 {
+            let ctx = mem
+                .allocate_old(
+                    class,
+                    ObjFormat::Pointers,
+                    CtxKind::MethodSmall.body_slots(),
+                    0,
+                )
+                .unwrap();
+            fl.push(CtxKind::MethodSmall, ctx);
+            pushed.push(ctx);
+        }
+        for &ctx in &pushed {
+            assert_eq!(mem.fetch(ctx, method_ctx::SENDER), mem.nil());
+        }
+        // The newest push: were the list chained through `sender`, it would
+        // be the chain's head and hold every other context alive.
+        mem.store_nocheck(root.get(), 0, pushed[7]);
         mem.full_gc();
+        assert_ne!(
+            fl.epoch,
+            mem.gc_epoch(),
+            "the collection invalidated the list"
+        );
         assert_eq!(
             mem.old_used(),
-            used_baseline + 2 + CtxKind::MethodSmall.body_slots(),
-            "severed chain must be reclaimed except the referenced context"
+            used_baseline + ctx_words,
+            "only the referenced context survives"
         );
     }
 

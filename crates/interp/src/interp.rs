@@ -27,6 +27,10 @@ use crate::dicts::method_dict_at;
 use crate::scheduler::{self as sched, State, Subject};
 use crate::vm::{CachePolicy, FreeListPolicy, Vm};
 
+/// The most classes a method lookup visits: far deeper than any real
+/// hierarchy, so only a superclass cycle reaches it.
+const MAX_SUPERCLASS_HOPS: usize = 1 << 10;
+
 /// Why `run` returned: how the watched Process ended, or shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -92,11 +96,9 @@ pub struct Interpreter {
     pub id: u64,
     token: AllocToken,
     cache: LocalCache,
-    /// Replicated free-context lists (paper §3.2). `Arc`-wrapped so a
-    /// pre-full-GC hook can sever the chains from whichever thread triggers
-    /// the collection (the owner is parked at a safepoint then, so the lock
-    /// is uncontended in ordinary execution).
-    free: Arc<mst_vkernel::SpinMutex<FreeLists>>,
+    /// Replicated free-context lists (paper §3.2): this interpreter's own,
+    /// which no other thread touches, so no lock.
+    free: FreeLists,
     special_sels: [Oop; 32],
     sels_epoch: u64,
     /// Rooted current process.
@@ -151,29 +153,12 @@ impl Interpreter {
         let token = vm.mem.new_token();
         let epoch = vm.mem.gc_epoch();
         let proc_root = vm.mem.new_root(Oop::ZERO);
-        let free = Arc::new(mst_vkernel::SpinMutex::new(
-            vm.options.memory.sync,
-            FreeLists::default(),
-        ));
-        // Sever this interpreter's recycling chains before any full
-        // collection (scavenge-triggered ones included) so recycled-but-
-        // chained contexts cannot be retained by a stale reference. Weak:
-        // the hook prunes itself once the interpreter is dropped.
-        let weak = Arc::downgrade(&free);
-        vm.mem
-            .register_pre_fullgc_hook(move |m| match weak.upgrade() {
-                Some(lists) => {
-                    lists.lock().sever(m);
-                    true
-                }
-                None => false,
-            });
         let mut it = Interpreter {
             vm,
             id,
             token,
             cache: LocalCache::new(epoch),
-            free,
+            free: FreeLists::default(),
             special_sels: [Oop::ZERO; 32],
             sels_epoch: u64::MAX,
             proc_root,
@@ -433,8 +418,6 @@ impl Interpreter {
     /// * releases the claimed Process, if any, back to ready-but-unclaimed
     ///   so a surviving interpreter picks it up — the panic injection site
     ///   flushed its registers, so it resumes at a bytecode boundary;
-    /// * donates this interpreter's free-context lists to the shared pool
-    ///   (they are epoch-checked: stale lists are dropped instead);
     /// * flushes the batched telemetry counters so no executed work is
     ///   lost from the Table 2 accounting.
     pub fn recover_after_panic(&mut self) {
@@ -458,17 +441,6 @@ impl Interpreter {
             self.reload_registers();
             self.release();
             self.proc_root.set(Oop::ZERO);
-        }
-        let epoch = self.mem().gc_epoch();
-        {
-            let mut mine = self.free.lock();
-            if mine.epoch == epoch && !mine.is_empty() {
-                let mut shared = self.vm.shared_free.lock();
-                if shared.epoch == epoch {
-                    shared.absorb(self.mem(), &mut mine);
-                }
-            }
-            mine.clear(epoch);
         }
         drop(me);
         self.flush_counters();
@@ -694,7 +666,7 @@ impl Interpreter {
 
     fn after_gc(&mut self) {
         self.cache.clear(self.vm.cache_epoch());
-        self.free.lock().clear(self.mem().gc_epoch());
+        self.free.clear(self.mem().gc_epoch());
         self.refresh_special_selectors();
         self.reload_registers();
     }
@@ -1150,12 +1122,17 @@ impl Interpreter {
         Some(entry)
     }
 
-    /// Walks the superclass chain.
+    /// Walks the superclass chain, at most [`MAX_SUPERCLASS_HOPS`] classes
+    /// of it: a doit can store into a class's superclass slot, and a cycle
+    /// it makes must end in `doesNotUnderstand:`, not spin past every poll.
     fn lookup_method(&self, selector: Oop, class: Oop) -> Option<CacheEntry> {
         let mem = self.mem();
         let nil = mem.nil();
         let mut c = class;
-        while c != nil {
+        for _ in 0..MAX_SUPERCLASS_HOPS {
+            if c == nil {
+                break;
+            }
             let dict = mem.fetch(c, cls::METHOD_DICT);
             if let Some(method) = method_dict_at(mem, dict, selector) {
                 let mh = MethodHeader::decode(mem.fetch(method, 0));
@@ -1202,21 +1179,25 @@ impl Interpreter {
         self.push(msg);
         let dnu = mem.specials().get(So::SelDoesNotUnderstand);
         if selector == dnu {
-            // The argument is the Message from the original failure.
+            // The receiver's class chain has no doesNotUnderstand: (a doit
+            // cut or looped it): the failure is contained, as for
+            // out-of-memory. The argument is the original failure's Message.
             let orig = mem.fetch(mem.fetch(msg, message::ARGS), 0);
             let orig_sel = mem.fetch(orig, message::SELECTOR);
             let rcls = mem.class_of(self.stack_at(self.sp - nargs));
             let cls_name = mem.fetch(rcls, cls::NAME);
-            panic!(
+            self.report_error(format!(
                 "recursive doesNotUnderstand: #{} not understood by an instance of {} \
-                 and doesNotUnderstand: lookup failed",
+                 and doesNotUnderstand: lookup failed; process terminated",
                 mem.str_value(orig_sel),
                 if cls_name == mem.nil() {
                     "<anonymous class>".to_string()
                 } else {
                     mem.str_value(cls_name)
                 },
-            );
+            ));
+            self.end_process(mem.nil());
+            return Step::Switch;
         }
         self.send(pc0, dnu, 1, false)
     }
@@ -1235,20 +1216,8 @@ impl Interpreter {
         let epoch = self.mem().gc_epoch();
         let recycled = match self.vm.options.context_policy {
             FreeListPolicy::Disabled => None,
-            FreeListPolicy::Replicated => {
-                let mut mine = self.free.lock();
-                if mine.epoch != epoch {
-                    mine.clear(epoch);
-                }
-                mine.pop(self.mem(), kind)
-            }
-            FreeListPolicy::Shared => {
-                let mut shared = self.vm.shared_free.lock();
-                if shared.epoch != epoch {
-                    shared.clear(epoch);
-                }
-                shared.pop(self.mem(), kind)
-            }
+            FreeListPolicy::Replicated => self.free.valid_at(epoch).pop(kind),
+            FreeListPolicy::Shared => self.vm.shared_free.lock().valid_at(epoch).pop(kind),
         };
         if let Some(ctx) = recycled {
             self.n_recycled += 1;
@@ -1271,24 +1240,11 @@ impl Interpreter {
         } else {
             CtxKind::MethodSmall
         };
+        let epoch = self.mem().gc_epoch();
         match self.vm.options.context_policy {
             FreeListPolicy::Disabled => {}
-            FreeListPolicy::Replicated => {
-                let epoch = self.mem().gc_epoch();
-                let mut mine = self.free.lock();
-                if mine.epoch != epoch {
-                    mine.clear(epoch);
-                }
-                mine.push(self.mem(), kind, ctx);
-            }
-            FreeListPolicy::Shared => {
-                let mut shared = self.vm.shared_free.lock();
-                let epoch = self.mem().gc_epoch();
-                if shared.epoch != epoch {
-                    shared.clear(epoch);
-                }
-                shared.push(self.mem(), kind, ctx);
-            }
+            FreeListPolicy::Replicated => self.free.valid_at(epoch).push(kind, ctx),
+            FreeListPolicy::Shared => self.vm.shared_free.lock().valid_at(epoch).push(kind, ctx),
         }
     }
 

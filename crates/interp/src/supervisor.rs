@@ -4,15 +4,15 @@
 //! assumes every one of them lives forever. A production-scale MS cannot:
 //! a panic in one interpreter thread must not wedge the stop-the-world
 //! rendezvous (PR 3's RAII participant guard already unregisters the dead
-//! thread) and must not strand the Process it was running or the contexts
-//! on its replicated free list.
+//! thread) and must not strand the Process it was running.
 //!
 //! [`supervise`] is the worker-thread entry point. It runs the interpreter
 //! under `catch_unwind`; when the interpreter panics, the supervisor
 //! recovers ([`Interpreter::recover_after_panic`]: the claimed Process goes
-//! back to ready-but-unclaimed, free contexts are donated to the shared
-//! pool, counters are flushed) and then applies the configured
-//! [`SupervisorPolicy`]:
+//! back to ready-but-unclaimed, counters are flushed) and then applies the
+//! configured [`SupervisorPolicy`]. Every policy drops the dead
+//! interpreter, so the contexts on its replicated free list are ordinary
+//! garbage:
 //!
 //! * **restart** — respawn the interpreter in place on the same virtual
 //!   processor and keep going;

@@ -6,7 +6,6 @@
 //! three adaptation strategies.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use mst_objmem::{MemoryConfig, ObjectMemory};
 use mst_telemetry as tel;
@@ -146,11 +145,9 @@ pub struct Vm {
     /// VM start instant (the millisecond clock's zero).
     pub(crate) start: std::time::Instant,
     pub(crate) global_cache: GlobalCache,
-    /// Shared free-context lists (used under [`FreeListPolicy::Shared`]).
-    /// `Arc`-wrapped so a pre-full-GC hook on the object memory can sever
-    /// the recycling chains (see [`crate::contexts::FreeLists::sever`])
-    /// without holding a reference into the `Vm` itself.
-    pub(crate) shared_free: Arc<SpinMutex<crate::contexts::FreeLists>>,
+    /// Shared free-context lists (used under [`FreeListPolicy::Shared`]):
+    /// the paper's serialized variant, behind one named spin-lock.
+    pub(crate) shared_free: SpinMutex<crate::contexts::FreeLists>,
     /// A Process only its watcher may claim, and the watcher's thread
     /// (measurement pinning; see `scheduler::transition` and
     /// `Interpreter::run`).
@@ -187,24 +184,8 @@ impl Vm {
     /// Builds a VM around an object memory (fresh, or a loaded snapshot).
     pub fn with_memory(mem: ObjectMemory, options: VmOptions) -> Vm {
         let sync = options.memory.sync;
-        let shared_free = Arc::new(SpinMutex::named(
-            sync,
-            "free_contexts",
-            crate::contexts::FreeLists::default(),
-        ));
-        // Before any full collection marks its roots, sever the shared
-        // free-context chains: the recycled contexts are garbage, but a
-        // single stale reference into a chain would otherwise retain all of
-        // it through the sender links. Registered weakly so a dropped Vm's
-        // hook prunes itself.
-        let weak = Arc::downgrade(&shared_free);
-        mem.register_pre_fullgc_hook(move |m| match weak.upgrade() {
-            Some(lists) => {
-                lists.lock().sever(m);
-                true
-            }
-            None => false,
-        });
+        let shared_free =
+            SpinMutex::named(sync, "free_contexts", crate::contexts::FreeLists::default());
         Vm {
             mem,
             rendezvous: Rendezvous::new(),

@@ -232,7 +232,7 @@ mod tests {
             // A recycled "context" on the shared list, valid for this epoch.
             let mut shared = vm.shared_free.lock();
             shared.clear(mem.gc_epoch());
-            shared.push(mem, CtxKind::MethodSmall, _young[0].get());
+            shared.push(CtxKind::MethodSmall, _young[0].get());
         }
         let (gc_epoch, cache_epoch) = (mem.gc_epoch(), vm.cache_epoch());
 

@@ -50,11 +50,11 @@
 //!
 //! **The world must be stopped by the caller** for every entry point here;
 //! in a running system the caller holds an `mst_interp::StoppedWorld`, whose
-//! methods are the only route to the `_with` forms. Free
-//! context lists hold dead contexts by design; the registered pre-full-GC
-//! hooks ([`ObjectMemory::register_pre_fullgc_hook`]) sever them before any
-//! marking starts, so a full collection triggered from *inside* a scavenge
-//! honors the same precondition as a deliberate one.
+//! methods are the only route to the `_with` forms. A full collection
+//! triggered from *inside* a scavenge needs nothing more: the interpreters'
+//! free-context lists live outside the heap and link no context to
+//! another, so they are not roots, retain nothing, and are simply dropped
+//! at the new GC epoch.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -606,7 +606,6 @@ impl ObjectMemory {
     where
         R: Fn(usize, &(dyn Fn(usize) + Sync)),
     {
-        self.run_pre_fullgc_hooks();
         self.collect(helpers.max(1), &run)
     }
 
@@ -630,9 +629,9 @@ impl ObjectMemory {
         // The last boundary: the running phase (move, or plan if aborted)
         // ends with the pause.
         let pause_ns = clock.close();
-        // Test builds audit the heap after every collection that claims to
+        // Debug builds audit the heap after every collection that claims to
         // have been clean, not only where a test thinks to ask.
-        #[cfg(test)]
+        #[cfg(debug_assertions)]
         if report.is_clean() {
             self.verify_heap().assert_clean();
         }
@@ -1313,29 +1312,6 @@ mod tests {
         assert_eq!(drained.len(), 1);
         assert!(m.take_fullgc_dangling().is_empty());
         m.verify_heap().assert_clean();
-    }
-
-    #[test]
-    fn pre_fullgc_hooks_run_and_prune() {
-        use std::sync::atomic::AtomicUsize;
-        let m = mem();
-        let runs = std::sync::Arc::new(AtomicUsize::new(0));
-        let r1 = std::sync::Arc::clone(&runs);
-        // A one-shot hook (returns false: pruned after first use).
-        m.register_pre_fullgc_hook(move |_mem| {
-            r1.fetch_add(1, Ordering::Relaxed);
-            false
-        });
-        let r2 = std::sync::Arc::clone(&runs);
-        // A persistent hook.
-        m.register_pre_fullgc_hook(move |_mem| {
-            r2.fetch_add(10, Ordering::Relaxed);
-            true
-        });
-        m.full_gc();
-        assert_eq!(runs.load(Ordering::Relaxed), 11);
-        m.full_gc();
-        assert_eq!(runs.load(Ordering::Relaxed), 21, "one-shot hook pruned");
     }
 
     #[test]

@@ -291,12 +291,6 @@ pub struct ObjectMemory {
     /// compacted-away old objects (full GC abandons them by design), so the
     /// heap verifier must not treat those as corruption.
     pub(crate) fullgc_since_scavenge: AtomicBool,
-    /// Callbacks run (world stopped) before any full collection marks its
-    /// roots — e.g. the interpreter severing free-context lists so recycled
-    /// garbage is not conservatively retained. A hook returning `false` is
-    /// pruned after the call.
-    #[allow(clippy::type_complexity)]
-    pre_fullgc_hooks: SpinMutex<Vec<Box<dyn Fn(&ObjectMemory) -> bool + Send + Sync>>>,
     /// Dangling-reference diagnostics queued for the containment layer (see
     /// `ObjectMemory::take_fullgc_dangling`).
     pub(crate) fullgc_dangling: SpinMutex<Vec<crate::fullgc::DanglingRef>>,
@@ -341,27 +335,9 @@ impl ObjectMemory {
             symbols: SpinMutex::new(config.sync, HashMap::new()),
             gc_epoch: AtomicU64::new(0),
             fullgc_since_scavenge: AtomicBool::new(false),
-            pre_fullgc_hooks: SpinMutex::new(config.sync, Vec::new()),
             fullgc_dangling: SpinMutex::new(config.sync, Vec::new()),
             stats: GcCounters::default(),
         }
-    }
-
-    /// Registers a callback run (with the world stopped) before every full
-    /// collection starts marking. Hooks must break artificial liveness —
-    /// e.g. sever recycled-context chains — so conservative marking does not
-    /// retain garbage. Returning `false` prunes the hook (used by owners
-    /// registering weak self-references).
-    pub fn register_pre_fullgc_hook(
-        &self,
-        hook: impl Fn(&ObjectMemory) -> bool + Send + Sync + 'static,
-    ) {
-        self.pre_fullgc_hooks.lock().push(Box::new(hook));
-    }
-
-    pub(crate) fn run_pre_fullgc_hooks(&self) {
-        let mut hooks = self.pre_fullgc_hooks.lock();
-        hooks.retain(|h| h(self));
     }
 
     /// The configuration this memory was built with.

@@ -226,9 +226,9 @@ impl ObjectMemory {
 
         trace_span.set_arg("words_survived", outcome.words_survived);
         drop(trace_span);
-        // Test builds audit the heap after every completed scavenge, as
+        // Debug builds audit the heap after every completed scavenge, as
         // after every full collection.
-        #[cfg(test)]
+        #[cfg(debug_assertions)]
         self.verify_heap().assert_clean();
         Ok(outcome)
     }
@@ -239,10 +239,8 @@ impl ObjectMemory {
     /// allocation alone cannot cover it. Returns whether the full GC ran.
     ///
     /// The emergency full GC borrows the scavenge's stopped helpers (clamped
-    /// by [`adaptive_full_gc_helpers`](Self::adaptive_full_gc_helpers)). The
-    /// full collector runs its registered pre-GC hooks itself, so free
-    /// context lists are severed on this path exactly as on a deliberate
-    /// full collection.
+    /// by [`adaptive_full_gc_helpers`](Self::adaptive_full_gc_helpers)) and
+    /// is the same collection as a deliberate one.
     fn reserve_tenure_room(
         &self,
         available: usize,

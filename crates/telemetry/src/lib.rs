@@ -23,14 +23,13 @@
 //!   in `chrome://tracing` or Perfetto.
 //! * [`timeline`] — per-processor *state* accounting (mutator / safepoint
 //!   wait / stopped / GC helper / lock spin / idle / primitive nanoseconds)
-//!   behind an RAII transition API, feeding the paper-style utilization
-//!   table.
+//!   behind an RAII transition API, feeding the benchmark's
+//!   `vkernel.proc.*_share` rows and the watchdog dump.
 //! * [`pauselog`] — a bounded log of GC pauses attributed to named phases
 //!   (roots, copy/mark, termination, plan, update, move) with per-helper
 //!   work and steal counts.
 //! * [`report`] — a human-readable `vmstat`-style text report of every
-//!   registered counter and histogram, plus the utilization and
-//!   pause-attribution tables.
+//!   registered counter and histogram.
 //! * [`json`] — a minimal JSON parser so exported traces can be validated
 //!   in-tree by tests without external dependencies.
 //!

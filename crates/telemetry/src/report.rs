@@ -7,8 +7,7 @@
 use std::fmt::Write as _;
 
 use crate::metrics::{HistogramSnapshot, BUCKETS};
-use crate::timeline::{ProcState, NSTATES, STATE_NAMES};
-use crate::{pauselog, registry, timeline};
+use crate::registry;
 
 /// Formats a nanosecond-scale value with a human unit.
 pub fn ns_human(ns: u64) -> String {
@@ -67,137 +66,7 @@ pub fn histogram_line(name: &str, s: &HistogramSnapshot) -> String {
     )
 }
 
-/// The paper-style per-processor utilization table, or `None` when no
-/// processor registered a timeline session. "busy" is mutator + primitive
-/// time — the share the paper's Table 2 calls useful work.
-pub fn utilization_table() -> Option<String> {
-    let snap = timeline::snapshot();
-    if snap.is_empty() {
-        return None;
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "  {:<6} {:>9}  {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
-        "proc", "span", "busy%", "mut%", "prim%", "gc%", "spin%", "stop%", "wait%", "idle%"
-    );
-    let mut agg = [0u64; NSTATES];
-    let mut agg_span = 0u64;
-    for t in &snap {
-        for (i, cell) in agg.iter_mut().enumerate() {
-            *cell += t.ns[i];
-        }
-        agg_span += t.span_ns();
-        let _ = writeln!(
-            out,
-            "  p{:<5} {:>9}  {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",
-            t.proc,
-            ns_human(t.span_ns()),
-            t.pct(ProcState::Mutator) + t.pct(ProcState::Primitive),
-            t.pct(ProcState::Mutator),
-            t.pct(ProcState::Primitive),
-            t.pct(ProcState::GcHelper),
-            t.pct(ProcState::LockSpin),
-            t.pct(ProcState::Stopped),
-            t.pct(ProcState::SafepointWait),
-            t.pct(ProcState::Idle),
-        );
-    }
-    if snap.len() > 1 {
-        let total: u64 = agg.iter().sum::<u64>().max(1);
-        let pct = |s: ProcState| agg[s as usize] as f64 * 100.0 / total as f64;
-        let _ = writeln!(
-            out,
-            "  {:<6} {:>9}  {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",
-            "all",
-            ns_human(agg_span),
-            pct(ProcState::Mutator) + pct(ProcState::Primitive),
-            pct(ProcState::Mutator),
-            pct(ProcState::Primitive),
-            pct(ProcState::GcHelper),
-            pct(ProcState::LockSpin),
-            pct(ProcState::Stopped),
-            pct(ProcState::SafepointWait),
-            pct(ProcState::Idle),
-        );
-    }
-    Some(out)
-}
-
-/// The GC pause-attribution table, or `None` when the pause log is empty:
-/// per collection kind, pause percentiles plus the mean share of each
-/// named phase and of the attributed total.
-pub fn pause_table() -> Option<String> {
-    let (pauses, dropped) = pauselog::snapshot();
-    if pauses.is_empty() {
-        return None;
-    }
-    let mut kinds: Vec<&'static str> = Vec::new();
-    for p in &pauses {
-        if !kinds.contains(&p.kind) {
-            kinds.push(p.kind);
-        }
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "  {:<10} {:>5} {:>9} {:>9} {:>9} {:>9} {:>7}  phase shares",
-        "kind", "n", "p50", "p99", "max", "helpers", "attr%"
-    );
-    for kind in kinds {
-        let of_kind: Vec<_> = pauses.iter().filter(|p| p.kind == kind).collect();
-        let mut totals: Vec<u64> = of_kind.iter().map(|p| p.total_ns).collect();
-        totals.sort_unstable();
-        let q = |f: f64| {
-            totals[((f * (totals.len() - 1) as f64).round() as usize).min(totals.len() - 1)]
-        };
-        let mean_helpers =
-            of_kind.iter().map(|p| p.helpers as f64).sum::<f64>() / of_kind.len() as f64;
-        let mean_cov = of_kind.iter().map(|p| p.coverage_pct()).sum::<f64>() / of_kind.len() as f64;
-        // Mean share of each phase across this kind's pauses, in order of
-        // first appearance.
-        let mut phases: Vec<(&'static str, u64)> = Vec::new();
-        let mut total_all = 0u64;
-        for p in &of_kind {
-            total_all += p.total_ns;
-            for &(name, ns) in &p.phases {
-                match phases.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, acc)) => *acc += ns,
-                    None => phases.push((name, ns)),
-                }
-            }
-        }
-        let mut shares = String::new();
-        for (name, ns) in &phases {
-            let _ = write!(
-                shares,
-                "{}{} {:.0}%",
-                if shares.is_empty() { "" } else { " " },
-                name,
-                *ns as f64 * 100.0 / total_all.max(1) as f64
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  {:<10} {:>5} {:>9} {:>9} {:>9} {:>9.1} {:>6.1}%  {}",
-            kind,
-            of_kind.len(),
-            ns_human(q(0.50)),
-            ns_human(q(0.99)),
-            ns_human(*totals.last().unwrap()),
-            mean_helpers,
-            mean_cov,
-            shares,
-        );
-    }
-    if dropped > 0 {
-        let _ = writeln!(out, "  ({dropped} older pause records dropped)");
-    }
-    Some(out)
-}
-
-/// The full text report: every registered counter and histogram, plus the
-/// utilization and pause-attribution tables when they have data.
+/// The full text report: every registered counter and histogram.
 pub fn text_report() -> String {
     let mut out = String::new();
     let counters = registry::counters();
@@ -214,18 +83,6 @@ pub fn text_report() -> String {
         for (name, snap) in &histograms {
             let _ = writeln!(out, "{}", histogram_line(name, snap));
         }
-    }
-    if let Some(table) = utilization_table() {
-        let _ = writeln!(
-            out,
-            "per-processor utilization ({}):",
-            STATE_NAMES.join("/")
-        );
-        out.push_str(&table);
-    }
-    if let Some(table) = pause_table() {
-        let _ = writeln!(out, "gc pause attribution:");
-        out.push_str(&table);
     }
     if counters.is_empty() && histograms.is_empty() {
         let _ = writeln!(out, "(no instruments registered)");
@@ -251,38 +108,6 @@ mod tests {
         assert!(report.contains("test.report.hist_ns"));
         assert!(report.contains("p99="));
         assert!(report.contains("n=4"));
-    }
-
-    #[test]
-    fn report_renders_utilization_and_pause_tables() {
-        let _pause_lock = pauselog::test_guard();
-        let _timeline_lock = timeline::test_guard();
-        timeline::set_enabled(true);
-        let session = timeline::register(62);
-        timeline::transition(ProcState::Mutator);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        drop(session);
-        pauselog::record(pauselog::GcPause {
-            kind: "report_scav",
-            start_ns: 10,
-            total_ns: 1_000_000,
-            phases: vec![("roots", 200_000), ("copy", 700_000), ("flip", 100_000)],
-            helpers: 2,
-            per_helper_work: vec![64, 64],
-            steals: 1,
-            imbalance_pct: 100,
-        });
-        let report = text_report();
-        assert!(report.contains("per-processor utilization"));
-        assert!(report.contains("p62"), "registered processor row present");
-        assert!(report.contains("gc pause attribution"));
-        assert!(report.contains("report_scav"));
-        assert!(
-            report.contains("copy 70%"),
-            "phase shares rendered:\n{report}"
-        );
-        let util = utilization_table().unwrap();
-        assert!(util.contains("busy%"));
     }
 
     #[test]

@@ -1125,6 +1125,12 @@ mod tests {
             "report: {report}"
         );
         assert!(report.contains("newest gc pauses"), "report: {report}");
+        // Each appears once: the registry report adds no second copy.
+        assert!(
+            !report.contains("per-processor utilization")
+                && !report.contains("gc pause attribution"),
+            "report: {report}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
 
         // The panic path released the request; after retiring the dead

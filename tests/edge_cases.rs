@@ -431,3 +431,79 @@ fn display_and_input_queues_from_smalltalk() {
     assert_eq!(eval(&mut ms, "Benchmark nextEvent"), Value::Int(42));
     assert_eq!(eval(&mut ms, "Benchmark nextEvent"), Value::Nil);
 }
+
+/// One-line doits that break a class's superclass chain, each run by a
+/// child copy of this test binary (named by an extra test filter that
+/// matches no test): a doit that hangs or panics its caller then fails
+/// that case instead of wedging or killing this binary.
+const CHAIN_CASES: [(&str, &str); 2] = [
+    (
+        "chain-case-cycle",
+        "Array instVarAt: 1 put: Array. Array new foo",
+    ),
+    (
+        "chain-case-nil",
+        "Benchmark instVarAt: 1 put: nil. Benchmark new foo",
+    ),
+];
+
+/// In a child: the doit answers `EvalError::Runtime` within its 300 ms
+/// deadline, and the session goes on serving.
+fn run_chain_case(src: &str) {
+    let mut ms = system();
+    let deadline = std::time::Duration::from_millis(300);
+    let p = ms.prepare(src).expect("the doit compiles");
+    match ms.run_prepared_with_deadline(&p, deadline) {
+        Err(EvalError::Runtime(msg)) => assert!(msg.contains("foo"), "{msg}"),
+        other => panic!("{src}: {other:?}"),
+    }
+    assert_eq!(eval(&mut ms, "3 + 4"), Value::Int(7));
+}
+
+#[test]
+fn a_doit_that_breaks_a_superclass_chain_fails_within_its_deadline() {
+    const NAME: &str = "a_doit_that_breaks_a_superclass_chain_fails_within_its_deadline";
+    let args: Vec<String> = std::env::args().collect();
+    if let Some((_, src)) = CHAIN_CASES
+        .iter()
+        .find(|(case, _)| args.iter().any(|a| a == case))
+    {
+        run_chain_case(src);
+        return;
+    }
+    let exe = std::env::current_exe().expect("the test binary's path");
+    for (case, src) in CHAIN_CASES {
+        let mut child = std::process::Command::new(&exe)
+            .args([NAME, case, "--exact", "--test-threads=1", "--nocapture"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("the child test starts");
+        let t0 = std::time::Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("the child is waitable") {
+                break Some(status);
+            }
+            if t0.elapsed() > std::time::Duration::from_secs(30) {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let out = child.wait_with_output().expect("the child's output");
+        let log = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        match status {
+            None => panic!("{src}: no answer after 30 s\n{log}"),
+            Some(s) if !s.success() => panic!("{src}: the child ended with {s}\n{log}"),
+            Some(_) => assert!(
+                log.contains("1 passed"),
+                "{src}: the case did not run\n{log}"
+            ),
+        }
+    }
+}

@@ -67,34 +67,50 @@ fn baseline_bs_agrees() {
     check(Strategies::baseline(), &expected);
 }
 
+/// Every free-list policy crossed with both allocation policies, beside
+/// busy competitors and a small eden: recycled contexts cross scavenges and
+/// full collections under each policy and the answers do not change.
 #[test]
 fn strategies_agree_under_competition_and_small_eden() {
     let expected = expected();
-    for alloc in [
-        AllocPolicy::SharedEden,
-        AllocPolicy::PerProcessorLab { lab_words: 2 << 10 },
+    for free_contexts in [
+        FreeListPolicy::Disabled,
+        FreeListPolicy::Shared,
+        FreeListPolicy::Replicated,
     ] {
-        let mut ms = MsSystem::new(MsConfig {
-            strategies: Strategies {
-                alloc,
-                ..Strategies::ms()
-            },
-            memory: mst_objmem::MemoryConfig {
-                eden_words: 96 << 10,
-                survivor_words: 32 << 10,
-                ..mst_objmem::MemoryConfig::default()
-            },
-            ..MsConfig::default()
-        });
-        ms.enter_state(SystemState::MsBusy4);
-        // Force allocation pressure so the small eden must scavenge at
-        // least once while competitors run.
-        ms.evaluate("Benchmark allocHeavy: 20000").unwrap();
-        for (w, e) in WORKLOADS.iter().zip(&expected) {
-            let got = ms.evaluate(w).unwrap_or_else(|err| panic!("{w}: {err}"));
-            assert_eq!(&got, e, "alloc {alloc:?}, workload {w}");
+        for alloc in [
+            AllocPolicy::SharedEden,
+            AllocPolicy::PerProcessorLab { lab_words: 2 << 10 },
+        ] {
+            let mut ms = MsSystem::new(MsConfig {
+                strategies: Strategies {
+                    alloc,
+                    free_contexts,
+                    ..Strategies::ms()
+                },
+                memory: mst_objmem::MemoryConfig {
+                    eden_words: 96 << 10,
+                    survivor_words: 32 << 10,
+                    ..mst_objmem::MemoryConfig::default()
+                },
+                ..MsConfig::default()
+            });
+            ms.enter_state(SystemState::MsBusy4);
+            // Force allocation pressure so the small eden must scavenge at
+            // least once while competitors run.
+            ms.evaluate("Benchmark allocHeavy: 20000").unwrap();
+            for (w, e) in WORKLOADS.iter().zip(&expected) {
+                let got = ms.evaluate(w).unwrap_or_else(|err| panic!("{w}: {err}"));
+                assert_eq!(
+                    &got, e,
+                    "free {free_contexts:?}, alloc {alloc:?}, workload {w}"
+                );
+                ms.full_collect();
+            }
+            let stats = ms.mem().gc_stats();
+            assert!(stats.scavenges > 0, "{free_contexts:?}, {alloc:?}");
+            assert!(stats.full_gcs > 0, "{free_contexts:?}, {alloc:?}");
+            ms.shutdown();
         }
-        assert!(ms.mem().gc_stats().scavenges > 0);
-        ms.shutdown();
     }
 }
